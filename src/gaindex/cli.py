@@ -25,7 +25,7 @@ from .families import (
     TABLE_CD_COLS,
     TABLE_CD_ROWS,
 )
-from .graph import GraphError, find_cycle, format_edge_list, is_connected, is_unicyclic, parse_edge_list
+from .graph import GraphError, format_edge_list, is_connected, is_unicyclic, parse_edge_list
 from .indices import ag_index, edge_contribution, ga_index
 from .transforms import SmallOrderError, reduction_pipeline, set_runtime_checks
 
@@ -71,7 +71,7 @@ def _cmd_compute(args) -> int:
         (edge_contribution(g, e) for e in g.edges),
         key=lambda c: (c.rd, c.edge),
     )
-    girth = find_cycle(g).girth if is_unicyclic(g) else None
+    girth = g.cycle.girth if is_unicyclic(g) else None
     if args.format == "json":
         _emit(_json_text({
             "n": g.n,
@@ -278,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, formats=("text", "json")):
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", metavar="PATH", default=None)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--trace", action="store_true")
 
     p = sub.add_parser("compute", help="GA/AG indices and per-edge contributions of an edge list")
     p.add_argument("path")
@@ -299,10 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="run the GA-decreasing reduction pipeline on an edge list")
     p.add_argument("path")
     add_common(p)
+    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--trace", action="store_true")
 
     p = sub.add_parser("verify", help="exhaustively verify the GA bounds for a range of orders")
     p.add_argument("orders", help="N or A..B (e.g. 5 or 3..9)")
     add_common(p)
+    p.add_argument("--tol", type=float, default=1e-9)
 
     return parser
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .families import FamilySpec, ga_sn3_closed, make_family
-from .graph import Graph, canonical_form, find_cycle, format_edge_list, is_unicyclic, norm_edge
+from .graph import Graph, canonical_form, format_edge_list, is_unicyclic, norm_edge
 from .indices import ga_index
 from .transforms import (
     PreconditionError,
@@ -232,7 +232,7 @@ def operator_applications(g: Graph):
     Thunks raise PreconditionError when the operator does not apply; the
     sweep counts only successful applications.
     """
-    cyc = find_cycle(g)
+    cyc = g.cycle
     cvs = cyc.vertices
     for v in cvs:
         yield "star_transform", {"v": v}, (lambda v=v: star_transform(g, v))

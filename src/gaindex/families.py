@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import Graph, find_cycle, is_unicyclic, norm_edge
+from .graph import Graph, is_unicyclic, norm_edge
 from .indices import f_eval, g_eval
 
 FAMILY_NAMES = ("cycle", "sn3", "spq4", "srk3")
@@ -199,7 +199,7 @@ def classify_family(g: Graph) -> FamilySpec | None:
         return None
     if all(g.degree(v) == 2 for v in range(g.n)):
         return FamilySpec("cycle", (g.n,))
-    cyc = find_cycle(g)
+    cyc = g.cycle
     # every off-cycle vertex must be a pendant hanging directly on the cycle
     for v in range(g.n):
         if v in cyc.vertex_set:

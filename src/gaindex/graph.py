@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class GraphError(ValueError):
@@ -26,6 +26,12 @@ class EdgeListError(GraphError):
 
 class NotUnicyclicError(GraphError):
     """The operation requires a connected graph with exactly one cycle."""
+
+
+# Upper bound on the order of a graph read from outside: per-vertex structures
+# (adjacency, cycle search) are allocated from n, so an unchecked header
+# would let a two-line file ask for gigabytes.
+MAX_VERTICES = 10**6
 
 
 def norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -46,6 +52,34 @@ class Graph:
             nbrs[u].append(v)
             nbrs[v].append(u)
         return tuple(tuple(sorted(a)) for a in nbrs)
+
+    @cached_property
+    def cycle(self) -> CycleStructure:
+        """The unique cycle; raises NotUnicyclicError (on every access) otherwise."""
+        if not is_unicyclic(self):
+            raise NotUnicyclicError("graph is not unicyclic (connected with |E| = |V|)")
+        deg = [self.degree(v) for v in range(self.n)]
+        alive = [True] * self.n
+        stack = [v for v in range(self.n) if deg[v] == 1]
+        while stack:
+            v = stack.pop()
+            alive[v] = False
+            for w in self.neighbors(v):
+                if alive[w]:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        stack.append(w)
+        on_cycle = [v for v in range(self.n) if alive[v]]
+        start = min(on_cycle)
+        cycle_set = set(on_cycle)
+        order = [start, min(w for w in self.neighbors(start) if w in cycle_set)]
+        while True:
+            prev, cur = order[-2], order[-1]
+            nxt = next(w for w in self.neighbors(cur) if w in cycle_set and w != prev)
+            if nxt == start:
+                break
+            order.append(nxt)
+        return CycleStructure(tuple(order), len(order))
 
     @property
     def m(self) -> int:
@@ -74,11 +108,14 @@ class Graph:
 def build_graph(n: int, edge_list: Iterable) -> Graph:
     """Validate an edge list and return the Graph it describes.
 
-    Rejects out-of-range vertex ids, self-loops and duplicate pairs, naming
-    the offending pair in the error message.
+    Rejects a vertex count outside 1..MAX_VERTICES, out-of-range vertex ids,
+    self-loops and duplicate pairs, naming the offending pair in the error
+    message.
     """
     if n < 1:
         raise GraphError(f"vertex count must be >= 1, got {n}")
+    if n > MAX_VERTICES:
+        raise GraphError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     seen: set[tuple[int, int]] = set()
     for u, v in edge_list:
         if u == v:
@@ -136,31 +173,8 @@ class CycleStructure:
 
 
 def find_cycle(g: Graph) -> CycleStructure:
-    """Return the unique cycle of a unicyclic graph."""
-    if not is_unicyclic(g):
-        raise NotUnicyclicError("graph is not unicyclic (connected with |E| = |V|)")
-    deg = [g.degree(v) for v in range(g.n)]
-    alive = [True] * g.n
-    stack = [v for v in range(g.n) if deg[v] == 1]
-    while stack:
-        v = stack.pop()
-        alive[v] = False
-        for w in g.neighbors(v):
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    stack.append(w)
-    on_cycle = [v for v in range(g.n) if alive[v]]
-    start = min(on_cycle)
-    cycle_set = set(on_cycle)
-    order = [start, min(w for w in g.neighbors(start) if w in cycle_set)]
-    while True:
-        prev, cur = order[-2], order[-1]
-        nxt = next(w for w in g.neighbors(cur) if w in cycle_set and w != prev)
-        if nxt == start:
-            break
-        order.append(nxt)
-    return CycleStructure(tuple(order), len(order))
+    """Return the unique cycle of a unicyclic graph (cached on the graph)."""
+    return g.cycle
 
 
 @dataclass(frozen=True)
@@ -180,9 +194,9 @@ class PendantTree:
         return all(self.root in e for e in self.edges)
 
 
-def pendant_tree(g: Graph, v: int, cycle: CycleStructure | None = None) -> PendantTree:
+def pendant_tree(g: Graph, v: int) -> PendantTree:
     """The maximal connected subgraph containing cycle vertex v and no other cycle vertex."""
-    cycle = cycle if cycle is not None else find_cycle(g)
+    cycle = g.cycle
     if v not in cycle.vertex_set:
         raise GraphError(f"vertex {v} is not a cycle vertex")
     vertices = {v}
@@ -204,9 +218,9 @@ class VertexClass(NamedTuple):
     local_min: bool
 
 
-def classify_cycle_vertex(g: Graph, v: int, cycle: CycleStructure | None = None) -> VertexClass:
+def classify_cycle_vertex(g: Graph, v: int) -> VertexClass:
     """Compare deg(v) against its two cycle neighbors; both flags may hold at once."""
-    cycle = cycle if cycle is not None else find_cycle(g)
+    cycle = g.cycle
     if v not in cycle.vertex_set:
         raise GraphError(f"vertex {v} is not a cycle vertex")
     a, b = cycle.cycle_neighbors(v)
@@ -332,7 +346,3 @@ def format_edge_list(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
     lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
     return "\n".join(lines) + "\n"
-
-
-def edges_iter_sorted(g: Graph) -> Iterator:
-    return iter(sorted(g.edges))

@@ -56,7 +56,11 @@ def edge_contribution(g: Graph, e) -> EdgeContribution:
 def ga_index(g: Graph) -> float:
     if not g.edges:
         raise GraphError("GA index needs at least one edge")
-    return math.fsum(edge_contribution(g, e).ga for e in g.edges)
+    terms = []
+    for u, v in g.edges:
+        du, dv = g.degree(u), g.degree(v)
+        terms.append(2.0 * math.sqrt(du * dv) / (du + dv))
+    return math.fsum(terms)
 
 
 def ag_index(g: Graph) -> float:

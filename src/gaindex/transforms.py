@@ -7,10 +7,10 @@ no operator can improve). Vertex ids are stable across every rewrite:
 relocated vertices keep their ids and reappear as pendants of the target
 vertex, so consecutive trace states can be diffed edge by edge.
 
-Operators re-derive the cycle of their input instead of trusting the
-caller, and optionally re-check GA monotonicity at runtime (see
-set_runtime_checks), which turns the decrease guarantees into executable
-assertions during long sweeps.
+Operators never trust a cycle supplied by the caller: each reads the cycle
+cached on its own input graph (Graph.cycle). They optionally re-check GA
+monotonicity at runtime (see set_runtime_checks), which turns the decrease
+guarantees into executable assertions during long sweeps.
 """
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ from dataclasses import dataclass
 
 from .families import FamilySpec, classify_family
 from .graph import (
-    CycleStructure,
     Graph,
     NotUnicyclicError,
     classify_cycle_vertex,
-    find_cycle,
     is_unicyclic,
     norm_edge,
     pendant_tree,
@@ -73,12 +71,11 @@ def _check_monotone(op: str, before: Graph, after: Graph) -> Graph:
 
 def star_transform(g: Graph, v: int) -> Graph:
     """Flatten the pendant tree at local-maximum cycle vertex v into a star at v."""
-    cyc = find_cycle(g)
-    if v not in cyc.vertex_set:
+    if v not in g.cycle.vertex_set:
         raise PreconditionError(f"vertex {v} is not a cycle vertex")
-    if not classify_cycle_vertex(g, v, cyc).local_max:
+    if not classify_cycle_vertex(g, v).local_max:
         raise PreconditionError(f"vertex {v} is not a local maximum on the cycle")
-    tree = pendant_tree(g, v, cyc)
+    tree = pendant_tree(g, v)
     new = g.replace_edges(tree.edges, ((v, w) for w in tree.vertices if w != v))
     return _check_monotone("star_transform", g, new)
 
@@ -89,25 +86,25 @@ def relocate_min(g: Graph, u: int, v: int) -> Graph:
     Requires v to be a local maximum whose pendant tree is already a star;
     afterwards u has degree 2.
     """
-    cyc = find_cycle(g)
     if u == v:
         raise PreconditionError("u and v must be distinct cycle vertices")
     for x in (u, v):
-        if x not in cyc.vertex_set:
+        if x not in g.cycle.vertex_set:
             raise PreconditionError(f"vertex {x} is not a cycle vertex")
-    if not classify_cycle_vertex(g, v, cyc).local_max:
+    if not classify_cycle_vertex(g, v).local_max:
         raise PreconditionError(f"vertex {v} is not a local maximum on the cycle")
-    if not pendant_tree(g, v, cyc).is_star():
+    if not pendant_tree(g, v).is_star():
         raise PreconditionError(f"pendant tree at {v} is not a star")
-    if not classify_cycle_vertex(g, u, cyc).local_min:
+    if not classify_cycle_vertex(g, u).local_min:
         raise PreconditionError(f"vertex {u} is not a local minimum on the cycle")
-    tree = pendant_tree(g, u, cyc)
+    tree = pendant_tree(g, u)
     new = g.replace_edges(tree.edges, ((v, w) for w in tree.vertices if w != u))
     return _check_monotone("relocate_min", g, new)
 
 
-def _arc_path(g: Graph, cyc: CycleStructure, u: int, e, v: int) -> tuple:
+def _arc_path(g: Graph, u: int, e, v: int) -> tuple:
     """The cycle path u..v through edge e; validates u, v, e against the cycle."""
+    cyc = g.cycle
     for x in (u, v):
         if x not in cyc.vertex_set:
             raise PreconditionError(f"vertex {x} is not a cycle vertex")
@@ -133,7 +130,7 @@ def _arc_path(g: Graph, cyc: CycleStructure, u: int, e, v: int) -> tuple:
     raise PreconditionError(f"edge {e} lies on no (u, v)-arc for u={u}, v={v}")
 
 
-def _arc_rewire(g: Graph, cyc: CycleStructure, path: tuple) -> Graph:
+def _arc_rewire(g: Graph, path: tuple) -> Graph:
     """Structural arc relocation along path=(u, ..., v), without GA preconditions.
 
     Interior pendant trees and interior cycle vertices become pendants of v;
@@ -146,7 +143,7 @@ def _arc_rewire(g: Graph, cyc: CycleStructure, path: tuple) -> Graph:
     added = {norm_edge(u, v)}
     added.update(norm_edge(v, w) for w in interiors)
     for w in interiors:
-        tree = pendant_tree(g, w, cyc)
+        tree = pendant_tree(g, w)
         removed |= tree.edges
         added.update(norm_edge(v, z) for z in tree.vertices if z != w)
     return g.replace_edges(removed, added)
@@ -159,11 +156,10 @@ def arc_transform(g: Graph, u: int, e, v: int) -> Graph:
     pendant tree at v must be a star. The cycle gets strictly shorter; u
     ends up adjacent to v with its degree unchanged.
     """
-    cyc = find_cycle(g)
-    path = _arc_path(g, cyc, u, e, v)
-    if not classify_cycle_vertex(g, v, cyc).local_max:
+    path = _arc_path(g, u, e, v)
+    if not classify_cycle_vertex(g, v).local_max:
         raise PreconditionError(f"vertex {v} is not a local maximum on the cycle")
-    if not pendant_tree(g, v, cyc).is_star():
+    if not pendant_tree(g, v).is_star():
         raise PreconditionError(f"pendant tree at {v} is not a star")
     du, dv = g.degree(u), g.degree(v)
     for w in path[1:-1]:
@@ -172,7 +168,7 @@ def arc_transform(g: Graph, u: int, e, v: int) -> Graph:
                 f"arc vertex {w} breaks the degree ordering: "
                 f"need d({u})={du} <= d({w})={g.degree(w)} <= d({v})={dv}"
             )
-    new = _arc_rewire(g, cyc, path)
+    new = _arc_rewire(g, path)
     return _check_monotone("arc_transform", g, new)
 
 
@@ -181,10 +177,10 @@ def arc_transform(g: Graph, u: int, e, v: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _rest_of_cycle(cyc: CycleStructure, v: int, first: int) -> tuple:
+def _rest_of_cycle(g: Graph, v: int, first: int) -> tuple:
     """Cycle vertices in order starting after `first`, walking away from v."""
-    seq = cyc.vertices
-    k = cyc.girth
+    seq = g.cycle.vertices
+    k = g.cycle.girth
     i = seq.index(v)
     step = 1 if seq[(i + 1) % k] == first else -1
     return tuple(seq[(i + step * (j + 1)) % k] for j in range(1, k - 1))
@@ -198,7 +194,7 @@ def finish_two_neighbors_deg2(g: Graph, v: int) -> Graph:
     relocations pull the rest of the cycle onto it, leaving a 4-cycle with
     pendants only at v and at that vertex.
     """
-    cyc = find_cycle(g)
+    cyc = g.cycle
     if cyc.girth == 3:
         raise PreconditionError("girth-3 input is already in sn3 shape; nothing to finish")
     if v not in cyc.vertex_set:
@@ -206,13 +202,13 @@ def finish_two_neighbors_deg2(g: Graph, v: int) -> Graph:
     dmax = max(g.degree(w) for w in cyc.vertices)
     if g.degree(v) != dmax:
         raise PreconditionError(f"vertex {v} is not of maximal cycle degree")
-    if not pendant_tree(g, v, cyc).is_star():
+    if not pendant_tree(g, v).is_star():
         raise PreconditionError(f"pendant tree at {v} is not a star")
     a, b = cyc.cycle_neighbors(v)
     if g.degree(a) != 2 or g.degree(b) != 2:
         raise PreconditionError(f"both cycle neighbors of {v} must have degree 2")
     u, ubar = min(a, b), max(a, b)
-    rest = _rest_of_cycle(cyc, v, u)[:-1]  # v_1 .. v_t, v_1 adjacent to u, v_t to ubar
+    rest = _rest_of_cycle(g, v, u)[:-1]  # v_1 .. v_t, v_1 adjacent to u, v_t to ubar
     vbar = min((w for w in rest), key=lambda w: (-g.degree(w), w))
     cur = star_transform(g, vbar)
     if len(rest) > 1:
@@ -236,14 +232,14 @@ def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
     is then split between itself and v (srk3) or, when one of its tree
     neighbors outweighs it, rebuilt around that neighbor on a 4-cycle (spq4).
     """
-    cyc = find_cycle(g)
+    cyc = g.cycle
     for x in (u, v):
         if x not in cyc.vertex_set:
             raise PreconditionError(f"vertex {x} is not a cycle vertex")
     dmax = max(g.degree(w) for w in cyc.vertices)
     if g.degree(v) != dmax:
         raise PreconditionError(f"vertex {v} is not of maximal cycle degree")
-    if not pendant_tree(g, v, cyc).is_star():
+    if not pendant_tree(g, v).is_star():
         raise PreconditionError(f"pendant tree at {v} is not a star")
     a, b = cyc.cycle_neighbors(v)
     if u not in (a, b) or g.degree(u) != 2:
@@ -252,10 +248,10 @@ def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
     if g.degree(other) == 2:
         raise PreconditionError(f"{v} has two degree-2 cycle neighbors; wrong finishing move")
     for w in cyc.vertices:
-        if w != u and classify_cycle_vertex(g, w, cyc).local_min:
+        if w != u and classify_cycle_vertex(g, w).local_min:
             raise PreconditionError(f"second local minimum present at vertex {w}")
 
-    rest = _rest_of_cycle(cyc, v, u)  # v_1 .. v_t with v_t adjacent to v
+    rest = _rest_of_cycle(g, v, u)  # v_1 .. v_t with v_t adjacent to v
     if len(rest) == 1:
         cur = g
     else:
@@ -263,11 +259,10 @@ def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
         # one place the target need not be a local maximum, hence no
         # arc_transform precondition gate here
         path = (u,) + rest
-        cur = _arc_rewire(g, cyc, path)
+        cur = _arc_rewire(g, path)
     vt = rest[-1]
 
-    cyc3 = find_cycle(cur)
-    tree = pendant_tree(cur, vt, cyc3)
+    tree = pendant_tree(cur, vt)
     children = [w for w in cur.neighbors(vt) if w in tree.vertices]
     heavy = [w for w in children if cur.degree(w) > cur.degree(vt)]
     if not heavy:
@@ -395,46 +390,41 @@ def reduction_pipeline(g: Graph) -> TransformTrace:
         cur = nxt
         return cur
 
-    cyc = find_cycle(cur)
-    v = min(cyc.vertices, key=lambda w: (-cur.degree(w), w))
+    v = min(cur.cycle.vertices, key=lambda w: (-cur.degree(w), w))
     apply("star_transform", {"v": v}, lambda h: star_transform(h, v))
 
-    cyc = find_cycle(cur)
-    u = min((w for w in cyc.vertices if w != v), key=lambda w: (cur.degree(w), w))
+    u = min((w for w in cur.cycle.vertices if w != v), key=lambda w: (cur.degree(w), w))
     apply("relocate_min", {"u": u, "v": v}, lambda h: relocate_min(h, u, v))
 
     if not cur.has_edge(u, v):
-        cyc = find_cycle(cur)
-        v1 = min(cyc.cycle_neighbors(v))
+        v1 = min(cur.cycle.cycle_neighbors(v))
         apply("arc_transform", {"u": u, "e": [v, v1], "v": v},
               lambda h: arc_transform(h, u, (v, v1), v))
 
     config = None
     for _ in range(g.n):
-        cyc = find_cycle(cur)
+        cyc = cur.cycle
         a, b = cyc.cycle_neighbors(v)
         if cur.degree(a) == 2 and cur.degree(b) == 2:
             config = "both"
             break
         minima = [w for w in cyc.vertices
-                  if w not in (u, v) and classify_cycle_vertex(cur, w, cyc).local_min]
+                  if w not in (u, v) and classify_cycle_vertex(cur, w).local_min]
         if not minima:
             config = "one"
             break
         ubar = min(minima)
         apply("relocate_min", {"u": ubar, "v": v}, lambda h, ub=ubar: relocate_min(h, ub, v))
         if not cur.has_edge(ubar, v):
-            cyc = find_cycle(cur)
-            na, nb = cyc.cycle_neighbors(v)
+            na, nb = cur.cycle.cycle_neighbors(v)
             v2 = nb if na == u else na
             apply("arc_transform", {"u": ubar, "e": [v, v2], "v": v},
                   lambda h, ub=ubar, vv=v2: arc_transform(h, ub, (v, vv), v))
     else:  # pragma: no cover - the loop settles in at most two passes
         raise RuntimeError("local-minimum elimination failed to converge")
 
-    cyc = find_cycle(cur)
     if config == "both":
-        if cyc.girth > 3:
+        if cur.cycle.girth > 3:
             apply("finish_two_neighbors_deg2", {"v": v},
                   lambda h: finish_two_neighbors_deg2(h, v))
     else:

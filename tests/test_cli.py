@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from gaindex.cli import main
+from gaindex.cli import INPUT_ERROR, USAGE_ERROR, main
+from gaindex.graph import MAX_VERTICES
 
 PAW = "4 4\n0 1\n0 2\n0 3\n1 2\n"
 
@@ -81,6 +82,14 @@ def test_compute_disconnected_warns(capsys, tmp_path):
     assert code == 0
     assert "disconnected" in err
     assert "girth" not in out
+
+
+def test_compute_rejects_order_above_limit(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"{MAX_VERTICES + 1} 1\n0 1\n")
+    code, _, err = run(capsys, "compute", str(path))
+    assert code == INPUT_ERROR
+    assert f"limit of {MAX_VERTICES}" in err
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +253,11 @@ def test_verify_bad_range(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
+
+
+def test_flags_rejected_where_they_do_nothing(capsys, paw_file):
+    assert main(["compute", paw_file, "--tol", "1"]) == USAGE_ERROR
+    assert main(["verify", "3", "--trace"]) == USAGE_ERROR
 
 
 def test_help_exits_zero(capsys):

@@ -22,6 +22,8 @@ from gaindex import (
     relabel,
 )
 
+from gaindex.graph import MAX_VERTICES
+
 from _helpers import graph_with_permutation, unicyclic_graphs
 
 
@@ -118,6 +120,26 @@ def test_cycle_order_convention():
     assert set(cyc.vertices) == set(range(5))
 
 
+def test_cycle_is_computed_once_per_graph():
+    g = paw()
+    assert find_cycle(g) is find_cycle(g)
+
+
+def test_replace_edges_gets_its_own_cycle():
+    g = make_family(FamilySpec("cycle", (6,)))
+    assert find_cycle(g).girth == 6
+    h = g.replace_edges([(2, 3)], [(0, 2)])
+    assert find_cycle(h).vertices == (0, 1, 2)
+    assert find_cycle(g).girth == 6
+
+
+def test_non_unicyclic_raises_on_every_access():
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    for _ in range(2):
+        with pytest.raises(NotUnicyclicError):
+            find_cycle(g)
+
+
 @given(graph_with_permutation())
 def test_cycle_set_invariant_under_relabeling(data):
     g, perm = data
@@ -161,7 +183,7 @@ def test_pendant_trees_partition_the_graph(g):
     tree_edges = set()
     seen_vertices = []
     for v in cyc.vertices:
-        tree = pendant_tree(g, v, cyc)
+        tree = pendant_tree(g, v)
         assert tree_edges.isdisjoint(tree.edges)
         tree_edges |= tree.edges
         seen_vertices.extend(tree.vertices)
@@ -256,3 +278,8 @@ def test_edge_list_errors_carry_line_numbers(text, line):
 def test_edge_list_validation_propagates():
     with pytest.raises(EdgeListError, match="self-loop"):
         parse_edge_list("3 1\n1 1\n")
+
+
+def test_edge_list_rejects_order_above_limit():
+    with pytest.raises(EdgeListError, match=f"limit of {MAX_VERTICES}"):
+        parse_edge_list(f"{MAX_VERTICES + 1} 1\n0 1\n")

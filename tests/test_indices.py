@@ -152,6 +152,13 @@ def test_edge_contribution_bounds(unicyclic, n):
             assert lo - 1e-12 <= ga <= 1 + 1e-12
 
 
+@pytest.mark.parametrize("n", range(3, 10))
+def test_ga_index_equals_per_edge_sum(unicyclic, n):
+    # ga_index sums degree pairs directly; the per-edge path is the reference
+    for g in unicyclic(n):
+        assert ga_index(g) == math.fsum(edge_contribution(g, e).ga for e in g.edges)
+
+
 @pytest.mark.parametrize("n", range(3, 8))
 def test_ga_ag_cauchy_schwarz(unicyclic, n):
     for g in unicyclic(n):

@@ -209,7 +209,7 @@ def test_relocated_edges_never_lower_their_ratio(unicyclic, n):
                 h = star_transform(g, v)
             except PreconditionError:
                 continue
-            tree = pendant_tree(g, v, cyc)
+            tree = pendant_tree(g, v)
             for e in tree.edges:
                 assert edge_contribution(g, e).rd <= h.degree(v) + 1e-12
         for u in cyc.vertices:
@@ -220,7 +220,7 @@ def test_relocated_edges_never_lower_their_ratio(unicyclic, n):
                     h = relocate_min(g, u, v)
                 except PreconditionError:
                     continue
-                for e in pendant_tree(g, u, cyc).edges:
+                for e in pendant_tree(g, u).edges:
                     assert edge_contribution(g, e).rd <= h.degree(v) + 1e-12
         for u in cyc.vertices:
             for v in cyc.vertices:
@@ -231,10 +231,10 @@ def test_relocated_edges_never_lower_their_ratio(unicyclic, n):
                         h = arc_transform(g, u, e, v)
                     except PreconditionError:
                         continue
-                    path = _arc_path(g, cyc, u, e, v)
+                    path = _arc_path(g, u, e, v)
                     relocated = set()
                     for w in path[1:-1]:
-                        relocated |= pendant_tree(g, w, cyc).edges
+                        relocated |= pendant_tree(g, w).edges
                     relocated |= {
                         tuple(sorted((path[i], path[i + 1]))) for i in range(1, len(path) - 1)
                     }
