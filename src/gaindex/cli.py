@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .enumeration import MAX_ORDER, verify_bounds
 from .families import (
     FamilySpec,
-    ga_spq4_closed,
-    ga_srk3_closed,
-    ga_sn3_closed,
+    closed_form,
     make_family,
     table_ab,
     table_cd,
@@ -38,6 +37,15 @@ _SMALL_ORDER_NOTES = {
     "C4": "C_4 attains the upper bound GA = 4 on 4 vertices",
     "paw": "the paw graph attains the lower bound on 4 vertices",
 }
+
+_TABLES = {
+    1: (table_ab, TABLE_AB_ROWS, TABLE_AB_COLS, 0, "p", "q", "A", "B"),
+    2: (table_cd, TABLE_CD_ROWS, TABLE_CD_COLS, 1, "r", "k", "C", "D"),
+}
+
+# Upper bound on the cells one `tables` call computes; the grid comes from
+# user-supplied ranges, so an unchecked one could ask for billions of cells.
+MAX_TABLE_CELLS = 10_000
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -112,26 +120,18 @@ def _cmd_compute(args) -> int:
 def _cmd_family(args) -> int:
     try:
         spec = FamilySpec(args.name, tuple(args.params))
+        g = make_family(spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    g = make_family(spec)
     if args.format == "json":
-        if spec.family == "cycle":
-            closed = float(spec.n)
-        elif spec.family == "sn3":
-            closed = ga_sn3_closed(spec.n)
-        elif spec.family == "spq4":
-            closed = ga_spq4_closed(*spec.params)
-        else:
-            closed = ga_srk3_closed(*spec.params)
         _emit(_json_text({
             "family": spec.family,
             "params": list(spec.params),
             "n": g.n,
             "edges": [list(e) for e in sorted(g.edges)],
             "ga": round(ga_index(g), 9),
-            "ga_closed_form": round(closed, 9),
+            "ga_closed_form": round(closed_form(spec), 9),
         }), args.out)
     else:
         _emit(format_edge_list(g), args.out)
@@ -155,21 +155,15 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
 
 
 def _cmd_tables(args) -> int:
+    build, default_rows, default_cols, least, head, col_var, a_name, b_name = _TABLES[args.which]
     try:
-        if args.which == 1:
-            rows = _parse_range(args.rows, "row") if args.rows else (TABLE_AB_ROWS[0], TABLE_AB_ROWS[-1])
-            cols = _parse_range(args.cols, "column") if args.cols else (TABLE_AB_COLS[0], TABLE_AB_COLS[-1])
-            if rows[0] < 0 or cols[0] < 0:
-                raise ValueError("table 1 needs p >= q >= 0")
-            data = table_ab(range(rows[0], rows[1] + 1), range(cols[0], cols[1] + 1))
-            head, a_name, b_name = "p", "A", "B"
-        else:
-            rows = _parse_range(args.rows, "row") if args.rows else (TABLE_CD_ROWS[0], TABLE_CD_ROWS[-1])
-            cols = _parse_range(args.cols, "column") if args.cols else (TABLE_CD_COLS[0], TABLE_CD_COLS[-1])
-            if rows[0] < 1 or cols[0] < 1:
-                raise ValueError("table 2 needs r >= k >= 1")
-            data = table_cd(range(rows[0], rows[1] + 1), range(cols[0], cols[1] + 1))
-            head, a_name, b_name = "r", "C", "D"
+        rows = _parse_range(args.rows, "row") if args.rows else (default_rows[0], default_rows[-1])
+        cols = _parse_range(args.cols, "column") if args.cols else (default_cols[0], default_cols[-1])
+        if rows[0] < least or cols[0] < least:
+            raise ValueError(f"table {args.which} needs {head} >= {col_var} >= {least}")
+        if (rows[1] - rows[0] + 1) * (cols[1] - cols[0] + 1) > MAX_TABLE_CELLS:
+            raise ValueError(f"table exceeds the limit of {MAX_TABLE_CELLS} cells")
+        data = build(range(rows[0], rows[1] + 1), range(cols[0], cols[1] + 1))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -187,7 +181,6 @@ def _cmd_tables(args) -> int:
         _emit(_json_text({"table": args.which, "rows": rows_out}), args.out)
         return 0
 
-    col_var = "q" if args.which == 1 else "k"
     header = [head]
     for c in col_values:
         header.append(f"{a_name}({col_var}={c})")
@@ -212,6 +205,17 @@ def _cmd_tables(args) -> int:
         lines.extend(",".join(r) for r in body)
         _emit("\n".join(lines) + "\n", args.out)
     return 0
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
 
 
 def _cmd_reduce(args) -> int:
@@ -297,13 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="run the GA-decreasing reduction pipeline on an edge list")
     p.add_argument("path")
     add_common(p)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--trace", action="store_true")
 
     p = sub.add_parser("verify", help="exhaustively verify the GA bounds for a range of orders")
     p.add_argument("orders", help="N or A..B (e.g. 5 or 3..9)")
     add_common(p)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
 
     return parser
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import Graph, is_unicyclic, norm_edge
+from .graph import MAX_VERTICES, Graph, is_unicyclic, norm_edge
 from .indices import f_eval, g_eval
 
 FAMILY_NAMES = ("cycle", "sn3", "spq4", "srk3")
@@ -58,6 +58,8 @@ class FamilySpec:
 
 def make_family(spec: FamilySpec) -> Graph:
     """Build the named graph with deterministic ids: cycle first, then pendants."""
+    if spec.n > MAX_VERTICES:
+        raise ValueError(f"{spec.label()} has {spec.n} vertices, above the limit of {MAX_VERTICES}")
     fam, params = spec.family, spec.params
     if fam == "cycle":
         n = params[0]
@@ -110,6 +112,12 @@ def ga_srk3_closed(r: int, k: int) -> float:
         + k * f_eval(k + 2)
         + 2.0 * math.sqrt(r + 2.0) * math.sqrt(k + 2.0) / (r + k + 4.0)
     )
+
+
+def closed_form(spec: FamilySpec) -> float:
+    """GA of make_family(spec), from the family's closed form."""
+    forms = {"cycle": float, "sn3": ga_sn3_closed, "spq4": ga_spq4_closed, "srk3": ga_srk3_closed}
+    return forms[spec.family](*spec.params)
 
 
 def bound_interval(n: int) -> tuple[float, float]:

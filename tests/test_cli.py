@@ -1,9 +1,10 @@
+import hashlib
 import json
 import math
 
 import pytest
 
-from gaindex.cli import INPUT_ERROR, USAGE_ERROR, main
+from gaindex.cli import INPUT_ERROR, MAX_TABLE_CELLS, USAGE_ERROR, main
 from gaindex.graph import MAX_VERTICES
 
 PAW = "4 4\n0 1\n0 2\n0 3\n1 2\n"
@@ -119,6 +120,14 @@ def test_family_bad_params(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("params", [("sn3", MAX_VERTICES + 1), ("spq4", MAX_VERTICES - 3, 0)])
+def test_family_rejects_order_above_limit(capsys, params):
+    code, out, err = run(capsys, "family", *map(str, params))
+    assert code == USAGE_ERROR
+    assert out == ""
+    assert f"limit of {MAX_VERTICES}" in err
+
+
 # ---------------------------------------------------------------------------
 # tables
 # ---------------------------------------------------------------------------
@@ -159,6 +168,16 @@ def test_tables_invalid_range(capsys):
     assert code == 1
 
 
+def test_tables_rejects_grid_above_limit(capsys):
+    code, out, _ = run(capsys, "tables", "1", "--rows", f"1:{MAX_TABLE_CELLS}", "--cols", "0:0")
+    assert code == 0
+    assert len(out.splitlines()) == MAX_TABLE_CELLS + 1
+    code, out, err = run(capsys, "tables", "1", "--rows", f"0:{MAX_TABLE_CELLS}", "--cols", "0:0")
+    assert code == USAGE_ERROR
+    assert out == ""
+    assert f"limit of {MAX_TABLE_CELLS} cells" in err
+
+
 def test_tables_byte_stable(capsys):
     _, out1, _ = run(capsys, "tables", "1")
     _, out2, _ = run(capsys, "tables", "1")
@@ -195,6 +214,16 @@ def test_reduce_rejects_tree(capsys, tmp_path):
     code, _, err = run(capsys, "reduce", str(path))
     assert code == 2
     assert "not unicyclic" in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+def test_tol_must_be_finite_and_nonnegative(capsys, paw_file, command, tol):
+    target = paw_file if command == "reduce" else "6"
+    code, out, err = run(capsys, command, target, "--tol", tol)
+    assert code == USAGE_ERROR
+    assert out == ""
+    assert "--tol" in err
 
 
 def test_reduce_trace_flag_lists_edges(capsys, tmp_path):
@@ -237,6 +266,15 @@ def test_verify_json_round_trips(capsys):
     assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
     doc = json.loads(out)
     assert doc["violations_total"] == 0
+
+
+def test_verify_json_is_pinned(capsys):
+    # sha256 of `gaindex verify 3..12 --format json`, the same digest the
+    # benchmark's verify workload checks
+    code, out, _ = run(capsys, "verify", "3..12", "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "63b65cd193e0046faab51421f72f0e8b628d30c810525414075008054b307f0c"
 
 
 def test_verify_range_too_large(capsys):

@@ -21,7 +21,7 @@ from gaindex import (
 
 # counts established by two independent generators here plus a labeled
 # brute force below; they also match the known unicyclic counting sequence
-EXPECTED_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240}
+EXPECTED_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806, 12: 5026}
 
 
 @pytest.mark.parametrize("n", sorted(EXPECTED_COUNTS))
@@ -29,7 +29,7 @@ def test_class_counts(unicyclic, n):
     assert len(unicyclic(n)) == EXPECTED_COUNTS[n]
 
 
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("n", range(3, 10))
 def test_generators_agree(unicyclic, n):
     keys_girth = {canonical_form(g) for g in unicyclic(n)}
     keys_chords = {canonical_form(g) for g in enumerate_unicyclic_by_chords(n)}
@@ -52,6 +52,26 @@ def test_enumerated_graphs_are_unicyclic_and_distinct(unicyclic):
     keys = [canonical_form(g) for g in graphs]
     assert len(set(keys)) == len(keys)
     assert all(is_unicyclic(g) and g.n == 7 for g in graphs)
+
+
+def test_generation_needs_no_canonical_labeling(monkeypatch):
+    def refuse(g):
+        raise AssertionError("canonical_form called while generating")
+
+    monkeypatch.setattr("gaindex.enumeration.canonical_form", refuse)
+    assert len(list(enumerate_unicyclic(9))) == EXPECTED_COUNTS[9]
+
+
+def test_verify_bounds_labels_only_witnesses_and_families(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr("gaindex.enumeration.canonical_form", counting)
+    rep = verify_bounds(9)
+    assert len(calls) == len(rep.min_witnesses) + len(rep.max_witnesses) + 2
 
 
 def test_order_limits():

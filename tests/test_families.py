@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -24,6 +25,7 @@ from gaindex.families import (
     B_Q1_LOWER_BOUND,
     a_diagonal_lower_bound,
     c_diagonal_lower_bound,
+    closed_form,
     table_ab,
     table_cd,
 )
@@ -102,6 +104,17 @@ def test_srk3_closed_matches_direct_up_to_200():
             r = n - 3 - k
             direct = ga_index(make_family(FamilySpec("srk3", (r, k))))
             assert abs(ga_srk3_closed(r, k) - direct) <= 1e-9
+
+
+@pytest.mark.parametrize("family", ["cycle", "sn3", "spq4", "srk3"])
+def test_closed_form_matches_built_family(family):
+    if family in ("cycle", "sn3"):
+        grid = [(n,) for n in range(3, 13)]
+    else:
+        grid = itertools.product(range(6), repeat=2)
+    for params in grid:
+        spec = FamilySpec(family, params)
+        assert closed_form(spec) == pytest.approx(ga_index(make_family(spec)), abs=1e-9)
 
 
 def test_spq4_trivial_and_paw_values():
