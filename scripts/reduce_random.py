@@ -6,6 +6,7 @@ import random
 import sys
 
 from gaindex import build_graph, reduction_pipeline
+from gaindex.graph import MAX_VERTICES
 
 
 def random_unicyclic(n: int, rng: random.Random):
@@ -16,14 +17,15 @@ def random_unicyclic(n: int, rng: random.Random):
     return build_graph(n, edges)
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("-n", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--edges", action="store_true", help="show edge lists per step")
-    args = ap.parse_args()
-    if args.n < 5:
-        print("need n >= 5 for the pipeline", file=sys.stderr)
+    args = ap.parse_args(argv)
+    if not 5 <= args.n <= MAX_VERTICES:
+        print(f"error: -n must be between 5 and {MAX_VERTICES} for the pipeline, got {args.n}",
+              file=sys.stderr)
         return 1
     g = random_unicyclic(args.n, random.Random(args.seed))
     sys.stdout.write(reduction_pipeline(g).to_text(include_edges=args.edges))

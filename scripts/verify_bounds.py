@@ -7,16 +7,21 @@ import json
 import sys
 
 from gaindex import verify_bounds, verify_monotonicity
+from gaindex.enumeration import MAX_ORDER
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--min-order", type=int, default=3)
     ap.add_argument("--max-order", type=int, default=9)
     ap.add_argument("--skip-monotonicity", action="store_true")
     ap.add_argument("--json", metavar="PATH", default=None,
                     help="also dump the raw reports as JSON")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    if not 3 <= args.min_order <= args.max_order <= MAX_ORDER:
+        print(f"error: need 3 <= --min-order <= --max-order <= {MAX_ORDER}, "
+              f"got {args.min_order} and {args.max_order}", file=sys.stderr)
+        return 1
 
     bad = 0
     docs = {"bounds": [], "monotonicity": []}

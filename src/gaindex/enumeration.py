@@ -243,6 +243,7 @@ def operator_applications(g: Graph):
     """
     cyc = g.cycle
     cvs = cyc.vertices
+    cycle_edges = cyc.cycle_edges()
     for v in cvs:
         yield "star_transform", {"v": v}, (lambda v=v: star_transform(g, v))
     for u in cvs:
@@ -253,7 +254,7 @@ def operator_applications(g: Graph):
         for v in cvs:
             if u == v:
                 continue
-            for e in cyc.cycle_edges():
+            for e in cycle_edges:
                 yield ("arc_transform", {"u": u, "e": list(e), "v": v},
                        (lambda u=u, e=e, v=v: arc_transform(g, u, e, v)))
     for v in cvs:

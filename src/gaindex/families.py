@@ -210,9 +210,9 @@ def classify_family(g: Graph) -> FamilySpec | None:
     cyc = g.cycle
     # every off-cycle vertex must be a pendant hanging directly on the cycle
     for v in range(g.n):
-        if v in cyc.vertex_set:
+        if v in cyc.position:
             continue
-        if g.degree(v) != 1 or g.neighbors(v)[0] not in cyc.vertex_set:
+        if g.degree(v) != 1 or g.neighbors(v)[0] not in cyc.position:
             return None
     carriers = [v for v in cyc.vertices if g.degree(v) > 2]
     counts = sorted((g.degree(v) - 2 for v in carriers), reverse=True)

@@ -160,12 +160,25 @@ class CycleStructure:
     girth: int
 
     @cached_property
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.vertices)
+    def position(self) -> dict:
+        """Cycle vertex -> its index in `vertices`; also the membership test."""
+        return {v: i for i, v in enumerate(self.vertices)}
 
     def cycle_neighbors(self, v: int) -> tuple[int, int]:
-        i = self.vertices.index(v)
+        """(previous, next) of cycle vertex v in the fixed cyclic order."""
+        i = self.position[v]
         return self.vertices[i - 1], self.vertices[(i + 1) % self.girth]
+
+    def walk(self, v: int, toward: int) -> tuple:
+        """Every cycle vertex once, starting at v and stepping first to its
+        cycle neighbor `toward`."""
+        i = self.position[v]
+        seq = self.vertices
+        if toward == seq[(i + 1) % self.girth]:
+            return seq[i:] + seq[:i]
+        if toward == seq[i - 1]:
+            return seq[i::-1] + seq[:i:-1]
+        raise GraphError(f"vertex {toward} is not a cycle neighbor of {v}")
 
     def cycle_edges(self) -> tuple:
         k = self.girth
@@ -197,7 +210,7 @@ class PendantTree:
 def pendant_tree(g: Graph, v: int) -> PendantTree:
     """The maximal connected subgraph containing cycle vertex v and no other cycle vertex."""
     cycle = g.cycle
-    if v not in cycle.vertex_set:
+    if v not in cycle.position:
         raise GraphError(f"vertex {v} is not a cycle vertex")
     vertices = {v}
     edges = set()
@@ -205,7 +218,7 @@ def pendant_tree(g: Graph, v: int) -> PendantTree:
     while stack:
         x = stack.pop()
         for w in g.neighbors(x):
-            if w in cycle.vertex_set or w in vertices:
+            if w in cycle.position or w in vertices:
                 continue
             vertices.add(w)
             edges.add(norm_edge(x, w))
@@ -221,7 +234,7 @@ class VertexClass(NamedTuple):
 def classify_cycle_vertex(g: Graph, v: int) -> VertexClass:
     """Compare deg(v) against its two cycle neighbors; both flags may hold at once."""
     cycle = g.cycle
-    if v not in cycle.vertex_set:
+    if v not in cycle.position:
         raise GraphError(f"vertex {v} is not a cycle vertex")
     a, b = cycle.cycle_neighbors(v)
     d, da, db = g.degree(v), g.degree(a), g.degree(b)

@@ -7,10 +7,9 @@ no operator can improve). Vertex ids are stable across every rewrite:
 relocated vertices keep their ids and reappear as pendants of the target
 vertex, so consecutive trace states can be diffed edge by edge.
 
-Operators never trust a cycle supplied by the caller: each reads the cycle
-cached on its own input graph (Graph.cycle). They optionally re-check GA
-monotonicity at runtime (see set_runtime_checks), which turns the decrease
-guarantees into executable assertions during long sweeps.
+Operators optionally re-check GA monotonicity at runtime (see
+set_runtime_checks), which turns the decrease guarantees into executable
+assertions during long sweeps.
 """
 
 from __future__ import annotations
@@ -64,6 +63,26 @@ def _check_monotone(op: str, before: Graph, after: Graph) -> Graph:
     return after
 
 
+def _require_on_cycle(g: Graph, *xs: int) -> None:
+    for x in xs:
+        if x not in g.cycle.position:
+            raise PreconditionError(f"vertex {x} is not a cycle vertex")
+
+
+def _require_local_max_star(g: Graph, v: int) -> None:
+    if not classify_cycle_vertex(g, v).local_max:
+        raise PreconditionError(f"vertex {v} is not a local maximum on the cycle")
+    if not pendant_tree(g, v).is_star():
+        raise PreconditionError(f"pendant tree at {v} is not a star")
+
+
+def _require_max_degree_star(g: Graph, v: int) -> None:
+    if g.degree(v) != max(g.degree(w) for w in g.cycle.vertices):
+        raise PreconditionError(f"vertex {v} is not of maximal cycle degree")
+    if not pendant_tree(g, v).is_star():
+        raise PreconditionError(f"pendant tree at {v} is not a star")
+
+
 # ---------------------------------------------------------------------------
 # Primitive operators
 # ---------------------------------------------------------------------------
@@ -71,8 +90,7 @@ def _check_monotone(op: str, before: Graph, after: Graph) -> Graph:
 
 def star_transform(g: Graph, v: int) -> Graph:
     """Flatten the pendant tree at local-maximum cycle vertex v into a star at v."""
-    if v not in g.cycle.vertex_set:
-        raise PreconditionError(f"vertex {v} is not a cycle vertex")
+    _require_on_cycle(g, v)
     if not classify_cycle_vertex(g, v).local_max:
         raise PreconditionError(f"vertex {v} is not a local maximum on the cycle")
     tree = pendant_tree(g, v)
@@ -88,13 +106,8 @@ def relocate_min(g: Graph, u: int, v: int) -> Graph:
     """
     if u == v:
         raise PreconditionError("u and v must be distinct cycle vertices")
-    for x in (u, v):
-        if x not in g.cycle.vertex_set:
-            raise PreconditionError(f"vertex {x} is not a cycle vertex")
-    if not classify_cycle_vertex(g, v).local_max:
-        raise PreconditionError(f"vertex {v} is not a local maximum on the cycle")
-    if not pendant_tree(g, v).is_star():
-        raise PreconditionError(f"pendant tree at {v} is not a star")
+    _require_on_cycle(g, u, v)
+    _require_local_max_star(g, v)
     if not classify_cycle_vertex(g, u).local_min:
         raise PreconditionError(f"vertex {u} is not a local minimum on the cycle")
     tree = pendant_tree(g, u)
@@ -104,30 +117,24 @@ def relocate_min(g: Graph, u: int, v: int) -> Graph:
 
 def _arc_path(g: Graph, u: int, e, v: int) -> tuple:
     """The cycle path u..v through edge e; validates u, v, e against the cycle."""
-    cyc = g.cycle
-    for x in (u, v):
-        if x not in cyc.vertex_set:
-            raise PreconditionError(f"vertex {x} is not a cycle vertex")
+    _require_on_cycle(g, u, v)
     if u == v:
         raise PreconditionError("arc endpoints must differ")
     if g.has_edge(u, v):
         raise PreconditionError(f"vertices {u} and {v} are adjacent; no arc between them")
     e = norm_edge(*e)
-    if e not in set(cyc.cycle_edges()):
+    cyc = g.cycle
+    pos, k = cyc.position, cyc.girth
+    if not (e[0] in pos and e[1] in pos and (pos[e[0]] - pos[e[1]]) % k in (1, k - 1)):
         raise PreconditionError(f"edge {e} is not a cycle edge")
-    seq = cyc.vertices
-    iu = seq.index(u)
-    k = cyc.girth
-    for step in (1, -1):
-        path = [u]
-        i = iu
-        while path[-1] != v:
-            i = (i + step) % k
-            path.append(seq[i])
-        arc_edges = {norm_edge(path[j], path[j + 1]) for j in range(len(path) - 1)}
-        if e in arc_edges:
-            return tuple(path)
-    raise PreconditionError(f"edge {e} lies on no (u, v)-arc for u={u}, v={v}")
+    # d = steps from u to v in the cycle order; e lies on that forward arc
+    # exactly when both of its ends are at most d steps ahead of u
+    iu = pos[u]
+    d = (pos[v] - iu) % k
+    back, ahead = cyc.cycle_neighbors(u)
+    if max((pos[x] - iu) % k for x in e) <= d:
+        return cyc.walk(u, ahead)[:d + 1]
+    return cyc.walk(u, back)[:k - d + 1]
 
 
 def _arc_rewire(g: Graph, path: tuple) -> Graph:
@@ -157,10 +164,7 @@ def arc_transform(g: Graph, u: int, e, v: int) -> Graph:
     ends up adjacent to v with its degree unchanged.
     """
     path = _arc_path(g, u, e, v)
-    if not classify_cycle_vertex(g, v).local_max:
-        raise PreconditionError(f"vertex {v} is not a local maximum on the cycle")
-    if not pendant_tree(g, v).is_star():
-        raise PreconditionError(f"pendant tree at {v} is not a star")
+    _require_local_max_star(g, v)
     du, dv = g.degree(u), g.degree(v)
     for w in path[1:-1]:
         if not du <= g.degree(w) <= dv:
@@ -177,15 +181,6 @@ def arc_transform(g: Graph, u: int, e, v: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _rest_of_cycle(g: Graph, v: int, first: int) -> tuple:
-    """Cycle vertices in order starting after `first`, walking away from v."""
-    seq = g.cycle.vertices
-    k = g.cycle.girth
-    i = seq.index(v)
-    step = 1 if seq[(i + 1) % k] == first else -1
-    return tuple(seq[(i + step * (j + 1)) % k] for j in range(1, k - 1))
-
-
 def finish_two_neighbors_deg2(g: Graph, v: int) -> Graph:
     """Collapse a girth >= 4 graph whose maximal vertex v has two degree-2
     cycle neighbors into spq4 shape.
@@ -197,18 +192,13 @@ def finish_two_neighbors_deg2(g: Graph, v: int) -> Graph:
     cyc = g.cycle
     if cyc.girth == 3:
         raise PreconditionError("girth-3 input is already in sn3 shape; nothing to finish")
-    if v not in cyc.vertex_set:
-        raise PreconditionError(f"vertex {v} is not a cycle vertex")
-    dmax = max(g.degree(w) for w in cyc.vertices)
-    if g.degree(v) != dmax:
-        raise PreconditionError(f"vertex {v} is not of maximal cycle degree")
-    if not pendant_tree(g, v).is_star():
-        raise PreconditionError(f"pendant tree at {v} is not a star")
+    _require_on_cycle(g, v)
+    _require_max_degree_star(g, v)
     a, b = cyc.cycle_neighbors(v)
     if g.degree(a) != 2 or g.degree(b) != 2:
         raise PreconditionError(f"both cycle neighbors of {v} must have degree 2")
     u, ubar = min(a, b), max(a, b)
-    rest = _rest_of_cycle(g, v, u)[:-1]  # v_1 .. v_t, v_1 adjacent to u, v_t to ubar
+    rest = cyc.walk(v, u)[2:-1]  # v_1 .. v_t, v_1 adjacent to u, v_t to ubar
     vbar = min((w for w in rest), key=lambda w: (-g.degree(w), w))
     cur = star_transform(g, vbar)
     if len(rest) > 1:
@@ -232,15 +222,9 @@ def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
     is then split between itself and v (srk3) or, when one of its tree
     neighbors outweighs it, rebuilt around that neighbor on a 4-cycle (spq4).
     """
+    _require_on_cycle(g, u, v)
+    _require_max_degree_star(g, v)
     cyc = g.cycle
-    for x in (u, v):
-        if x not in cyc.vertex_set:
-            raise PreconditionError(f"vertex {x} is not a cycle vertex")
-    dmax = max(g.degree(w) for w in cyc.vertices)
-    if g.degree(v) != dmax:
-        raise PreconditionError(f"vertex {v} is not of maximal cycle degree")
-    if not pendant_tree(g, v).is_star():
-        raise PreconditionError(f"pendant tree at {v} is not a star")
     a, b = cyc.cycle_neighbors(v)
     if u not in (a, b) or g.degree(u) != 2:
         raise PreconditionError(f"vertex {u} is not a degree-2 cycle neighbor of {v}")
@@ -251,7 +235,7 @@ def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
         if w != u and classify_cycle_vertex(g, w).local_min:
             raise PreconditionError(f"second local minimum present at vertex {w}")
 
-    rest = _rest_of_cycle(g, v, u)  # v_1 .. v_t with v_t adjacent to v
+    rest = cyc.walk(v, u)[2:]  # v_1 .. v_t with v_t adjacent to v
     if len(rest) == 1:
         cur = g
     else:
@@ -318,11 +302,11 @@ class TransformTrace:
 
     @property
     def ga_input(self) -> float:
-        return ga_index(self.input_graph)
+        return self.steps[0].ga_before if self.steps else ga_index(self.input_graph)
 
     @property
     def ga_terminal(self) -> float:
-        return ga_index(self.terminal_graph)
+        return self.steps[-1].ga_after if self.steps else self.ga_input
 
     def to_dict(self, include_edges: bool = False) -> dict:
         def step_dict(s: TraceStep) -> dict:
@@ -380,26 +364,25 @@ def reduction_pipeline(g: Graph) -> TransformTrace:
         return TransformTrace(g, (), FamilySpec("cycle", (g.n,)))
 
     steps = []
-    cur = g
+    cur, ga_cur = g, ga_index(g)
 
-    def apply(op_name: str, params: dict, func) -> Graph:
-        nonlocal cur
-        before = ga_index(cur)
-        nxt = func(cur)
-        steps.append(TraceStep(op_name, params, before, ga_index(nxt), nxt))
-        cur = nxt
-        return cur
+    def apply(op, **params) -> None:
+        # params are exactly the call's keyword arguments, so each trace
+        # step replays as op(previous graph, **params)
+        nonlocal cur, ga_cur
+        nxt = op(cur, **params)
+        ga_nxt = ga_index(nxt)
+        steps.append(TraceStep(op.__name__, params, ga_cur, ga_nxt, nxt))
+        cur, ga_cur = nxt, ga_nxt
 
     v = min(cur.cycle.vertices, key=lambda w: (-cur.degree(w), w))
-    apply("star_transform", {"v": v}, lambda h: star_transform(h, v))
+    apply(star_transform, v=v)
 
     u = min((w for w in cur.cycle.vertices if w != v), key=lambda w: (cur.degree(w), w))
-    apply("relocate_min", {"u": u, "v": v}, lambda h: relocate_min(h, u, v))
+    apply(relocate_min, u=u, v=v)
 
     if not cur.has_edge(u, v):
-        v1 = min(cur.cycle.cycle_neighbors(v))
-        apply("arc_transform", {"u": u, "e": [v, v1], "v": v},
-              lambda h: arc_transform(h, u, (v, v1), v))
+        apply(arc_transform, u=u, e=[v, min(cur.cycle.cycle_neighbors(v))], v=v)
 
     config = None
     for _ in range(g.n):
@@ -414,22 +397,18 @@ def reduction_pipeline(g: Graph) -> TransformTrace:
             config = "one"
             break
         ubar = min(minima)
-        apply("relocate_min", {"u": ubar, "v": v}, lambda h, ub=ubar: relocate_min(h, ub, v))
+        apply(relocate_min, u=ubar, v=v)
         if not cur.has_edge(ubar, v):
             na, nb = cur.cycle.cycle_neighbors(v)
-            v2 = nb if na == u else na
-            apply("arc_transform", {"u": ubar, "e": [v, v2], "v": v},
-                  lambda h, ub=ubar, vv=v2: arc_transform(h, ub, (v, vv), v))
+            apply(arc_transform, u=ubar, e=[v, nb if na == u else na], v=v)
     else:  # pragma: no cover - the loop settles in at most two passes
         raise RuntimeError("local-minimum elimination failed to converge")
 
     if config == "both":
         if cur.cycle.girth > 3:
-            apply("finish_two_neighbors_deg2", {"v": v},
-                  lambda h: finish_two_neighbors_deg2(h, v))
+            apply(finish_two_neighbors_deg2, v=v)
     else:
-        apply("finish_one_neighbor_deg2", {"v": v, "u": u},
-              lambda h: finish_one_neighbor_deg2(h, v, u))
+        apply(finish_one_neighbor_deg2, v=v, u=u)
 
     terminal = classify_family(cur)
     if terminal is None:  # pragma: no cover - would be a pipeline bug

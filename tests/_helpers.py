@@ -1,4 +1,7 @@
-"""Shared hypothesis strategies for the test suite."""
+"""Shared hypothesis strategies and module loading for the test suite."""
+
+import importlib.util
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -21,3 +24,15 @@ def graph_with_permutation(draw, min_n=3, max_n=9):
     g = draw(unicyclic_graphs(min_n, max_n))
     perm = draw(st.permutations(range(g.n)))
     return g, list(perm)
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def load_module(relpath: str):
+    """Import a repository file that is not on the path (bench/, scripts/) by its path."""
+    path = REPO / relpath
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -7,6 +7,8 @@ import pytest
 from gaindex.cli import INPUT_ERROR, MAX_TABLE_CELLS, USAGE_ERROR, main
 from gaindex.graph import MAX_VERTICES
 
+from _helpers import load_module
+
 PAW = "4 4\n0 1\n0 2\n0 3\n1 2\n"
 
 
@@ -232,6 +234,19 @@ def test_reduce_trace_flag_lists_edges(capsys, tmp_path):
     code, out, _ = run(capsys, "reduce", str(path), "--trace")
     assert code == 0
     assert "edges:" in out
+
+
+def test_reduce_json_is_pinned(capsys, tmp_path):
+    # the golden graphs of the benchmark's reduce workload; together they
+    # take all five operators and end in spq4, srk3 and a bare cycle
+    corpus, gates = load_module("bench/corpus.py"), load_module("bench/gates.py")
+    texts = corpus.make_corpus(gates.GOLDEN_SEED, len(gates.GOLDEN_REDUCE_SHA256))
+    for i, (text, expected) in enumerate(zip(texts, gates.GOLDEN_REDUCE_SHA256)):
+        path = tmp_path / f"g{i}.txt"
+        path.write_text(text)
+        code, out, _ = run(capsys, "reduce", str(path), "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, f"golden graph {i}"
 
 
 def test_reduce_json_round_trips(capsys, tmp_path):

@@ -120,6 +120,18 @@ def test_cycle_order_convention():
     assert set(cyc.vertices) == set(range(5))
 
 
+def test_cycle_position_and_walk():
+    # relabeled C_5 with cyclic order (0, 2, 3, 1, 4)
+    cyc = find_cycle(build_graph(5, [(3, 1), (1, 4), (4, 0), (0, 2), (2, 3)]))
+    assert cyc.position == {0: 0, 2: 1, 3: 2, 1: 3, 4: 4}
+    assert cyc.walk(3, 1) == (3, 1, 4, 0, 2)
+    assert cyc.walk(3, 2) == (3, 2, 0, 4, 1)
+    assert cyc.walk(0, 4) == (0, 4, 1, 3, 2)
+    assert cyc.walk(4, 0) == (4, 0, 2, 3, 1)
+    with pytest.raises(GraphError):
+        cyc.walk(3, 0)
+
+
 def test_cycle_is_computed_once_per_graph():
     g = paw()
     assert find_cycle(g) is find_cycle(g)
@@ -143,8 +155,8 @@ def test_non_unicyclic_raises_on_every_access():
 @given(graph_with_permutation())
 def test_cycle_set_invariant_under_relabeling(data):
     g, perm = data
-    before = {perm[v] for v in find_cycle(g).vertex_set}
-    after = find_cycle(relabel(g, perm)).vertex_set
+    before = {perm[v] for v in find_cycle(g).position}
+    after = set(find_cycle(relabel(g, perm)).position)
     assert before == set(after)
 
 

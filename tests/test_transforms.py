@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -27,6 +28,7 @@ from gaindex import (
     set_runtime_checks,
     star_transform,
 )
+from gaindex import transforms
 from gaindex.indices import edge_contribution
 from gaindex.transforms import _arc_path
 
@@ -373,6 +375,36 @@ def test_pipeline_monotone_steps_order_8(unicyclic):
         for s in trace.steps:
             assert s.ga_after <= s.ga_before + 1e-9
             assert is_unicyclic(s.graph) and s.graph.n == 8
+
+
+def test_pipeline_is_linear_on_long_cycles():
+    # girth 30,000 with the weight at 0 and a second local minimum near it:
+    # every cycle lookup the operators make must be constant time
+    k = 30_000
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(0, k), (0, k + 1), (0, k + 2), (k - 1, k + 3)]
+    g = build_graph(k + 4, edges)
+    set_runtime_checks(1e-9)
+    try:
+        start = time.perf_counter()
+        trace = reduction_pipeline(g)
+        elapsed = time.perf_counter() - start
+    finally:
+        set_runtime_checks(None)
+    assert [s.op for s in trace.steps] == [
+        "star_transform", "relocate_min", "relocate_min", "arc_transform"]
+    assert trace.terminal_family == FamilySpec("sn3", (k + 4,))
+    assert elapsed < 5
+
+
+def test_trace_replays_step_by_step(unicyclic):
+    # a trace is its own replay script: op(previous graph, **params)
+    for n in range(5, 10):
+        for g in unicyclic(n):
+            prev = g
+            for s in reduction_pipeline(g).steps:
+                assert getattr(transforms, s.op)(prev, **s.params) == s.graph
+                prev = s.graph
 
 
 @pytest.mark.parametrize(
