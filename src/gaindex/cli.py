@@ -24,7 +24,7 @@ from .families import (
     TABLE_CD_COLS,
     TABLE_CD_ROWS,
 )
-from .graph import GraphError, format_edge_list, is_connected, is_unicyclic, parse_edge_list
+from .graph import GraphError, NotUnicyclicError, format_edge_list, is_connected, parse_edge_list
 from .indices import ag_index, edge_contribution, ga_index
 from .transforms import SmallOrderError, reduction_pipeline, set_runtime_checks
 
@@ -73,18 +73,19 @@ def _cmd_compute(args) -> int:
     g = _load_graph(args.path)
     if not g.edges:
         raise GraphError("graph has no edges; GA is undefined")
-    if not is_connected(g):
+    connected = is_connected(g)
+    if not connected:
         print("warning: graph is disconnected", file=sys.stderr)
     contribs = sorted(
         (edge_contribution(g, e) for e in g.edges),
         key=lambda c: (c.rd, c.edge),
     )
-    girth = g.cycle.girth if is_unicyclic(g) else None
+    girth = g.cycle.girth if connected and g.m == g.n else None
     if args.format == "json":
         _emit(_json_text({
             "n": g.n,
             "m": g.m,
-            "connected": is_connected(g),
+            "connected": connected,
             "girth": girth,
             "ga": round(ga_index(g), 9),
             "ag": round(ag_index(g), 9),
@@ -220,8 +221,10 @@ def _tolerance(text: str) -> float:
 
 def _cmd_reduce(args) -> int:
     g = _load_graph(args.path)
-    if not is_unicyclic(g):
-        raise GraphError("input graph is not unicyclic")
+    try:
+        g.cycle
+    except NotUnicyclicError:
+        raise GraphError("input graph is not unicyclic") from None
     try:
         set_runtime_checks(args.tol)
         try:

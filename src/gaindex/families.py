@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import MAX_VERTICES, Graph, is_unicyclic, norm_edge
+from .graph import MAX_VERTICES, Graph, NotUnicyclicError, norm_edge
 from .indices import f_eval, g_eval
 
 FAMILY_NAMES = ("cycle", "sn3", "spq4", "srk3")
@@ -203,11 +203,12 @@ def table_cd(rows=TABLE_CD_ROWS, cols=TABLE_CD_COLS):
 
 def classify_family(g: Graph) -> FamilySpec | None:
     """Match g against the four families; None when it is none of them."""
-    if not is_unicyclic(g):
+    try:
+        cyc = g.cycle
+    except NotUnicyclicError:
         return None
     if all(g.degree(v) == 2 for v in range(g.n)):
         return FamilySpec("cycle", (g.n,))
-    cyc = g.cycle
     # every off-cycle vertex must be a pendant hanging directly on the cycle
     for v in range(g.n):
         if v in cyc.position:

@@ -7,6 +7,7 @@ rewrite sequence can be kept side by side and compared edge by edge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -33,6 +34,8 @@ class NotUnicyclicError(GraphError):
 # would let a two-line file ask for gigabytes.
 MAX_VERTICES = 10**6
 
+_NOT_UNICYCLIC = "graph is not unicyclic (connected with |E| = |V|)"
+
 
 def norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
@@ -55,31 +58,52 @@ class Graph:
 
     @cached_property
     def cycle(self) -> CycleStructure:
-        """The unique cycle; raises NotUnicyclicError (on every access) otherwise."""
-        if not is_unicyclic(self):
-            raise NotUnicyclicError("graph is not unicyclic (connected with |E| = |V|)")
-        deg = [self.degree(v) for v in range(self.n)]
-        alive = [True] * self.n
-        stack = [v for v in range(self.n) if deg[v] == 1]
+        """The unique cycle; raises NotUnicyclicError (on every access) otherwise.
+
+        Peeling leaves deletes every tree component except isolated vertices
+        and leaves the 2-core of every other component. Each tree component
+        has one edge fewer than vertices, so with m == n the graph is
+        connected and unicyclic exactly when what remains is one cycle.
+        """
+        n = self.n
+        if self.m != n:
+            raise NotUnicyclicError(_NOT_UNICYCLIC)
+        adj = self.adjacency
+        deg = [len(a) for a in adj]
+        alive = [True] * n
+        stack = [v for v in range(n) if deg[v] == 1]
         while stack:
             v = stack.pop()
             alive[v] = False
-            for w in self.neighbors(v):
+            for w in adj[v]:
                 if alive[w]:
                     deg[w] -= 1
                     if deg[w] == 1:
                         stack.append(w)
-        on_cycle = [v for v in range(self.n) if alive[v]]
-        start = min(on_cycle)
-        cycle_set = set(on_cycle)
-        order = [start, min(w for w in self.neighbors(start) if w in cycle_set)]
+        on_cycle = [v for v in range(n) if alive[v]]
+        if not on_cycle or any(deg[v] != 2 for v in on_cycle):
+            raise NotUnicyclicError(_NOT_UNICYCLIC)
+        start = on_cycle[0]
+        order = [start, min(w for w in adj[start] if alive[w])]
         while True:
             prev, cur = order[-2], order[-1]
-            nxt = next(w for w in self.neighbors(cur) if w in cycle_set and w != prev)
+            nxt = next(w for w in adj[cur] if alive[w] and w != prev)
             if nxt == start:
                 break
             order.append(nxt)
+        if len(order) != len(on_cycle):
+            raise NotUnicyclicError(_NOT_UNICYCLIC)
         return CycleStructure(tuple(order), len(order))
+
+    @cached_property
+    def ga(self) -> float:
+        """The GA index, sum over edges of 2*sqrt(du*dv)/(du+dv) (0.0 without edges)."""
+        adj = self.adjacency
+        terms = []
+        for u, v in self.edges:
+            du, dv = len(adj[u]), len(adj[v])
+            terms.append(2.0 * math.sqrt(du * dv) / (du + dv))
+        return math.fsum(terms)
 
     @property
     def m(self) -> int:
@@ -95,10 +119,16 @@ class Graph:
         return norm_edge(u, v) in self.edges
 
     def replace_edges(self, remove: Iterable = (), add: Iterable = ()) -> "Graph":
-        """New graph of the same order with `remove` deleted, then `add` inserted."""
+        """New graph of the same order with `remove` deleted, then `add` inserted.
+
+        A rewrite that changes nothing returns self, so the value keeps its
+        cached cycle and GA.
+        """
         edges = set(self.edges)
         edges.difference_update(norm_edge(*e) for e in remove)
         edges.update(norm_edge(*e) for e in add)
+        if edges == self.edges:
+            return self
         return Graph(self.n, frozenset(edges))
 
     def __repr__(self) -> str:

@@ -54,13 +54,10 @@ def edge_contribution(g: Graph, e) -> EdgeContribution:
 
 
 def ga_index(g: Graph) -> float:
+    """GA of g, computed once per graph value (see Graph.ga)."""
     if not g.edges:
         raise GraphError("GA index needs at least one edge")
-    terms = []
-    for u, v in g.edges:
-        du, dv = g.degree(u), g.degree(v)
-        terms.append(2.0 * math.sqrt(du * dv) / (du + dv))
-    return math.fsum(terms)
+    return g.ga
 
 
 def ag_index(g: Graph) -> float:

@@ -9,7 +9,8 @@ vertex, so consecutive trace states can be diffed edge by edge.
 
 Operators optionally re-check GA monotonicity at runtime (see
 set_runtime_checks), which turns the decrease guarantees into executable
-assertions during long sweeps.
+assertions during long sweeps. GA is cached per graph value, so the checks
+read the same values the pipeline records and add no GA evaluations.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ from .graph import (
     Graph,
     NotUnicyclicError,
     classify_cycle_vertex,
-    is_unicyclic,
     norm_edge,
     pendant_tree,
 )
-from .indices import ga_index
 
 
 class PreconditionError(ValueError):
@@ -56,10 +55,8 @@ def set_runtime_checks(tol: float | None) -> None:
 
 
 def _check_monotone(op: str, before: Graph, after: Graph) -> Graph:
-    if _runtime_check_tol is not None:
-        ga0, ga1 = ga_index(before), ga_index(after)
-        if ga1 > ga0 + _runtime_check_tol:
-            raise MonotonicityError(f"{op} raised GA from {ga0!r} to {ga1!r}")
+    if _runtime_check_tol is not None and after.ga > before.ga + _runtime_check_tol:
+        raise MonotonicityError(f"{op} raised GA from {before.ga!r} to {after.ga!r}")
     return after
 
 
@@ -302,7 +299,7 @@ class TransformTrace:
 
     @property
     def ga_input(self) -> float:
-        return self.steps[0].ga_before if self.steps else ga_index(self.input_graph)
+        return self.input_graph.ga
 
     @property
     def ga_terminal(self) -> float:
@@ -349,8 +346,10 @@ def reduction_pipeline(g: Graph) -> TransformTrace:
     Orders 3 and 4 raise SmallOrderError: the bound there is settled by
     listing all graphs (C_3; C_4 and the paw).
     """
-    if not is_unicyclic(g):
-        raise NotUnicyclicError("reduction pipeline needs a unicyclic input")
+    try:
+        g.cycle
+    except NotUnicyclicError:
+        raise NotUnicyclicError("reduction pipeline needs a unicyclic input") from None
     if g.n < 5:
         if g.n == 3:
             case = "C3"
@@ -364,16 +363,15 @@ def reduction_pipeline(g: Graph) -> TransformTrace:
         return TransformTrace(g, (), FamilySpec("cycle", (g.n,)))
 
     steps = []
-    cur, ga_cur = g, ga_index(g)
+    cur = g
 
     def apply(op, **params) -> None:
         # params are exactly the call's keyword arguments, so each trace
         # step replays as op(previous graph, **params)
-        nonlocal cur, ga_cur
+        nonlocal cur
         nxt = op(cur, **params)
-        ga_nxt = ga_index(nxt)
-        steps.append(TraceStep(op.__name__, params, ga_cur, ga_nxt, nxt))
-        cur, ga_cur = nxt, ga_nxt
+        steps.append(TraceStep(op.__name__, params, cur.ga, nxt.ga, nxt))
+        cur = nxt
 
     v = min(cur.cycle.vertices, key=lambda w: (-cur.degree(w), w))
     apply(star_transform, v=v)

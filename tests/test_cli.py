@@ -218,6 +218,14 @@ def test_reduce_rejects_tree(capsys, tmp_path):
     assert "not unicyclic" in err
 
 
+def test_reduce_rejects_two_triangles(capsys, tmp_path):
+    # |E| = |V| but disconnected: the cycle search itself must reject it
+    path = tmp_path / "triangles.txt"
+    path.write_text("6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n")
+    code, out, err = run(capsys, "reduce", str(path))
+    assert (code, out, err) == (INPUT_ERROR, "", "error: input graph is not unicyclic\n")
+
+
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 @pytest.mark.parametrize("command", ["reduce", "verify"])
 def test_tol_must_be_finite_and_nonnegative(capsys, paw_file, command, tol):

@@ -292,3 +292,6 @@ def test_classify_family_rejects_non_families():
     # three carriers on a triangle
     t = build_graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
     assert classify_family(t) is None
+    # not unicyclic: a path, and two disjoint triangles
+    assert classify_family(build_graph(4, [(0, 1), (1, 2), (2, 3)])) is None
+    assert classify_family(build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])) is None

@@ -96,6 +96,32 @@ def test_is_unicyclic_needs_connectivity():
         find_cycle(g)
 
 
+@pytest.mark.parametrize("edges, n", [
+    ([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], 6),
+    ([(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], 5),
+    ([(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (4, 5)], 6),
+], ids=["two-triangles", "k4-minus-e-plus-isolated-vertex", "k4-minus-e-plus-k2"])
+def test_cycle_rejects_n_edge_graphs_that_are_not_unicyclic(edges, n):
+    g = build_graph(n, edges)
+    assert g.m == g.n and not is_unicyclic(g)
+    with pytest.raises(NotUnicyclicError, match=r"^graph is not unicyclic \(connected with \|E\| = \|V\|\)$"):
+        find_cycle(g)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_cycle_decides_unicyclicity_on_every_n_edge_graph(n):
+    # every n-subset of the edges of K_n: 5,005 graphs at n = 6
+    for edges in itertools.combinations(itertools.combinations(range(n), 2), n):
+        g = build_graph(n, edges)
+        if is_unicyclic(g):
+            cyc = find_cycle(g)
+            assert len(set(cyc.vertices)) == cyc.girth >= 3
+            assert all(g.has_edge(*e) for e in cyc.cycle_edges())
+        else:
+            with pytest.raises(NotUnicyclicError):
+                find_cycle(g)
+
+
 def test_find_cycle_paw():
     cyc = find_cycle(paw())
     assert cyc.vertices == (0, 1, 2)
@@ -143,6 +169,13 @@ def test_replace_edges_gets_its_own_cycle():
     h = g.replace_edges([(2, 3)], [(0, 2)])
     assert find_cycle(h).vertices == (0, 1, 2)
     assert find_cycle(g).girth == 6
+
+
+def test_replace_edges_that_change_nothing_keep_the_value():
+    g = paw()
+    cyc = find_cycle(g)
+    h = g.replace_edges(remove=[(0, 3)], add=[(3, 0)])
+    assert h is g and find_cycle(h) is cyc
 
 
 def test_non_unicyclic_raises_on_every_access():

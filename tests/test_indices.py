@@ -159,6 +159,11 @@ def test_ga_index_equals_per_edge_sum(unicyclic, n):
         assert ga_index(g) == math.fsum(edge_contribution(g, e).ga for e in g.edges)
 
 
+def test_ga_is_computed_once_per_graph():
+    g = make_family(FamilySpec("spq4", (2, 3)))
+    assert ga_index(g) is ga_index(g) is g.ga
+
+
 @pytest.mark.parametrize("n", range(3, 8))
 def test_ga_ag_cauchy_schwarz(unicyclic, n):
     for g in unicyclic(n):

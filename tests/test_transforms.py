@@ -6,6 +6,7 @@ import pytest
 
 from gaindex import (
     FamilySpec,
+    Graph,
     NotUnicyclicError,
     MonotonicityError,
     PreconditionError,
@@ -468,3 +469,27 @@ def test_runtime_checks_accept_real_runs():
         assert trace.terminal_family.family in ("sn3", "spq4", "srk3")
     finally:
         set_runtime_checks(None)
+
+
+def test_runtime_checks_evaluate_ga_once_per_graph(unicyclic, monkeypatch):
+    evaluated = []
+    compute = Graph.ga.func
+
+    def counting(g):
+        evaluated.append(g)
+        return compute(g)
+
+    monkeypatch.setattr(Graph.ga, "func", counting)
+    saw_nested = False
+    set_runtime_checks(1e-9)
+    try:
+        for g in unicyclic(8):
+            evaluated.clear()
+            # a fresh value, so that no GA is cached from an earlier test
+            trace = reduction_pipeline(Graph(g.n, g.edges))
+            assert len(set(evaluated)) == len(evaluated)
+            assert {s.graph for s in trace.steps} <= set(evaluated)
+            saw_nested |= any(s.op == "finish_two_neighbors_deg2" for s in trace.steps)
+    finally:
+        set_runtime_checks(None)
+    assert saw_nested
