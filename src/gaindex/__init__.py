@@ -20,11 +20,9 @@ from .graph import (
     find_cycle,
     format_edge_list,
     is_connected,
-    is_isomorphic,
     is_unicyclic,
     parse_edge_list,
     pendant_tree,
-    relabel,
 )
 from .indices import EdgeContribution, ag_index, edge_contribution, f_eval, g_eval, ga_index
 from .families import (
@@ -56,8 +54,6 @@ from .enumeration import (
     BoundReport,
     MonotonicityReport,
     enumerate_unicyclic,
-    enumerate_unicyclic_by_chords,
-    free_trees,
     verify_bounds,
     verify_monotonicity,
 )

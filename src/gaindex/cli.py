@@ -2,7 +2,8 @@
 
 Subcommands: compute, family, tables, reduce, verify. Exit codes: 0 on
 success, 1 for usage errors, 2 for input errors, 3 when verification finds
-a bound violation. Output is byte-stable for fixed inputs and flags.
+a bound or monotonicity violation. Output is byte-stable for fixed inputs
+and flags.
 """
 
 from __future__ import annotations
@@ -10,9 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 
-from .enumeration import MAX_ORDER, verify_bounds
+from .enumeration import MAX_ORDER, verify_bounds, verify_monotonicity
 from .families import (
     FamilySpec,
     closed_form,
@@ -24,7 +26,15 @@ from .families import (
     TABLE_CD_COLS,
     TABLE_CD_ROWS,
 )
-from .graph import GraphError, NotUnicyclicError, format_edge_list, is_connected, parse_edge_list
+from .graph import (
+    MAX_VERTICES,
+    GraphError,
+    NotUnicyclicError,
+    build_graph,
+    format_edge_list,
+    is_connected,
+    parse_edge_list,
+)
 from .indices import ag_index, edge_contribution, ga_index
 from .transforms import SmallOrderError, reduction_pipeline, set_runtime_checks
 
@@ -48,10 +58,17 @@ _TABLES = {
 MAX_TABLE_CELLS = 10_000
 
 
+class _UsageError(Exception):
+    """Bad arguments or an unwritable --out: reported by main with exit code 1."""
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -64,7 +81,7 @@ def _load_graph(path: str):
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphError(f"cannot read {path}: {exc}") from exc
     return parse_edge_list(text)
 
@@ -123,8 +140,7 @@ def _cmd_family(args) -> int:
         spec = FamilySpec(args.name, tuple(args.params))
         g = make_family(spec)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise _UsageError(exc) from exc
     if args.format == "json":
         _emit(_json_text({
             "family": spec.family,
@@ -166,8 +182,7 @@ def _cmd_tables(args) -> int:
             raise ValueError(f"table exceeds the limit of {MAX_TABLE_CELLS} cells")
         data = build(range(rows[0], rows[1] + 1), range(cols[0], cols[1] + 1))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise _UsageError(exc) from exc
 
     col_values = list(range(cols[0], cols[1] + 1))
     if args.format == "json":
@@ -219,8 +234,24 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _random_unicyclic(n: int, rng: random.Random):
+    """A cycle of random girth plus a random recursive forest hung on it."""
+    girth = rng.randint(3, n)
+    edges = [(i, (i + 1) % girth) for i in range(girth)]
+    for w in range(girth, n):
+        edges.append((rng.randrange(w), w))
+    return build_graph(n, edges)
+
+
 def _cmd_reduce(args) -> int:
-    g = _load_graph(args.path)
+    if args.random is None:
+        if args.seed is not None:
+            raise _UsageError("--seed needs --random")
+        g = _load_graph(args.path)
+    elif not 3 <= args.random <= MAX_VERTICES:
+        raise _UsageError(f"--random must be between 3 and {MAX_VERTICES}, got {args.random}")
+    else:
+        g = _random_unicyclic(args.random, random.Random(args.seed or 0))
     try:
         g.cycle
     except NotUnicyclicError:
@@ -258,19 +289,26 @@ def _cmd_verify(args) -> int:
         if hi > MAX_ORDER:
             raise ValueError(f"range too large: enumeration is capped at n = {MAX_ORDER}")
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    reports = [verify_bounds(n, tol=args.tol) for n in range(lo, hi + 1)]
-    total_violations = sum(len(r.violations) for r in reports)
+        raise _UsageError(exc) from exc
+    # per order: its bound report, then (n >= 5) its monotonicity report
+    reports, sweeps, text = [], [], ""
+    for n in range(lo, hi + 1):
+        reports.append(verify_bounds(n, tol=args.tol))
+        text += reports[-1].to_text()
+        if args.monotonicity and n >= 5:
+            sweeps.append(verify_monotonicity(n, tol=args.tol))
+            text += sweeps[-1].to_text()
+    total_violations = sum(len(r.violations) for r in reports + sweeps)
     if args.format == "json":
-        _emit(_json_text({
+        doc = {
             "orders": [r.to_dict() for r in reports],
             "violations_total": total_violations,
-        }), args.out)
+        }
+        if args.monotonicity:
+            doc["monotonicity"] = [s.to_dict() for s in sweeps]
+        _emit(_json_text(doc), args.out)
     else:
-        text = "".join(r.to_text() for r in reports)
-        text += f"total violations: {total_violations}\n"
-        _emit(text, args.out)
+        _emit(text + f"total violations: {total_violations}\n", args.out)
     return 0 if total_violations == 0 else VERIFICATION_FAILURE
 
 
@@ -302,15 +340,21 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, ("csv", "text", "json"))
 
     p = sub.add_parser("reduce", help="run the GA-decreasing reduction pipeline on an edge list")
-    p.add_argument("path")
     add_common(p)
     p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--trace", action="store_true")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("path", nargs="?")
+    source.add_argument("--random", type=int, metavar="N",
+                        help="reduce a random unicyclic graph on N vertices instead")
+    p.add_argument("--seed", type=int, metavar="S", help="seed of --random (default 0)")
 
     p = sub.add_parser("verify", help="exhaustively verify the GA bounds for a range of orders")
     p.add_argument("orders", help="N or A..B (e.g. 5 or 3..9)")
     add_common(p)
     p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--monotonicity", action="store_true",
+                   help="also run the operator-monotonicity sweep (n >= 5)")
 
     return parser
 
@@ -336,6 +380,9 @@ def main(argv=None) -> int:
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

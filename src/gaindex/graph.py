@@ -271,11 +271,6 @@ def classify_cycle_vertex(g: Graph, v: int) -> VertexClass:
     return VertexClass(d >= max(da, db), d <= min(da, db))
 
 
-def relabel(g: Graph, perm) -> Graph:
-    """Apply the vertex permutation perm (old id -> new id)."""
-    return Graph(g.n, frozenset(norm_edge(perm[u], perm[v]) for u, v in g.edges))
-
-
 # ---------------------------------------------------------------------------
 # Canonical labeling: iterated color refinement plus individualization
 # backtracking, with twin pruning. Sized for graphs up to a dozen vertices.
@@ -341,10 +336,6 @@ def canonical_form(g: Graph) -> bytes:
     search(tuple([0] * n))
     assert best is not None
     return bytes([n]) + best
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    return g.n == h.n and canonical_form(g) == canonical_form(h)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 def load_module(relpath: str):
-    """Import a repository file that is not on the path (bench/, scripts/) by its path."""
+    """Import a repository file that is not on the path (such as bench/gates.py) by its path."""
     path = REPO / relpath
     spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)

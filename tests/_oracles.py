@@ -1,0 +1,43 @@
+"""Reference implementations the tests compare the package against.
+
+The package generates unicyclic graphs one per class by construction
+(`gaindex.enumerate_unicyclic`); the generator here takes an independent
+route, every free tree plus one chord, deduplicated by canonical labeling.
+"""
+
+from gaindex import Graph, canonical_form
+from gaindex.enumeration import MAX_ORDER
+from gaindex.graph import norm_edge
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """Apply the vertex permutation perm (old id -> new id)."""
+    return Graph(g.n, frozenset(norm_edge(perm[u], perm[v]) for u, v in g.edges))
+
+
+def free_trees(n: int) -> tuple:
+    """All non-isomorphic trees on n vertices, grown by leaf attachment."""
+    level = {canonical_form(Graph(1, frozenset())): Graph(1, frozenset())}
+    for size in range(2, n + 1):
+        grown: dict[bytes, Graph] = {}
+        for tree in level.values():
+            for v in range(tree.n):
+                bigger = Graph(size, frozenset(tree.edges | {(v, size - 1)}))
+                grown.setdefault(canonical_form(bigger), bigger)
+        level = grown
+    return tuple(level[k] for k in sorted(level))
+
+
+def enumerate_unicyclic_by_chords(n: int) -> tuple:
+    """Reference generator: every spanning tree plus one chord, deduplicated."""
+    if not 3 <= n <= MAX_ORDER:
+        raise ValueError(f"order must be between 3 and {MAX_ORDER}, got {n}")
+    seen: dict[bytes, Graph] = {}
+    for tree in free_trees(n):
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (u, v) in tree.edges:
+                    continue
+                g = Graph(n, frozenset(tree.edges | {(u, v)}))
+                seen.setdefault(canonical_form(g), g)
+    return tuple(seen[k] for k in sorted(seen))

@@ -14,7 +14,6 @@ from gaindex import (
     canonical_form,
     compare_AB,
     compare_CD,
-    enumerate_unicyclic_by_chords,
     f_eval,
     g_eval,
     ga_index,
@@ -26,6 +25,8 @@ from gaindex import (
     verify_monotonicity,
 )
 from gaindex.families import a_diagonal_lower_bound, c_diagonal_lower_bound
+
+from _oracles import enumerate_unicyclic_by_chords
 
 # Printed reference table for the spq4-vs-sn3 gap decomposition:
 # (p, q) -> (A, B) at 4 decimals.

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
-from gaindex.cli import INPUT_ERROR, MAX_TABLE_CELLS, USAGE_ERROR, main
+from gaindex import FamilySpec, make_family
+from gaindex.cli import INPUT_ERROR, MAX_TABLE_CELLS, USAGE_ERROR, VERIFICATION_FAILURE, main
+from gaindex.enumeration import MAX_ORDER
 from gaindex.graph import MAX_VERTICES
 
 from _helpers import load_module
@@ -76,6 +78,16 @@ def test_compute_parse_error_names_line(capsys, tmp_path):
 def test_compute_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "compute", str(tmp_path / "nope.txt"))
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["compute", "reduce"])
+def test_input_that_is_not_utf8_is_an_input_error(capsys, tmp_path, command):
+    path = tmp_path / "bin.txt"
+    path.write_bytes(b"\xff\xfe\n")
+    code, out, err = run(capsys, command, str(path))
+    assert code == INPUT_ERROR
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
 
 
 def test_compute_disconnected_warns(capsys, tmp_path):
@@ -257,6 +269,27 @@ def test_reduce_json_is_pinned(capsys, tmp_path):
         assert hashlib.sha256(out.encode()).hexdigest() == expected, f"golden graph {i}"
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--random", "2"], id="order-below-3"),
+    pytest.param(["--random", str(MAX_VERTICES + 1)], id="order-above-limit"),
+    pytest.param(["PAW", "--seed", "1"], id="seed-without-random"),
+    pytest.param(["PAW", "--random", "5"], id="path-and-random"),
+    pytest.param([], id="neither-path-nor-random"),
+])
+def test_reduce_random_rejects_bad_arguments(capsys, paw_file, argv):
+    argv = [paw_file if a == "PAW" else a for a in argv]
+    code, out, err = run(capsys, "reduce", *argv)
+    assert code == USAGE_ERROR
+    assert out == ""
+    assert err.startswith(("error:", "usage:"))
+
+
+def test_reduce_random_accepts_the_small_orders(capsys):
+    code, out, _ = run(capsys, "reduce", "--random", "3")
+    assert code == 0
+    assert out.startswith("small-order case C3:")
+
+
 def test_reduce_json_round_trips(capsys, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("7 7\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n0 6\n")
@@ -300,6 +333,60 @@ def test_verify_json_is_pinned(capsys):
     assert digest == "63b65cd193e0046faab51421f72f0e8b628d30c810525414075008054b307f0c"
 
 
+@pytest.mark.parametrize("argv, expected", [
+    # the text of the former bounds-plus-monotonicity sweep script, for orders 5..7
+    (["verify", "5..7", "--monotonicity"],
+     "2f8ddea3696871cadc4e2fdee9bd7ab867580763cae3762c478c5394fa7c9084"),
+    # the text of the former random-reduction script, n = 12, seed 3, edge lists on
+    (["reduce", "--random", "12", "--seed", "3", "--trace"],
+     "432383a61e4a88a4bf065185ede4ccd276a0a4af44523a7f3fe2cab5b8b8f1ac"),
+], ids=["verify-monotonicity", "reduce-random"])
+def test_folded_script_output_is_pinned(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+def test_verify_monotonicity_json(capsys):
+    code, out, _ = run(capsys, "verify", "4..6", "--format", "json", "--monotonicity")
+    assert code == 0
+    doc = json.loads(out)
+    assert [m["n"] for m in doc["monotonicity"]] == [5, 6]
+    assert doc["violations_total"] == 0
+    _, plain, _ = run(capsys, "verify", "4..6", "--format", "json")
+    assert "monotonicity" not in json.loads(plain)
+
+
+@pytest.mark.parametrize("orders", ["2..4", f"3..{MAX_ORDER + 1}", "7..6"])
+def test_verify_monotonicity_rejects_orders_up_front(capsys, orders):
+    code, out, err = run(capsys, "verify", orders, "--monotonicity")
+    assert code == USAGE_ERROR
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_verify_reports_bound_violations(capsys, monkeypatch):
+    # a lower bound above every order's cycle: each class violates it
+    monkeypatch.setattr("gaindex.enumeration.ga_sn3_closed", lambda n: n + 1.0)
+    code, out, _ = run(capsys, "verify", "5")
+    assert code == VERIFICATION_FAILURE
+    assert out.count("  violation: GA=") == 5
+    assert out.endswith("total violations: 5\n")
+
+
+def test_verify_reports_monotonicity_violations(capsys, monkeypatch):
+    # a star transform that returns the cycle raises GA on every non-cycle input
+    monkeypatch.setattr("gaindex.enumeration.star_transform",
+                        lambda g, v: make_family(FamilySpec("cycle", (g.n,))))
+    code, out, _ = run(capsys, "verify", "5", "--monotonicity", "--format", "json")
+    assert code == VERIFICATION_FAILURE
+    doc = json.loads(out)
+    problems = [v["problem"] for v in doc["monotonicity"][0]["violations"]]
+    assert problems and all(p.startswith("GA increased by ") for p in problems)
+    assert doc["violations_total"] == len(problems)
+    assert doc["orders"][0]["violations"] == []
+
+
 def test_verify_range_too_large(capsys):
     code, _, err = run(capsys, "verify", "40")
     assert code == 1
@@ -319,10 +406,30 @@ def test_usage_error_exit_code(capsys):
 def test_flags_rejected_where_they_do_nothing(capsys, paw_file):
     assert main(["compute", paw_file, "--tol", "1"]) == USAGE_ERROR
     assert main(["verify", "3", "--trace"]) == USAGE_ERROR
+    assert main(["compute", paw_file, "--monotonicity"]) == USAGE_ERROR
+    assert main(["verify", "3", "--random", "5"]) == USAGE_ERROR
+    assert main(["reduce", paw_file, "--monotonicity"]) == USAGE_ERROR
 
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["compute", "PAW"], "no-such-dir/x.txt"),
+    (["family", "sn3", "5"], "no-such-dir/x.txt"),
+    (["tables", "1"], "no-such-dir/x.csv"),
+    (["reduce", "PAW"], "no-such-dir/x.txt"),
+    (["reduce", "PAW"], "."),
+    (["verify", "3..4"], "no-such-dir/x.json"),
+], ids=["compute", "family", "tables", "reduce", "reduce-to-directory", "verify"])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, paw_file, argv, target):
+    target = tmp_path / target
+    argv = [paw_file if a == "PAW" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == USAGE_ERROR
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
 
 
 def test_out_flag_writes_file(capsys, tmp_path, paw_file):

@@ -9,8 +9,6 @@ from gaindex import (
     build_graph,
     canonical_form,
     enumerate_unicyclic,
-    enumerate_unicyclic_by_chords,
-    free_trees,
     ga_index,
     ga_sn3_closed,
     is_unicyclic,
@@ -18,6 +16,8 @@ from gaindex import (
     verify_bounds,
     verify_monotonicity,
 )
+
+from _oracles import enumerate_unicyclic_by_chords, free_trees
 
 # counts established by two independent generators here plus a labeled
 # brute force below; they also match the known unicyclic counting sequence

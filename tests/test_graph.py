@@ -13,18 +13,17 @@ from gaindex import (
     classify_cycle_vertex,
     find_cycle,
     format_edge_list,
-    is_isomorphic,
     is_unicyclic,
     make_family,
     FamilySpec,
     parse_edge_list,
     pendant_tree,
-    relabel,
 )
 
 from gaindex.graph import MAX_VERTICES
 
 from _helpers import graph_with_permutation, unicyclic_graphs
+from _oracles import relabel
 
 
 def paw():
@@ -279,7 +278,6 @@ def test_canonical_swapped_attachment_counts():
     g = build_graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (1, 5)])
     h = build_graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (1, 5)])
     assert canonical_form(g) == canonical_form(h)
-    assert is_isomorphic(g, h)
 
 
 @settings(max_examples=60)
