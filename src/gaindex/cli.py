@@ -14,7 +14,7 @@ import math
 import random
 import sys
 
-from .enumeration import MAX_ORDER, verify_bounds, verify_monotonicity
+from .enumeration import MAX_BOUND_ORDER, MAX_ORDER, verify_bounds, verify_monotonicity
 from .families import (
     FamilySpec,
     closed_form,
@@ -155,8 +155,8 @@ def _cmd_family(args) -> int:
     return 0
 
 
-def _parse_range(text: str, what: str) -> tuple[int, int]:
-    parts = text.split(":")
+def _parse_range(text: str, what: str, sep: str = ":") -> tuple[int, int]:
+    parts = text.split(sep)
     try:
         if len(parts) == 1:
             lo = hi = int(parts[0])
@@ -165,7 +165,7 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
         else:
             raise ValueError
     except ValueError:
-        raise ValueError(f"bad {what} range {text!r}, expected A or A:B") from None
+        raise ValueError(f"bad {what} range {text!r}, expected A or A{sep}B") from None
     if lo > hi:
         raise ValueError(f"bad {what} range {text!r}: empty")
     return lo, hi
@@ -283,11 +283,13 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        lo, hi = _parse_range(args.orders.replace("..", ":"), "order")
+        lo, hi = _parse_range(args.orders, "order", "..")
         if lo < 3:
             raise ValueError(f"orders start at 3, got {lo}")
-        if hi > MAX_ORDER:
-            raise ValueError(f"range too large: enumeration is capped at n = {MAX_ORDER}")
+        if hi > MAX_BOUND_ORDER:
+            raise ValueError(f"range too large: bound verification is capped at n = {MAX_BOUND_ORDER}")
+        if args.monotonicity and hi > MAX_ORDER:
+            raise ValueError(f"range too large: the monotonicity sweep is capped at n = {MAX_ORDER}")
     except ValueError as exc:
         raise _UsageError(exc) from exc
     # per order: its bound report, then (n >= 5) its monotonicity report

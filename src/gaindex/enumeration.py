@@ -1,23 +1,30 @@
 """Exhaustive generation of non-isomorphic unicyclic graphs and the
 brute-force verification of the GA bounds and rewrite monotonicity.
 
-:func:`enumerate_unicyclic` hangs rooted trees on each girth's cycle and
-keeps the least ring of rooted-tree shapes under rotation and reflection,
-so it yields one graph per class without any isomorphism test. The test
-suite checks it against a reference generator (every free tree plus one
-chord, deduplicated by canonical labeling) and against the known counts
-for small orders. Here the canonical labeling keys only the bound
-witnesses that :func:`verify_bounds` reports.
+A unicyclic graph is a ring: the rooted-tree shapes hung on its cycle.
+:func:`enumerate_unicyclic` keeps the least ring of each class under
+rotation and reflection, so it yields one graph per class without any
+isomorphism test. The test suite checks it against a reference generator
+(every free tree plus one chord, deduplicated by canonical labeling) and
+against the known counts for small orders.
+
+:func:`verify_bounds` sweeps the rings themselves: it reads GA from the
+shapes' degrees and builds a graph only for the witnesses and the
+violators it reports, which is why it reaches order MAX_BOUND_ORDER while
+the sweeps that need every graph stop at MAX_ORDER. Here the canonical
+labeling keys only those witnesses.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
-from .families import FamilySpec, ga_sn3_closed, make_family
+from .families import ga_sn3_closed
 from .graph import Graph, canonical_form, format_edge_list, is_unicyclic, norm_edge
 from .indices import ga_index
 from .transforms import (
@@ -30,6 +37,9 @@ from .transforms import (
 )
 
 MAX_ORDER = 12
+# verify_bounds reads GA from the rings and builds a Graph only for the
+# witnesses, so it reaches further than the sweeps that need every graph.
+MAX_BOUND_ORDER = 14
 
 OPERATOR_NAMES = (
     "star_transform",
@@ -40,9 +50,9 @@ OPERATOR_NAMES = (
 )
 
 
-def _check_order(n: int) -> None:
-    if not 3 <= n <= MAX_ORDER:
-        raise ValueError(f"order must be between 3 and {MAX_ORDER}, got {n}")
+def _check_order(n: int, cap: int = MAX_ORDER) -> None:
+    if not 3 <= n <= cap:
+        raise ValueError(f"order must be between 3 and {cap}, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -89,34 +99,97 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def _is_least_ring(sizes: tuple, choice: tuple) -> bool:
-    """True when the ring (sizes, choice) is the least of its rotations and reflections.
+# ---------------------------------------------------------------------------
+# Rings: a unicyclic graph is the tuple of rooted-tree shapes hung on its
+# cycle, and rings equal up to rotation and reflection <=> isomorphic graphs.
+# ---------------------------------------------------------------------------
 
-    Rings equal up to rotation and reflection <=> isomorphic graphs, so
-    exactly one ring per class passes; sizes compare first, so it is the
-    one the enumeration loop reaches first.
+
+@lru_cache(maxsize=None)
+def _dihedral(girth: int) -> tuple:
+    """The rotations and reflections of a ring of this girth, identity excluded,
+    each as an itemgetter that returns the image of a tuple."""
+    maps = []
+    for k in range(girth):
+        if k:
+            maps.append([(i + k) % girth for i in range(girth)])
+        maps.append([girth - 1 - (i + k) % girth for i in range(girth)])
+    return tuple(itemgetter(*p) for p in maps)
+
+
+def _stabilizer(sizes: tuple) -> tuple | None:
+    """The symmetries that fix sizes, or None when one maps sizes below itself."""
+    fixing = []
+    for sym in _dihedral(len(sizes)):
+        image = sym(sizes)
+        if image < sizes:
+            return None
+        if image == sizes:
+            fixing.append(sym)
+    return tuple(fixing)
+
+
+def _rings(n: int):
+    """Yield (sizes, choice) for the least ring of each class of order n.
+
+    choice[i] is the shape hung on cycle vertex i and sizes[i] its number
+    of tree vertices. Rings compare sizes first, so the sizes of a least
+    ring are least among their images, and then only the symmetries that
+    fix sizes can map its choice below itself. Girths ascend, and
+    compositions and choices come in lexicographic product order.
     """
-    ring = (sizes, choice)
-    for s, c in (ring, (sizes[::-1], choice[::-1])):
-        for k in range(len(s)):
-            if (s[k:] + s[:k], c[k:] + c[:k]) < ring:
-                return False
-    return True
+    for girth in range(3, n + 1):
+        for sizes in _compositions(n - girth, girth):
+            fixing = _stabilizer(sizes)
+            if fixing is None:
+                continue
+            for choice in itertools.product(*[_rooted_trees(s + 1) for s in sizes]):
+                if all(sym(choice) >= choice for sym in fixing):
+                    yield sizes, choice
+
+
+def _ring_graph(n: int, choice: tuple) -> Graph:
+    """The graph of a ring: cycle vertices 0..girth-1, then tree vertices depth first."""
+    girth = len(choice)
+    edges = [(i, (i + 1) % girth) for i in range(girth)]
+    next_id = girth
+    for pos in range(girth):
+        next_id = _attach(edges, pos, choice[pos], next_id)
+    return Graph(n, frozenset(norm_edge(*e) for e in edges))
+
+
+@lru_cache(maxsize=None)
+def _edge_term(du: int, dv: int) -> float:
+    """The GA term of an edge, the same expression as Graph.ga."""
+    return 2.0 * math.sqrt(du * dv) / (du + dv)
+
+
+@lru_cache(maxsize=None)
+def _shape_terms(shape: tuple, root_degree: int) -> tuple:
+    """The GA terms of the edges of a shape whose root has the given degree."""
+    terms = []
+    for child in shape:
+        degree = len(child) + 1
+        terms.append(_edge_term(root_degree, degree))
+        terms.extend(_shape_terms(child, degree))
+    return tuple(terms)
+
+
+def _ring_ga(choice: tuple) -> float:
+    """GA of the graph of a ring, equal (==) to its Graph.ga: the terms are
+    the same floats, and fsum is correctly rounded whatever their order."""
+    degrees = [len(shape) + 2 for shape in choice]
+    terms = [_edge_term(degrees[i - 1], d) for i, d in enumerate(degrees)]
+    for shape, d in zip(choice, degrees):
+        terms.extend(_shape_terms(shape, d))
+    return math.fsum(terms)
 
 
 def enumerate_unicyclic(n: int):
     """Yield one representative per isomorphism class of unicyclic graphs on n vertices."""
     _check_order(n)
-    for girth in range(3, n + 1):
-        for sizes in _compositions(n - girth, girth):
-            for choice in itertools.product(*[_rooted_trees(s + 1) for s in sizes]):
-                if not _is_least_ring(sizes, choice):
-                    continue
-                edges = [(i, (i + 1) % girth) for i in range(girth)]
-                next_id = girth
-                for pos in range(girth):
-                    next_id = _attach(edges, pos, choice[pos], next_id)
-                yield Graph(n, frozenset(norm_edge(*e) for e in edges))
+    for _, choice in _rings(n):
+        yield _ring_graph(n, choice)
 
 
 # ---------------------------------------------------------------------------
@@ -172,32 +245,40 @@ class BoundReport:
 
 
 def verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
-    """Check ga_sn3_closed(n) <= GA(G) <= n over every unicyclic class of order n."""
-    _check_order(n)
-    entries = [(ga_index(g), g) for g in enumerate_unicyclic(n)]
+    """Check ga_sn3_closed(n) <= GA(G) <= n over every unicyclic class of order n.
+
+    GA comes from the rings; only the witnesses and the violators become
+    graphs, for their canonical keys and edge lists.
+    """
+    _check_order(n, MAX_BOUND_ORDER)
+    entries = [(_ring_ga(choice), choice) for _, choice in _rings(n)]
     lower, upper = ga_sn3_closed(n), float(n)
     min_ga = min(ga for ga, _ in entries)
     max_ga = max(ga for ga, _ in entries)
-    min_wit = tuple(sorted(canonical_form(g).hex() for ga, g in entries if ga <= min_ga + tol))
-    max_wit = tuple(sorted(canonical_form(g).hex() for ga, g in entries if ga >= max_ga - tol))
+    min_rings = [choice for ga, choice in entries if ga <= min_ga + tol]
+    max_rings = [choice for ga, choice in entries if ga >= max_ga - tol]
     violations = tuple(
-        (format_edge_list(g), ga)
-        for ga, g in entries
+        (format_edge_list(_ring_graph(n, choice)), ga)
+        for ga, choice in entries
         if ga < lower - tol or ga > upper + tol
     )
-    cycle_key = canonical_form(make_family(FamilySpec("cycle", (n,)))).hex()
-    sn3_key = canonical_form(make_family(FamilySpec("sn3", (n,)))).hex()
+    cycle = ((),) * n
+    sn3 = ((), (), ((),) * (n - 3))  # n-3 leaves on the last triangle vertex
+
+    def keys(rings):
+        return tuple(sorted(canonical_form(_ring_graph(n, choice)).hex() for choice in rings))
+
     return BoundReport(
         n=n,
         count=len(entries),
         min_ga=min_ga,
         max_ga=max_ga,
-        min_witnesses=min_wit,
-        max_witnesses=max_wit,
+        min_witnesses=keys(min_rings),
+        max_witnesses=keys(max_rings),
         violations=violations,
-        max_only_cycle=(max_wit == (cycle_key,) and abs(max_ga - upper) <= tol),
-        min_attained_by_sn3=sn3_key in min_wit,
-        min_unique=len(min_wit) == 1,
+        max_only_cycle=(max_rings == [cycle] and abs(max_ga - upper) <= tol),
+        min_attained_by_sn3=sn3 in min_rings,
+        min_unique=len(min_rings) == 1,
     )
 
 

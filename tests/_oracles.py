@@ -3,10 +3,15 @@
 The package generates unicyclic graphs one per class by construction
 (`gaindex.enumerate_unicyclic`); the generator here takes an independent
 route, every free tree plus one chord, deduplicated by canonical labeling.
+The package's ring generator skips whole compositions and compares each
+candidate only under the symmetries that fix its sizes; the reference
+filter here compares every candidate under every rotation and reflection.
 """
 
+import itertools
+
 from gaindex import Graph, canonical_form
-from gaindex.enumeration import MAX_ORDER
+from gaindex.enumeration import MAX_ORDER, _compositions, _rooted_trees
 from gaindex.graph import norm_edge
 
 
@@ -41,3 +46,23 @@ def enumerate_unicyclic_by_chords(n: int) -> tuple:
                 g = Graph(n, frozenset(tree.edges | {(u, v)}))
                 seen.setdefault(canonical_form(g), g)
     return tuple(seen[k] for k in sorted(seen))
+
+
+def is_least_ring(sizes: tuple, choice: tuple) -> bool:
+    """True when the ring (sizes, choice) is the least of its rotations and reflections."""
+    ring = (sizes, choice)
+    for s, c in (ring, (sizes[::-1], choice[::-1])):
+        for k in range(len(s)):
+            if (s[k:] + s[:k], c[k:] + c[:k]) < ring:
+                return False
+    return True
+
+
+def least_rings(n: int):
+    """Yield every (sizes, choice) of order n that is_least_ring keeps, over
+    the full product of shapes, in the package's generation order."""
+    for girth in range(3, n + 1):
+        for sizes in _compositions(n - girth, girth):
+            for choice in itertools.product(*[_rooted_trees(s + 1) for s in sizes]):
+                if is_least_ring(sizes, choice):
+                    yield sizes, choice

@@ -6,7 +6,7 @@ import pytest
 
 from gaindex import FamilySpec, make_family
 from gaindex.cli import INPUT_ERROR, MAX_TABLE_CELLS, USAGE_ERROR, VERIFICATION_FAILURE, main
-from gaindex.enumeration import MAX_ORDER
+from gaindex.enumeration import MAX_BOUND_ORDER, MAX_ORDER
 from gaindex.graph import MAX_VERTICES
 
 from _helpers import load_module
@@ -396,6 +396,29 @@ def test_verify_range_too_large(capsys):
 def test_verify_bad_range(capsys):
     code, _, err = run(capsys, "verify", "abc")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", f"3..{MAX_BOUND_ORDER + 1}"],
+     f"range too large: bound verification is capped at n = {MAX_BOUND_ORDER}"),
+    (["verify", f"3..{MAX_ORDER + 1}", "--monotonicity"],
+     f"range too large: the monotonicity sweep is capped at n = {MAX_ORDER}"),
+    # the range is reported as typed, and only `..` separates its ends
+    (["verify", "6..3"], "bad order range '6..3': empty"),
+    (["verify", "3:5"], "bad order range '3:5', expected A or A..B"),
+], ids=["bound-cap", "monotonicity-cap", "empty", "colon"])
+def test_verify_rejects_ranges(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == USAGE_ERROR
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_verify_reaches_beyond_the_graph_cap(capsys):
+    code, out, _ = run(capsys, "verify", f"{MAX_ORDER + 1}")
+    assert code == 0
+    assert out.startswith(f"n={MAX_ORDER + 1}: 13999 classes")
+    assert out.endswith("total violations: 0\n")
 
 
 def test_usage_error_exit_code(capsys):

@@ -9,6 +9,7 @@ from gaindex import (
     build_graph,
     canonical_form,
     enumerate_unicyclic,
+    format_edge_list,
     ga_index,
     ga_sn3_closed,
     is_unicyclic,
@@ -16,12 +17,16 @@ from gaindex import (
     verify_bounds,
     verify_monotonicity,
 )
+from gaindex.enumeration import MAX_BOUND_ORDER, Graph, _ring_ga, _ring_graph, _rings
 
-from _oracles import enumerate_unicyclic_by_chords, free_trees
+from _oracles import enumerate_unicyclic_by_chords, free_trees, least_rings
 
 # counts established by two independent generators here plus a labeled
 # brute force below; they also match the known unicyclic counting sequence
 EXPECTED_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806, 12: 5026}
+# the same sequence (OEIS A001429) beyond the graph enumeration's cap, which
+# only verify_bounds reaches
+BOUND_ONLY_COUNTS = {13: 13999, 14: 39260}
 
 
 @pytest.mark.parametrize("n", sorted(EXPECTED_COUNTS))
@@ -62,7 +67,18 @@ def test_generation_needs_no_canonical_labeling(monkeypatch):
     assert len(list(enumerate_unicyclic(9))) == EXPECTED_COUNTS[9]
 
 
-def test_verify_bounds_labels_only_witnesses_and_families(monkeypatch):
+@pytest.mark.parametrize("n", range(3, 12))
+def test_rings_match_the_reference_filter(n):
+    assert list(_rings(n)) == list(least_rings(n))
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_ring_ga_equals_graph_ga(n):
+    for _, choice in _rings(n):
+        assert _ring_ga(choice) == _ring_graph(n, choice).ga
+
+
+def test_verify_bounds_labels_only_witnesses(monkeypatch):
     calls = []
 
     def counting(g):
@@ -71,7 +87,19 @@ def test_verify_bounds_labels_only_witnesses_and_families(monkeypatch):
 
     monkeypatch.setattr("gaindex.enumeration.canonical_form", counting)
     rep = verify_bounds(9)
-    assert len(calls) == len(rep.min_witnesses) + len(rep.max_witnesses) + 2
+    assert len(calls) == len(rep.min_witnesses) + len(rep.max_witnesses)
+
+
+def test_verify_bounds_builds_graphs_only_for_witnesses(monkeypatch):
+    built = []
+
+    def counting(n, edges):
+        built.append(n)
+        return Graph(n, edges)
+
+    monkeypatch.setattr("gaindex.enumeration.Graph", counting)
+    rep = verify_bounds(9)
+    assert len(built) == len(rep.min_witnesses) + len(rep.max_witnesses)
 
 
 def test_order_limits():
@@ -92,6 +120,47 @@ def test_free_tree_counts():
 # ---------------------------------------------------------------------------
 # bound verification
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_verify_bounds_matches_a_plain_sweep(unicyclic, n):
+    rep = verify_bounds(n)
+    gas = [g.ga for g in unicyclic(n)]
+    assert (rep.count, rep.min_ga, rep.max_ga) == (len(gas), min(gas), max(gas))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_verify_bounds_family_flags_match_canonical_keys(n):
+    rep = verify_bounds(n)
+    cycle_key = canonical_form(make_family(FamilySpec("cycle", (n,)))).hex()
+    sn3_key = canonical_form(make_family(FamilySpec("sn3", (n,)))).hex()
+    assert rep.max_only_cycle == (rep.max_witnesses == (cycle_key,) and abs(rep.max_ga - n) <= 1e-9)
+    assert rep.min_attained_by_sn3 == (sn3_key in rep.min_witnesses)
+    assert rep.max_only_cycle and rep.min_attained_by_sn3
+
+
+def test_verify_bounds_lists_violators_in_generation_order(monkeypatch, unicyclic):
+    # a lower bound above every order's cycle: each class violates it
+    monkeypatch.setattr("gaindex.enumeration.ga_sn3_closed", lambda n: n + 1.0)
+    rep = verify_bounds(7)
+    assert rep.violations == tuple((format_edge_list(g), g.ga) for g in unicyclic(7))
+
+
+@pytest.mark.parametrize("n", sorted(BOUND_ONLY_COUNTS))
+def test_verify_bounds_beyond_the_graph_cap(n):
+    rep = verify_bounds(n)
+    assert rep.count == BOUND_ONLY_COUNTS[n]
+    assert rep.min_unique and rep.min_attained_by_sn3 and rep.max_only_cycle
+    assert rep.min_ga == pytest.approx(ga_sn3_closed(n), abs=1e-9)
+    assert not rep.violations
+
+
+def test_verify_bounds_order_limits():
+    assert MAX_BOUND_ORDER == max(BOUND_ONLY_COUNTS)
+    with pytest.raises(ValueError):
+        verify_bounds(2)
+    with pytest.raises(ValueError):
+        verify_bounds(MAX_BOUND_ORDER + 1)
 
 
 def test_verify_bounds_order_3():
