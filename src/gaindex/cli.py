@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: compute, family, tables, reduce, verify. Exit codes: 0 on
-success, 1 for usage errors, 2 for input errors, 3 when verification finds
-a bound or monotonicity violation. Output is byte-stable for fixed inputs
-and flags.
+success, 1 for usage errors and unwritable output (a bad --out, a closed
+stdout), 2 for input errors, 3 when verification finds a bound or
+monotonicity violation. Output is byte-stable for fixed inputs and flags.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 
@@ -71,6 +72,7 @@ def _emit(text: str, out_path: str | None) -> None:
             raise _UsageError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 def _json_text(obj) -> str:
@@ -253,15 +255,13 @@ def _cmd_reduce(args) -> int:
     else:
         g = _random_unicyclic(args.random, random.Random(args.seed or 0))
     try:
-        g.cycle
-    except NotUnicyclicError:
-        raise GraphError("input graph is not unicyclic") from None
-    try:
         set_runtime_checks(args.tol)
         try:
             trace = reduction_pipeline(g)
         finally:
             set_runtime_checks(None)
+    except NotUnicyclicError:
+        raise GraphError("input graph is not unicyclic") from None
     except SmallOrderError as exc:
         note = _SMALL_ORDER_NOTES[exc.case]
         if args.format == "json":
@@ -384,6 +384,11 @@ def main(argv=None) -> int:
         return INPUT_ERROR
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except BrokenPipeError:
+        # the reader of stdout is gone; point stdout at devnull so that the
+        # flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return USAGE_ERROR
 
 

@@ -8,11 +8,11 @@ isomorphism test. The test suite checks it against a reference generator
 (every free tree plus one chord, deduplicated by canonical labeling) and
 against the known counts for small orders.
 
-:func:`verify_bounds` sweeps the rings themselves: it reads GA from the
-shapes' degrees and builds a graph only for the witnesses and the
-violators it reports, which is why it reaches order MAX_BOUND_ORDER while
-the sweeps that need every graph stop at MAX_ORDER. Here the canonical
-labeling keys only those witnesses.
+:func:`verify_bounds` sweeps the rings themselves: it sums ``ga_term``,
+the edge term of ``Graph.ga``, over the shapes' degrees and builds a graph
+only for the witnesses and the violators it reports, which is why it
+reaches order MAX_BOUND_ORDER while the sweeps that need every graph stop
+at MAX_ORDER. Here the canonical labeling keys only those witnesses.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .families import ga_sn3_closed
-from .graph import Graph, canonical_form, format_edge_list, is_unicyclic, norm_edge
-from .indices import ga_index
+from .graph import Graph, canonical_form, format_edge_list, ga_term, is_unicyclic, norm_edge
 from .transforms import (
     PreconditionError,
     arc_transform,
@@ -159,27 +158,22 @@ def _ring_graph(n: int, choice: tuple) -> Graph:
 
 
 @lru_cache(maxsize=None)
-def _edge_term(du: int, dv: int) -> float:
-    """The GA term of an edge, the same expression as Graph.ga."""
-    return 2.0 * math.sqrt(du * dv) / (du + dv)
-
-
-@lru_cache(maxsize=None)
 def _shape_terms(shape: tuple, root_degree: int) -> tuple:
     """The GA terms of the edges of a shape whose root has the given degree."""
     terms = []
     for child in shape:
         degree = len(child) + 1
-        terms.append(_edge_term(root_degree, degree))
+        terms.append(ga_term(root_degree, degree))
         terms.extend(_shape_terms(child, degree))
     return tuple(terms)
 
 
 def _ring_ga(choice: tuple) -> float:
-    """GA of the graph of a ring, equal (==) to its Graph.ga: the terms are
-    the same floats, and fsum is correctly rounded whatever their order."""
+    """GA of the graph of a ring, equal (==) to its Graph.ga: both sum
+    ga_term over the same degree pairs, and fsum is correctly rounded
+    whatever the order of the terms."""
     degrees = [len(shape) + 2 for shape in choice]
-    terms = [_edge_term(degrees[i - 1], d) for i, d in enumerate(degrees)]
+    terms = [ga_term(degrees[i - 1], d) for i, d in enumerate(degrees)]
     for shape, d in zip(choice, degrees):
         terms.extend(_shape_terms(shape, d))
     return math.fsum(terms)
@@ -359,14 +353,14 @@ def verify_monotonicity(n: int, tol: float = 1e-9) -> MonotonicityReport:
     graphs = 0
     for g in enumerate_unicyclic(n):
         graphs += 1
-        ga0 = ga_index(g)
+        ga0 = g.ga
         for name, params, thunk in operator_applications(g):
             try:
                 h = thunk()
             except PreconditionError:
                 continue
             applications[name] += 1
-            slack = ga_index(h) - ga0
+            slack = h.ga - ga0
             worst = max(worst, slack)
             problem = None
             if slack > tol:

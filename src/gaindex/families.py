@@ -58,26 +58,22 @@ class FamilySpec:
 
 def make_family(spec: FamilySpec) -> Graph:
     """Build the named graph with deterministic ids: cycle first, then pendants."""
-    if spec.n > MAX_VERTICES:
-        raise ValueError(f"{spec.label()} has {spec.n} vertices, above the limit of {MAX_VERTICES}")
-    fam, params = spec.family, spec.params
+    n, fam = spec.n, spec.family
+    if n > MAX_VERTICES:
+        raise ValueError(f"{spec.label()} has {n} vertices, above the limit of {MAX_VERTICES}")
     if fam == "cycle":
-        n = params[0]
         return Graph(n, frozenset(norm_edge(i, (i + 1) % n) for i in range(n)))
     if fam == "sn3":
-        n = params[0]
         edges = {(0, 1), (1, 2), (0, 2)}
         edges.update(norm_edge(0, w) for w in range(3, n))
         return Graph(n, frozenset(edges))
     if fam == "spq4":
-        p, q = params
-        n = p + q + 4
+        p = spec.params[0]
         edges = {(0, 1), (1, 2), (2, 3), (0, 3)}
         edges.update(norm_edge(0, w) for w in range(4, 4 + p))
         edges.update(norm_edge(2, w) for w in range(4 + p, n))
         return Graph(n, frozenset(edges))
-    r, k = params
-    n = r + k + 3
+    r = spec.params[0]
     edges = {(0, 1), (1, 2), (0, 2)}
     edges.update(norm_edge(0, w) for w in range(3, 3 + r))
     edges.update(norm_edge(1, w) for w in range(3 + r, n))
@@ -207,14 +203,13 @@ def classify_family(g: Graph) -> FamilySpec | None:
         cyc = g.cycle
     except NotUnicyclicError:
         return None
-    if all(g.degree(v) == 2 for v in range(g.n)):
+    if cyc.girth == g.n:
         return FamilySpec("cycle", (g.n,))
-    # every off-cycle vertex must be a pendant hanging directly on the cycle
-    for v in range(g.n):
-        if v in cyc.position:
-            continue
-        if g.degree(v) != 1 or g.neighbors(v)[0] not in cyc.position:
-            return None
+    # every off-cycle vertex must be a pendant on the cycle; none has two
+    # cycle neighbors, or a cycle neighbor and another (either closes a
+    # second cycle), so that holds exactly when n - girth edges leave the cycle
+    if sum(g.degree(c) - 2 for c in cyc.vertices) != g.n - cyc.girth:
+        return None
     carriers = [v for v in cyc.vertices if g.degree(v) > 2]
     counts = sorted((g.degree(v) - 2 for v in carriers), reverse=True)
     if cyc.girth == 3:

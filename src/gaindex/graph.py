@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 
@@ -39,6 +39,12 @@ _NOT_UNICYCLIC = "graph is not unicyclic (connected with |E| = |V|)"
 
 def norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
+
+
+@lru_cache(maxsize=1 << 12)  # bounded: outside graphs bring degrees up to MAX_VERTICES
+def ga_term(du: int, dv: int) -> float:
+    """The GA term of an edge whose ends have degrees du and dv."""
+    return 2.0 * math.sqrt(du * dv) / (du + dv)
 
 
 @dataclass(frozen=True)
@@ -97,13 +103,9 @@ class Graph:
 
     @cached_property
     def ga(self) -> float:
-        """The GA index, sum over edges of 2*sqrt(du*dv)/(du+dv) (0.0 without edges)."""
+        """The GA index, the sum of ga_term over the edges (0.0 without edges)."""
         adj = self.adjacency
-        terms = []
-        for u, v in self.edges:
-            du, dv = len(adj[u]), len(adj[v])
-            terms.append(2.0 * math.sqrt(du * dv) / (du + dv))
-        return math.fsum(terms)
+        return math.fsum([ga_term(len(adj[u]), len(adj[v])) for u, v in self.edges])
 
     @property
     def m(self) -> int:
@@ -222,7 +224,7 @@ def find_cycle(g: Graph) -> CycleStructure:
 
 @dataclass(frozen=True)
 class PendantTree:
-    """The maximal subtree hanging off one cycle vertex (the root)."""
+    """A tree hanging off its root, such as the pendant tree of a cycle vertex."""
 
     root: int
     vertices: frozenset
@@ -237,23 +239,29 @@ class PendantTree:
         return all(self.root in e for e in self.edges)
 
 
-def pendant_tree(g: Graph, v: int) -> PendantTree:
-    """The maximal connected subgraph containing cycle vertex v and no other cycle vertex."""
-    cycle = g.cycle
-    if v not in cycle.position:
-        raise GraphError(f"vertex {v} is not a cycle vertex")
-    vertices = {v}
+def subtree(g: Graph, root: int, stop) -> PendantTree:
+    """The tree reachable from root without entering a vertex of `stop`
+    (the other cycle vertices for a pendant tree, the parent for a branch)."""
+    vertices = {root}
     edges = set()
-    stack = [v]
+    stack = [root]
     while stack:
         x = stack.pop()
         for w in g.neighbors(x):
-            if w in cycle.position or w in vertices:
+            if w in stop or w in vertices:
                 continue
             vertices.add(w)
             edges.add(norm_edge(x, w))
             stack.append(w)
-    return PendantTree(v, frozenset(vertices), frozenset(edges))
+    return PendantTree(root, frozenset(vertices), frozenset(edges))
+
+
+def pendant_tree(g: Graph, v: int) -> PendantTree:
+    """The maximal connected subgraph containing cycle vertex v and no other cycle vertex."""
+    position = g.cycle.position
+    if v not in position:
+        raise GraphError(f"vertex {v} is not a cycle vertex")
+    return subtree(g, v, position)
 
 
 class VertexClass(NamedTuple):

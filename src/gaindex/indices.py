@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, norm_edge
+from .graph import Graph, GraphError, ga_term, norm_edge
 
 
 def f_eval(x: float) -> float:
@@ -49,7 +49,7 @@ def edge_contribution(g: Graph, e) -> EdgeContribution:
         du=du,
         dv=dv,
         rd=dv / du,
-        ga=2.0 * math.sqrt(du * dv) / (du + dv),
+        ga=ga_term(du, dv),
     )
 
 
@@ -66,5 +66,6 @@ def ag_index(g: Graph) -> float:
     terms = []
     for u, v in g.edges:
         du, dv = g.degree(u), g.degree(v)
-        terms.append((du + dv) / (2.0 * math.sqrt(du * dv)))
+        # arithmetic over geometric mean; halving is exact, so this rounds once
+        terms.append((du + dv) / 2.0 / math.sqrt(du * dv))
     return math.fsum(terms)

@@ -25,6 +25,7 @@ from .graph import (
     classify_cycle_vertex,
     norm_edge,
     pendant_tree,
+    subtree,
 )
 
 
@@ -253,22 +254,13 @@ def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
         cur = cur.replace_edges(removed, ((v, z) for z in moved))
     else:
         w = min(heavy, key=lambda x: (-cur.degree(x), x))
-        # subtree of the tree at vt hanging below w
-        sub_vertices = {w}
-        stack = [w]
-        while stack:
-            x = stack.pop()
-            for y in cur.neighbors(x):
-                if y in tree.vertices and y != vt and y not in sub_vertices:
-                    sub_vertices.add(y)
-                    stack.append(y)
-        sub_edges = {e for e in tree.edges if e[0] in sub_vertices and e[1] in sub_vertices}
-        moved_to_v = tree.edges - sub_edges - {norm_edge(w, vt)}
-        moved_vertices = [z for z in tree.vertices if z != vt and z not in sub_vertices]
-        removed = {norm_edge(u, vt)} | moved_to_v | sub_edges
+        sub = subtree(cur, w, {vt})  # the branch of the tree at vt below w
+        # w takes vt's cycle edge to u and stars its branch; the rest of the
+        # tree at vt becomes pendants at v
+        removed = (tree.edges - {norm_edge(w, vt)}) | {norm_edge(u, vt)}
         added = {norm_edge(u, w)}
-        added.update(norm_edge(v, z) for z in moved_vertices)
-        added.update(norm_edge(w, z) for z in sub_vertices if z != w)
+        added.update(norm_edge(v, z) for z in tree.vertices - sub.vertices - {vt})
+        added.update(norm_edge(w, z) for z in sub.vertices if z != w)
         cur = cur.replace_edges(removed, added)
     return _check_monotone("finish_one_neighbor_deg2", g, cur)
 
@@ -303,7 +295,7 @@ class TransformTrace:
 
     @property
     def ga_terminal(self) -> float:
-        return self.steps[-1].ga_after if self.steps else self.ga_input
+        return self.terminal_graph.ga
 
     def to_dict(self, include_edges: bool = False) -> dict:
         def step_dict(s: TraceStep) -> dict:
@@ -347,17 +339,14 @@ def reduction_pipeline(g: Graph) -> TransformTrace:
     listing all graphs (C_3; C_4 and the paw).
     """
     try:
-        g.cycle
+        bare_cycle = g.cycle.girth == g.n
     except NotUnicyclicError:
         raise NotUnicyclicError("reduction pipeline needs a unicyclic input") from None
     if g.n < 5:
-        if g.n == 3:
-            case = "C3"
-        else:
-            case = "C4" if all(g.degree(v) == 2 for v in range(g.n)) else "paw"
-        raise SmallOrderError(case, g.n)
+        # C_3 is the only graph of order 3; order 4 has C_4 and the paw
+        raise SmallOrderError(f"C{g.n}" if bare_cycle else "paw", g.n)
 
-    if all(g.degree(v) == 2 for v in range(g.n)):
+    if bare_cycle:
         # a bare cycle is the GA maximum; every cycle vertex is at once a
         # local minimum and maximum and no rewrite strictly applies
         return TransformTrace(g, (), FamilySpec("cycle", (g.n,)))

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -9,7 +12,7 @@ from gaindex.cli import INPUT_ERROR, MAX_TABLE_CELLS, USAGE_ERROR, VERIFICATION_
 from gaindex.enumeration import MAX_BOUND_ORDER, MAX_ORDER
 from gaindex.graph import MAX_VERTICES
 
-from _helpers import load_module
+from _helpers import REPO, load_module
 
 PAW = "4 4\n0 1\n0 2\n0 3\n1 2\n"
 
@@ -461,3 +464,16 @@ def test_out_flag_writes_file(capsys, tmp_path, paw_file):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["ga"] == pytest.approx(3.825617198, abs=1e-9)
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # `gaindex verify ... | head -c 0`: the reader is gone before the first write
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "gaindex", "verify", "3..12", "--format", "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == USAGE_ERROR
+    assert "Traceback" not in err

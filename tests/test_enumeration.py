@@ -17,7 +17,16 @@ from gaindex import (
     verify_bounds,
     verify_monotonicity,
 )
-from gaindex.enumeration import MAX_BOUND_ORDER, Graph, _ring_ga, _ring_graph, _rings
+from gaindex import transforms
+from gaindex.enumeration import (
+    MAX_BOUND_ORDER,
+    Graph,
+    _ring_ga,
+    _ring_graph,
+    _rings,
+    operator_applications,
+)
+from gaindex.transforms import PreconditionError
 
 from _oracles import enumerate_unicyclic_by_chords, free_trees, least_rings
 
@@ -219,6 +228,27 @@ def test_monotonicity_sweep_clean(n):
     assert rep.applications["star_transform"] > 0
     assert rep.applications["relocate_min"] > 0
     assert rep.applications["arc_transform"] > 0
+
+
+def _outcome(call):
+    """The graph a call returns, or PreconditionError when it does not apply."""
+    try:
+        return call()
+    except PreconditionError:
+        return PreconditionError
+
+
+def test_operator_applications_replay_their_params(unicyclic):
+    # a violation report names (op, params); that call must be the one the
+    # sweep made, so replaying it gives the same graph or the same rejection
+    applications = 0
+    for n in range(5, 9):
+        for g in unicyclic(n):
+            for name, params, thunk in operator_applications(g):
+                replay = _outcome(lambda: getattr(transforms, name)(g, **params))
+                assert replay == _outcome(thunk), (name, params, format_edge_list(g))
+                applications += 1
+    assert applications == 10_926
 
 
 def test_star_fixed_points_have_zero_slack(unicyclic):

@@ -295,3 +295,21 @@ def test_classify_family_rejects_non_families():
     # not unicyclic: a path, and two disjoint triangles
     assert classify_family(build_graph(4, [(0, 1), (1, 2), (2, 3)])) is None
     assert classify_family(build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])) is None
+
+
+# classes per order that classify_family names: the cycle, from n = 4 on
+# sn3(n) (the paw at n = 4), and from n = 5 on the srk3(r, k) with
+# r >= k >= 1 and the spq4(p, q) with p >= q >= 0, p >= 1
+CLASSIFIED_COUNTS = {3: 1, 4: 2, 5: 4, 6: 5, 7: 6, 8: 7, 9: 8, 10: 9}
+
+
+@pytest.mark.parametrize("n", sorted(CLASSIFIED_COUNTS))
+def test_classify_family_on_every_class(unicyclic, n):
+    classified = 0
+    for g in unicyclic(n):
+        spec = classify_family(g)
+        if spec is None:
+            continue
+        classified += 1
+        assert canonical_form(make_family(spec)) == canonical_form(g), spec
+    assert classified == CLASSIFIED_COUNTS[n]

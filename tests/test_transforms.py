@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -406,6 +407,23 @@ def test_trace_replays_step_by_step(unicyclic):
             for s in reduction_pipeline(g).steps:
                 assert getattr(transforms, s.op)(prev, **s.params) == s.graph
                 prev = s.graph
+
+
+# sha256 over reduction_pipeline(g).to_json(include_edges=True) for every
+# class of order 5..9 in enumeration order (380 traces): any refactor of the
+# rewrite layer must reproduce every step, parameter, GA value and edge set
+PIPELINE_DIGEST_5_9 = "c6e4d4325e2317214296f508f768faa00304ef28b9752775dd86d5f4e4320d5b"
+
+
+def test_pipeline_traces_are_pinned_for_every_class(unicyclic):
+    h = hashlib.sha256()
+    traces = 0
+    for n in range(5, 10):
+        for g in unicyclic(n):
+            h.update(reduction_pipeline(g).to_json(include_edges=True).encode())
+            traces += 1
+    assert traces == 380
+    assert h.hexdigest() == PIPELINE_DIGEST_5_9
 
 
 @pytest.mark.parametrize(
