@@ -34,6 +34,7 @@ from .graph import (
     build_graph,
     format_edge_list,
     is_connected,
+    is_unicyclic,
     parse_edge_list,
 )
 from .indices import ag_index, edge_contribution, ga_index
@@ -99,7 +100,7 @@ def _cmd_compute(args) -> int:
         (edge_contribution(g, e) for e in g.edges),
         key=lambda c: (c.rd, c.edge),
     )
-    girth = g.cycle.girth if connected and g.m == g.n else None
+    girth = g.cycle.girth if is_unicyclic(g) else None
     if args.format == "json":
         _emit(_json_text({
             "n": g.n,

@@ -16,6 +16,7 @@ positive, which pins sn3 as the unique family minimum.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .graph import MAX_VERTICES, Graph, NotUnicyclicError, norm_edge
@@ -34,7 +35,11 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILY_NAMES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILY_NAMES}")
-        p = tuple(int(x) for x in self.params)
+        try:
+            # operator.index, not int(): 1.5 or "7" is a caller's error, not a count
+            p = tuple(map(operator.index, self.params))
+        except TypeError:
+            raise ValueError(f"{self.family} takes integer parameters, got {self.params}") from None
         if self.family in ("cycle", "sn3"):
             if len(p) != 1 or p[0] < 3:
                 raise ValueError(f"{self.family} takes a single order n >= 3, got {self.params}")

@@ -66,37 +66,36 @@ class Graph:
     def cycle(self) -> CycleStructure:
         """The unique cycle; raises NotUnicyclicError (on every access) otherwise.
 
-        Peeling leaves deletes every tree component except isolated vertices
-        and leaves the 2-core of every other component. Each tree component
-        has one edge fewer than vertices, so with m == n the graph is
-        connected and unicyclic exactly when what remains is one cycle.
+        Peeling leaves deletes every tree component and leaves the 2-core of
+        every other component, with deg[v] the degree of v in it (0 off it).
+        Each tree component has one edge fewer than vertices, so with m == n
+        the graph is connected and unicyclic exactly when what remains is one cycle.
         """
         n = self.n
         if self.m != n:
             raise NotUnicyclicError(_NOT_UNICYCLIC)
         adj = self.adjacency
         deg = [len(a) for a in adj]
-        alive = [True] * n
-        stack = [v for v in range(n) if deg[v] == 1]
-        while stack:
-            v = stack.pop()
-            alive[v] = False
+        leaves = [v for v in range(n) if deg[v] == 1]
+        for v in leaves:  # the list grows as peeling exposes new leaves
+            deg[v] = 0
             for w in adj[v]:
-                if alive[w]:
+                if deg[w]:
                     deg[w] -= 1
                     if deg[w] == 1:
-                        stack.append(w)
-        on_cycle = [v for v in range(n) if alive[v]]
+                        leaves.append(w)
+        on_cycle = [v for v in range(n) if deg[v]]
         if not on_cycle or any(deg[v] != 2 for v in on_cycle):
             raise NotUnicyclicError(_NOT_UNICYCLIC)
         start = on_cycle[0]
-        order = [start, min(w for w in adj[start] if alive[w])]
-        while True:
-            prev, cur = order[-2], order[-1]
-            nxt = next(w for w in adj[cur] if alive[w] and w != prev)
-            if nxt == start:
-                break
-            order.append(nxt)
+        prev, cur = start, min(w for w in adj[start] if deg[w])
+        order = [start]
+        while cur != start:
+            order.append(cur)
+            for w in adj[cur]:
+                if deg[w] and w != prev:
+                    prev, cur = cur, w
+                    break
         if len(order) != len(on_cycle):
             raise NotUnicyclicError(_NOT_UNICYCLIC)
         return CycleStructure(tuple(order), len(order))
@@ -175,8 +174,12 @@ def is_connected(g: Graph) -> bool:
 
 
 def is_unicyclic(g: Graph) -> bool:
-    """True iff g is connected with exactly one cycle (|E| = |V|)."""
-    return g.m == g.n and is_connected(g)
+    """True iff g is connected with exactly one cycle (|E| = |V|), as g.cycle decides."""
+    try:
+        g.cycle
+    except NotUnicyclicError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

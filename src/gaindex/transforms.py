@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from .families import FamilySpec, classify_family
 from .graph import (
@@ -81,6 +82,14 @@ def _require_max_degree_star(g: Graph, v: int) -> None:
         raise PreconditionError(f"pendant tree at {v} is not a star")
 
 
+def _hang(g: Graph, trees, target: int, remove=(), add=()) -> Graph:
+    """Delete the edges of `trees` and hang every tree vertex but its tree's
+    root on target, in one rewrite with the further edits `remove` and `add`."""
+    return g.replace_edges(
+        chain(remove, *(tree.edges for tree in trees)),
+        chain(add, ((target, z) for tree in trees for z in tree.vertices if z != tree.root)))
+
+
 # ---------------------------------------------------------------------------
 # Primitive operators
 # ---------------------------------------------------------------------------
@@ -91,9 +100,7 @@ def star_transform(g: Graph, v: int) -> Graph:
     _require_on_cycle(g, v)
     if not classify_cycle_vertex(g, v).local_max:
         raise PreconditionError(f"vertex {v} is not a local maximum on the cycle")
-    tree = pendant_tree(g, v)
-    new = g.replace_edges(tree.edges, ((v, w) for w in tree.vertices if w != v))
-    return _check_monotone("star_transform", g, new)
+    return _check_monotone("star_transform", g, _hang(g, [pendant_tree(g, v)], v))
 
 
 def relocate_min(g: Graph, u: int, v: int) -> Graph:
@@ -108,9 +115,7 @@ def relocate_min(g: Graph, u: int, v: int) -> Graph:
     _require_local_max_star(g, v)
     if not classify_cycle_vertex(g, u).local_min:
         raise PreconditionError(f"vertex {u} is not a local minimum on the cycle")
-    tree = pendant_tree(g, u)
-    new = g.replace_edges(tree.edges, ((v, w) for w in tree.vertices if w != u))
-    return _check_monotone("relocate_min", g, new)
+    return _check_monotone("relocate_min", g, _hang(g, [pendant_tree(g, u)], v))
 
 
 def _arc_path(g: Graph, u: int, e, v: int) -> tuple:
@@ -140,18 +145,12 @@ def _arc_rewire(g: Graph, path: tuple) -> Graph:
 
     Interior pendant trees and interior cycle vertices become pendants of v;
     v takes over the cycle position next to u, shortening the cycle by
-    len(path) - 2 edges.
+    len(path) - 2 edges. A two-vertex path (u, v) changes nothing and
+    returns g itself.
     """
-    u, v = path[0], path[-1]
-    interiors = path[1:-1]
-    removed = {norm_edge(path[i], path[i + 1]) for i in range(len(path) - 1)}
-    added = {norm_edge(u, v)}
-    added.update(norm_edge(v, w) for w in interiors)
-    for w in interiors:
-        tree = pendant_tree(g, w)
-        removed |= tree.edges
-        added.update(norm_edge(v, z) for z in tree.vertices if z != w)
-    return g.replace_edges(removed, added)
+    u, *interiors, v = path
+    return _hang(g, [pendant_tree(g, w) for w in interiors], v,
+                 remove=zip(path, path[1:]), add=[(u, v)] + [(v, w) for w in interiors])
 
 
 def arc_transform(g: Graph, u: int, e, v: int) -> Graph:
@@ -197,16 +196,12 @@ def finish_two_neighbors_deg2(g: Graph, v: int) -> Graph:
         raise PreconditionError(f"both cycle neighbors of {v} must have degree 2")
     u, ubar = min(a, b), max(a, b)
     rest = cyc.walk(v, u)[2:-1]  # v_1 .. v_t, v_1 adjacent to u, v_t to ubar
-    vbar = min((w for w in rest), key=lambda w: (-g.degree(w), w))
+    vbar = min(rest, key=lambda w: (-g.degree(w), w))
     cur = star_transform(g, vbar)
-    if len(rest) > 1:
-        if vbar == rest[0]:
-            cur = arc_transform(cur, ubar, (ubar, rest[-1]), vbar)
-        elif vbar == rest[-1]:
-            cur = arc_transform(cur, u, (u, rest[0]), vbar)
-        else:
-            cur = arc_transform(cur, u, (u, rest[0]), vbar)
-            cur = arc_transform(cur, ubar, (ubar, rest[-1]), vbar)
+    if vbar != rest[0]:
+        cur = arc_transform(cur, u, (u, rest[0]), vbar)
+    if vbar != rest[-1]:
+        cur = arc_transform(cur, ubar, (ubar, rest[-1]), vbar)
     return _check_monotone("finish_two_neighbors_deg2", g, cur)
 
 
@@ -234,14 +229,10 @@ def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
             raise PreconditionError(f"second local minimum present at vertex {w}")
 
     rest = cyc.walk(v, u)[2:]  # v_1 .. v_t with v_t adjacent to v
-    if len(rest) == 1:
-        cur = g
-    else:
-        # degrees grow weakly toward rest[-1]; the arc relocation below is the
-        # one place the target need not be a local maximum, hence no
-        # arc_transform precondition gate here
-        path = (u,) + rest
-        cur = _arc_rewire(g, path)
+    # degrees grow weakly toward rest[-1]; this arc relocation is the one
+    # place the target need not be a local maximum, hence no arc_transform
+    # precondition gate here
+    cur = _arc_rewire(g, (u,) + rest)
     vt = rest[-1]
 
     tree = pendant_tree(cur, vt)
@@ -249,9 +240,7 @@ def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
     heavy = [w for w in children if cur.degree(w) > cur.degree(vt)]
     if not heavy:
         # keep vt's direct children, everything deeper becomes a pendant at v
-        removed = {e for e in tree.edges if vt not in e}
-        moved = [z for z in tree.vertices if z != vt and z not in children]
-        cur = cur.replace_edges(removed, ((v, z) for z in moved))
+        cur = _hang(cur, [subtree(cur, c, {vt}) for c in children], v)
     else:
         w = min(heavy, key=lambda x: (-cur.degree(x), x))
         sub = subtree(cur, w, {vt})  # the branch of the tree at vt below w

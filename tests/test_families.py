@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -64,6 +65,18 @@ def test_family_girths(family, params, girth):
 def test_spec_normalizes_parameter_order():
     assert FamilySpec("spq4", (1, 4)).params == (4, 1)
     assert FamilySpec("srk3", (0, 2)).params == (2, 0)
+    assert FamilySpec("spq4", (2, 1)).params == (2, 1)
+    assert FamilySpec("sn3", (7,)).params == (7,)
+
+
+@pytest.mark.parametrize(
+    "family, params, bad",
+    [("spq4", (1.5, 2), 1.5), ("srk3", (True, 2.9), 2.9), ("sn3", ("7",), "7")],
+)
+def test_spec_rejects_parameters_that_are_not_integers(family, params, bad):
+    # int() would have truncated or parsed these into (2, 1), (2, 1) and (7,)
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        FamilySpec(family, params)
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from gaindex import (
     classify_cycle_vertex,
     find_cycle,
     format_edge_list,
+    is_connected,
     is_unicyclic,
     make_family,
     FamilySpec,
@@ -109,9 +110,11 @@ def test_cycle_rejects_n_edge_graphs_that_are_not_unicyclic(edges, n):
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_cycle_decides_unicyclicity_on_every_n_edge_graph(n):
-    # every n-subset of the edges of K_n: 5,005 graphs at n = 6
+    # every n-subset of the edges of K_n: 5,005 graphs at n = 6; with m == n,
+    # connectivity alone decides unicyclicity, independently of the peeling
     for edges in itertools.combinations(itertools.combinations(range(n), 2), n):
         g = build_graph(n, edges)
+        assert is_unicyclic(g) == is_connected(g)
         if is_unicyclic(g):
             cyc = find_cycle(g)
             assert len(set(cyc.vertices)) == cyc.girth >= 3

@@ -1,9 +1,10 @@
-"""Dead-code guard for src/gaindex, stdlib ast only.
+"""Dead-code and global-switch guards for src/gaindex, stdlib ast only.
 
 Every name a module imports must be used in that module, and every
 module-level private function or class must be referenced somewhere in the
 package outside its own definition. `__init__.py` is skipped: its imports
-are the package's re-exports.
+are the package's re-exports. No function may rebind a module global,
+except the allowlisted switches below.
 """
 
 import ast
@@ -61,3 +62,26 @@ def test_every_private_helper_is_referenced(module):
         if PACKAGE_REFERENCES[node.name] == _references(node).count(node.name):
             unreferenced.append(node.name)
     assert unreferenced == [], f"{module} defines private helpers nothing references"
+
+
+# (module, function, name) for each `global` statement still allowed. The
+# runtime-check switch is the last one. The benchmark harness calls it, so it
+# goes in a benchmark change, which replaces it with an explicit check_tol
+# argument and empties this set.
+ALLOWED_GLOBALS = {("transforms.py", "set_runtime_checks", "_runtime_check_tol")}
+
+
+def _globals(node, scope):
+    """(scope, name) for each name in a `global` statement under node; scope
+    is the innermost enclosing function's name, None at module level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Global):
+            yield from ((scope, name) for name in child.names)
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _globals(child, inner)
+
+
+def test_no_global_switches():
+    found = {(module, scope, name)
+             for module, tree in MODULES.items() for scope, name in _globals(tree, None)}
+    assert found - ALLOWED_GLOBALS == set(), "src/gaindex rebinds module globals"

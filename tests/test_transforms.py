@@ -410,20 +410,27 @@ def test_trace_replays_step_by_step(unicyclic):
 
 
 # sha256 over reduction_pipeline(g).to_json(include_edges=True) for every
-# class of order 5..9 in enumeration order (380 traces): any refactor of the
-# rewrite layer must reproduce every step, parameter, GA value and edge set
-PIPELINE_DIGEST_5_9 = "c6e4d4325e2317214296f508f768faa00304ef28b9752775dd86d5f4e4320d5b"
+# class of the given orders in enumeration order, with the trace count: any
+# refactor of the rewrite layer must reproduce every step, parameter, GA
+# value and edge set. Order 10 is pinned on its own because it is the
+# first to reach the t > 1 relocation of finish_one_neighbor_deg2 (twice)
+# and reaches the middle-vbar case of finish_two_neighbors_deg2 five
+# times, against once for all of 5..9.
+PIPELINE_DIGESTS = {
+    range(5, 10): (380, "c6e4d4325e2317214296f508f768faa00304ef28b9752775dd86d5f4e4320d5b"),
+    range(10, 11): (657, "36338c1304e5408ffae3e4d1e5d3e5a8b4a500a66cbfb819f118d538554d96f5"),
+}
 
 
 def test_pipeline_traces_are_pinned_for_every_class(unicyclic):
-    h = hashlib.sha256()
-    traces = 0
-    for n in range(5, 10):
-        for g in unicyclic(n):
-            h.update(reduction_pipeline(g).to_json(include_edges=True).encode())
-            traces += 1
-    assert traces == 380
-    assert h.hexdigest() == PIPELINE_DIGEST_5_9
+    for orders, (count, digest) in PIPELINE_DIGESTS.items():
+        h = hashlib.sha256()
+        traces = 0
+        for n in orders:
+            for g in unicyclic(n):
+                h.update(reduction_pipeline(g).to_json(include_edges=True).encode())
+                traces += 1
+        assert (traces, h.hexdigest()) == (count, digest), f"orders {orders}"
 
 
 @pytest.mark.parametrize(
