@@ -12,7 +12,6 @@ from .graph import (
     Graph,
     GraphError,
     NotUnicyclicError,
-    PendantTree,
     VertexClass,
     build_graph,
     canonical_form,

@@ -36,10 +36,13 @@ class FamilySpec:
         if self.family not in FAMILY_NAMES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILY_NAMES}")
         try:
-            # operator.index, not int(): 1.5 or "7" is a caller's error, not a count
             p = tuple(map(operator.index, self.params))
         except TypeError:
-            raise ValueError(f"{self.family} takes integer parameters, got {self.params}") from None
+            p = None
+        # operator.index, not int(): 1.5 or "7" is a caller's error, not a count,
+        # and so is a bool, which operator.index takes as 0 or 1
+        if p is None or any(isinstance(x, bool) for x in self.params):
+            raise ValueError(f"{self.family} takes integer parameters, got {self.params}")
         if self.family in ("cycle", "sn3"):
             if len(p) != 1 or p[0] < 3:
                 raise ValueError(f"{self.family} takes a single order n >= 3, got {self.params}")
@@ -210,10 +213,8 @@ def classify_family(g: Graph) -> FamilySpec | None:
         return None
     if cyc.girth == g.n:
         return FamilySpec("cycle", (g.n,))
-    # every off-cycle vertex must be a pendant on the cycle; none has two
-    # cycle neighbors, or a cycle neighbor and another (either closes a
-    # second cycle), so that holds exactly when n - girth edges leave the cycle
-    if sum(g.degree(c) - 2 for c in cyc.vertices) != g.n - cyc.girth:
+    # every off-cycle vertex must be a pendant on the cycle
+    if any(cyc.parent[z] not in cyc.position for z in cyc.peel):
         return None
     carriers = [v for v in cyc.vertices if g.degree(v) > 2]
     counts = sorted((g.degree(v) - 2 for v in carriers), reverse=True)

@@ -3,6 +3,8 @@
 Vertices are the integers 0..n-1. Graph values are immutable: every
 structural operation returns a new Graph, so intermediate states of a
 rewrite sequence can be kept side by side and compared edge by edge.
+One leaf peeling per value finds the cycle and each tree vertex's parent
+toward it; other modules read pendant trees from that and never walk adjacency.
 """
 
 from __future__ import annotations
@@ -70,17 +72,20 @@ class Graph:
         every other component, with deg[v] the degree of v in it (0 off it).
         Each tree component has one edge fewer than vertices, so with m == n
         the graph is connected and unicyclic exactly when what remains is one cycle.
+        A peeled leaf's one live neighbor is its parent in its pendant tree.
         """
         n = self.n
         if self.m != n:
             raise NotUnicyclicError(_NOT_UNICYCLIC)
         adj = self.adjacency
         deg = [len(a) for a in adj]
+        parent = [None] * n
         leaves = [v for v in range(n) if deg[v] == 1]
         for v in leaves:  # the list grows as peeling exposes new leaves
             deg[v] = 0
             for w in adj[v]:
                 if deg[w]:
+                    parent[v] = w
                     deg[w] -= 1
                     if deg[w] == 1:
                         leaves.append(w)
@@ -98,7 +103,7 @@ class Graph:
                     break
         if len(order) != len(on_cycle):
             raise NotUnicyclicError(_NOT_UNICYCLIC)
-        return CycleStructure(tuple(order), len(order))
+        return CycleStructure(tuple(order), len(order), tuple(parent), tuple(leaves))
 
     @cached_property
     def ga(self) -> float:
@@ -184,20 +189,37 @@ def is_unicyclic(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class CycleStructure:
-    """The unique cycle of a unicyclic graph, in a fixed cyclic order.
+    """The unique cycle of a unicyclic graph, in a fixed cyclic order, and the
+    pendant trees hanging off it.
 
     The order starts at the smallest cycle vertex id and proceeds toward the
     smaller of its two cycle neighbors, which makes downstream traces
-    deterministic.
+    deterministic. `parent[z]` is the neighbor of tree vertex z toward the
+    cycle (None on the cycle), and `peel` lists the tree vertices in the
+    order leaf peeling removed them, so each comes before its parent.
     """
 
     vertices: tuple
     girth: int
+    parent: tuple
+    peel: tuple
 
     @cached_property
     def position(self) -> dict:
         """Cycle vertex -> its index in `vertices`; also the membership test."""
         return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def trees(self) -> dict:
+        """Cycle vertex -> the vertices of its pendant tree, the root first and
+        each vertex after its parent."""
+        parent = self.parent
+        trees = {v: [v] for v in self.vertices}
+        root = list(range(len(parent)))
+        for z in reversed(self.peel):
+            r = root[z] = root[parent[z]]
+            trees[r].append(z)
+        return {v: tuple(t) for v, t in trees.items()}
 
     def cycle_neighbors(self, v: int) -> tuple[int, int]:
         """(previous, next) of cycle vertex v in the fixed cyclic order."""
@@ -225,46 +247,13 @@ def find_cycle(g: Graph) -> CycleStructure:
     return g.cycle
 
 
-@dataclass(frozen=True)
-class PendantTree:
-    """A tree hanging off its root, such as the pendant tree of a cycle vertex."""
-
-    root: int
-    vertices: frozenset
-    edges: frozenset
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def is_star(self) -> bool:
-        """True when every tree edge is incident to the root."""
-        return all(self.root in e for e in self.edges)
-
-
-def subtree(g: Graph, root: int, stop) -> PendantTree:
-    """The tree reachable from root without entering a vertex of `stop`
-    (the other cycle vertices for a pendant tree, the parent for a branch)."""
-    vertices = {root}
-    edges = set()
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for w in g.neighbors(x):
-            if w in stop or w in vertices:
-                continue
-            vertices.add(w)
-            edges.add(norm_edge(x, w))
-            stack.append(w)
-    return PendantTree(root, frozenset(vertices), frozenset(edges))
-
-
-def pendant_tree(g: Graph, v: int) -> PendantTree:
-    """The maximal connected subgraph containing cycle vertex v and no other cycle vertex."""
-    position = g.cycle.position
-    if v not in position:
+def pendant_tree(g: Graph, v: int) -> tuple:
+    """The vertices of the maximal connected subgraph containing cycle vertex v
+    and no other cycle vertex: v first, each vertex after its parent."""
+    cycle = g.cycle
+    if v not in cycle.position:
         raise GraphError(f"vertex {v} is not a cycle vertex")
-    return subtree(g, v, position)
+    return cycle.trees[v]
 
 
 class VertexClass(NamedTuple):

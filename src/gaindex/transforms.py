@@ -5,7 +5,9 @@ the same order whose GA index is no larger. The pipeline chains them until
 the graph lands in one of the extremal families (or is a bare cycle, which
 no operator can improve). Vertex ids are stable across every rewrite:
 relocated vertices keep their ids and reappear as pendants of the target
-vertex, so consecutive trace states can be diffed edge by edge.
+vertex, so consecutive trace states can be diffed edge by edge. Each
+rewrite moves tree vertices to new parents through one helper, `_hang`,
+which reads the parents recorded by the input's leaf peeling.
 
 Operators optionally re-check GA monotonicity at runtime (see
 set_runtime_checks), which turns the decrease guarantees into executable
@@ -26,7 +28,6 @@ from .graph import (
     classify_cycle_vertex,
     norm_edge,
     pendant_tree,
-    subtree,
 )
 
 
@@ -68,26 +69,30 @@ def _require_on_cycle(g: Graph, *xs: int) -> None:
             raise PreconditionError(f"vertex {x} is not a cycle vertex")
 
 
+def _require_star(g: Graph, v: int) -> None:
+    parent = g.cycle.parent
+    if any(parent[z] != v for z in pendant_tree(g, v)[1:]):
+        raise PreconditionError(f"pendant tree at {v} is not a star")
+
+
 def _require_local_max_star(g: Graph, v: int) -> None:
     if not classify_cycle_vertex(g, v).local_max:
         raise PreconditionError(f"vertex {v} is not a local maximum on the cycle")
-    if not pendant_tree(g, v).is_star():
-        raise PreconditionError(f"pendant tree at {v} is not a star")
+    _require_star(g, v)
 
 
 def _require_max_degree_star(g: Graph, v: int) -> None:
     if g.degree(v) != max(g.degree(w) for w in g.cycle.vertices):
         raise PreconditionError(f"vertex {v} is not of maximal cycle degree")
-    if not pendant_tree(g, v).is_star():
-        raise PreconditionError(f"pendant tree at {v} is not a star")
+    _require_star(g, v)
 
 
-def _hang(g: Graph, trees, target: int, remove=(), add=()) -> Graph:
-    """Delete the edges of `trees` and hang every tree vertex but its tree's
-    root on target, in one rewrite with the further edits `remove` and `add`."""
-    return g.replace_edges(
-        chain(remove, *(tree.edges for tree in trees)),
-        chain(add, ((target, z) for tree in trees for z in tree.vertices if z != tree.root)))
+def _hang(g: Graph, moves: dict, remove=(), add=()) -> Graph:
+    """Give each tree vertex z in `moves` the new parent moves[z], in one
+    rewrite with the further edits `remove` and `add`."""
+    parent = g.cycle.parent
+    return g.replace_edges(chain(remove, ((z, parent[z]) for z in moves)),
+                           chain(add, moves.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +105,7 @@ def star_transform(g: Graph, v: int) -> Graph:
     _require_on_cycle(g, v)
     if not classify_cycle_vertex(g, v).local_max:
         raise PreconditionError(f"vertex {v} is not a local maximum on the cycle")
-    return _check_monotone("star_transform", g, _hang(g, [pendant_tree(g, v)], v))
+    return _check_monotone("star_transform", g, _hang(g, dict.fromkeys(pendant_tree(g, v)[1:], v)))
 
 
 def relocate_min(g: Graph, u: int, v: int) -> Graph:
@@ -115,7 +120,7 @@ def relocate_min(g: Graph, u: int, v: int) -> Graph:
     _require_local_max_star(g, v)
     if not classify_cycle_vertex(g, u).local_min:
         raise PreconditionError(f"vertex {u} is not a local minimum on the cycle")
-    return _check_monotone("relocate_min", g, _hang(g, [pendant_tree(g, u)], v))
+    return _check_monotone("relocate_min", g, _hang(g, dict.fromkeys(pendant_tree(g, u)[1:], v)))
 
 
 def _arc_path(g: Graph, u: int, e, v: int) -> tuple:
@@ -149,8 +154,8 @@ def _arc_rewire(g: Graph, path: tuple) -> Graph:
     returns g itself.
     """
     u, *interiors, v = path
-    return _hang(g, [pendant_tree(g, w) for w in interiors], v,
-                 remove=zip(path, path[1:]), add=[(u, v)] + [(v, w) for w in interiors])
+    moves = {z: v for w in interiors for z in pendant_tree(g, w)[1:]}
+    return _hang(g, moves, remove=zip(path, path[1:]), add=[(u, v)] + [(v, w) for w in interiors])
 
 
 def arc_transform(g: Graph, u: int, e, v: int) -> Graph:
@@ -236,21 +241,21 @@ def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
     vt = rest[-1]
 
     tree = pendant_tree(cur, vt)
-    children = [w for w in cur.neighbors(vt) if w in tree.vertices]
-    heavy = [w for w in children if cur.degree(w) > cur.degree(vt)]
+    parent = cur.cycle.parent
+    heavy = [w for w in tree if parent[w] == vt and cur.degree(w) > cur.degree(vt)]
     if not heavy:
         # keep vt's direct children, everything deeper becomes a pendant at v
-        cur = _hang(cur, [subtree(cur, c, {vt}) for c in children], v)
+        cur = _hang(cur, {z: v for z in tree[1:] if parent[z] != vt})
     else:
         w = min(heavy, key=lambda x: (-cur.degree(x), x))
-        sub = subtree(cur, w, {vt})  # the branch of the tree at vt below w
+        below = {w}  # w and its descendants; the tree lists parents first
+        for z in tree:
+            if parent[z] in below:
+                below.add(z)
         # w takes vt's cycle edge to u and stars its branch; the rest of the
         # tree at vt becomes pendants at v
-        removed = (tree.edges - {norm_edge(w, vt)}) | {norm_edge(u, vt)}
-        added = {norm_edge(u, w)}
-        added.update(norm_edge(v, z) for z in tree.vertices - sub.vertices - {vt})
-        added.update(norm_edge(w, z) for z in sub.vertices if z != w)
-        cur = cur.replace_edges(removed, added)
+        moves = {z: w if z in below else v for z in tree[1:] if z != w}
+        cur = _hang(cur, moves, remove=[(u, vt)], add=[(u, w)])
     return _check_monotone("finish_one_neighbor_deg2", g, cur)
 
 

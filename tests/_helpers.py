@@ -1,11 +1,12 @@
-"""Shared hypothesis strategies and module loading for the test suite."""
+"""Shared hypothesis strategies, pendant-tree views and module loading for the test suite."""
 
 import importlib.util
 from pathlib import Path
 
 from hypothesis import strategies as st
 
-from gaindex import build_graph
+from gaindex import build_graph, pendant_tree
+from gaindex.graph import norm_edge
 
 
 @st.composite
@@ -24,6 +25,17 @@ def graph_with_permutation(draw, min_n=3, max_n=9):
     g = draw(unicyclic_graphs(min_n, max_n))
     perm = draw(st.permutations(range(g.n)))
     return g, list(perm)
+
+
+def tree_edges(g, v) -> set:
+    """The edges of the pendant tree at cycle vertex v, read from the peel's parents."""
+    parent = g.cycle.parent
+    return {norm_edge(z, parent[z]) for z in pendant_tree(g, v)[1:]}
+
+
+def is_star(g, v) -> bool:
+    """True when every edge of the pendant tree at v is incident to v."""
+    return all(v in e for e in tree_edges(g, v))
 
 
 REPO = Path(__file__).resolve().parent.parent

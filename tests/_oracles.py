@@ -6,6 +6,8 @@ route, every free tree plus one chord, deduplicated by canonical labeling.
 The package's ring generator skips whole compositions and compares each
 candidate only under the symmetries that fix its sizes; the reference
 filter here compares every candidate under every rotation and reflection.
+The package reads pendant trees from the parents its leaf peeling records;
+the reference here walks each tree by depth-first search.
 """
 
 import itertools
@@ -66,3 +68,21 @@ def least_rings(n: int):
             for choice in itertools.product(*[_rooted_trees(s + 1) for s in sizes]):
                 if is_least_ring(sizes, choice):
                     yield sizes, choice
+
+
+def reference_pendant_tree(g: Graph, v: int) -> tuple:
+    """(vertices, edges) of the tree at cycle vertex v, by a depth-first search
+    from v that never enters another cycle vertex."""
+    stop = g.cycle.position
+    vertices = {v}
+    edges = set()
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        for w in g.neighbors(x):
+            if w in stop or w in vertices:
+                continue
+            vertices.add(w)
+            edges.add(norm_edge(x, w))
+            stack.append(w)
+    return frozenset(vertices), frozenset(edges)

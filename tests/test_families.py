@@ -71,10 +71,12 @@ def test_spec_normalizes_parameter_order():
 
 @pytest.mark.parametrize(
     "family, params, bad",
-    [("spq4", (1.5, 2), 1.5), ("srk3", (True, 2.9), 2.9), ("sn3", ("7",), "7")],
+    [("spq4", (1.5, 2), 1.5), ("srk3", (True, 2.9), 2.9), ("sn3", ("7",), "7"),
+     ("spq4", (True, False), True), ("srk3", (4, True), True)],
 )
 def test_spec_rejects_parameters_that_are_not_integers(family, params, bad):
-    # int() would have truncated or parsed these into (2, 1), (2, 1) and (7,)
+    # int() would have truncated or parsed the first three into (2, 1), (2, 1)
+    # and (7,); operator.index takes the bools in the last two as 1 and 0
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
         FamilySpec(family, params)
 

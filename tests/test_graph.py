@@ -23,8 +23,8 @@ from gaindex import (
 
 from gaindex.graph import MAX_VERTICES
 
-from _helpers import graph_with_permutation, unicyclic_graphs
-from _oracles import relabel
+from _helpers import graph_with_permutation, is_star, tree_edges, unicyclic_graphs
+from _oracles import reference_pendant_tree, relabel
 
 
 def paw():
@@ -201,22 +201,22 @@ def test_cycle_set_invariant_under_relabeling(data):
 
 
 def test_pendant_tree_paw_center():
-    tree = pendant_tree(paw(), 0)
-    assert tree.edge_count == 1
-    assert tree.vertices == frozenset({0, 3})
+    g = paw()
+    assert len(tree_edges(g, 0)) == 1
+    assert pendant_tree(g, 0) == (0, 3)
 
 
 def test_pendant_tree_trivial_on_cycle():
     g = make_family(FamilySpec("cycle", (7,)))
     for v in range(7):
-        assert pendant_tree(g, v).edge_count == 0
+        assert len(tree_edges(g, v)) == 0
 
 
 def test_pendant_tree_sn3_center_star():
     n = 8
-    tree = pendant_tree(make_family(FamilySpec("sn3", (n,))), 0)
-    assert tree.edge_count == n - 3
-    assert tree.is_star()
+    g = make_family(FamilySpec("sn3", (n,)))
+    assert len(tree_edges(g, 0)) == n - 3
+    assert is_star(g, 0)
 
 
 def test_pendant_tree_rejects_non_cycle_vertex():
@@ -227,15 +227,41 @@ def test_pendant_tree_rejects_non_cycle_vertex():
 @given(unicyclic_graphs())
 def test_pendant_trees_partition_the_graph(g):
     cyc = find_cycle(g)
-    tree_edges = set()
+    covered = set()
     seen_vertices = []
     for v in cyc.vertices:
-        tree = pendant_tree(g, v)
-        assert tree_edges.isdisjoint(tree.edges)
-        tree_edges |= tree.edges
-        seen_vertices.extend(tree.vertices)
-    assert tree_edges | set(cyc.cycle_edges()) == set(g.edges)
+        edges = tree_edges(g, v)
+        assert covered.isdisjoint(edges)
+        covered |= edges
+        seen_vertices.extend(pendant_tree(g, v))
+    assert covered | set(cyc.cycle_edges()) == set(g.edges)
     assert sorted(seen_vertices) == list(range(g.n))
+
+
+def _assert_trees_match_the_reference(g):
+    parent = g.cycle.parent
+    for v in g.cycle.vertices:
+        tree = pendant_tree(g, v)
+        vertices, edges = reference_pendant_tree(g, v)
+        assert len(tree) == len(vertices) and set(tree) == vertices
+        assert tree_edges(g, v) == edges
+        assert tree[0] == v
+        listed = {v}
+        for z in tree[1:]:
+            assert parent[z] in listed, "a vertex is listed before its parent"
+            listed.add(z)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_pendant_trees_match_the_reference_walk(unicyclic, n):
+    for g in unicyclic(n):
+        _assert_trees_match_the_reference(g)
+
+
+@given(graph_with_permutation())
+def test_pendant_trees_match_the_reference_walk_under_relabeling(gp):
+    g, perm = gp
+    _assert_trees_match_the_reference(relabel(g, perm))
 
 
 # ---------------------------------------------------------------------------

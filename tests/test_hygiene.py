@@ -4,7 +4,7 @@ Every name a module imports must be used in that module, and every
 module-level private function or class must be referenced somewhere in the
 package outside its own definition. `__init__.py` is skipped: its imports
 are the package's re-exports. No function may rebind a module global,
-except the allowlisted switches below.
+except the allowlisted switches below. Only graph.py reads adjacency.
 """
 
 import ast
@@ -85,3 +85,12 @@ def test_no_global_switches():
     found = {(module, scope, name)
              for module, tree in MODULES.items() for scope, name in _globals(tree, None)}
     assert found - ALLOWED_GLOBALS == set(), "src/gaindex rebinds module globals"
+
+
+def test_only_graph_reads_adjacency():
+    # every other module reads structure (cycle, parents, pendant trees)
+    # from the values graph.py computes once per Graph
+    readers = sorted({module for module, tree in MODULES.items() if module != "graph.py"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr in ("neighbors", "adjacency")})
+    assert readers == [], "modules other than graph.py walk adjacency"

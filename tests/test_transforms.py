@@ -24,7 +24,6 @@ from gaindex import (
     ga_srk3_closed,
     is_unicyclic,
     make_family,
-    pendant_tree,
     reduction_pipeline,
     relocate_min,
     set_runtime_checks,
@@ -33,6 +32,8 @@ from gaindex import (
 from gaindex import transforms
 from gaindex.indices import edge_contribution
 from gaindex.transforms import _arc_path
+
+from _helpers import is_star, tree_edges
 
 
 def triangle_with_path():
@@ -67,7 +68,7 @@ def test_star_flattens_path():
     assert classify_family(h) == FamilySpec("sn3", (5,))
     assert ga_index(h) == pytest.approx(ga_sn3_closed(5), abs=1e-12)
     assert ga_index(h) < ga_index(g)
-    assert pendant_tree(h, 0).is_star()
+    assert is_star(h, 0)
 
 
 def test_star_requires_local_max():
@@ -109,9 +110,9 @@ def test_relocate_moves_two_edge_tree():
 
 def test_relocate_edge_accounting():
     g = relocation_witness()
-    t_v, t_u = pendant_tree(g, 0), pendant_tree(g, 1)
+    t_v, t_u = tree_edges(g, 0), tree_edges(g, 1)
     h = relocate_min(g, 1, 0)
-    assert pendant_tree(h, 0).edge_count == t_v.edge_count + t_u.edge_count
+    assert len(tree_edges(h, 0)) == len(t_v) + len(t_u)
 
 
 def test_relocate_requires_star_at_target():
@@ -213,8 +214,7 @@ def test_relocated_edges_never_lower_their_ratio(unicyclic, n):
                 h = star_transform(g, v)
             except PreconditionError:
                 continue
-            tree = pendant_tree(g, v)
-            for e in tree.edges:
+            for e in tree_edges(g, v):
                 assert edge_contribution(g, e).rd <= h.degree(v) + 1e-12
         for u in cyc.vertices:
             for v in cyc.vertices:
@@ -224,7 +224,7 @@ def test_relocated_edges_never_lower_their_ratio(unicyclic, n):
                     h = relocate_min(g, u, v)
                 except PreconditionError:
                     continue
-                for e in pendant_tree(g, u).edges:
+                for e in tree_edges(g, u):
                     assert edge_contribution(g, e).rd <= h.degree(v) + 1e-12
         for u in cyc.vertices:
             for v in cyc.vertices:
@@ -238,7 +238,7 @@ def test_relocated_edges_never_lower_their_ratio(unicyclic, n):
                     path = _arc_path(g, u, e, v)
                     relocated = set()
                     for w in path[1:-1]:
-                        relocated |= pendant_tree(g, w).edges
+                        relocated |= tree_edges(g, w)
                     relocated |= {
                         tuple(sorted((path[i], path[i + 1]))) for i in range(1, len(path) - 1)
                     }
@@ -312,6 +312,33 @@ def test_finish_one_case2():
     assert classify_family(h) == FamilySpec("spq4", (3, 2))
     assert ga_index(h) == pytest.approx(ga_spq4_closed(3, 2), abs=1e-12)
     assert ga_index(h) < ga_index(g)
+
+
+DEEP = 10_000
+
+
+@pytest.mark.parametrize("paths, terminal", [
+    (3, FamilySpec("spq4", (3 * DEEP, 1))),
+    (1, FamilySpec("srk3", (DEEP + 1, 1))),
+])
+def test_finish_one_is_linear_on_deep_trees(paths, terminal):
+    # triangle v=0, u=1, vt=2; pendant 3 at v; child 4 under vt carrying
+    # `paths` pendant paths of DEEP vertices: three make 4 outweigh vt
+    # (heavy branch, spq4), one does not (light branch, srk3)
+    edges = [(0, 1), (1, 2), (0, 2), (0, 3), (2, 4)]
+    for p in range(paths):
+        top = 5 + p * DEEP
+        edges += [(4, top)] + [(z, z + 1) for z in range(top, top + DEEP - 1)]
+    g = build_graph(5 + paths * DEEP, edges)
+    set_runtime_checks(1e-9)
+    try:
+        start = time.perf_counter()
+        h = finish_one_neighbor_deg2(g, 0, 1)
+        elapsed = time.perf_counter() - start
+    finally:
+        set_runtime_checks(None)
+    assert classify_family(h) == terminal
+    assert elapsed < 5
 
 
 def test_finish_one_fixed_point():
