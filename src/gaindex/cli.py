@@ -3,12 +3,14 @@
 Subcommands: compute, family, tables, reduce, verify. Exit codes: 0 on
 success, 1 for usage errors and unwritable output (a bad --out, a closed
 stdout), 2 for input errors, 3 when verification finds a bound or
-monotonicity violation. Output is byte-stable for fixed inputs and flags.
+monotonicity violation or a reduce runtime check catches a GA increase.
+Output is byte-stable for fixed inputs and flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -38,7 +40,7 @@ from .graph import (
     parse_edge_list,
 )
 from .indices import ag_index, edge_contribution, ga_index
-from .transforms import SmallOrderError, reduction_pipeline, set_runtime_checks
+from .transforms import MonotonicityError, SmallOrderError, reduction_pipeline, set_runtime_checks
 
 USAGE_ERROR = 1
 INPUT_ERROR = 2
@@ -263,6 +265,9 @@ def _cmd_reduce(args) -> int:
             set_runtime_checks(None)
     except NotUnicyclicError:
         raise GraphError("input graph is not unicyclic") from None
+    except MonotonicityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return VERIFICATION_FAILURE
     except SmallOrderError as exc:
         note = _SMALL_ORDER_NOTES[exc.case]
         if args.format == "json":
@@ -315,6 +320,7 @@ def _cmd_verify(args) -> int:
     return 0 if total_violations == 0 else VERIFICATION_FAILURE
 
 
+@functools.cache  # one parser per process, built by the first main() call rather than at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaindex",

@@ -58,11 +58,17 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple:
+        """Each vertex's neighbors in edge order: readers take a min or the one
+        live neighbor, so no list is sorted here (see neighbors)."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+        return tuple(map(tuple, nbrs))
+
+    @cached_property
+    def degrees(self) -> tuple:
+        return tuple(map(len, self.adjacency))
 
     @cached_property
     def cycle(self) -> CycleStructure:
@@ -78,7 +84,7 @@ class Graph:
         if self.m != n:
             raise NotUnicyclicError(_NOT_UNICYCLIC)
         adj = self.adjacency
-        deg = [len(a) for a in adj]
+        deg = list(self.degrees)
         parent = [None] * n
         leaves = [v for v in range(n) if deg[v] == 1]
         for v in leaves:  # the list grows as peeling exposes new leaves
@@ -108,18 +114,19 @@ class Graph:
     @cached_property
     def ga(self) -> float:
         """The GA index, the sum of ga_term over the edges (0.0 without edges)."""
-        adj = self.adjacency
-        return math.fsum([ga_term(len(adj[u]), len(adj[v])) for u, v in self.edges])
+        deg = self.degrees
+        return math.fsum([ga_term(deg[u], deg[v]) for u, v in self.edges])
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.degrees[v]
 
     def neighbors(self, v: int) -> tuple:
-        return self.adjacency[v]
+        """The neighbors of v in increasing order, sorted on each call."""
+        return tuple(sorted(self.adjacency[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
         return norm_edge(u, v) in self.edges

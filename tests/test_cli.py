@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -7,8 +8,15 @@ import sys
 
 import pytest
 
-from gaindex import FamilySpec, make_family
-from gaindex.cli import INPUT_ERROR, MAX_TABLE_CELLS, USAGE_ERROR, VERIFICATION_FAILURE, main
+from gaindex import FamilySpec, make_family, transforms
+from gaindex.cli import (
+    INPUT_ERROR,
+    MAX_TABLE_CELLS,
+    USAGE_ERROR,
+    VERIFICATION_FAILURE,
+    build_parser,
+    main,
+)
 from gaindex.enumeration import MAX_BOUND_ORDER, MAX_ORDER
 from gaindex.graph import MAX_VERTICES
 
@@ -298,6 +306,53 @@ def test_reduce_json_round_trips(capsys, tmp_path):
     path.write_text("7 7\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n0 6\n")
     _, out, _ = run(capsys, "reduce", str(path), "--format", "json")
     assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+
+
+def test_reduce_reports_a_failed_runtime_check(capsys, tmp_path, monkeypatch):
+    # a relocation that returns the cycle raises GA; the real check must catch it
+    cycle = make_family(FamilySpec("cycle", (7,)))
+    monkeypatch.setattr(transforms, "relocate_min",
+                        lambda g, u, v: transforms._check_monotone("relocate_min", g, cycle))
+    path = tmp_path / "g.txt"
+    path.write_text("7 7\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n0 6\n")
+    code, out, err = run(capsys, "reduce", str(path))
+    assert code == VERIFICATION_FAILURE
+    assert out == ""
+    assert err.startswith("error: relocate_min raised GA from ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert transforms._runtime_check_tol is None
+
+
+# ---------------------------------------------------------------------------
+# one process, many calls
+# ---------------------------------------------------------------------------
+
+
+def test_main_runs_repeatedly_in_one_process(capsys, tmp_path, monkeypatch):
+    build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    path = tmp_path / "g.txt"
+    path.write_text("7 7\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n0 6\n")
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["reduce", str(path), "--format", "json", "--out", str(first)]) == 0
+    assert built, "the first call builds the parser"
+    parsers = len(built)
+    assert run(capsys, "verify", "6..3")[0] == USAGE_ERROR
+    assert run(capsys, "reduce")[0] == USAGE_ERROR  # rejected by argparse itself
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: gaindex")
+    code, out, _ = run(capsys, "tables", "1", "--format", "json")
+    assert code == 0 and json.loads(out)["table"] == 1
+    assert main(["reduce", str(path), "--format", "json", "--out", str(second)]) == 0
+    assert len(built) == parsers, "a later call built a parser again"
+    assert first.read_bytes() == second.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from gaindex import (
     FamilySpec,
     parse_edge_list,
     pendant_tree,
+    reduction_pipeline,
 )
 
 from gaindex.graph import MAX_VERTICES
@@ -193,6 +195,69 @@ def test_cycle_set_invariant_under_relabeling(data):
     before = {perm[v] for v in find_cycle(g).position}
     after = set(find_cycle(relabel(g, perm)).position)
     assert before == set(after)
+
+
+# ---------------------------------------------------------------------------
+# edge order: adjacency lists follow the edge set's iteration order, which
+# depends on insertion history; no structure may depend on it
+# ---------------------------------------------------------------------------
+
+
+def _rebuilt(g, rng, copies=3):
+    """Rebuilds of g from its edges shuffled, each pair in a random orientation."""
+    for _ in range(copies):
+        edges = [e if rng.random() < 0.5 else e[::-1] for e in g.edges]
+        rng.shuffle(edges)
+        yield build_graph(g.n, edges)
+
+
+def _pipeline_json(g):
+    return reduction_pipeline(g).to_json(include_edges=True) if g.n >= 5 else None
+
+
+def _assert_structure_ignores_edge_order(g, rng) -> int:
+    """Check every rebuild of g (and of a relabeling of g) against it; return
+    how many rebuilds listed some vertex's neighbors in another order."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    r = relabel(g, perm)
+    assert r.ga == g.ga
+    assert {perm[v] for v in g.cycle.vertices} == set(r.cycle.vertices)
+    assert all(r.cycle.parent[perm[z]] == perm[g.cycle.parent[z]] for z in g.cycle.peel)
+    reordered = 0
+    for base in (g, r):
+        expected = _pipeline_json(base)
+        for h in _rebuilt(base, rng):
+            assert h == base
+            reordered += h.adjacency != base.adjacency
+            assert h.cycle == base.cycle  # vertices, girth, parent and peel
+            assert h.ga == base.ga
+            assert sum(h.degrees) == 2 * h.m
+            for v in range(h.n):
+                nbrs = h.neighbors(v)
+                assert h.degrees[v] == h.degree(v) == len(nbrs)
+                assert list(nbrs) == sorted(nbrs)
+            assert _pipeline_json(h) == expected
+    return reordered
+
+
+def test_structure_ignores_edge_order_on_every_small_class(unicyclic):
+    rng = random.Random(12)
+    reordered = sum(_assert_structure_ignores_edge_order(g, rng)
+                    for n in range(3, 9) for g in unicyclic(n))
+    assert reordered > 0, "no rebuild changed an adjacency order; the test checks nothing"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_structure_ignores_edge_order_on_large_random_graphs(seed):
+    rng = random.Random(seed)
+    reordered = 0
+    for n in (60, 150, 300):
+        girth = rng.randint(3, n)
+        edges = [(i, (i + 1) % girth) for i in range(girth)]
+        edges.extend((rng.randrange(w), w) for w in range(girth, n))
+        reordered += _assert_structure_ignores_edge_order(build_graph(n, edges), rng)
+    assert reordered > 0, "no rebuild changed an adjacency order; the test checks nothing"
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ module-level private function or class must be referenced somewhere in the
 package outside its own definition. `__init__.py` is skipped: its imports
 are the package's re-exports. No function may rebind a module global,
 except the allowlisted switches below. Only graph.py reads adjacency.
+Every module parses under the oldest Python that pyproject.toml allows.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -94,3 +96,14 @@ def test_only_graph_reads_adjacency():
                       for node in ast.walk(tree)
                       if isinstance(node, ast.Attribute) and node.attr in ("neighbors", "adjacency")})
     assert readers == [], "modules other than graph.py walk adjacency"
+
+
+def _python_floor() -> tuple:
+    """(3, minor) from pyproject.toml's requires-python = ">=3.minor"."""
+    text = (PACKAGE.parent.parent / "pyproject.toml").read_text()
+    return (3, int(re.search(r'^requires-python = ">=3\.(\d+)"$', text, re.M).group(1)))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_modules_parse_under_the_declared_python_floor(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=_python_floor())
