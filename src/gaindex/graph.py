@@ -3,15 +3,18 @@
 Vertices are the integers 0..n-1. Graph values are immutable: every
 structural operation returns a new Graph, so intermediate states of a
 rewrite sequence can be kept side by side and compared edge by edge.
-One leaf peeling per value finds the cycle and each tree vertex's parent
-toward it; other modules read pendant trees from that and never walk adjacency.
+One leaf peeling finds the cycle and each tree vertex's parent toward it;
+a rewrite's result (`Graph.rehang`) inherits that structure from its input
+instead of peeling again. Other modules read pendant trees from it and never
+walk adjacency.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 
@@ -134,15 +137,59 @@ class Graph:
     def replace_edges(self, remove: Iterable = (), add: Iterable = ()) -> "Graph":
         """New graph of the same order with `remove` deleted, then `add` inserted.
 
-        A rewrite that changes nothing returns self, so the value keeps its
-        cached cycle and GA.
+        The new value's degrees are this value's, adjusted for the edges that
+        actually changed. A rewrite that changes nothing returns self, so the
+        value keeps its cached cycle and GA.
         """
         edges = set(self.edges)
         edges.difference_update(norm_edge(*e) for e in remove)
         edges.update(norm_edge(*e) for e in add)
         if edges == self.edges:
             return self
-        return Graph(self.n, frozenset(edges))
+        new = Graph(self.n, frozenset(edges))
+        deg = list(self.degrees)
+        for change, pairs in ((-1, self.edges - edges), (1, edges - self.edges)):
+            for u, v in pairs:
+                deg[u] += change
+                deg[v] += change
+        new.__dict__["degrees"] = tuple(deg)
+        return new
+
+    def rehang(self, moves: dict, remove: Iterable = (), add: Iterable = (),
+               cycle: tuple | None = None) -> "Graph":
+        """Hang each vertex z in `moves` as a leaf on moves[z], a cycle vertex
+        of the result, with the further edits `remove` and `add`; a tree vertex
+        in `moves` loses the edge to its parent.
+
+        If the cycle changes, `cycle` is the new one in cyclic order: the cycle
+        vertices it drops are in `moves`, with their cycle edges in `remove`,
+        and the tree vertices it gains are not. The result inherits this
+        value's structure without a new peel: every moved vertex ends as a
+        leaf on the cycle, so the old peel order, less the gained vertices,
+        stays valid.
+        """
+        cyc = self.cycle
+        parent = list(cyc.parent)
+        cut = ((z, parent[z]) for z in moves if parent[z] is not None)
+        new = self.replace_edges(chain(remove, cut), chain(add, moves.items()))
+        if new is self:
+            return self
+        for z, p in moves.items():
+            parent[z] = p
+        vertices, peel = cyc.vertices, cyc.peel
+        if cycle is not None:
+            gained = [z for z in cycle if parent[z] is not None]
+            for z in gained:
+                parent[z] = None
+            if gained:
+                peel = tuple(z for z in peel if parent[z] is not None)
+            peel += tuple(z for z in vertices if parent[z] is not None)
+            i = cycle.index(min(cycle))  # the fixed order, as Graph.cycle walks it
+            vertices = tuple(cycle[i:] + cycle[:i])
+            if vertices[-1] < vertices[1]:
+                vertices = vertices[:1] + vertices[:0:-1]
+        new.__dict__["cycle"] = CycleStructure(vertices, len(vertices), tuple(parent), peel)
+        return new
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
@@ -202,14 +249,16 @@ class CycleStructure:
     The order starts at the smallest cycle vertex id and proceeds toward the
     smaller of its two cycle neighbors, which makes downstream traces
     deterministic. `parent[z]` is the neighbor of tree vertex z toward the
-    cycle (None on the cycle), and `peel` lists the tree vertices in the
-    order leaf peeling removed them, so each comes before its parent.
+    cycle (None on the cycle), and `peel` lists the tree vertices in any
+    order in which each comes before its parent: a fresh leaf peeling's
+    order, or the one a rewrite inherits (see Graph.rehang). Equality
+    ignores `peel`, so two structures of one graph compare equal.
     """
 
     vertices: tuple
     girth: int
     parent: tuple
-    peel: tuple
+    peel: tuple = field(compare=False)
 
     @cached_property
     def position(self) -> dict:
@@ -361,26 +410,33 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise EdgeListError(f"expected two integers in header, got {lines[0]!r}", 1) from None
-    edges = []
     lineno = 1
-    for raw in lines[1:]:
-        lineno += 1
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) != 2:
-            raise EdgeListError(f"expected 'u v', got {raw!r}", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EdgeListError(f"expected two integers, got {raw!r}", lineno) from None
-        edges.append((u, v))
-    if len(edges) != m:
-        raise EdgeListError(f"header declares {m} edges but {len(edges)} were given", lineno)
+
+    def pairs():
+        # lineno is the line being read, so an error build_graph raises for a
+        # pair, or for the header before it reads any pair, names its line
+        nonlocal lineno
+        for lineno, raw in enumerate(lines[1:], start=2):
+            if not raw.strip():
+                continue
+            parts = raw.split()
+            if len(parts) != 2:
+                raise EdgeListError(f"expected 'u v', got {raw!r}", lineno)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise EdgeListError(f"expected two integers, got {raw!r}", lineno) from None
+            yield u, v
+
     try:
-        return build_graph(n, edges)
+        g = build_graph(n, pairs())
+    except EdgeListError:
+        raise
     except GraphError as exc:
         raise EdgeListError(str(exc), lineno) from exc
+    if g.m != m:  # build_graph rejects duplicates, so g.m counts the pairs
+        raise EdgeListError(f"header declares {m} edges but {g.m} were given", lineno)
+    return g
 
 
 def format_edge_list(g: Graph) -> str:

@@ -6,8 +6,9 @@ the graph lands in one of the extremal families (or is a bare cycle, which
 no operator can improve). Vertex ids are stable across every rewrite:
 relocated vertices keep their ids and reappear as pendants of the target
 vertex, so consecutive trace states can be diffed edge by edge. Each
-rewrite moves tree vertices to new parents through one helper, `_hang`,
-which reads the parents recorded by the input's leaf peeling.
+rewrite moves vertices to new parents through one call, `Graph.rehang`,
+so its result inherits the input's cycle structure: a reduction peels its
+input once and no rewrite result is peeled again.
 
 Operators optionally re-check GA monotonicity at runtime (see
 set_runtime_checks), which turns the decrease guarantees into executable
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 
 from .families import FamilySpec, classify_family
 from .graph import (
@@ -87,14 +87,6 @@ def _require_max_degree_star(g: Graph, v: int) -> None:
     _require_star(g, v)
 
 
-def _hang(g: Graph, moves: dict, remove=(), add=()) -> Graph:
-    """Give each tree vertex z in `moves` the new parent moves[z], in one
-    rewrite with the further edits `remove` and `add`."""
-    parent = g.cycle.parent
-    return g.replace_edges(chain(remove, ((z, parent[z]) for z in moves)),
-                           chain(add, moves.items()))
-
-
 # ---------------------------------------------------------------------------
 # Primitive operators
 # ---------------------------------------------------------------------------
@@ -105,7 +97,7 @@ def star_transform(g: Graph, v: int) -> Graph:
     _require_on_cycle(g, v)
     if not classify_cycle_vertex(g, v).local_max:
         raise PreconditionError(f"vertex {v} is not a local maximum on the cycle")
-    return _check_monotone("star_transform", g, _hang(g, dict.fromkeys(pendant_tree(g, v)[1:], v)))
+    return _check_monotone("star_transform", g, g.rehang(dict.fromkeys(pendant_tree(g, v)[1:], v)))
 
 
 def relocate_min(g: Graph, u: int, v: int) -> Graph:
@@ -120,7 +112,7 @@ def relocate_min(g: Graph, u: int, v: int) -> Graph:
     _require_local_max_star(g, v)
     if not classify_cycle_vertex(g, u).local_min:
         raise PreconditionError(f"vertex {u} is not a local minimum on the cycle")
-    return _check_monotone("relocate_min", g, _hang(g, dict.fromkeys(pendant_tree(g, u)[1:], v)))
+    return _check_monotone("relocate_min", g, g.rehang(dict.fromkeys(pendant_tree(g, u)[1:], v)))
 
 
 def _arc_path(g: Graph, u: int, e, v: int) -> tuple:
@@ -154,8 +146,9 @@ def _arc_rewire(g: Graph, path: tuple) -> Graph:
     returns g itself.
     """
     u, *interiors, v = path
-    moves = {z: v for w in interiors for z in pendant_tree(g, w)[1:]}
-    return _hang(g, moves, remove=zip(path, path[1:]), add=[(u, v)] + [(v, w) for w in interiors])
+    moves = {z: v for w in interiors for z in pendant_tree(g, w)}
+    cycle = (u,) + g.cycle.walk(u, path[1])[len(path) - 1:]  # u, v, ... without interiors
+    return g.rehang(moves, remove=zip(path, path[1:]), add=[(u, v)], cycle=cycle)
 
 
 def arc_transform(g: Graph, u: int, e, v: int) -> Graph:
@@ -245,7 +238,7 @@ def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
     heavy = [w for w in tree if parent[w] == vt and cur.degree(w) > cur.degree(vt)]
     if not heavy:
         # keep vt's direct children, everything deeper becomes a pendant at v
-        cur = _hang(cur, {z: v for z in tree[1:] if parent[z] != vt})
+        cur = cur.rehang({z: v for z in tree[1:] if parent[z] != vt})
     else:
         w = min(heavy, key=lambda x: (-cur.degree(x), x))
         below = {w}  # w and its descendants; the tree lists parents first
@@ -255,7 +248,7 @@ def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
         # w takes vt's cycle edge to u and stars its branch; the rest of the
         # tree at vt becomes pendants at v
         moves = {z: w if z in below else v for z in tree[1:] if z != w}
-        cur = _hang(cur, moves, remove=[(u, vt)], add=[(u, w)])
+        cur = cur.rehang(moves, remove=[(u, vt)], add=[(u, w)], cycle=(u, w, vt, v))
     return _check_monotone("finish_one_neighbor_deg2", g, cur)
 
 

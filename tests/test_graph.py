@@ -404,6 +404,14 @@ def test_edge_list_round_trip():
         ("3 2\n0 1\n1 x\n", 3),
         ("3 2\n0 1\n", 2),
         ("2 1\n0 1 2\n", 2),
+        # a bad pair is blamed on its own line, not on the file's last one
+        ("5 5\n0 1\n1 1\n2 3\n3 4\n4 0\n", 3),
+        ("3 3\n0 1\n1 0\n1 2\n", 3),
+        ("3 3\n0 1\n1 3\n0 2\n", 3),
+        ("3 2\n0 1\n2 2\n\n\n", 3),
+        # a bad header is blamed on line 1
+        (f"{MAX_VERTICES + 1} 1\n0 1\n", 1),
+        ("0 0\n\n", 1),
     ],
 )
 def test_edge_list_errors_carry_line_numbers(text, line):

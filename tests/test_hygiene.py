@@ -4,7 +4,8 @@ Every name a module imports must be used in that module, and every
 module-level private function or class must be referenced somewhere in the
 package outside its own definition. `__init__.py` is skipped: its imports
 are the package's re-exports. No function may rebind a module global,
-except the allowlisted switches below. Only graph.py reads adjacency.
+except the allowlisted switches below. Only graph.py reads adjacency, builds
+a CycleStructure or writes a Graph value's cached fields.
 Every module parses under the oldest Python that pyproject.toml allows.
 """
 
@@ -96,6 +97,17 @@ def test_only_graph_reads_adjacency():
                       for node in ast.walk(tree)
                       if isinstance(node, ast.Attribute) and node.attr in ("neighbors", "adjacency")})
     assert readers == [], "modules other than graph.py walk adjacency"
+
+
+def test_only_graph_builds_cycle_structures_and_seeds_caches():
+    # a Graph value's cached fields come from its own edges or, for a
+    # rewrite's result, from Graph.rehang; no other module writes them
+    writers = sorted({module for module, tree in MODULES.items() if module != "graph.py"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                      or isinstance(node, ast.Call)
+                      and _references(node.func)[:1] in (["vars"], ["CycleStructure"])})
+    assert writers == [], "modules other than graph.py build CycleStructure or seed Graph caches"
 
 
 def _python_floor() -> tuple:

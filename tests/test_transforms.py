@@ -24,16 +24,19 @@ from gaindex import (
     ga_srk3_closed,
     is_unicyclic,
     make_family,
+    parse_edge_list,
     reduction_pipeline,
     relocate_min,
     set_runtime_checks,
     star_transform,
+    verify_monotonicity,
 )
 from gaindex import transforms
+from gaindex.enumeration import operator_applications
 from gaindex.indices import edge_contribution
 from gaindex.transforms import _arc_path
 
-from _helpers import is_star, tree_edges
+from _helpers import is_star, load_module, tree_edges
 
 
 def triangle_with_path():
@@ -303,10 +306,14 @@ def test_finish_one_case1():
     assert ga_index(h) < ga_index(g)
 
 
-def test_finish_one_case2():
+def heavy_branch_witness():
     # triangle 0,1,2; pendants 3,8 at 0; at 2 a child 4 that outweighs it
-    g = build_graph(9, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 8),
-                        (2, 4), (4, 5), (4, 6), (4, 7)])
+    return build_graph(9, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 8),
+                           (2, 4), (4, 5), (4, 6), (4, 7)])
+
+
+def test_finish_one_case2():
+    g = heavy_branch_witness()
     h = finish_one_neighbor_deg2(g, 0, 1)
     assert find_cycle(h).girth == 4
     assert classify_family(h) == FamilySpec("spq4", (3, 2))
@@ -545,3 +552,97 @@ def test_runtime_checks_evaluate_ga_once_per_graph(unicyclic, monkeypatch):
     finally:
         set_runtime_checks(None)
     assert saw_nested
+
+
+# ---------------------------------------------------------------------------
+# rewrites inherit their input's cycle structure
+# ---------------------------------------------------------------------------
+
+
+def reduce_inputs() -> list:
+    """Fresh values, never peeled: seeded random graphs of order 50..600 from
+    the benchmark's corpus generator, plus a graph whose pipeline takes the
+    heavy branch of finish_one_neighbor_deg2, which the corpus misses."""
+    corpus = load_module("bench/corpus.py")
+    return [parse_edge_list(t) for t in corpus.make_corpus(11, 40)] + [heavy_branch_witness()]
+
+
+def assert_inherits_a_fresh_peel(h: Graph) -> None:
+    """h carries degrees and a cycle structure equal to a fresh value's, and
+    a peel with the same tree vertices, each before its parent."""
+    assert {"degrees", "cycle"} <= vars(h).keys()
+    fresh = Graph(h.n, h.edges)
+    assert h.degrees == fresh.degrees
+    assert h.cycle == fresh.cycle
+    peel, parent = h.cycle.peel, h.cycle.parent
+    assert sorted(peel) == sorted(fresh.cycle.peel)
+    place = {z: i for i, z in enumerate(peel)}
+    assert all(place.get(parent[z], len(peel)) > place[z] for z in peel)
+
+
+@pytest.fixture
+def rehanged(monkeypatch):
+    """Every new value Graph.rehang returns, nested rewrites included."""
+    results = []
+    rehang = Graph.rehang
+
+    def recording(g, *args, **kwargs):
+        h = rehang(g, *args, **kwargs)
+        if h is not g:
+            results.append(h)
+        return h
+
+    monkeypatch.setattr(Graph, "rehang", recording)
+    return results
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_every_accepted_application_inherits_a_fresh_peel(unicyclic, rehanged, n):
+    accepted = []
+    for g in unicyclic(n):
+        for _, _, thunk in operator_applications(g):
+            try:
+                accepted.append(thunk())
+            except PreconditionError:
+                pass
+    assert accepted
+    for h in accepted + rehanged:
+        assert_inherits_a_fresh_peel(h)
+
+
+def test_every_pipeline_step_inherits_a_fresh_peel(rehanged):
+    for g in reduce_inputs():
+        for step in reduction_pipeline(g).steps:
+            assert_inherits_a_fresh_peel(step.graph)
+    # the heavy branch is the one rewrite that moves a tree vertex onto the cycle
+    assert any(h.cycle.girth == 4 and classify_family(h) == FamilySpec("spq4", (3, 2))
+               for h in rehanged)
+    for h in rehanged:
+        assert_inherits_a_fresh_peel(h)
+
+
+@pytest.fixture
+def peeled(monkeypatch):
+    """Every graph value whose cycle structure a fresh leaf peel computes."""
+    compute = Graph.cycle.func
+    graphs = []
+
+    def counting(g):
+        graphs.append(g)
+        return compute(g)
+
+    monkeypatch.setattr(Graph.cycle, "func", counting)
+    return graphs
+
+
+def test_a_reduction_peels_only_its_input(peeled):
+    for g in reduce_inputs():
+        peeled.clear()
+        reduction_pipeline(g)
+        assert len(peeled) == 1 and peeled[0] is g
+
+
+def test_the_monotonicity_sweep_peels_only_the_classes(peeled):
+    report = verify_monotonicity(7)
+    assert report.total_applications > 0
+    assert len(peeled) == report.graphs
