@@ -213,11 +213,12 @@ def classify_family(g: Graph) -> FamilySpec | None:
         return None
     if cyc.girth == g.n:
         return FamilySpec("cycle", (g.n,))
-    # every off-cycle vertex must be a pendant on the cycle
-    if any(cyc.parent[z] not in cyc.position for z in cyc.peel):
-        return None
     carriers = [v for v in cyc.vertices if g.degree(v) > 2]
     counts = sorted((g.degree(v) - 2 for v in carriers), reverse=True)
+    # the cycle vertices have sum(counts) tree neighbors, so all n - girth
+    # tree vertices are pendants on the cycle exactly when the two agree
+    if sum(counts) != g.n - cyc.girth:
+        return None
     if cyc.girth == 3:
         if len(carriers) == 1:
             return FamilySpec("sn3", (g.n,))

@@ -4,9 +4,9 @@ Vertices are the integers 0..n-1. Graph values are immutable: every
 structural operation returns a new Graph, so intermediate states of a
 rewrite sequence can be kept side by side and compared edge by edge.
 One leaf peeling finds the cycle and each tree vertex's parent toward it;
-a rewrite's result (`Graph.rehang`) inherits that structure from its input
-instead of peeling again. Other modules read pendant trees from it and never
-walk adjacency.
+a rewrite's result (`Graph.rehang`) inherits that structure, pendant trees
+included, from its input instead of peeling again. Other modules read
+pendant trees from it and never walk adjacency.
 """
 
 from __future__ import annotations
@@ -120,6 +120,11 @@ class Graph:
         deg = self.degrees
         return math.fsum([ga_term(deg[u], deg[v]) for u, v in self.edges])
 
+    @cached_property
+    def _vertex_classes(self) -> dict:
+        """classify_cycle_vertex's memo, filled one vertex at a time."""
+        return {}
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -137,18 +142,20 @@ class Graph:
     def replace_edges(self, remove: Iterable = (), add: Iterable = ()) -> "Graph":
         """New graph of the same order with `remove` deleted, then `add` inserted.
 
-        The new value's degrees are this value's, adjusted for the edges that
-        actually changed. A rewrite that changes nothing returns self, so the
+        One pass: the net edit (edges `remove` takes and `add` does not give
+        back, and new edges in `add`) also adjusts this value's degrees into
+        the new value's. A rewrite that changes nothing returns self, so the
         value keeps its cached cycle and GA.
         """
-        edges = set(self.edges)
-        edges.difference_update(norm_edge(*e) for e in remove)
-        edges.update(norm_edge(*e) for e in add)
-        if edges == self.edges:
+        # norm_edge inlined: every rewrite passes each moved vertex's edges here
+        put = {(u, v) if u < v else (v, u) for u, v in add}
+        gone = ({(u, v) if u < v else (v, u) for u, v in remove} - put) & self.edges
+        put -= self.edges
+        if not gone and not put:
             return self
-        new = Graph(self.n, frozenset(edges))
+        new = Graph(self.n, (self.edges - gone) | put)
         deg = list(self.degrees)
-        for change, pairs in ((-1, self.edges - edges), (1, edges - self.edges)):
+        for change, pairs in ((-1, gone), (1, put)):
             for u, v in pairs:
                 deg[u] += change
                 deg[v] += change
@@ -163,10 +170,13 @@ class Graph:
 
         If the cycle changes, `cycle` is the new one in cyclic order: the cycle
         vertices it drops are in `moves`, with their cycle edges in `remove`,
-        and the tree vertices it gains are not. The result inherits this
-        value's structure without a new peel: every moved vertex ends as a
-        leaf on the cycle, so the old peel order, less the gained vertices,
-        stays valid.
+        and the tree vertices it gains are not; every descendant of a moved or
+        gained vertex is in `moves`. The result inherits this value's
+        structure with no peel or tree pass: the old peel order, less the
+        gained vertices, stays valid (moved vertices end as leaves), trees are
+        filtered by new root and extended by their new leaves, and an
+        unchanged cycle shares `position`. A move onto a vertex's own parent
+        edits no edge but may change its root, so it is kept.
         """
         cyc = self.cycle
         parent = list(cyc.parent)
@@ -174,21 +184,38 @@ class Graph:
         new = self.replace_edges(chain(remove, cut), chain(add, moves.items()))
         if new is self:
             return self
+        root, trees = list(cyc.root), dict(cyc.trees)
+        sources = set(map(root.__getitem__, moves))
+        leaves = {p: [] for p in set(moves.values())}
         for z, p in moves.items():
-            parent[z] = p
+            if root[z] != p:  # root[z] is still z's old root here
+                leaves[p].append(z)
+            parent[z] = root[z] = p
         vertices, peel = cyc.vertices, cyc.peel
         if cycle is not None:
-            gained = [z for z in cycle if parent[z] is not None]
+            gained, dropped = set(cycle).difference(vertices), set(vertices).difference(cycle)
             for z in gained:
-                parent[z] = None
+                sources.add(root[z])
+                parent[z], root[z], trees[z] = None, z, (z,)
             if gained:
                 peel = tuple(z for z in peel if parent[z] is not None)
-            peel += tuple(z for z in vertices if parent[z] is not None)
+            peel += tuple(dropped)
+            for z in dropped:
+                del trees[z]
             i = cycle.index(min(cycle))  # the fixed order, as Graph.cycle walks it
             vertices = tuple(cycle[i:] + cycle[:i])
             if vertices[-1] < vertices[1]:
                 vertices = vertices[:1] + vertices[:0:-1]
-        new.__dict__["cycle"] = CycleStructure(vertices, len(vertices), tuple(parent), peel)
+        for r in sources:
+            if r in trees:  # a source tree still on the cycle
+                trees[r] = tuple(z for z in trees[r] if root[z] == r)
+        for p, zs in leaves.items():
+            trees[p] += tuple(zs)
+        structure = CycleStructure(vertices, len(vertices), tuple(parent), peel)
+        structure.__dict__.update(trees=trees, root=tuple(root))
+        if cycle is None:
+            structure.__dict__["position"] = cyc.position
+        new.__dict__["cycle"] = structure
         return new
 
     def __repr__(self) -> str:
@@ -253,6 +280,9 @@ class CycleStructure:
     order in which each comes before its parent: a fresh leaf peeling's
     order, or the one a rewrite inherits (see Graph.rehang). Equality
     ignores `peel`, so two structures of one graph compare equal.
+    `trees` and `root` come from one pass over the peel on a value built
+    from an edge list; a rewrite's result gets both derived from its
+    input's by Graph.rehang, without that pass.
     """
 
     vertices: tuple
@@ -275,7 +305,14 @@ class CycleStructure:
         for z in reversed(self.peel):
             r = root[z] = root[parent[z]]
             trees[r].append(z)
+        self.__dict__["root"] = tuple(root)
         return {v: tuple(t) for v, t in trees.items()}
+
+    @cached_property
+    def root(self) -> tuple:
+        """Vertex -> the cycle vertex whose pendant tree holds it; see `trees`."""
+        self.trees
+        return self.__dict__["root"]
 
     def cycle_neighbors(self, v: int) -> tuple[int, int]:
         """(previous, next) of cycle vertex v in the fixed cyclic order."""
@@ -318,13 +355,18 @@ class VertexClass(NamedTuple):
 
 
 def classify_cycle_vertex(g: Graph, v: int) -> VertexClass:
-    """Compare deg(v) against its two cycle neighbors; both flags may hold at once."""
-    cycle = g.cycle
-    if v not in cycle.position:
-        raise GraphError(f"vertex {v} is not a cycle vertex")
-    a, b = cycle.cycle_neighbors(v)
-    d, da, db = g.degree(v), g.degree(a), g.degree(b)
-    return VertexClass(d >= max(da, db), d <= min(da, db))
+    """Compare deg(v) against its two cycle neighbors; both flags may hold at once.
+    Memoized per Graph value, one vertex at a time; a vertex off the cycle is
+    never stored, so it raises GraphError on every call."""
+    memo = g._vertex_classes
+    if v not in memo:
+        cycle = g.cycle
+        if v not in cycle.position:
+            raise GraphError(f"vertex {v} is not a cycle vertex")
+        a, b = cycle.cycle_neighbors(v)
+        d, da, db = g.degree(v), g.degree(a), g.degree(b)
+        memo[v] = VertexClass(d >= max(da, db), d <= min(da, db))
+    return memo[v]
 
 
 # ---------------------------------------------------------------------------
@@ -410,22 +452,24 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise EdgeListError(f"expected two integers in header, got {lines[0]!r}", 1) from None
-    lineno = 1
+    lineno = last = 1
 
     def pairs():
         # lineno is the line being read, so an error build_graph raises for a
-        # pair, or for the header before it reads any pair, names its line
-        nonlocal lineno
+        # pair, or for the header before it reads any pair, names its line;
+        # last is the line of the last pair read (1 before any)
+        nonlocal lineno, last
         for lineno, raw in enumerate(lines[1:], start=2):
-            if not raw.strip():
-                continue
             parts = raw.split()
+            if not parts:
+                continue
             if len(parts) != 2:
                 raise EdgeListError(f"expected 'u v', got {raw!r}", lineno)
             try:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
                 raise EdgeListError(f"expected two integers, got {raw!r}", lineno) from None
+            last = lineno
             yield u, v
 
     try:
@@ -435,7 +479,7 @@ def parse_edge_list(text: str) -> Graph:
     except GraphError as exc:
         raise EdgeListError(str(exc), lineno) from exc
     if g.m != m:  # build_graph rejects duplicates, so g.m counts the pairs
-        raise EdgeListError(f"header declares {m} edges but {g.m} were given", lineno)
+        raise EdgeListError(f"header declares {m} edges but {g.m} were given", last)
     return g
 
 

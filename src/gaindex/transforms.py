@@ -70,8 +70,8 @@ def _require_on_cycle(g: Graph, *xs: int) -> None:
 
 
 def _require_star(g: Graph, v: int) -> None:
-    parent = g.cycle.parent
-    if any(parent[z] != v for z in pendant_tree(g, v)[1:]):
+    # v has deg(v) - 2 children; a star when they are its whole tree
+    if len(pendant_tree(g, v)) != g.degree(v) - 1:
         raise PreconditionError(f"pendant tree at {v} is not a star")
 
 

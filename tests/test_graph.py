@@ -403,6 +403,10 @@ def test_edge_list_round_trip():
         ("3\n", 1),
         ("3 2\n0 1\n1 x\n", 3),
         ("3 2\n0 1\n", 2),
+        # a wrong edge count is blamed on the last pair, not on trailing blank
+        # lines, and on the header when there is no pair
+        ("3 3\n0 1\n1 2\n\n\n", 3),
+        ("3 1\n\n\n", 1),
         ("2 1\n0 1 2\n", 2),
         # a bad pair is blamed on its own line, not on the file's last one
         ("5 5\n0 1\n1 1\n2 3\n3 4\n4 0\n", 3),

@@ -5,7 +5,8 @@ module-level private function or class must be referenced somewhere in the
 package outside its own definition. `__init__.py` is skipped: its imports
 are the package's re-exports. No function may rebind a module global,
 except the allowlisted switches below. Only graph.py reads adjacency, builds
-a CycleStructure or writes a Graph value's cached fields.
+a CycleStructure or writes a Graph value's cached fields, its classify memo
+or a structure's root record.
 Every module parses under the oldest Python that pyproject.toml allows.
 """
 
@@ -99,14 +100,28 @@ def test_only_graph_reads_adjacency():
     assert readers == [], "modules other than graph.py walk adjacency"
 
 
+def _writes_cache(node) -> bool:
+    """True for a node that builds a CycleStructure or can write a cached
+    field: `__dict__`, `vars`, the classify memo, a store to `.root`, or a
+    `setattr` that names the memo or `root`."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr in ("__dict__", "_vertex_classes")
+                or node.attr == "root" and isinstance(node.ctx, (ast.Store, ast.Del)))
+    if not isinstance(node, ast.Call):
+        return False
+    func = _references(node.func)
+    if func[:1] in (["setattr"], ["__setattr__"]):
+        return any(isinstance(a, ast.Constant) and a.value in ("root", "_vertex_classes")
+                   for a in node.args)
+    return func[:1] in (["vars"], ["CycleStructure"])
+
+
 def test_only_graph_builds_cycle_structures_and_seeds_caches():
-    # a Graph value's cached fields come from its own edges or, for a
-    # rewrite's result, from Graph.rehang; no other module writes them
+    # a Graph value's cached fields (its cycle structure with the pendant
+    # trees and roots, and its classify memo) come from its own edges or, for
+    # a rewrite's result, from Graph.rehang; no other module writes them
     writers = sorted({module for module, tree in MODULES.items() if module != "graph.py"
-                      for node in ast.walk(tree)
-                      if isinstance(node, ast.Attribute) and node.attr == "__dict__"
-                      or isinstance(node, ast.Call)
-                      and _references(node.func)[:1] in (["vars"], ["CycleStructure"])})
+                      for node in ast.walk(tree) if _writes_cache(node)})
     assert writers == [], "modules other than graph.py build CycleStructure or seed Graph caches"
 
 

@@ -33,6 +33,7 @@ from gaindex import (
 )
 from gaindex import transforms
 from gaindex.enumeration import operator_applications
+from gaindex.graph import CycleStructure, GraphError, classify_cycle_vertex
 from gaindex.indices import edge_contribution
 from gaindex.transforms import _arc_path
 
@@ -568,16 +569,31 @@ def reduce_inputs() -> list:
 
 
 def assert_inherits_a_fresh_peel(h: Graph) -> None:
-    """h carries degrees and a cycle structure equal to a fresh value's, and
-    a peel with the same tree vertices, each before its parent."""
+    """h carries degrees and a cycle structure (position index included)
+    equal to a fresh value's, a peel with the same tree vertices, each before
+    its parent, and derived pendant trees and roots equal to a fresh tree
+    pass's: the same vertex set per root, the root first and each vertex
+    after its parent."""
     assert {"degrees", "cycle"} <= vars(h).keys()
+    assert {"trees", "root"} <= vars(h.cycle).keys()
     fresh = Graph(h.n, h.edges)
     assert h.degrees == fresh.degrees
     assert h.cycle == fresh.cycle
+    assert h.cycle.position == fresh.cycle.position
     peel, parent = h.cycle.peel, h.cycle.parent
     assert sorted(peel) == sorted(fresh.cycle.peel)
     place = {z: i for i, z in enumerate(peel)}
     assert all(place.get(parent[z], len(peel)) > place[z] for z in peel)
+    trees, fresh_trees = h.cycle.trees, fresh.cycle.trees
+    assert trees.keys() == fresh_trees.keys()
+    assert h.cycle.root == fresh.cycle.root
+    for r, tree in trees.items():
+        assert len(tree) == len(set(tree)) and set(tree) == set(fresh_trees[r])
+        assert tree[0] == r
+        seen = {r}
+        for z in tree[1:]:
+            assert parent[z] in seen
+            seen.add(z)
 
 
 @pytest.fixture
@@ -646,3 +662,66 @@ def test_the_monotonicity_sweep_peels_only_the_classes(peeled):
     report = verify_monotonicity(7)
     assert report.total_applications > 0
     assert len(peeled) == report.graphs
+
+
+@pytest.fixture
+def tree_passes(monkeypatch):
+    """Every cycle structure whose pendant trees a fresh pass over the peel builds."""
+    compute = CycleStructure.trees.func
+    structures = []
+
+    def counting(cyc):
+        structures.append(cyc)
+        return compute(cyc)
+
+    monkeypatch.setattr(CycleStructure.trees, "func", counting)
+    return structures
+
+
+def test_a_reduction_walks_the_trees_of_its_input_only(tree_passes):
+    for g in reduce_inputs():
+        tree_passes.clear()
+        reduction_pipeline(g)
+        assert len(tree_passes) == 1 and tree_passes[0] is g.cycle
+
+
+def test_the_monotonicity_sweep_walks_no_result_trees(rehanged, tree_passes):
+    report = verify_monotonicity(7)
+    assert report.total_applications > 0 and rehanged
+    results = {id(h.cycle) for h in rehanged}
+    assert not any(id(cyc) in results for cyc in tree_passes)
+    assert len(tree_passes) == report.graphs
+
+
+# ---------------------------------------------------------------------------
+# degree counts and the classify memo stand in for scans
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_count_tests_and_the_classify_memo_match_their_definitions(unicyclic, n):
+    for g in unicyclic(n):
+        cyc = g.cycle
+        # every off-cycle vertex hangs on the cycle: the parent scan, and the
+        # degree count classify_family uses in its place
+        scan = all(cyc.parent[z] in cyc.position for z in cyc.peel)
+        assert (sum(g.degree(v) - 2 for v in cyc.vertices) == n - cyc.girth) == scan
+        if not scan:
+            assert classify_family(g) is None
+        for v in cyc.vertices:
+            star = all(cyc.parent[z] == v for z in cyc.trees[v][1:])
+            try:
+                transforms._require_star(g, v)
+            except PreconditionError:
+                assert not star
+            else:
+                assert star
+            a, b = cyc.cycle_neighbors(v)
+            d, da, db = g.degree(v), g.degree(a), g.degree(b)
+            direct = (d >= max(da, db), d <= min(da, db))
+            assert classify_cycle_vertex(g, v) == direct
+            assert classify_cycle_vertex(g, v) is classify_cycle_vertex(g, v)  # memoized
+        for z in cyc.peel[:1]:
+            for _ in range(2):
+                with pytest.raises(GraphError, match="not a cycle vertex"):
+                    classify_cycle_vertex(g, z)
