@@ -3,9 +3,9 @@
 Vertices are the integers 0..n-1. Graph values are immutable: every
 structural operation returns a new Graph, so intermediate states of a
 rewrite sequence can be kept side by side and compared edge by edge.
-One leaf peeling finds the cycle and each tree vertex's parent toward it;
-a rewrite's result (`Graph.rehang`) inherits that structure, pendant trees
-included, from its input instead of peeling again. Other modules read
+One leaf peeling finds the cycle, each tree vertex's parent toward it and
+the pendant trees; a rewrite's result (`Graph.rehang`) derives that
+structure from its input's instead of peeling again. Other modules read
 pendant trees from it and never walk adjacency.
 """
 
@@ -81,7 +81,9 @@ class Graph:
         every other component, with deg[v] the degree of v in it (0 off it).
         Each tree component has one edge fewer than vertices, so with m == n
         the graph is connected and unicyclic exactly when what remains is one cycle.
-        A peeled leaf's one live neighbor is its parent in its pendant tree.
+        A peeled leaf's one live neighbor is its parent in its pendant tree,
+        so the peel reversed lists each tree vertex after its parent: one
+        pass over it gives every vertex's root and every pendant tree.
         """
         n = self.n
         if self.m != n:
@@ -112,7 +114,14 @@ class Graph:
                     break
         if len(order) != len(on_cycle):
             raise NotUnicyclicError(_NOT_UNICYCLIC)
-        return CycleStructure(tuple(order), len(order), tuple(parent), tuple(leaves))
+        root = list(range(n))
+        trees = {v: [v] for v in order}
+        for z in reversed(leaves):
+            r = root[z] = root[parent[z]]
+            trees[r].append(z)
+        return CycleStructure(tuple(order), len(order), tuple(parent), tuple(root),
+                              {v: tuple(t) for v, t in trees.items()},
+                              {v: i for i, v in enumerate(order)})
 
     @cached_property
     def ga(self) -> float:
@@ -171,12 +180,11 @@ class Graph:
         If the cycle changes, `cycle` is the new one in cyclic order: the cycle
         vertices it drops are in `moves`, with their cycle edges in `remove`,
         and the tree vertices it gains are not; every descendant of a moved or
-        gained vertex is in `moves`. The result inherits this value's
-        structure with no peel or tree pass: the old peel order, less the
-        gained vertices, stays valid (moved vertices end as leaves), trees are
-        filtered by new root and extended by their new leaves, and an
-        unchanged cycle shares `position`. A move onto a vertex's own parent
-        edits no edge but may change its root, so it is kept.
+        gained vertex is in `moves`. The result's structure is derived from
+        this value's with no peel: trees are filtered by new root and extended
+        by their new leaves, and an unchanged cycle shares `position`. A move
+        onto a vertex's own parent edits no edge but may change its root, so
+        it is kept.
         """
         cyc = self.cycle
         parent = list(cyc.parent)
@@ -191,31 +199,25 @@ class Graph:
             if root[z] != p:  # root[z] is still z's old root here
                 leaves[p].append(z)
             parent[z] = root[z] = p
-        vertices, peel = cyc.vertices, cyc.peel
+        vertices, position = cyc.vertices, cyc.position
         if cycle is not None:
-            gained, dropped = set(cycle).difference(vertices), set(vertices).difference(cycle)
-            for z in gained:
+            for z in set(cycle).difference(vertices):
                 sources.add(root[z])
                 parent[z], root[z], trees[z] = None, z, (z,)
-            if gained:
-                peel = tuple(z for z in peel if parent[z] is not None)
-            peel += tuple(dropped)
-            for z in dropped:
+            for z in set(vertices).difference(cycle):
                 del trees[z]
             i = cycle.index(min(cycle))  # the fixed order, as Graph.cycle walks it
             vertices = tuple(cycle[i:] + cycle[:i])
             if vertices[-1] < vertices[1]:
                 vertices = vertices[:1] + vertices[:0:-1]
+            position = {v: i for i, v in enumerate(vertices)}
         for r in sources:
             if r in trees:  # a source tree still on the cycle
                 trees[r] = tuple(z for z in trees[r] if root[z] == r)
         for p, zs in leaves.items():
             trees[p] += tuple(zs)
-        structure = CycleStructure(vertices, len(vertices), tuple(parent), peel)
-        structure.__dict__.update(trees=trees, root=tuple(root))
-        if cycle is None:
-            structure.__dict__["position"] = cyc.position
-        new.__dict__["cycle"] = structure
+        new.__dict__["cycle"] = CycleStructure(vertices, len(vertices), tuple(parent),
+                                               tuple(root), trees, position)
         return new
 
     def __repr__(self) -> str:
@@ -271,48 +273,27 @@ def is_unicyclic(g: Graph) -> bool:
 @dataclass(frozen=True)
 class CycleStructure:
     """The unique cycle of a unicyclic graph, in a fixed cyclic order, and the
-    pendant trees hanging off it.
+    pendant trees hanging off it; plain data, built only by Graph.cycle and
+    Graph.rehang.
 
     The order starts at the smallest cycle vertex id and proceeds toward the
     smaller of its two cycle neighbors, which makes downstream traces
     deterministic. `parent[z]` is the neighbor of tree vertex z toward the
-    cycle (None on the cycle), and `peel` lists the tree vertices in any
-    order in which each comes before its parent: a fresh leaf peeling's
-    order, or the one a rewrite inherits (see Graph.rehang). Equality
-    ignores `peel`, so two structures of one graph compare equal.
-    `trees` and `root` come from one pass over the peel on a value built
-    from an edge list; a rewrite's result gets both derived from its
-    input's by Graph.rehang, without that pass.
+    cycle (None on the cycle), and `root[z]` the cycle vertex whose pendant
+    tree holds z. `trees` maps each cycle vertex to the vertices of its
+    pendant tree, the root first and each vertex after its parent, and
+    `position` each cycle vertex to its index in `vertices` (also the
+    membership test). Equality and hashing ignore `trees`, whose sibling
+    order depends on how the value was built, and `position`, which
+    `vertices` determines.
     """
 
     vertices: tuple
     girth: int
     parent: tuple
-    peel: tuple = field(compare=False)
-
-    @cached_property
-    def position(self) -> dict:
-        """Cycle vertex -> its index in `vertices`; also the membership test."""
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def trees(self) -> dict:
-        """Cycle vertex -> the vertices of its pendant tree, the root first and
-        each vertex after its parent."""
-        parent = self.parent
-        trees = {v: [v] for v in self.vertices}
-        root = list(range(len(parent)))
-        for z in reversed(self.peel):
-            r = root[z] = root[parent[z]]
-            trees[r].append(z)
-        self.__dict__["root"] = tuple(root)
-        return {v: tuple(t) for v, t in trees.items()}
-
-    @cached_property
-    def root(self) -> tuple:
-        """Vertex -> the cycle vertex whose pendant tree holds it; see `trees`."""
-        self.trees
-        return self.__dict__["root"]
+    root: tuple
+    trees: dict = field(compare=False)
+    position: dict = field(compare=False)
 
     def cycle_neighbors(self, v: int) -> tuple[int, int]:
         """(previous, next) of cycle vertex v in the fixed cyclic order."""

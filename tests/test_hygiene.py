@@ -6,7 +6,8 @@ package outside its own definition. `__init__.py` is skipped: its imports
 are the package's re-exports. No function may rebind a module global,
 except the allowlisted switches below. Only graph.py reads adjacency, builds
 a CycleStructure or writes a Graph value's cached fields, its classify memo
-or a structure's root record.
+or a structure's root record. A CycleStructure is plain data: no lazy
+field, and graph.py seeds only a value's degrees and cycle.
 Every module parses under the oldest Python that pyproject.toml allows.
 """
 
@@ -123,6 +124,41 @@ def test_only_graph_builds_cycle_structures_and_seeds_caches():
     writers = sorted({module for module, tree in MODULES.items() if module != "graph.py"
                       for node in ast.walk(tree) if _writes_cache(node)})
     assert writers == [], "modules other than graph.py build CycleStructure or seed Graph caches"
+
+
+def _cycle_structure_class() -> ast.ClassDef:
+    return next(node for node in MODULES["graph.py"].body
+                if isinstance(node, ast.ClassDef) and node.name == "CycleStructure")
+
+
+def test_cycle_structure_has_no_lazy_fields():
+    # every field is set by the constructor; nothing is computed on first read
+    lazy = [node.name for node in _cycle_structure_class().body
+            if isinstance(node, ast.FunctionDef)
+            and {"cached_property", "property"} & {r for d in node.decorator_list
+                                                   for r in _references(d)}]
+    assert lazy == [], "CycleStructure computes fields on first read"
+
+
+def _dict_writes(tree) -> tuple:
+    """(the constant keys stored through `x.__dict__[key]`, the number of
+    `x.__dict__.update(...)` calls) under tree."""
+    keys, updates = set(), 0
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "__dict__"):
+            keys.add(node.slice.value if isinstance(node.slice, ast.Constant) else None)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "update" and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "__dict__"):
+            updates += 1
+    return keys, updates
+
+
+def test_graph_seeds_only_degrees_and_cycle():
+    # replace_edges seeds a result's degrees and rehang its cycle structure;
+    # a structure's own fields all go through its constructor
+    assert _dict_writes(MODULES["graph.py"]) == ({"degrees", "cycle"}, 0)
 
 
 def _python_floor() -> tuple:

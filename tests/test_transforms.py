@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -568,22 +569,17 @@ def reduce_inputs() -> list:
     return [parse_edge_list(t) for t in corpus.make_corpus(11, 40)] + [heavy_branch_witness()]
 
 
-def assert_inherits_a_fresh_peel(h: Graph) -> None:
-    """h carries degrees and a cycle structure (position index included)
-    equal to a fresh value's, a peel with the same tree vertices, each before
-    its parent, and derived pendant trees and roots equal to a fresh tree
-    pass's: the same vertex set per root, the root first and each vertex
-    after its parent."""
+def assert_inherits_a_fresh_structure(h: Graph) -> None:
+    """h carries degrees and a cycle structure equal to a fresh value's, field
+    by field: vertices, girth, parents and roots (`==`), the position index,
+    and pendant trees with the same vertex set per root, the root first and
+    each vertex after its parent."""
     assert {"degrees", "cycle"} <= vars(h).keys()
-    assert {"trees", "root"} <= vars(h.cycle).keys()
     fresh = Graph(h.n, h.edges)
     assert h.degrees == fresh.degrees
     assert h.cycle == fresh.cycle
     assert h.cycle.position == fresh.cycle.position
-    peel, parent = h.cycle.peel, h.cycle.parent
-    assert sorted(peel) == sorted(fresh.cycle.peel)
-    place = {z: i for i, z in enumerate(peel)}
-    assert all(place.get(parent[z], len(peel)) > place[z] for z in peel)
+    parent = h.cycle.parent
     trees, fresh_trees = h.cycle.trees, fresh.cycle.trees
     assert trees.keys() == fresh_trees.keys()
     assert h.cycle.root == fresh.cycle.root
@@ -612,34 +608,54 @@ def rehanged(monkeypatch):
     return results
 
 
-@pytest.mark.parametrize("n", range(3, 10))
-def test_every_accepted_application_inherits_a_fresh_peel(unicyclic, rehanged, n):
+def accepted_applications(graphs) -> list:
+    """The result of every operator application on graphs that its
+    precondition accepts."""
     accepted = []
-    for g in unicyclic(n):
+    for g in graphs:
         for _, _, thunk in operator_applications(g):
             try:
                 accepted.append(thunk())
             except PreconditionError:
                 pass
     assert accepted
-    for h in accepted + rehanged:
-        assert_inherits_a_fresh_peel(h)
+    return accepted
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_every_accepted_application_inherits_a_fresh_peel(unicyclic, rehanged, n):
+    for h in accepted_applications(unicyclic(n)) + rehanged:
+        assert_inherits_a_fresh_structure(h)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_every_accepted_application_hashes_like_a_fresh_value(unicyclic, n):
+    # a rewrite's trees may list siblings in another order than a fresh
+    # peel's, so equality and hashing read only the order-free fields
+    assert {f.name: f.compare for f in dataclasses.fields(CycleStructure)} == {
+        "vertices": True, "girth": True, "parent": True, "root": True,
+        "trees": False, "position": False}
+    for h in accepted_applications(unicyclic(n)):
+        fresh = Graph(h.n, h.edges).cycle
+        assert h.cycle == fresh and hash(h.cycle) == hash(fresh)
 
 
 def test_every_pipeline_step_inherits_a_fresh_peel(rehanged):
     for g in reduce_inputs():
         for step in reduction_pipeline(g).steps:
-            assert_inherits_a_fresh_peel(step.graph)
+            assert_inherits_a_fresh_structure(step.graph)
     # the heavy branch is the one rewrite that moves a tree vertex onto the cycle
     assert any(h.cycle.girth == 4 and classify_family(h) == FamilySpec("spq4", (3, 2))
                for h in rehanged)
     for h in rehanged:
-        assert_inherits_a_fresh_peel(h)
+        assert_inherits_a_fresh_structure(h)
 
 
 @pytest.fixture
 def peeled(monkeypatch):
-    """Every graph value whose cycle structure a fresh leaf peel computes."""
+    """Every graph value whose cycle structure a fresh leaf peel computes; the
+    peel also builds that value's pendant trees and roots, so this counts
+    tree passes too."""
     compute = Graph.cycle.func
     graphs = []
 
@@ -651,46 +667,24 @@ def peeled(monkeypatch):
     return graphs
 
 
-def test_a_reduction_peels_only_its_input(peeled):
+def test_a_reduction_peels_only_its_input(peeled, rehanged):
+    # one peel, and so one tree pass, per reduction: its input's; every
+    # step's structure, pendant trees included, comes from Graph.rehang
     for g in reduce_inputs():
         peeled.clear()
-        reduction_pipeline(g)
+        rehanged.clear()
+        trace = reduction_pipeline(g)
         assert len(peeled) == 1 and peeled[0] is g
+        assert {id(s.graph) for s in trace.steps} - {id(g)} <= {id(h) for h in rehanged}
 
 
-def test_the_monotonicity_sweep_peels_only_the_classes(peeled):
-    report = verify_monotonicity(7)
-    assert report.total_applications > 0
-    assert len(peeled) == report.graphs
-
-
-@pytest.fixture
-def tree_passes(monkeypatch):
-    """Every cycle structure whose pendant trees a fresh pass over the peel builds."""
-    compute = CycleStructure.trees.func
-    structures = []
-
-    def counting(cyc):
-        structures.append(cyc)
-        return compute(cyc)
-
-    monkeypatch.setattr(CycleStructure.trees, "func", counting)
-    return structures
-
-
-def test_a_reduction_walks_the_trees_of_its_input_only(tree_passes):
-    for g in reduce_inputs():
-        tree_passes.clear()
-        reduction_pipeline(g)
-        assert len(tree_passes) == 1 and tree_passes[0] is g.cycle
-
-
-def test_the_monotonicity_sweep_walks_no_result_trees(rehanged, tree_passes):
+def test_the_monotonicity_sweep_peels_only_the_classes(peeled, rehanged):
+    # one peel, and so one tree pass, per class; no rewrite result is peeled
     report = verify_monotonicity(7)
     assert report.total_applications > 0 and rehanged
-    results = {id(h.cycle) for h in rehanged}
-    assert not any(id(cyc) in results for cyc in tree_passes)
-    assert len(tree_passes) == report.graphs
+    assert len(peeled) == report.graphs
+    results = {id(h) for h in rehanged}
+    assert not any(id(g) in results for g in peeled)
 
 
 # ---------------------------------------------------------------------------
@@ -702,9 +696,10 @@ def test_the_monotonicity_sweep_walks_no_result_trees(rehanged, tree_passes):
 def test_count_tests_and_the_classify_memo_match_their_definitions(unicyclic, n):
     for g in unicyclic(n):
         cyc = g.cycle
+        tree_vertices = [z for z in range(n) if cyc.parent[z] is not None]
         # every off-cycle vertex hangs on the cycle: the parent scan, and the
         # degree count classify_family uses in its place
-        scan = all(cyc.parent[z] in cyc.position for z in cyc.peel)
+        scan = all(cyc.parent[z] in cyc.position for z in tree_vertices)
         assert (sum(g.degree(v) - 2 for v in cyc.vertices) == n - cyc.girth) == scan
         if not scan:
             assert classify_family(g) is None
@@ -721,7 +716,7 @@ def test_count_tests_and_the_classify_memo_match_their_definitions(unicyclic, n)
             direct = (d >= max(da, db), d <= min(da, db))
             assert classify_cycle_vertex(g, v) == direct
             assert classify_cycle_vertex(g, v) is classify_cycle_vertex(g, v)  # memoized
-        for z in cyc.peel[:1]:
+        for z in tree_vertices[:1]:
             for _ in range(2):
                 with pytest.raises(GraphError, match="not a cycle vertex"):
                     classify_cycle_vertex(g, z)
