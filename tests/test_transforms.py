@@ -687,6 +687,36 @@ def test_the_monotonicity_sweep_peels_only_the_classes(peeled, rehanged):
     assert not any(id(g) in results for g in peeled)
 
 
+@pytest.fixture
+def tree_passes(monkeypatch):
+    """Every cycle structure whose pendant trees and roots a fresh pass over
+    the leaf peel builds: the structures `Graph.cycle` computes."""
+    compute = Graph.cycle.func
+    structures = []
+
+    def counting(g):
+        structures.append(compute(g))
+        return structures[-1]
+
+    monkeypatch.setattr(Graph.cycle, "func", counting)
+    return structures
+
+
+def test_a_reduction_walks_the_trees_of_its_input_only(tree_passes):
+    for g in reduce_inputs():
+        tree_passes.clear()
+        reduction_pipeline(g)
+        assert len(tree_passes) == 1 and tree_passes[0] is g.cycle
+
+
+def test_the_monotonicity_sweep_walks_no_result_trees(rehanged, tree_passes):
+    report = verify_monotonicity(7)
+    assert report.total_applications > 0 and rehanged
+    results = {id(h.cycle) for h in rehanged}
+    assert not any(id(cyc) in results for cyc in tree_passes)
+    assert len(tree_passes) == report.graphs
+
+
 # ---------------------------------------------------------------------------
 # degree counts and the classify memo stand in for scans
 # ---------------------------------------------------------------------------
