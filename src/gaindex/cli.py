@@ -299,14 +299,14 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         raise _UsageError(exc) from exc
     # per order: its bound report, then (n >= 5) its monotonicity report
-    reports, sweeps, text = [], [], ""
+    reports, sweeps, sections = [], [], []
     for n in range(lo, hi + 1):
         reports.append(verify_bounds(n, tol=args.tol))
-        text += reports[-1].to_text()
+        sections.append(reports[-1])
         if args.monotonicity and n >= 5:
             sweeps.append(verify_monotonicity(n, tol=args.tol))
-            text += sweeps[-1].to_text()
-    total_violations = sum(len(r.violations) for r in reports + sweeps)
+            sections.append(sweeps[-1])
+    total_violations = sum(len(r.violations) for r in sections)
     if args.format == "json":
         doc = {
             "orders": [r.to_dict() for r in reports],
@@ -316,6 +316,7 @@ def _cmd_verify(args) -> int:
             doc["monotonicity"] = [s.to_dict() for s in sweeps]
         _emit(_json_text(doc), args.out)
     else:
+        text = "".join(r.to_text() for r in sections)
         _emit(text + f"total violations: {total_violations}\n", args.out)
     return 0 if total_violations == 0 else VERIFICATION_FAILURE
 

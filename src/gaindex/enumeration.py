@@ -8,21 +8,23 @@ isomorphism test. The test suite checks it against a reference generator
 (every free tree plus one chord, deduplicated by canonical labeling) and
 against the known counts for small orders.
 
-:func:`verify_bounds` sweeps the rings themselves: it sums ``ga_term``,
-the edge term of ``Graph.ga``, over the shapes' degrees and builds a graph
-only for the witnesses and the violators it reports, which is why it
-reaches order MAX_BOUND_ORDER while the sweeps that need every graph stop
-at MAX_ORDER. Here the canonical labeling keys only those witnesses.
+:func:`verify_bounds` sweeps the rings themselves. Each ring's GA is built
+with the ring, position by position, as an exact integer in units of
+1/SCALE: ``ga_term``, the edge term of ``Graph.ga``, of each cycle edge
+from a table by degrees, plus each hung shape's memoized sum. One
+correctly rounded division gives the float, equal to the ring graph's
+``Graph.ga``. Only the witnesses and the violators it reports become
+graphs, which is why it reaches order MAX_BOUND_ORDER while the sweeps
+that need every graph stop at MAX_ORDER. Here the canonical labeling keys
+only those witnesses.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
+from typing import NamedTuple
 
 from .families import ga_sn3_closed
 from .graph import Graph, canonical_form, format_edge_list, ga_term, is_unicyclic, norm_edge
@@ -89,12 +91,13 @@ def _attach(edges: list, root: int, children: tuple, next_id: int) -> int:
     return next_id
 
 
-def _compositions(total: int, parts: int):
+def _compositions_from(total: int, parts: int, low: int):
+    """Compositions of total into parts, each at least low, in lexicographic order."""
     if parts == 1:
         yield (total,)
         return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
+    for head in range(low, total - low * (parts - 1) + 1):
+        for rest in _compositions_from(total - head, parts - 1, low):
             yield (head,) + rest
 
 
@@ -128,23 +131,71 @@ def _stabilizer(sizes: tuple) -> tuple | None:
     return tuple(fixing)
 
 
-def _rings(n: int):
-    """Yield (sizes, choice) for the least ring of each class of order n.
+# Ring sums are exact integers in units of 1/SCALE, finer than the least
+# float (2**-1074), so each term converts without rounding; int true division
+# and math.fsum both round correctly, so total / SCALE == Graph.ga.
+SCALE = 1 << 1100
 
-    choice[i] is the shape hung on cycle vertex i and sizes[i] its number
-    of tree vertices. Rings compare sizes first, so the sizes of a least
-    ring are least among their images, and then only the symmetries that
-    fix sizes can map its choice below itself. Girths ascend, and
-    compositions and choices come in lexicographic product order.
+
+@lru_cache(maxsize=None)
+def _term(du: int, dv: int) -> int:
+    """ga_term(du, dv) * SCALE, exactly."""
+    num, den = ga_term(du, dv).as_integer_ratio()
+    return num * (SCALE // den)
+
+
+@lru_cache(maxsize=None)
+def _tree_sum(shape: tuple, root_degree: int) -> int:
+    """The scaled GA sum of the edges of a shape whose root has the given degree."""
+    return sum(_term(root_degree, len(child) + 1) + _tree_sum(child, len(child) + 1)
+               for child in shape)
+
+
+@lru_cache(maxsize=None)
+def _hung_shapes(size: int) -> tuple:
+    """(shape, scaled GA sum of its edges, root degree) for each shape on `size`
+    vertices hung on a cycle vertex, which adds two to its root's degree."""
+    return tuple((shape, _tree_sum(shape, len(shape) + 2), len(shape) + 2)
+                 for shape in _rooted_trees(size))
+
+
+@lru_cache(maxsize=None)
+def _cycle_terms(n: int) -> tuple:
+    """_term(du, dv) at [du][dv] for the degrees of cycle vertices of order n
+    (2..n-1), as nested lists for fast lookup while rings are built."""
+    return tuple([_term(du, dv) if du > 1 and dv > 1 else 0 for dv in range(n)]
+                 for du in range(n))
+
+
+def _rings(n: int):
+    """Yield (choice, total) for the least ring of each class of order n.
+
+    choice[i] is the shape hung on cycle vertex i, and total the scaled GA
+    of the ring's graph. Rings compare their sizes (each shape's number of
+    tree vertices) first, so the sizes of a least ring are least among their
+    images, they start with their least part, and only the symmetries that
+    fix them can map its choice below itself. Girths ascend, and sizes and
+    choices come in lexicographic product order. Each ring's sum grows with
+    it: a level holds (sum so far, last degree, first degree, choice prefix).
     """
+    terms = _cycle_terms(n)
     for girth in range(3, n + 1):
-        for sizes in _compositions(n - girth, girth):
-            fixing = _stabilizer(sizes)
-            if fixing is None:
-                continue
-            for choice in itertools.product(*[_rooted_trees(s + 1) for s in sizes]):
-                if all(sym(choice) >= choice for sym in fixing):
-                    yield sizes, choice
+        extra = n - girth
+        for head in range(extra // girth + 1):
+            for rest in _compositions_from(extra - head, girth - 1, head):
+                sizes = (head,) + rest
+                fixing = _stabilizer(sizes)
+                if fixing is None:
+                    continue
+                first, *others = [_hung_shapes(s + 1) for s in sizes]
+                level = [(t, d, d, (c,)) for c, t, d in first]
+                for options in others:
+                    level = [(t + u + terms[p][d], d, f, prefix + (c,))
+                             for t, p, f, prefix in level for c, u, d in options]
+                rings = [(choice, t + terms[p][f]) for t, p, f, choice in level]
+                if fixing:
+                    rings = [r for r in rings if all(sym(r[0]) >= r[0] for sym in fixing)]
+                yield from rings
 
 
 def _ring_graph(n: int, choice: tuple) -> Graph:
@@ -157,32 +208,10 @@ def _ring_graph(n: int, choice: tuple) -> Graph:
     return Graph(n, frozenset(norm_edge(*e) for e in edges))
 
 
-@lru_cache(maxsize=None)
-def _shape_terms(shape: tuple, root_degree: int) -> tuple:
-    """The GA terms of the edges of a shape whose root has the given degree."""
-    terms = []
-    for child in shape:
-        degree = len(child) + 1
-        terms.append(ga_term(root_degree, degree))
-        terms.extend(_shape_terms(child, degree))
-    return tuple(terms)
-
-
-def _ring_ga(choice: tuple) -> float:
-    """GA of the graph of a ring, equal (==) to its Graph.ga: both sum
-    ga_term over the same degree pairs, and fsum is correctly rounded
-    whatever the order of the terms."""
-    degrees = [len(shape) + 2 for shape in choice]
-    terms = [ga_term(degrees[i - 1], d) for i, d in enumerate(degrees)]
-    for shape, d in zip(choice, degrees):
-        terms.extend(_shape_terms(shape, d))
-    return math.fsum(terms)
-
-
 def enumerate_unicyclic(n: int):
     """Yield one representative per isomorphism class of unicyclic graphs on n vertices."""
     _check_order(n)
-    for _, choice in _rings(n):
+    for choice, _ in _rings(n):
         yield _ring_graph(n, choice)
 
 
@@ -191,8 +220,7 @@ def enumerate_unicyclic(n: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Result of sweeping one order: extremes, witnesses, violations."""
 
     n: int
@@ -245,7 +273,7 @@ def verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
     graphs, for their canonical keys and edge lists.
     """
     _check_order(n, MAX_BOUND_ORDER)
-    entries = [(_ring_ga(choice), choice) for _, choice in _rings(n)]
+    entries = [(total / SCALE, choice) for choice, total in _rings(n)]
     lower, upper = ga_sn3_closed(n), float(n)
     min_ga = min(ga for ga, _ in entries)
     max_ga = max(ga for ga, _ in entries)
@@ -312,8 +340,7 @@ def operator_applications(g: Graph):
                    (lambda v=v, u=u: finish_one_neighbor_deg2(g, v, u)))
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(NamedTuple):
     n: int
     graphs: int
     applications: dict

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import MAX_VERTICES, Graph, NotUnicyclicError, norm_edge
 from .indices import f_eval, g_eval
@@ -25,33 +25,38 @@ from .indices import f_eval, g_eval
 FAMILY_NAMES = ("cycle", "sn3", "spq4", "srk3")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family name plus its integer parameters, normalized for symmetry."""
-
+# FamilySpec's fields; a NamedTuple may not define __new__ in its own body,
+# so the validating constructor lives in the subclass
+class _FamilyFields(NamedTuple):
     family: str
     params: tuple
 
-    def __post_init__(self):
-        if self.family not in FAMILY_NAMES:
-            raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILY_NAMES}")
+
+class FamilySpec(_FamilyFields):
+    """A family name plus its integer parameters, normalized for symmetry."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, params: tuple):
+        if family not in FAMILY_NAMES:
+            raise ValueError(f"unknown family {family!r}, expected one of {FAMILY_NAMES}")
         try:
-            p = tuple(map(operator.index, self.params))
+            p = tuple(map(operator.index, params))
         except TypeError:
             p = None
         # operator.index, not int(): 1.5 or "7" is a caller's error, not a count,
         # and so is a bool, which operator.index takes as 0 or 1
-        if p is None or any(isinstance(x, bool) for x in self.params):
-            raise ValueError(f"{self.family} takes integer parameters, got {self.params}")
-        if self.family in ("cycle", "sn3"):
+        if p is None or any(isinstance(x, bool) for x in params):
+            raise ValueError(f"{family} takes integer parameters, got {params}")
+        if family in ("cycle", "sn3"):
             if len(p) != 1 or p[0] < 3:
-                raise ValueError(f"{self.family} takes a single order n >= 3, got {self.params}")
+                raise ValueError(f"{family} takes a single order n >= 3, got {params}")
         else:
             if len(p) != 2 or min(p) < 0:
-                raise ValueError(f"{self.family} takes two nonnegative pendant counts, got {self.params}")
+                raise ValueError(f"{family} takes two nonnegative pendant counts, got {params}")
             # attachment vertices are exchangeable, so order the counts
             p = tuple(sorted(p, reverse=True))
-        object.__setattr__(self, "params", p)
+        return super().__new__(cls, family, p)
 
     @property
     def n(self) -> int:

@@ -12,7 +12,6 @@ pendant trees from it and never walk adjacency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable, NamedTuple
@@ -52,12 +51,22 @@ def ga_term(du: int, dv: int) -> float:
     return 2.0 * math.sqrt(du * dv) / (du + dv)
 
 
-@dataclass(frozen=True)
 class Graph:
-    """An immutable simple graph on vertices 0..n-1."""
+    """An immutable simple graph on vertices 0..n-1: its order and its
+    frozenset of edges (u, v) with u < v, which alone decide equality and
+    the hash. Derived fields are cached in the instance's __dict__."""
 
-    n: int
-    edges: frozenset
+    def __init__(self, n: int, edges: frozenset):
+        self.n = n
+        self.edges = edges
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
 
     @cached_property
     def adjacency(self) -> tuple:
@@ -270,7 +279,6 @@ def is_unicyclic(g: Graph) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class CycleStructure:
     """The unique cycle of a unicyclic graph, in a fixed cyclic order, and the
     pendant trees hanging off it; plain data, built only by Graph.cycle and
@@ -288,12 +296,23 @@ class CycleStructure:
     `vertices` determines.
     """
 
-    vertices: tuple
-    girth: int
-    parent: tuple
-    root: tuple
-    trees: dict = field(compare=False)
-    position: dict = field(compare=False)
+    def __init__(self, vertices: tuple, girth: int, parent: tuple, root: tuple,
+                 trees: dict, position: dict):
+        self.vertices = vertices
+        self.girth = girth
+        self.parent = parent
+        self.root = root
+        self.trees = trees
+        self.position = position
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices == other.vertices and self.girth == other.girth
+                and self.parent == other.parent and self.root == other.root)
+
+    def __hash__(self):
+        return hash((self.vertices, self.girth, self.parent, self.root))
 
     def cycle_neighbors(self, v: int) -> tuple[int, int]:
         """(previous, next) of cycle vertex v in the fixed cyclic order."""

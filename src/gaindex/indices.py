@@ -10,7 +10,7 @@ the smaller and f(x) = 2*sqrt(x)/(1+x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, GraphError, ga_term, norm_edge
 
@@ -29,8 +29,7 @@ def g_eval(x: float) -> float:
     return 2.0 * math.sqrt(2.0) * math.sqrt(x) / (x + 2.0)
 
 
-@dataclass(frozen=True)
-class EdgeContribution:
+class EdgeContribution(NamedTuple):
     edge: tuple
     du: int
     dv: int

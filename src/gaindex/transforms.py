@@ -19,7 +19,7 @@ read the same values the pipeline records and add no GA evaluations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .families import FamilySpec, classify_family
 from .graph import (
@@ -257,8 +257,7 @@ def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     op: str
     params: dict
     ga_before: float
@@ -266,8 +265,7 @@ class TraceStep:
     graph: Graph
 
 
-@dataclass(frozen=True)
-class TransformTrace:
+class TransformTrace(NamedTuple):
     input_graph: Graph
     steps: tuple
     terminal_family: FamilySpec

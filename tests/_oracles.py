@@ -3,9 +3,11 @@
 The package generates unicyclic graphs one per class by construction
 (`gaindex.enumerate_unicyclic`); the generator here takes an independent
 route, every free tree plus one chord, deduplicated by canonical labeling.
-The package's ring generator skips whole compositions and compares each
-candidate only under the symmetries that fix its sizes; the reference
-filter here compares every candidate under every rotation and reflection.
+The package's ring generator skips whole compositions (it builds only
+those whose first part is least) and compares each candidate only under
+the symmetries that fix its sizes; the reference filter here takes every
+composition and compares every candidate under every rotation and
+reflection.
 The package reads pendant trees from the parents its leaf peeling records;
 the reference here walks each tree by depth-first search.
 """
@@ -13,7 +15,7 @@ the reference here walks each tree by depth-first search.
 import itertools
 
 from gaindex import Graph, canonical_form
-from gaindex.enumeration import MAX_ORDER, _compositions, _rooted_trees
+from gaindex.enumeration import MAX_ORDER, _rooted_trees
 from gaindex.graph import norm_edge
 
 
@@ -50,6 +52,16 @@ def enumerate_unicyclic_by_chords(n: int) -> tuple:
     return tuple(seen[k] for k in sorted(seen))
 
 
+def compositions(total: int, parts: int):
+    """Every composition of total into parts nonnegative parts, in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
 def is_least_ring(sizes: tuple, choice: tuple) -> bool:
     """True when the ring (sizes, choice) is the least of its rotations and reflections."""
     ring = (sizes, choice)
@@ -64,7 +76,7 @@ def least_rings(n: int):
     """Yield every (sizes, choice) of order n that is_least_ring keeps, over
     the full product of shapes, in the package's generation order."""
     for girth in range(3, n + 1):
-        for sizes in _compositions(n - girth, girth):
+        for sizes in compositions(n - girth, girth):
             for choice in itertools.product(*[_rooted_trees(s + 1) for s in sizes]):
                 if is_least_ring(sizes, choice):
                     yield sizes, choice

@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gaindex import (
     FamilySpec,
@@ -20,12 +22,14 @@ from gaindex import (
 from gaindex import transforms
 from gaindex.enumeration import (
     MAX_BOUND_ORDER,
+    SCALE,
     Graph,
-    _ring_ga,
     _ring_graph,
     _rings,
+    _term,
     operator_applications,
 )
+from gaindex.graph import ga_term
 from gaindex.transforms import PreconditionError
 
 from _oracles import enumerate_unicyclic_by_chords, free_trees, least_rings
@@ -78,13 +82,24 @@ def test_generation_needs_no_canonical_labeling(monkeypatch):
 
 @pytest.mark.parametrize("n", range(3, 12))
 def test_rings_match_the_reference_filter(n):
-    assert list(_rings(n)) == list(least_rings(n))
+    # a ring's sizes are its shapes' sizes, so the choices say it all
+    assert [choice for choice, _ in _rings(n)] == [choice for _, choice in least_rings(n)]
 
 
-@pytest.mark.parametrize("n", range(3, 12))
+@pytest.mark.parametrize("n", range(3, 13))
 def test_ring_ga_equals_graph_ga(n):
-    for _, choice in _rings(n):
-        assert _ring_ga(choice) == _ring_graph(n, choice).ga
+    for choice, total in _rings(n):
+        assert total / SCALE == _ring_graph(n, choice).ga
+
+
+degree_pairs = st.lists(st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)), max_size=40)
+
+
+@given(degree_pairs)
+def test_scaled_sums_round_like_fsum(pairs):
+    # __wrapped__: the memo is sized for ring degrees, not for these
+    exact = sum(_term.__wrapped__(du, dv) for du, dv in pairs)
+    assert exact / SCALE == math.fsum(ga_term(du, dv) for du, dv in pairs)
 
 
 def test_verify_bounds_labels_only_witnesses(monkeypatch):
@@ -162,6 +177,11 @@ def test_verify_bounds_beyond_the_graph_cap(n):
     assert rep.min_unique and rep.min_attained_by_sn3 and rep.max_only_cycle
     assert rep.min_ga == pytest.approx(ga_sn3_closed(n), abs=1e-9)
     assert not rep.violations
+    # the extremes read from the ring sums are their witnesses' Graph.ga
+    for ring, ga, witnesses in ((((), (), ((),) * (n - 3)), rep.min_ga, rep.min_witnesses),
+                                (((),) * n, rep.max_ga, rep.max_witnesses)):
+        g = _ring_graph(n, ring)
+        assert (g.ga, (canonical_form(g).hex(),)) == (ga, witnesses)
 
 
 def test_verify_bounds_order_limits():

@@ -9,10 +9,16 @@ a CycleStructure or writes a Graph value's cached fields, its classify memo
 or a structure's root record. A CycleStructure is plain data: no lazy
 field, and graph.py seeds only a value's degrees and cycle.
 Every module parses under the oldest Python that pyproject.toml allows.
+No module imports `dataclasses`, whose import (with `inspect`) was the
+largest share of the CLI's start-up; a fresh `import gaindex.cli` loads
+neither.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -170,3 +176,23 @@ def _python_floor() -> tuple:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_modules_parse_under_the_declared_python_floor(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=_python_floor())
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert "dataclasses" not in imported
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    probe = "import sys, gaindex.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -631,10 +630,20 @@ def test_every_accepted_application_inherits_a_fresh_peel(unicyclic, rehanged, n
 @pytest.mark.parametrize("n", range(3, 8))
 def test_every_accepted_application_hashes_like_a_fresh_value(unicyclic, n):
     # a rewrite's trees may list siblings in another order than a fresh
-    # peel's, so equality and hashing read only the order-free fields
-    assert {f.name: f.compare for f in dataclasses.fields(CycleStructure)} == {
-        "vertices": True, "girth": True, "parent": True, "root": True,
-        "trees": False, "position": False}
+    # peel's, so equality and hashing read only the order-free fields:
+    # vertices, girth, parent and root, not trees or the position object
+    cyc = build_graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (3, 5)]).cycle
+    fields = vars(cyc)
+
+    def variant(**changes):
+        return CycleStructure(**{**fields, **changes})
+
+    siblings_swapped = tuple({3: 4, 4: 3}.get(z, z) for z in cyc.trees[0])
+    for same in (variant(trees={**cyc.trees, 0: siblings_swapped}),
+                 variant(position=dict(reversed(cyc.position.items())))):
+        assert same == cyc and hash(same) == hash(cyc)
+    for other in (variant(parent=cyc.parent[:5] + (4,)), variant(root=cyc.root[:5] + (1,))):
+        assert other != cyc and hash(other) != hash(cyc)
     for h in accepted_applications(unicyclic(n)):
         fresh = Graph(h.n, h.edges).cycle
         assert h.cycle == fresh and hash(h.cycle) == hash(fresh)
