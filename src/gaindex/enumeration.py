@@ -17,6 +17,13 @@ correctly rounded division gives the float, equal to the ring graph's
 graphs, which is why it reaches order MAX_BOUND_ORDER while the sweeps
 that need every graph stop at MAX_ORDER. Here the canonical labeling keys
 only those witnesses.
+
+:func:`verify_monotonicity` applies each rewrite wherever its
+preconditions hold. :func:`operator_applications` tries an operator only
+where the predicates behind its own guards accept the target vertex, so
+every choice it skips is one the operator rejects, and the sweep counts
+the same applications as trying every syntactic choice. The test suite
+checks the skipped choices against that unfiltered sweep.
 """
 
 from __future__ import annotations
@@ -27,9 +34,18 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .families import ga_sn3_closed
-from .graph import Graph, canonical_form, format_edge_list, ga_term, is_unicyclic, norm_edge
+from .graph import (
+    Graph,
+    canonical_form,
+    classify_cycle_vertex,
+    format_edge_list,
+    ga_term,
+    norm_edge,
+)
 from .transforms import (
     PreconditionError,
+    _is_max_degree,
+    _is_star,
     arc_transform,
     finish_one_neighbor_deg2,
     finish_two_neighbors_deg2,
@@ -310,31 +326,43 @@ def verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
 
 
 def operator_applications(g: Graph):
-    """Yield (op, params, thunk) for every syntactic parameter choice.
+    """Yield (op, params, thunk) for each parameter choice whose target
+    passes the operator's own guard on it, in the order of the full
+    syntactic sweep.
 
-    Thunks raise PreconditionError when the operator does not apply; the
-    sweep counts only successful applications.
+    star_transform is tried at local-maximum cycle vertices, relocate_min
+    and arc_transform with a local-maximum star as v (arc_transform only
+    when u and v are not adjacent), and the finishing moves with a
+    maximal-degree star as v. The filter calls the predicates the
+    operators' guards call, so every choice it drops is one the operator
+    rejects with PreconditionError, and the sweep's counts are those of
+    trying every choice. The guards on u and the arc's degree ordering stay
+    in the operators: thunks raise PreconditionError when one fails, and
+    the sweep counts only successful applications.
     """
     cyc = g.cycle
     cvs = cyc.vertices
     cycle_edges = cyc.cycle_edges()
-    for v in cvs:
+    local_max = [v for v in cvs if classify_cycle_vertex(g, v).local_max]
+    local_max_stars = [v for v in local_max if _is_star(g, v)]
+    max_degree_stars = [v for v in cvs if _is_max_degree(g, v) and _is_star(g, v)]
+    for v in local_max:
         yield "star_transform", {"v": v}, (lambda v=v: star_transform(g, v))
     for u in cvs:
-        for v in cvs:
+        for v in local_max_stars:
             if u != v:
                 yield "relocate_min", {"u": u, "v": v}, (lambda u=u, v=v: relocate_min(g, u, v))
     for u in cvs:
-        for v in cvs:
-            if u == v:
+        for v in local_max_stars:
+            if u == v or g.has_edge(u, v):
                 continue
             for e in cycle_edges:
                 yield ("arc_transform", {"u": u, "e": list(e), "v": v},
                        (lambda u=u, e=e, v=v: arc_transform(g, u, e, v)))
-    for v in cvs:
+    for v in max_degree_stars:
         yield ("finish_two_neighbors_deg2", {"v": v},
                (lambda v=v: finish_two_neighbors_deg2(g, v)))
-    for v in cvs:
+    for v in max_degree_stars:
         for u in cyc.cycle_neighbors(v):
             yield ("finish_one_neighbor_deg2", {"v": v, "u": u},
                    (lambda v=v, u=u: finish_one_neighbor_deg2(g, v, u)))
@@ -392,8 +420,8 @@ def verify_monotonicity(n: int, tol: float = 1e-9) -> MonotonicityReport:
             problem = None
             if slack > tol:
                 problem = f"GA increased by {slack!r}"
-            elif not is_unicyclic(h):
-                problem = "result is not unicyclic"
+            elif h.m != n:
+                problem = f"result is not unicyclic: {h.m} edges on {n} vertices"
             elif h.n != n:
                 problem = f"order changed to {h.n}"
             if problem:

@@ -69,9 +69,19 @@ def _require_on_cycle(g: Graph, *xs: int) -> None:
             raise PreconditionError(f"vertex {x} is not a cycle vertex")
 
 
-def _require_star(g: Graph, v: int) -> None:
+def _is_star(g: Graph, v: int) -> bool:
+    """True when the pendant tree at cycle vertex v is a star centred at v."""
     # v has deg(v) - 2 children; a star when they are its whole tree
-    if len(pendant_tree(g, v)) != g.degree(v) - 1:
+    return len(pendant_tree(g, v)) == g.degree(v) - 1
+
+
+def _is_max_degree(g: Graph, v: int) -> bool:
+    """True when cycle vertex v has the largest degree on the cycle."""
+    return g.degree(v) == max(g.degree(w) for w in g.cycle.vertices)
+
+
+def _require_star(g: Graph, v: int) -> None:
+    if not _is_star(g, v):
         raise PreconditionError(f"pendant tree at {v} is not a star")
 
 
@@ -82,7 +92,7 @@ def _require_local_max_star(g: Graph, v: int) -> None:
 
 
 def _require_max_degree_star(g: Graph, v: int) -> None:
-    if g.degree(v) != max(g.degree(w) for w in g.cycle.vertices):
+    if not _is_max_degree(g, v):
         raise PreconditionError(f"vertex {v} is not of maximal cycle degree")
     _require_star(g, v)
 

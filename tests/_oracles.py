@@ -10,11 +10,21 @@ composition and compares every candidate under every rotation and
 reflection.
 The package reads pendant trees from the parents its leaf peeling records;
 the reference here walks each tree by depth-first search.
+The package's monotonicity sweep tries each operator only at targets its
+guards accept; the reference here yields every syntactic parameter choice.
 """
 
 import itertools
 
-from gaindex import Graph, canonical_form
+from gaindex import (
+    Graph,
+    arc_transform,
+    canonical_form,
+    finish_one_neighbor_deg2,
+    finish_two_neighbors_deg2,
+    relocate_min,
+    star_transform,
+)
 from gaindex.enumeration import MAX_ORDER, _rooted_trees
 from gaindex.graph import norm_edge
 
@@ -98,3 +108,32 @@ def reference_pendant_tree(g: Graph, v: int) -> tuple:
             edges.add(norm_edge(x, w))
             stack.append(w)
     return frozenset(vertices), frozenset(edges)
+
+
+def syntactic_applications(g: Graph):
+    """Yield (op, params, thunk) for every syntactic parameter choice of the
+    five operators on g, in the package's sweep order; thunks raise
+    PreconditionError where the operator does not apply."""
+    cyc = g.cycle
+    cvs = cyc.vertices
+    cycle_edges = cyc.cycle_edges()
+    for v in cvs:
+        yield "star_transform", {"v": v}, (lambda v=v: star_transform(g, v))
+    for u in cvs:
+        for v in cvs:
+            if u != v:
+                yield "relocate_min", {"u": u, "v": v}, (lambda u=u, v=v: relocate_min(g, u, v))
+    for u in cvs:
+        for v in cvs:
+            if u == v:
+                continue
+            for e in cycle_edges:
+                yield ("arc_transform", {"u": u, "e": list(e), "v": v},
+                       (lambda u=u, e=e, v=v: arc_transform(g, u, e, v)))
+    for v in cvs:
+        yield ("finish_two_neighbors_deg2", {"v": v},
+               (lambda v=v: finish_two_neighbors_deg2(g, v)))
+    for v in cvs:
+        for u in cyc.cycle_neighbors(v):
+            yield ("finish_one_neighbor_deg2", {"v": v, "u": u},
+                   (lambda v=v, u=u: finish_one_neighbor_deg2(g, v, u)))

@@ -22,6 +22,7 @@ from gaindex import (
 from gaindex import transforms
 from gaindex.enumeration import (
     MAX_BOUND_ORDER,
+    OPERATOR_NAMES,
     SCALE,
     Graph,
     _ring_graph,
@@ -32,11 +33,22 @@ from gaindex.enumeration import (
 from gaindex.graph import ga_term
 from gaindex.transforms import PreconditionError
 
-from _oracles import enumerate_unicyclic_by_chords, free_trees, least_rings
+from _oracles import enumerate_unicyclic_by_chords, free_trees, least_rings, syntactic_applications
 
 # counts established by two independent generators here plus a labeled
 # brute force below; they also match the known unicyclic counting sequence
 EXPECTED_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806, 12: 5026}
+# accepted applications per operator (star_transform, relocate_min,
+# arc_transform, finish_two_neighbors_deg2, finish_one_neighbor_deg2),
+# as the unfiltered sweep of every syntactic parameter choice counted them
+MONOTONICITY_APPLICATIONS = {
+    5: (11, 29, 54, 6, 2),
+    6: (27, 65, 134, 10, 2),
+    7: (64, 129, 296, 14, 6),
+    8: (171, 306, 666, 25, 10),
+    9: (456, 717, 1449, 44, 25),
+    10: (1256, 1846, 3544, 90, 53),
+}
 # the same sequence (OEIS A001429) beyond the graph enumeration's cap, which
 # only verify_bounds reaches
 BOUND_ONLY_COUNTS = {13: 13999, 14: 39260}
@@ -240,14 +252,26 @@ def test_bound_report_is_deterministic_and_json_stable():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", (5, 6))
+@pytest.mark.parametrize("n", sorted(MONOTONICITY_APPLICATIONS))
 def test_monotonicity_sweep_clean(n):
     rep = verify_monotonicity(n)
     assert rep.violations == ()
     assert rep.worst_slack <= 1e-12
-    assert rep.applications["star_transform"] > 0
-    assert rep.applications["relocate_min"] > 0
-    assert rep.applications["arc_transform"] > 0
+    assert tuple(rep.applications[name] for name in OPERATOR_NAMES) == MONOTONICITY_APPLICATIONS[n]
+
+
+def test_monotonicity_sweep_checks_the_result_edges(monkeypatch):
+    # a rewrite result keeps its input's cycle structure, so only its edges
+    # show that an added edge left it with two cycles
+    def add_an_edge(g, v):
+        extra = next((a, b) for a in range(g.n) for b in range(a + 1, g.n) if not g.has_edge(a, b))
+        return g.rehang({}, add=[extra])
+
+    monkeypatch.setattr("gaindex.enumeration.star_transform", add_an_edge)
+    rep = verify_monotonicity(5, tol=math.inf)
+    assert len(rep.violations) == rep.applications["star_transform"] > 0
+    assert {(v["op"], v["problem"]) for v in rep.violations} == {
+        ("star_transform", "result is not unicyclic: 6 edges on 5 vertices")}
 
 
 def _outcome(call):
@@ -268,7 +292,22 @@ def test_operator_applications_replay_their_params(unicyclic):
                 replay = _outcome(lambda: getattr(transforms, name)(g, **params))
                 assert replay == _outcome(thunk), (name, params, format_edge_list(g))
                 applications += 1
-    assert applications == 10_926
+    assert applications == 3_076
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_operator_applications_drop_only_rejections(unicyclic, n):
+    # the package's choices are the syntactic ones in the same order, less
+    # some that the operator rejects, so the sweep's counts cannot change
+    for g in unicyclic(n):
+        kept = [(name, params) for name, params, _ in operator_applications(g)]
+        i = 0
+        for name, params, thunk in syntactic_applications(g):
+            if i < len(kept) and kept[i] == (name, params):
+                i += 1
+            else:
+                assert _outcome(thunk) is PreconditionError, (name, params, format_edge_list(g))
+        assert i == len(kept), format_edge_list(g)
 
 
 def test_star_fixed_points_have_zero_slack(unicyclic):
