@@ -23,7 +23,10 @@ preconditions hold. :func:`operator_applications` tries an operator only
 where the predicates behind its own guards accept the target vertex, so
 every choice it skips is one the operator rejects, and the sweep counts
 the same applications as trying every syntactic choice. The test suite
-checks the skipped choices against that unfiltered sweep.
+checks the skipped choices against that unfiltered sweep. arc_transform
+uses its cycle edge only to pick one of the two u-v arcs, so the
+applications of one (u, v) pair share each arc's result or rejection and
+relocate each arc once.
 """
 
 from __future__ import annotations
@@ -44,9 +47,10 @@ from .graph import (
 )
 from .transforms import (
     PreconditionError,
+    _arc_path,
+    _arc_relocate,
     _is_max_degree,
     _is_star,
-    arc_transform,
     finish_one_neighbor_deg2,
     finish_two_neighbors_deg2,
     relocate_min,
@@ -339,6 +343,12 @@ def operator_applications(g: Graph):
     trying every choice. The guards on u and the arc's degree ordering stay
     in the operators: thunks raise PreconditionError when one fails, and
     the sweep counts only successful applications.
+
+    The arc_transform thunks of one (u, v) pair share a dict from each arc
+    path to its result or rejection message. Each thunk still maps its edge
+    to a path with _arc_path, but only the first thunk of each path
+    relocates it; the others return the same graph or raise a fresh
+    PreconditionError with the same message, whatever order they run in.
     """
     cyc = g.cycle
     cvs = cyc.vertices
@@ -356,9 +366,10 @@ def operator_applications(g: Graph):
         for v in local_max_stars:
             if u == v or g.has_edge(u, v):
                 continue
+            shared = {}
             for e in cycle_edges:
                 yield ("arc_transform", {"u": u, "e": list(e), "v": v},
-                       (lambda u=u, e=e, v=v: arc_transform(g, u, e, v)))
+                       (lambda u=u, e=e, v=v, shared=shared: _shared_arc(g, u, e, v, shared)))
     for v in max_degree_stars:
         yield ("finish_two_neighbors_deg2", {"v": v},
                (lambda v=v: finish_two_neighbors_deg2(g, v)))
@@ -366,6 +377,21 @@ def operator_applications(g: Graph):
         for u in cyc.cycle_neighbors(v):
             yield ("finish_one_neighbor_deg2", {"v": v, "u": u},
                    (lambda v=v, u=u: finish_one_neighbor_deg2(g, v, u)))
+
+
+def _shared_arc(g: Graph, u: int, e, v: int, shared: dict) -> Graph:
+    """arc_transform(g, u, e, v), relocating each path once per shared dict."""
+    path = _arc_path(g, u, e, v)
+    out = shared.get(path)
+    if out is None:
+        try:
+            out = _arc_relocate(g, path)
+        except PreconditionError as exc:
+            out = str(exc)
+        shared[path] = out
+    if isinstance(out, str):
+        raise PreconditionError(out)
+    return out
 
 
 class MonotonicityReport(NamedTuple):

@@ -161,14 +161,10 @@ def _arc_rewire(g: Graph, path: tuple) -> Graph:
     return g.rehang(moves, remove=zip(path, path[1:]), add=[(u, v)], cycle=cycle)
 
 
-def arc_transform(g: Graph, u: int, e, v: int) -> Graph:
-    """Relocate the (u, v)-arc through e onto local-maximum v.
-
-    Every interior arc vertex w must satisfy d(u) <= d(w) <= d(v), and the
-    pendant tree at v must be a star. The cycle gets strictly shorter; u
-    ends up adjacent to v with its degree unchanged.
-    """
-    path = _arc_path(g, u, e, v)
+def _arc_relocate(g: Graph, path: tuple) -> Graph:
+    """arc_transform once its path=(u, ..., v) is chosen: the guards on v
+    and on the interior degrees, then the rewire."""
+    u, v = path[0], path[-1]
     _require_local_max_star(g, v)
     du, dv = g.degree(u), g.degree(v)
     for w in path[1:-1]:
@@ -177,8 +173,17 @@ def arc_transform(g: Graph, u: int, e, v: int) -> Graph:
                 f"arc vertex {w} breaks the degree ordering: "
                 f"need d({u})={du} <= d({w})={g.degree(w)} <= d({v})={dv}"
             )
-    new = _arc_rewire(g, path)
-    return _check_monotone("arc_transform", g, new)
+    return _check_monotone("arc_transform", g, _arc_rewire(g, path))
+
+
+def arc_transform(g: Graph, u: int, e, v: int) -> Graph:
+    """Relocate the (u, v)-arc through e onto local-maximum v.
+
+    Every interior arc vertex w must satisfy d(u) <= d(w) <= d(v), and the
+    pendant tree at v must be a star. The cycle gets strictly shorter; u
+    ends up adjacent to v with its degree unchanged.
+    """
+    return _arc_relocate(g, _arc_path(g, u, e, v))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from gaindex import (
     verify_bounds,
     verify_monotonicity,
 )
-from gaindex import transforms
+from gaindex import enumeration, transforms
 from gaindex.enumeration import (
     MAX_BOUND_ORDER,
     OPERATOR_NAMES,
@@ -48,6 +48,7 @@ MONOTONICITY_APPLICATIONS = {
     8: (171, 306, 666, 25, 10),
     9: (456, 717, 1449, 44, 25),
     10: (1256, 1846, 3544, 90, 53),
+    11: (3470, 4787, 8751, 195, 129),
 }
 # the same sequence (OEIS A001429) beyond the graph enumeration's cap, which
 # only verify_bounds reaches
@@ -272,6 +273,95 @@ def test_monotonicity_sweep_checks_the_result_edges(monkeypatch):
     assert len(rep.violations) == rep.applications["star_transform"] > 0
     assert {(v["op"], v["problem"]) for v in rep.violations} == {
         ("star_transform", "result is not unicyclic: 6 edges on 5 vertices")}
+
+
+def _arc_entries(g):
+    """The (params, thunk) of each arc_transform application the sweep yields for g."""
+    return [(params, thunk) for name, params, thunk in operator_applications(g)
+            if name == "arc_transform"]
+
+
+def _result_or_message(call):
+    """The graph a call returns, or the message of the PreconditionError it raises."""
+    try:
+        return call()
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def test_monotonicity_sweep_relocates_each_arc_path_once(unicyclic, monkeypatch):
+    # arc_transform's edge only picks one of the two u-v arcs, so the
+    # applications of one (u, v) pair relocate each distinct arc once
+    relocated = []
+    relocate = enumeration._arc_relocate
+
+    def counted(g, path):
+        relocated.append(path)
+        return relocate(g, path)
+
+    monkeypatch.setattr("gaindex.enumeration._arc_relocate", counted)
+    thunks = distinct = 0
+    for n in range(5, 9):
+        for g in unicyclic(n):
+            relocated.clear()
+            paths = set()
+            for params, thunk in _arc_entries(g):
+                paths.add((params["u"], params["v"], transforms._arc_path(g, **params)))
+                _result_or_message(thunk)
+                thunks += 1
+            assert sorted((p[0], p[-1], p) for p in relocated) == sorted(paths), format_edge_list(g)
+            distinct += len(paths)
+    assert distinct < thunks
+    relocated.clear()
+    for n in range(5, 9):
+        verify_monotonicity(n)
+    assert len(relocated) == distinct
+
+
+@pytest.mark.parametrize("n", range(5, 8))
+def test_shared_arc_outcomes_do_not_depend_on_call_order(unicyclic, n):
+    # every thunk gives what arc_transform gives for its params, in any
+    # order and on every call, and each rejection is a fresh exception
+    for g in unicyclic(n):
+        expected = [_result_or_message(lambda: transforms.arc_transform(g, **params))
+                    for params, _ in _arc_entries(g)]
+        assert [_result_or_message(thunk) for _, thunk in _arc_entries(g)] == expected
+        backward = []
+        for _, thunk in reversed(_arc_entries(g)):
+            first, second = _result_or_message(thunk), _result_or_message(thunk)
+            assert first == second, format_edge_list(g)
+            backward.append(first)
+        assert backward[::-1] == expected, format_edge_list(g)
+        raised = []
+        for _, thunk in _arc_entries(g):
+            for _ in range(2):
+                try:
+                    thunk()
+                except PreconditionError as exc:
+                    raised.append(exc)
+        assert len({id(exc) for exc in raised}) == len(raised)
+
+
+def test_monotonicity_sweep_reports_shared_arc_violations_per_application(unicyclic, monkeypatch):
+    # a bad relocation is computed once per path but reported once for
+    # every (u, e, v) that maps to that path, each with its own params
+    def add_an_edge(g, path):
+        extra = next((a, b) for a in range(g.n) for b in range(a + 1, g.n) if not g.has_edge(a, b))
+        return g.rehang({}, add=[extra])
+
+    monkeypatch.setattr("gaindex.enumeration._arc_relocate", add_an_edge)
+    rep = verify_monotonicity(6, tol=math.inf)
+    expected = []
+    shared = 0
+    for g in unicyclic(6):
+        params = [p for p, _ in _arc_entries(g)]
+        expected += [(format_edge_list(g), p) for p in params]
+        shared += len(params) - len({transforms._arc_path(g, **p) for p in params})
+    assert shared > 0
+    assert [(v["input"], v["params"]) for v in rep.violations] == expected
+    assert {(v["op"], v["problem"]) for v in rep.violations} == {
+        ("arc_transform", "result is not unicyclic: 7 edges on 6 vertices")}
+    assert len(rep.violations) == rep.applications["arc_transform"]
 
 
 def _outcome(call):
