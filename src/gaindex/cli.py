@@ -19,6 +19,7 @@ import sys
 
 from .enumeration import MAX_BOUND_ORDER, MAX_ORDER, verify_bounds, verify_monotonicity
 from .families import (
+    FAMILY_NAMES,
     FamilySpec,
     closed_form,
     make_family,
@@ -339,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, ("text", "json", "csv"))
 
     p = sub.add_parser("family", help="emit a named extremal family as an edge list")
-    p.add_argument("name", choices=("cycle", "sn3", "spq4", "srk3"))
+    p.add_argument("name", choices=FAMILY_NAMES)
     p.add_argument("params", nargs="+", type=int)
     add_common(p)
 

@@ -3,8 +3,9 @@ brute-force verification of the GA bounds and rewrite monotonicity.
 
 A unicyclic graph is a ring: the rooted-tree shapes hung on its cycle.
 :func:`enumerate_unicyclic` keeps the least ring of each class under
-rotation and reflection, so it yields one graph per class without any
-isomorphism test. The test suite checks it against a reference generator
+rotation and reflection and builds its graph with
+:func:`gaindex.graph.ring_graph`, so it yields one graph per class without
+any isomorphism test. The test suite checks it against a reference generator
 (every free tree plus one chord, deduplicated by canonical labeling) and
 against the known counts for small orders.
 
@@ -36,14 +37,14 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
-from .families import ga_sn3_closed
+from .families import bound_interval
 from .graph import (
     Graph,
     canonical_form,
     classify_cycle_vertex,
     format_edge_list,
     ga_term,
-    norm_edge,
+    ring_graph,
 )
 from .transforms import (
     PreconditionError,
@@ -100,15 +101,6 @@ def _rooted_trees(size: int) -> tuple:
     if size < 1:
         return ()
     return _forests(size - 1)
-
-
-def _attach(edges: list, root: int, children: tuple, next_id: int) -> int:
-    for child in children:
-        cid = next_id
-        next_id += 1
-        edges.append((root, cid))
-        next_id = _attach(edges, cid, child, next_id)
-    return next_id
 
 
 def _compositions_from(total: int, parts: int, low: int):
@@ -218,21 +210,11 @@ def _rings(n: int):
                 yield from rings
 
 
-def _ring_graph(n: int, choice: tuple) -> Graph:
-    """The graph of a ring: cycle vertices 0..girth-1, then tree vertices depth first."""
-    girth = len(choice)
-    edges = [(i, (i + 1) % girth) for i in range(girth)]
-    next_id = girth
-    for pos in range(girth):
-        next_id = _attach(edges, pos, choice[pos], next_id)
-    return Graph(n, frozenset(norm_edge(*e) for e in edges))
-
-
 def enumerate_unicyclic(n: int):
     """Yield one representative per isomorphism class of unicyclic graphs on n vertices."""
     _check_order(n)
     for choice, _ in _rings(n):
-        yield _ring_graph(n, choice)
+        yield ring_graph(choice)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +242,7 @@ class BoundReport(NamedTuple):
             "count": self.count,
             "min_ga": round(self.min_ga, 9),
             "max_ga": round(self.max_ga, 9),
-            "lower_bound": round(ga_sn3_closed(self.n), 9),
+            "lower_bound": round(bound_interval(self.n)[0], 9),
             "upper_bound": self.n,
             "min_witnesses": list(self.min_witnesses),
             "max_witnesses": list(self.max_witnesses),
@@ -277,7 +259,7 @@ class BoundReport(NamedTuple):
         status = "ok" if not self.violations else f"{len(self.violations)} VIOLATIONS"
         lines = [
             f"n={self.n}: {self.count} classes, GA in [{self.min_ga:.9f}, {self.max_ga:.9f}], {status}",
-            f"  bounds: [{ga_sn3_closed(self.n):.9f}, {self.n}]",
+            f"  bounds: [{bound_interval(self.n)[0]:.9f}, {self.n}]",
             f"  max attained only by the cycle: {self.max_only_cycle}",
             f"  min attained by sn3: {self.min_attained_by_sn3} (unique: {self.min_unique})",
         ]
@@ -287,20 +269,21 @@ class BoundReport(NamedTuple):
 
 
 def verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
-    """Check ga_sn3_closed(n) <= GA(G) <= n over every unicyclic class of order n.
+    """Check ga_sn3_closed(n) <= GA(G) <= n, the bound_interval(n), over every
+    unicyclic class of order n.
 
     GA comes from the rings; only the witnesses and the violators become
     graphs, for their canonical keys and edge lists.
     """
     _check_order(n, MAX_BOUND_ORDER)
     entries = [(total / SCALE, choice) for choice, total in _rings(n)]
-    lower, upper = ga_sn3_closed(n), float(n)
+    lower, upper = bound_interval(n)
     min_ga = min(ga for ga, _ in entries)
     max_ga = max(ga for ga, _ in entries)
     min_rings = [choice for ga, choice in entries if ga <= min_ga + tol]
     max_rings = [choice for ga, choice in entries if ga >= max_ga - tol]
     violations = tuple(
-        (format_edge_list(_ring_graph(n, choice)), ga)
+        (format_edge_list(ring_graph(choice)), ga)
         for ga, choice in entries
         if ga < lower - tol or ga > upper + tol
     )
@@ -308,7 +291,7 @@ def verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
     sn3 = ((), (), ((),) * (n - 3))  # n-3 leaves on the last triangle vertex
 
     def keys(rings):
-        return tuple(sorted(canonical_form(_ring_graph(n, choice)).hex() for choice in rings))
+        return tuple(sorted(canonical_form(ring_graph(choice)).hex() for choice in rings))
 
     return BoundReport(
         n=n,

@@ -8,6 +8,9 @@ Four families appear as endpoints of the rewrite pipeline:
 * ``spq4``   a 4-cycle with p and q pendants on two opposite vertices;
 * ``srk3``   a triangle with r and k pendants on two of its vertices.
 
+:func:`make_family` builds each as a ring (``graph.ring_graph``): a cycle
+vertex with k pendants carries the shape of k leaves.
+
 The comparison functions compare_AB / compare_CD decompose the GA gap
 between spq4 / srk3 and sn3 of the same order; both gaps are strictly
 positive, which pins sn3 as the unique family minimum.
@@ -19,7 +22,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from .graph import MAX_VERTICES, Graph, NotUnicyclicError, norm_edge
+from .graph import MAX_VERTICES, Graph, NotUnicyclicError, ring_graph
 from .indices import f_eval, g_eval
 
 FAMILY_NAMES = ("cycle", "sn3", "spq4", "srk3")
@@ -70,27 +73,17 @@ class FamilySpec(_FamilyFields):
 
 
 def make_family(spec: FamilySpec) -> Graph:
-    """Build the named graph with deterministic ids: cycle first, then pendants."""
+    """Build the named graph from its ring, so ring_graph numbers the cycle
+    first, then the pendants in ring order."""
     n, fam = spec.n, spec.family
     if n > MAX_VERTICES:
         raise ValueError(f"{spec.label()} has {n} vertices, above the limit of {MAX_VERTICES}")
     if fam == "cycle":
-        return Graph(n, frozenset(norm_edge(i, (i + 1) % n) for i in range(n)))
+        return ring_graph(((),) * n)
     if fam == "sn3":
-        edges = {(0, 1), (1, 2), (0, 2)}
-        edges.update(norm_edge(0, w) for w in range(3, n))
-        return Graph(n, frozenset(edges))
-    if fam == "spq4":
-        p = spec.params[0]
-        edges = {(0, 1), (1, 2), (2, 3), (0, 3)}
-        edges.update(norm_edge(0, w) for w in range(4, 4 + p))
-        edges.update(norm_edge(2, w) for w in range(4 + p, n))
-        return Graph(n, frozenset(edges))
-    r = spec.params[0]
-    edges = {(0, 1), (1, 2), (0, 2)}
-    edges.update(norm_edge(0, w) for w in range(3, 3 + r))
-    edges.update(norm_edge(1, w) for w in range(3 + r, n))
-    return Graph(n, frozenset(edges))
+        return ring_graph((((),) * (n - 3), (), ()))
+    a, b = (((),) * k for k in spec.params)  # the shapes of a and b pendant leaves
+    return ring_graph((a, (), b, ()) if fam == "spq4" else (a, b, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -188,21 +181,19 @@ TABLE_CD_ROWS = tuple(range(2, 14))
 TABLE_CD_COLS = (2, 3, 4, 5)
 
 
+def _gap_table(compare, rows, cols):
+    """Rows of (row, {col: compare(row, col) or None}); cells with row < col are None."""
+    return [(r, {c: (compare(r, c) if r >= c else None) for c in cols}) for r in rows]
+
+
 def table_ab(rows=TABLE_AB_ROWS, cols=TABLE_AB_COLS):
     """Rows of (p, {q: (A, B) or None}); cells with p < q are None."""
-    out = []
-    for p in rows:
-        cells = {q: (compare_AB(p, q) if p >= q else None) for q in cols}
-        out.append((p, cells))
-    return out
+    return _gap_table(compare_AB, rows, cols)
 
 
 def table_cd(rows=TABLE_CD_ROWS, cols=TABLE_CD_COLS):
-    out = []
-    for r in rows:
-        cells = {k: (compare_CD(r, k) if r >= k else None) for k in cols}
-        out.append((r, cells))
-    return out
+    """Rows of (r, {k: (C, D) or None}); cells with r < k are None."""
+    return _gap_table(compare_CD, rows, cols)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@
 Vertices are the integers 0..n-1. Graph values are immutable: every
 structural operation returns a new Graph, so intermediate states of a
 rewrite sequence can be kept side by side and compared edge by edge.
+Values are built only here: from an edge list (`build_graph`), from a ring
+of rooted-tree shapes (`ring_graph`) or by a rewrite (`replace_edges`,
+`rehang`).
 One leaf peeling finds the cycle, each tree vertex's parent toward it and
 the pendant trees; a rewrite's result (`Graph.rehang`) derives that
 structure from its input's instead of peeling again. Other modules read
@@ -71,7 +74,7 @@ class Graph:
     @cached_property
     def adjacency(self) -> tuple:
         """Each vertex's neighbors in edge order: readers take a min or the one
-        live neighbor, so no list is sorted here (see neighbors)."""
+        live neighbor, so no list is sorted here."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             nbrs[u].append(v)
@@ -149,10 +152,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return self.degrees[v]
-
-    def neighbors(self, v: int) -> tuple:
-        """The neighbors of v in increasing order, sorted on each call."""
-        return tuple(sorted(self.adjacency[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
         return norm_edge(u, v) in self.edges
@@ -257,13 +256,36 @@ def build_graph(n: int, edge_list: Iterable) -> Graph:
     return Graph(n, frozenset(seen))
 
 
+def _attach(edges: list, root: int, children: tuple, next_id: int) -> int:
+    for child in children:
+        cid = next_id
+        next_id += 1
+        edges.append((root, cid))
+        next_id = _attach(edges, cid, child, next_id)
+    return next_id
+
+
+def ring_graph(ring: tuple) -> Graph:
+    """The graph of a ring, the rooted-tree shapes hung on a cycle in order
+    (a shape is the sorted tuple of its child shapes): cycle vertices
+    0..len(ring)-1, then tree vertices depth first."""
+    girth = len(ring)
+    # edges come out as (u, v) with u < v: the cycle closes on (0, girth - 1)
+    # and each tree vertex's id exceeds its parent's
+    edges = [(i, i + 1) for i in range(girth - 1)] + [(0, girth - 1)]
+    next_id = girth
+    for pos in range(girth):
+        next_id = _attach(edges, pos, ring[pos], next_id)
+    return Graph(next_id, frozenset(edges))
+
+
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return False
     seen = {0}
     stack = [0]
     while stack:
-        for w in g.neighbors(stack.pop()):
+        for w in g.adjacency[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)

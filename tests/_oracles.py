@@ -101,7 +101,7 @@ def reference_pendant_tree(g: Graph, v: int) -> tuple:
     stack = [v]
     while stack:
         x = stack.pop()
-        for w in g.neighbors(x):
+        for w in sorted(g.adjacency[x]):
             if w in stop or w in vertices:
                 continue
             vertices.add(w)

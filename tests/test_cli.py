@@ -425,7 +425,7 @@ def test_verify_monotonicity_rejects_orders_up_front(capsys, orders):
 
 def test_verify_reports_bound_violations(capsys, monkeypatch):
     # a lower bound above every order's cycle: each class violates it
-    monkeypatch.setattr("gaindex.enumeration.ga_sn3_closed", lambda n: n + 1.0)
+    monkeypatch.setattr("gaindex.enumeration.bound_interval", lambda n: (n + 1.0, float(n)))
     code, out, _ = run(capsys, "verify", "5")
     assert code == VERIFICATION_FAILURE
     assert out.count("  violation: GA=") == 5

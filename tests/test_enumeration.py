@@ -24,13 +24,11 @@ from gaindex.enumeration import (
     MAX_BOUND_ORDER,
     OPERATOR_NAMES,
     SCALE,
-    Graph,
-    _ring_graph,
     _rings,
     _term,
     operator_applications,
 )
-from gaindex.graph import ga_term
+from gaindex.graph import ga_term, ring_graph
 from gaindex.transforms import PreconditionError
 
 from _oracles import enumerate_unicyclic_by_chords, free_trees, least_rings, syntactic_applications
@@ -102,7 +100,7 @@ def test_rings_match_the_reference_filter(n):
 @pytest.mark.parametrize("n", range(3, 13))
 def test_ring_ga_equals_graph_ga(n):
     for choice, total in _rings(n):
-        assert total / SCALE == _ring_graph(n, choice).ga
+        assert total / SCALE == ring_graph(choice).ga
 
 
 degree_pairs = st.lists(st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)), max_size=40)
@@ -130,11 +128,11 @@ def test_verify_bounds_labels_only_witnesses(monkeypatch):
 def test_verify_bounds_builds_graphs_only_for_witnesses(monkeypatch):
     built = []
 
-    def counting(n, edges):
-        built.append(n)
-        return Graph(n, edges)
+    def counting(ring):
+        built.append(ring)
+        return ring_graph(ring)
 
-    monkeypatch.setattr("gaindex.enumeration.Graph", counting)
+    monkeypatch.setattr("gaindex.enumeration.ring_graph", counting)
     rep = verify_bounds(9)
     assert len(built) == len(rep.min_witnesses) + len(rep.max_witnesses)
 
@@ -178,7 +176,7 @@ def test_verify_bounds_family_flags_match_canonical_keys(n):
 
 def test_verify_bounds_lists_violators_in_generation_order(monkeypatch, unicyclic):
     # a lower bound above every order's cycle: each class violates it
-    monkeypatch.setattr("gaindex.enumeration.ga_sn3_closed", lambda n: n + 1.0)
+    monkeypatch.setattr("gaindex.enumeration.bound_interval", lambda n: (n + 1.0, float(n)))
     rep = verify_bounds(7)
     assert rep.violations == tuple((format_edge_list(g), g.ga) for g in unicyclic(7))
 
@@ -193,7 +191,7 @@ def test_verify_bounds_beyond_the_graph_cap(n):
     # the extremes read from the ring sums are their witnesses' Graph.ga
     for ring, ga, witnesses in ((((), (), ((),) * (n - 3)), rep.min_ga, rep.min_witnesses),
                                 (((),) * n, rep.max_ga, rep.max_witnesses)):
-        g = _ring_graph(n, ring)
+        g = ring_graph(ring)
         assert (g.ga, (canonical_form(g).hex(),)) == (ga, witnesses)
 
 

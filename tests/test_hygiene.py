@@ -4,9 +4,9 @@ Every name a module imports must be used in that module, and every
 module-level private function or class must be referenced somewhere in the
 package outside its own definition. `__init__.py` is skipped: its imports
 are the package's re-exports. No function may rebind a module global,
-except the allowlisted switches below. Only graph.py reads adjacency, builds
-a CycleStructure or writes a Graph value's cached fields, its classify memo
-or a structure's root record. A CycleStructure is plain data: no lazy
+except the allowlisted switches below. Only graph.py calls the Graph
+constructor, reads adjacency, builds a CycleStructure or writes a Graph
+value's cached fields, its classify memo or a structure's root record. A CycleStructure is plain data: no lazy
 field, and graph.py seeds only a value's degrees and cycle.
 Every module parses under the oldest Python that pyproject.toml allows.
 No module imports `dataclasses`, whose import (with `inspect`) was the
@@ -96,6 +96,24 @@ def test_no_global_switches():
     found = {(module, scope, name)
              for module, tree in MODULES.items() for scope, name in _globals(tree, None)}
     assert found - ALLOWED_GLOBALS == set(), "src/gaindex rebinds module globals"
+
+
+def _calls_graph(node) -> bool:
+    """True for a call of `Graph(...)` or `x.Graph(...)`."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "Graph"
+            or isinstance(func, ast.Attribute) and func.attr == "Graph")
+
+
+def test_only_graph_calls_the_graph_constructor():
+    # a Graph value comes from an edge list (build_graph), a ring (ring_graph)
+    # or a rewrite (replace_edges, rehang); the unchecked constructor stays
+    # inside graph.py
+    callers = sorted({module for module, tree in MODULES.items() if module != "graph.py"
+                      for node in ast.walk(tree) if _calls_graph(node)})
+    assert callers == [], "modules other than graph.py call Graph(...)"
 
 
 def test_only_graph_reads_adjacency():
