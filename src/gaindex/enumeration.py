@@ -50,7 +50,6 @@ from .transforms import (
     PreconditionError,
     _arc_path,
     _arc_relocate,
-    _is_max_degree,
     _is_star,
     finish_one_neighbor_deg2,
     finish_two_neighbors_deg2,
@@ -338,7 +337,8 @@ def operator_applications(g: Graph):
     cycle_edges = cyc.cycle_edges()
     local_max = [v for v in cvs if classify_cycle_vertex(g, v).local_max]
     local_max_stars = [v for v in local_max if _is_star(g, v)]
-    max_degree_stars = [v for v in cvs if _is_max_degree(g, v) and _is_star(g, v)]
+    top = max(map(g.degree, cvs))
+    max_degree_stars = [v for v in cvs if g.degree(v) == top and _is_star(g, v)]
     for v in local_max:
         yield "star_transform", {"v": v}, (lambda v=v: star_transform(g, v))
     for u in cvs:
@@ -347,7 +347,7 @@ def operator_applications(g: Graph):
                 yield "relocate_min", {"u": u, "v": v}, (lambda u=u, v=v: relocate_min(g, u, v))
     for u in cvs:
         for v in local_max_stars:
-            if u == v or g.has_edge(u, v):
+            if u == v or cyc.adjacent(u, v):
                 continue
             shared = {}
             for e in cycle_edges:

@@ -224,7 +224,7 @@ def classify_family(g: Graph) -> FamilySpec | None:
     if cyc.girth == 4:
         if len(carriers) == 1:
             return FamilySpec("spq4", (counts[0], 0))
-        if len(carriers) == 2 and not g.has_edge(*carriers):
+        if len(carriers) == 2 and not cyc.adjacent(*carriers):
             return FamilySpec("spq4", tuple(counts))
         return None
     return None

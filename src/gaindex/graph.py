@@ -4,12 +4,11 @@ Vertices are the integers 0..n-1. Graph values are immutable: every
 structural operation returns a new Graph, so intermediate states of a
 rewrite sequence can be kept side by side and compared edge by edge.
 Values are built only here: from an edge list (`build_graph`), from a ring
-of rooted-tree shapes (`ring_graph`) or by a rewrite (`replace_edges`,
-`rehang`).
+of rooted-tree shapes (`ring_graph`) or by a rewrite (`Graph.rehang`).
 One leaf peeling finds the cycle, each tree vertex's parent toward it and
-the pendant trees; a rewrite's result (`Graph.rehang`) derives that
-structure from its input's instead of peeling again. Other modules read
-pendant trees from it and never walk adjacency.
+the pendant trees; a rewrite's result derives that structure and its
+degrees from its input's, with no peel and no edge set. Other modules read
+pendant trees and adjacency from the structure, never adjacency lists.
 """
 
 from __future__ import annotations
@@ -56,12 +55,14 @@ def ga_term(du: int, dv: int) -> float:
 
 class Graph:
     """An immutable simple graph on vertices 0..n-1: its order and its
-    frozenset of edges (u, v) with u < v, which alone decide equality and
-    the hash. Derived fields are cached in the instance's __dict__."""
+    frozenset of edges (u, v) with u < v, which decide equality and the hash
+    (a rewrite's result builds it when first read). Derived fields are cached
+    in the instance's __dict__."""
 
-    def __init__(self, n: int, edges: frozenset):
+    def __init__(self, n: int, edges: frozenset | None):
         self.n = n
-        self.edges = edges
+        if edges is not None:
+            self.edges = edges
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -70,6 +71,23 @@ class Graph:
 
     def __hash__(self):
         return hash((self.n, self.edges))
+
+    def _edge_pairs(self) -> tuple:
+        """(m, pairs, parents): the edges are `pairs` and each (z, parents[z])
+        whose parent is not None. A value built from a set has no parents; a
+        rewrite's result has its cycle edges as pairs and its parent map."""
+        edges = self.__dict__.get("edges")
+        if edges is not None:
+            return len(edges), edges, ()
+        cyc = self.__dict__["cycle"]  # seeded by rehang with the degrees
+        vs = cyc.vertices
+        return self.n, zip(vs, vs[1:] + vs[:1]), cyc.parent
+
+    @cached_property
+    def edges(self) -> frozenset:  # a rewrite's result: other values set it in __init__
+        _, pairs, parents = self._edge_pairs()
+        pairs = chain(pairs, ((z, p) for z, p in enumerate(parents) if p is not None))
+        return frozenset((u, v) if u < v else (v, u) for u, v in pairs)
 
     @cached_property
     def adjacency(self) -> tuple:
@@ -138,8 +156,10 @@ class Graph:
     @cached_property
     def ga(self) -> float:
         """The GA index, the sum of ga_term over the edges (0.0 without edges)."""
-        deg = self.degrees
-        return math.fsum([ga_term(deg[u], deg[v]) for u, v in self.edges])
+        _, pairs, parents = self._edge_pairs()
+        deg = self.degrees  # deg[z] pairs with parents[z] in the zip
+        return math.fsum([ga_term(deg[u], deg[v]) for u, v in pairs]
+                         + [ga_term(d, deg[p]) for d, p in zip(deg, parents) if p is not None])
 
     @cached_property
     def _vertex_classes(self) -> dict:
@@ -148,36 +168,13 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self._edge_pairs()[0]
 
     def degree(self, v: int) -> int:
         return self.degrees[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return norm_edge(u, v) in self.edges
-
-    def replace_edges(self, remove: Iterable = (), add: Iterable = ()) -> "Graph":
-        """New graph of the same order with `remove` deleted, then `add` inserted.
-
-        One pass: the net edit (edges `remove` takes and `add` does not give
-        back, and new edges in `add`) also adjusts this value's degrees into
-        the new value's. A rewrite that changes nothing returns self, so the
-        value keeps its cached cycle and GA.
-        """
-        # norm_edge inlined: every rewrite passes each moved vertex's edges here
-        put = {(u, v) if u < v else (v, u) for u, v in add}
-        gone = ({(u, v) if u < v else (v, u) for u, v in remove} - put) & self.edges
-        put -= self.edges
-        if not gone and not put:
-            return self
-        new = Graph(self.n, (self.edges - gone) | put)
-        deg = list(self.degrees)
-        for change, pairs in ((-1, gone), (1, put)):
-            for u, v in pairs:
-                deg[u] += change
-                deg[v] += change
-        new.__dict__["degrees"] = tuple(deg)
-        return new
 
     def rehang(self, moves: dict, remove: Iterable = (), add: Iterable = (),
                cycle: tuple | None = None) -> "Graph":
@@ -188,25 +185,45 @@ class Graph:
         If the cycle changes, `cycle` is the new one in cyclic order: the cycle
         vertices it drops are in `moves`, with their cycle edges in `remove`,
         and the tree vertices it gains are not; every descendant of a moved or
-        gained vertex is in `moves`. The result's structure is derived from
-        this value's with no peel: trees are filtered by new root and extended
-        by their new leaves, and an unchanged cycle shares `position`. A move
-        onto a vertex's own parent edits no edge but may change its root, so
-        it is kept.
+        gained vertex is in `moves`. `remove` and `add` edit cycle edges only,
+        and cancel without `cycle`; GraphError otherwise. The result's degrees
+        and structure are derived from this value's: trees are filtered by new
+        root and extended by their new leaves, and an unchanged cycle shares
+        `position`. A move onto a vertex's own parent edits no edge but may
+        change its root, so it is kept. A no-op returns self.
         """
         cyc = self.cycle
-        parent = list(cyc.parent)
-        cut = ((z, parent[z]) for z in moves if parent[z] is not None)
-        new = self.replace_edges(chain(remove, cut), chain(add, moves.items()))
-        if new is self:
-            return self
-        root, trees = list(cyc.root), dict(cyc.trees)
-        sources = set(map(root.__getitem__, moves))
-        leaves = {p: [] for p in set(moves.values())}
+        pos, k = cyc.position, cyc.girth
+        # norm_edge and is_cycle_edge inlined: an arc relocation removes its whole path
+        gone = {(u, v) if u < v else (v, u) for u, v in remove}
+        put = {(u, v) if u < v else (v, u) for u, v in add}
+        if cycle is None and gone != put:
+            raise GraphError("rehang edits cycle edges only with the new cycle")
+        for u, v in gone:
+            if not (u in pos and v in pos and (pos[u] - pos[v]) % k in (1, k - 1)):
+                raise GraphError(f"rehang removes ({u}, {v}), which is not a cycle edge")
+        parent, root, deg = list(cyc.parent), list(cyc.root), list(self.degrees)
+        sources, leaves, moved = set(), {}, False
         for z, p in moves.items():
-            if root[z] != p:  # root[z] is still z's old root here
-                leaves[p].append(z)
+            q, r = parent[z], root[z]
+            if q != p:
+                moved = True
+                deg[p] += 1
+                if q is None:  # z leaves the cycle; `remove` takes its cycle edges
+                    deg[z] += 1
+                else:
+                    deg[q] -= 1
+            if r != p:
+                sources.add(r)
+                leaves.setdefault(p, []).append(z)
             parent[z] = root[z] = p
+        if not moved and gone == put:
+            return self
+        for change, pairs in ((-1, gone), (1, put)):  # an edge in both nets out
+            for u, v in pairs:
+                deg[u] += change
+                deg[v] += change
+        trees = dict(cyc.trees)
         vertices, position = cyc.vertices, cyc.position
         if cycle is not None:
             for z in set(cycle).difference(vertices):
@@ -224,8 +241,13 @@ class Graph:
                 trees[r] = tuple(z for z in trees[r] if root[z] == r)
         for p, zs in leaves.items():
             trees[p] += tuple(zs)
-        new.__dict__["cycle"] = CycleStructure(vertices, len(vertices), tuple(parent),
-                                               tuple(root), trees, position)
+        new_cycle = CycleStructure(vertices, len(vertices), tuple(parent), tuple(root),
+                                   trees, position)
+        if not all(new_cycle.is_cycle_edge(*e) for e in put):
+            raise GraphError("rehang adds an edge that is not a cycle edge of the result")
+        new = Graph(self.n, None)
+        new.__dict__["degrees"] = tuple(deg)
+        new.__dict__["cycle"] = new_cycle
         return new
 
     def __repr__(self) -> str:
@@ -351,6 +373,14 @@ class CycleStructure:
         if toward == seq[i - 1]:
             return seq[i::-1] + seq[:i:-1]
         raise GraphError(f"vertex {toward} is not a cycle neighbor of {v}")
+
+    def is_cycle_edge(self, u: int, v: int) -> bool:
+        pos, k = self.position, self.girth
+        return u in pos and v in pos and (pos[u] - pos[v]) % k in (1, k - 1)
+
+    def adjacent(self, u: int, v: int) -> bool:
+        """True when uv is an edge: a parent edge or a cycle edge."""
+        return self.parent[u] == v or self.parent[v] == u or self.is_cycle_edge(u, v)
 
     def cycle_edges(self) -> tuple:
         k = self.girth

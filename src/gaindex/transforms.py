@@ -7,8 +7,9 @@ no operator can improve). Vertex ids are stable across every rewrite:
 relocated vertices keep their ids and reappear as pendants of the target
 vertex, so consecutive trace states can be diffed edge by edge. Each
 rewrite moves vertices to new parents through one call, `Graph.rehang`,
-so its result inherits the input's cycle structure: a reduction peels its
-input once and no rewrite result is peeled again.
+so its result inherits the input's degrees and cycle structure, and no
+edge set: a reduction peels its input once and builds a result's edges
+only to print, compare or hash it.
 
 Operators optionally re-check GA monotonicity at runtime (see
 set_runtime_checks), which turns the decrease guarantees into executable
@@ -130,13 +131,13 @@ def _arc_path(g: Graph, u: int, e, v: int) -> tuple:
     _require_on_cycle(g, u, v)
     if u == v:
         raise PreconditionError("arc endpoints must differ")
-    if g.has_edge(u, v):
+    cyc = g.cycle
+    if cyc.adjacent(u, v):
         raise PreconditionError(f"vertices {u} and {v} are adjacent; no arc between them")
     e = norm_edge(*e)
-    cyc = g.cycle
-    pos, k = cyc.position, cyc.girth
-    if not (e[0] in pos and e[1] in pos and (pos[e[0]] - pos[e[1]]) % k in (1, k - 1)):
+    if not cyc.is_cycle_edge(*e):
         raise PreconditionError(f"edge {e} is not a cycle edge")
+    pos, k = cyc.position, cyc.girth
     # d = steps from u to v in the cycle order; e lies on that forward arc
     # exactly when both of its ends are at most d steps ahead of u
     iu = pos[u]
@@ -368,7 +369,7 @@ def reduction_pipeline(g: Graph) -> TransformTrace:
     u = min((w for w in cur.cycle.vertices if w != v), key=lambda w: (cur.degree(w), w))
     apply(relocate_min, u=u, v=v)
 
-    if not cur.has_edge(u, v):
+    if not cur.cycle.adjacent(u, v):
         apply(arc_transform, u=u, e=[v, min(cur.cycle.cycle_neighbors(v))], v=v)
 
     config = None
@@ -385,7 +386,7 @@ def reduction_pipeline(g: Graph) -> TransformTrace:
             break
         ubar = min(minima)
         apply(relocate_min, u=ubar, v=v)
-        if not cur.has_edge(ubar, v):
+        if not cur.cycle.adjacent(ubar, v):
             na, nb = cur.cycle.cycle_neighbors(v)
             apply(arc_transform, u=ubar, e=[v, nb if na == u else na], v=v)
     else:  # pragma: no cover - the loop settles in at most two passes

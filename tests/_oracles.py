@@ -12,6 +12,9 @@ The package reads pendant trees from the parents its leaf peeling records;
 the reference here walks each tree by depth-first search.
 The package's monotonicity sweep tries each operator only at targets its
 guards accept; the reference here yields every syntactic parameter choice.
+The package derives a rewrite's result from its input's cycle structure
+and holds no edge set for it; the reference here edits the input's edge
+set.
 """
 
 import itertools
@@ -137,3 +140,14 @@ def syntactic_applications(g: Graph):
         for u in cyc.cycle_neighbors(v):
             yield ("finish_one_neighbor_deg2", {"v": v, "u": u},
                    (lambda v=v, u=u: finish_one_neighbor_deg2(g, v, u)))
+
+
+def edit_oracle(g: Graph, moves: dict, remove=(), add=()) -> frozenset:
+    """The edge set of g.rehang(moves, remove, add), by set edits on g.edges:
+    `remove` and each moved tree vertex's edge to its parent go, `add` and
+    each move's edge come, and an edge both taken and given stays."""
+    parent = g.cycle.parent
+    cut = [(z, parent[z]) for z in moves if parent[z] is not None]
+    put = {norm_edge(*e) for e in [*add, *moves.items()]}
+    gone = {norm_edge(*e) for e in [*remove, *cut]} - put
+    return (g.edges - gone) | put

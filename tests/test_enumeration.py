@@ -260,11 +260,11 @@ def test_monotonicity_sweep_clean(n):
 
 
 def test_monotonicity_sweep_checks_the_result_edges(monkeypatch):
-    # a rewrite result keeps its input's cycle structure, so only its edges
-    # show that an added edge left it with two cycles
+    # rehang rejects an edit that leaves two cycles, so the bad result is
+    # built from an edge list; only its edge count shows the extra cycle
     def add_an_edge(g, v):
         extra = next((a, b) for a in range(g.n) for b in range(a + 1, g.n) if not g.has_edge(a, b))
-        return g.rehang({}, add=[extra])
+        return build_graph(g.n, [*g.edges, extra])
 
     monkeypatch.setattr("gaindex.enumeration.star_transform", add_an_edge)
     rep = verify_monotonicity(5, tol=math.inf)
@@ -345,7 +345,7 @@ def test_monotonicity_sweep_reports_shared_arc_violations_per_application(unicyc
     # every (u, e, v) that maps to that path, each with its own params
     def add_an_edge(g, path):
         extra = next((a, b) for a in range(g.n) for b in range(a + 1, g.n) if not g.has_edge(a, b))
-        return g.rehang({}, add=[extra])
+        return build_graph(g.n, [*g.edges, extra])
 
     monkeypatch.setattr("gaindex.enumeration._arc_relocate", add_an_edge)
     rep = verify_monotonicity(6, tol=math.inf)

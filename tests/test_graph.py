@@ -70,11 +70,22 @@ def test_degree_sum_is_twice_edge_count(g):
     assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
 
 
-def test_replace_edges_is_pure():
+def test_rehang_is_pure():
     g = paw()
-    h = g.replace_edges(remove=[(0, 3)], add=[(1, 3)])
+    h = g.rehang({3: 1})
     assert g.has_edge(0, 3) and not g.has_edge(1, 3)
     assert h.has_edge(1, 3) and not h.has_edge(0, 3)
+
+
+@pytest.mark.parametrize("edits", [
+    pytest.param({"add": [(1, 3)]}, id="add-off-the-cycle"),
+    pytest.param({"add": [(1, 3)], "cycle": (0, 1, 2)}, id="add-off-the-new-cycle"),
+    pytest.param({"remove": [(0, 3)], "cycle": (0, 1, 2)}, id="remove-off-the-cycle"),
+    pytest.param({"remove": [(1, 2)], "add": [(1, 3)]}, id="cycle-edit-without-cycle"),
+])
+def test_rehang_rejects_edits_the_structure_cannot_hold(edits):
+    with pytest.raises(GraphError, match="cycle"):
+        paw().rehang({}, **edits)
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +178,10 @@ def test_cycle_is_computed_once_per_graph():
     assert find_cycle(g) is find_cycle(g)
 
 
-def test_replace_edges_gets_its_own_cycle():
-    g = make_family(FamilySpec("cycle", (6,)))
-    assert find_cycle(g).girth == 6
-    h = g.replace_edges([(2, 3)], [(0, 2)])
-    assert find_cycle(h).vertices == (0, 1, 2)
-    assert find_cycle(g).girth == 6
-
-
-def test_replace_edges_that_change_nothing_keep_the_value():
+def test_rehang_that_changes_nothing_keeps_the_value():
     g = paw()
     cyc = find_cycle(g)
-    h = g.replace_edges(remove=[(0, 3)], add=[(3, 0)])
+    h = g.rehang({3: 0}, remove=[(0, 1)], add=[(1, 0)], cycle=(0, 1, 2))
     assert h is g and find_cycle(h) is cyc
 
 

@@ -109,7 +109,7 @@ def _calls_graph(node) -> bool:
 
 def test_only_graph_calls_the_graph_constructor():
     # a Graph value comes from an edge list (build_graph), a ring (ring_graph)
-    # or a rewrite (replace_edges, rehang); the unchecked constructor stays
+    # or a rewrite (rehang); the unchecked constructor stays
     # inside graph.py
     callers = sorted({module for module, tree in MODULES.items() if module != "graph.py"
                       for node in ast.walk(tree) if _calls_graph(node)})
@@ -180,7 +180,7 @@ def _dict_writes(tree) -> tuple:
 
 
 def test_graph_seeds_only_degrees_and_cycle():
-    # replace_edges seeds a result's degrees and rehang its cycle structure;
+    # rehang seeds a result's degrees and cycle structure;
     # a structure's own fields all go through its constructor
     assert _dict_writes(MODULES["graph.py"]) == ({"degrees", "cycle"}, 0)
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import time
 
 import pytest
@@ -33,11 +34,12 @@ from gaindex import (
 )
 from gaindex import transforms
 from gaindex.enumeration import operator_applications
-from gaindex.graph import CycleStructure, GraphError, classify_cycle_vertex
+from gaindex.graph import CycleStructure, GraphError, classify_cycle_vertex, ga_term
 from gaindex.indices import edge_contribution
 from gaindex.transforms import _arc_path
 
 from _helpers import is_star, load_module, tree_edges
+from _oracles import edit_oracle
 
 
 def triangle_with_path():
@@ -591,16 +593,27 @@ def assert_inherits_a_fresh_structure(h: Graph) -> None:
             seen.add(z)
 
 
+class Rehanged(list):
+    """The new values Graph.rehang returned, in call order; `calls` maps the
+    id of each to the (input, moves, remove, add) that made it."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = {}
+
+
 @pytest.fixture
 def rehanged(monkeypatch):
     """Every new value Graph.rehang returns, nested rewrites included."""
-    results = []
+    results = Rehanged()
     rehang = Graph.rehang
 
-    def recording(g, *args, **kwargs):
-        h = rehang(g, *args, **kwargs)
+    def recording(g, moves, remove=(), add=(), cycle=None):
+        remove, add = list(remove), list(add)  # arc relocations pass iterators
+        h = rehang(g, moves, remove, add, cycle)
         if h is not g:
             results.append(h)
+            results.calls[id(h)] = (g, dict(moves), remove, add)
         return h
 
     monkeypatch.setattr(Graph, "rehang", recording)
@@ -658,6 +671,56 @@ def test_every_pipeline_step_inherits_a_fresh_peel(rehanged):
                for h in rehanged)
     for h in rehanged:
         assert_inherits_a_fresh_structure(h)
+
+
+def assert_matches_the_edit_oracle(h: Graph, calls: dict) -> None:
+    """h, which holds no edge set yet, has the edges the set-edit oracle
+    gives for the call that made it, the degrees and cycle structure of a
+    value built from those edges, and their GA to the last bit."""
+    assert "edges" not in vars(h)
+    ga = h.ga  # from the structure, before h builds its edge set
+    edges = edit_oracle(*calls[id(h)])
+    assert h.edges == edges
+    fresh = build_graph(h.n, h.edges)
+    assert h.degrees == fresh.degrees and h.cycle == fresh.cycle
+    deg = fresh.degrees
+    assert ga == math.fsum(ga_term(deg[u], deg[v]) for u, v in edges)
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_every_accepted_application_matches_the_edit_oracle(unicyclic, rehanged, n):
+    accepted_applications(unicyclic(n))
+    assert rehanged
+    for h in rehanged:
+        assert_matches_the_edit_oracle(h, rehanged.calls)
+
+
+def test_every_golden_reduce_step_matches_the_edit_oracle(rehanged):
+    corpus, gates = load_module("bench/corpus.py"), load_module("bench/gates.py")
+    for text in corpus.make_corpus(gates.GOLDEN_SEED, len(gates.GOLDEN_REDUCE_SHA256)):
+        g = parse_edge_list(text)
+        assert {id(s.graph) for s in reduction_pipeline(g).steps} - {id(g)} <= rehanged.calls.keys()
+    assert rehanged
+    for h in rehanged:
+        assert_matches_the_edit_oracle(h, rehanged.calls)
+
+
+def test_a_reduction_builds_no_edge_set_for_its_steps():
+    # with runtime checks on, as `gaindex reduce` runs, a step's GA, degrees
+    # and adjacency tests all read its structure
+    rng = random.Random(2000)
+    n, girth = 2000, rng.randint(3, 1000)
+    edges = [(i, (i + 1) % girth) for i in range(girth)]
+    edges += [(rng.randrange(w), w) for w in range(girth, n)]
+    g = build_graph(n, edges)
+    set_runtime_checks(1e-9)
+    try:
+        trace = reduction_pipeline(g)
+    finally:
+        set_runtime_checks(None)
+    steps = [s.graph for s in trace.steps if s.graph is not g]  # a no-op step returns g
+    assert len(steps) >= 3
+    assert not any("edges" in vars(h) for h in steps)
 
 
 @pytest.fixture
