@@ -21,13 +21,13 @@ only those witnesses.
 
 :func:`verify_monotonicity` applies each rewrite wherever its
 preconditions hold. :func:`operator_applications` tries an operator only
-where the predicates behind its own guards accept the target vertex, so
-every choice it skips is one the operator rejects, and the sweep counts
-the same applications as trying every syntactic choice. The test suite
-checks the skipped choices against that unfiltered sweep. arc_transform
-uses its cycle edge only to pick one of the two u-v arcs, so the
-applications of one (u, v) pair share each arc's result or rejection and
-relocate each arc once.
+where the tests behind its own cheap guards accept the target vertices,
+u as well as v, so every choice it skips is one the operator rejects, and
+the sweep counts the same applications as trying every syntactic choice.
+The test suite checks the skipped choices against that unfiltered sweep.
+arc_transform uses its cycle edge only to pick one of the two u-v arcs,
+so the sweep computes both arcs once per (u, v) pair, binds each edge's
+application to its arc by cycle position, and relocates each arc once.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .graph import (
 )
 from .transforms import (
     PreconditionError,
-    _arc_path,
     _arc_relocate,
     _is_star,
     finish_one_neighbor_deg2,
@@ -312,59 +311,75 @@ def verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
 
 
 def operator_applications(g: Graph):
-    """Yield (op, params, thunk) for each parameter choice whose target
-    passes the operator's own guard on it, in the order of the full
-    syntactic sweep.
+    """Yield (op, params, thunk) for each parameter choice whose targets
+    pass the operator's cheap guards, in the full syntactic sweep's order.
 
     star_transform is tried at local-maximum cycle vertices, relocate_min
-    and arc_transform with a local-maximum star as v (arc_transform only
-    when u and v are not adjacent), and the finishing moves with a
-    maximal-degree star as v. The filter calls the predicates the
-    operators' guards call, so every choice it drops is one the operator
-    rejects with PreconditionError, and the sweep's counts are those of
-    trying every choice. The guards on u and the arc's degree ordering stay
+    at a local-minimum u with a local-maximum star as v, arc_transform with
+    a local-maximum star as v not adjacent to u, finish_two_neighbors_deg2
+    at girth above 3 with a maximal-degree star v whose two cycle neighbors
+    have degree 2, and finish_one_neighbor_deg2 with a maximal-degree star
+    v and a degree-2 cycle neighbor u whose other neighbor is not of degree
+    2. The filter tests what the operators' guards test, so every choice it
+    drops is one the operator rejects with PreconditionError, and the
+    sweep's counts are those of trying every choice. The arc's degree
+    ordering and finish_one_neighbor_deg2's second-local-minimum guard stay
     in the operators: thunks raise PreconditionError when one fails, and
     the sweep counts only successful applications.
 
-    The arc_transform thunks of one (u, v) pair share a dict from each arc
-    path to its result or rejection message. Each thunk still maps its edge
-    to a path with _arc_path, but only the first thunk of each path
-    relocates it; the others return the same graph or raise a fresh
-    PreconditionError with the same message, whatever order they run in.
+    The two u-v arcs of each arc_transform pair are computed once and each
+    thunk is bound to the arc its edge lies on. The pair's thunks share a
+    dict from arc to result or rejection message, so each arc is relocated
+    once and every thunk returns the same graph or raises a fresh
+    PreconditionError with the same message, in any call order.
     """
     cyc = g.cycle
-    cvs = cyc.vertices
-    cycle_edges = cyc.cycle_edges()
-    local_max = [v for v in cvs if classify_cycle_vertex(g, v).local_max]
+    cvs, pos, k = cyc.vertices, cyc.position, cyc.girth
+    deg = g.degrees
+    classes = [classify_cycle_vertex(g, v) for v in cvs]
+    local_max = [v for v, c in zip(cvs, classes) if c.local_max]
+    local_min = [v for v, c in zip(cvs, classes) if c.local_min]
     local_max_stars = [v for v in local_max if _is_star(g, v)]
-    top = max(map(g.degree, cvs))
-    max_degree_stars = [v for v in cvs if g.degree(v) == top and _is_star(g, v)]
+    top = max(deg[v] for v in cvs)
+    max_degree_stars = [v for v in cvs if deg[v] == top and _is_star(g, v)]
     for v in local_max:
         yield "star_transform", {"v": v}, (lambda v=v: star_transform(g, v))
-    for u in cvs:
+    for u in local_min:
         for v in local_max_stars:
             if u != v:
                 yield "relocate_min", {"u": u, "v": v}, (lambda u=u, v=v: relocate_min(g, u, v))
+    cycle_edges = cyc.cycle_edges()
     for u in cvs:
+        iu = pos[u]
+        back, ahead = cyc.cycle_neighbors(u)
+        forward, backward = cyc.walk(u, ahead), cyc.walk(u, back)
         for v in local_max_stars:
-            if u == v or cyc.adjacent(u, v):
+            d = (pos[v] - iu) % k  # v is d steps ahead of u
+            if not 1 < d < k - 1:  # u == v, or u and v are adjacent
                 continue
+            # edge i joins positions i and i + 1, so it lies on the forward
+            # arc exactly when it starts fewer than d steps ahead of u
+            arcs = (backward[:k - d + 1], forward[:d + 1])
             shared = {}
-            for e in cycle_edges:
+            for i, e in enumerate(cycle_edges):
                 yield ("arc_transform", {"u": u, "e": list(e), "v": v},
-                       (lambda u=u, e=e, v=v, shared=shared: _shared_arc(g, u, e, v, shared)))
-    for v in max_degree_stars:
-        yield ("finish_two_neighbors_deg2", {"v": v},
-               (lambda v=v: finish_two_neighbors_deg2(g, v)))
-    for v in max_degree_stars:
-        for u in cyc.cycle_neighbors(v):
-            yield ("finish_one_neighbor_deg2", {"v": v, "u": u},
-                   (lambda v=v, u=u: finish_one_neighbor_deg2(g, v, u)))
+                       (lambda path=arcs[(i - iu) % k < d], shared=shared:
+                        _shared_arc(g, path, shared)))
+    neighbors = [(v, *cyc.cycle_neighbors(v)) for v in max_degree_stars]
+    for v, a, b in neighbors:
+        if k > 3 and deg[a] == deg[b] == 2:
+            yield ("finish_two_neighbors_deg2", {"v": v},
+                   (lambda v=v: finish_two_neighbors_deg2(g, v)))
+    for v, a, b in neighbors:
+        for u, other in ((a, b), (b, a)):
+            if deg[u] == 2 != deg[other]:
+                yield ("finish_one_neighbor_deg2", {"v": v, "u": u},
+                       (lambda v=v, u=u: finish_one_neighbor_deg2(g, v, u)))
 
 
-def _shared_arc(g: Graph, u: int, e, v: int, shared: dict) -> Graph:
-    """arc_transform(g, u, e, v), relocating each path once per shared dict."""
-    path = _arc_path(g, u, e, v)
+def _shared_arc(g: Graph, path: tuple, shared: dict) -> Graph:
+    """arc_transform once its edge has picked path=(u, ..., v), relocating
+    each path once per shared dict."""
     out = shared.get(path)
     if out is None:
         try:

@@ -54,13 +54,13 @@ def edge_contribution(g: Graph, e) -> EdgeContribution:
 
 def ga_index(g: Graph) -> float:
     """GA of g, computed once per graph value (see Graph.ga)."""
-    if not g.edges:
+    if not g.m:
         raise GraphError("GA index needs at least one edge")
     return g.ga
 
 
 def ag_index(g: Graph) -> float:
-    if not g.edges:
+    if not g.m:
         raise GraphError("AG index needs at least one edge")
     terms = []
     for u, v in g.edges:

@@ -316,6 +316,23 @@ def test_monotonicity_sweep_relocates_each_arc_path_once(unicyclic, monkeypatch)
     assert len(relocated) == distinct
 
 
+def test_each_arc_thunk_relocates_the_arc_of_its_edge(unicyclic, monkeypatch):
+    # each thunk on its own maps its edge to the path arc_transform picks,
+    # the wrap-around cycle edge and both orientations of the arc included
+    monkeypatch.setattr("gaindex.enumeration._arc_relocate", lambda g, path: ("path", path))
+    seen = set()
+    for n in range(5, 10):
+        for g in unicyclic(n):
+            cvs = g.cycle.vertices
+            wrap = tuple(sorted((cvs[0], cvs[-1])))
+            for params, thunk in _arc_entries(g):
+                path = transforms._arc_path(g, **params)
+                assert thunk() == ("path", path), (params, format_edge_list(g))
+                ahead = g.cycle.cycle_neighbors(params["u"])[1]
+                seen.add((tuple(params["e"]) == wrap, path[1] == ahead))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
 @pytest.mark.parametrize("n", range(5, 8))
 def test_shared_arc_outcomes_do_not_depend_on_call_order(unicyclic, n):
     # every thunk gives what arc_transform gives for its params, in any
@@ -380,7 +397,8 @@ def test_operator_applications_replay_their_params(unicyclic):
                 replay = _outcome(lambda: getattr(transforms, name)(g, **params))
                 assert replay == _outcome(thunk), (name, params, format_edge_list(g))
                 applications += 1
-    assert applications == 3_076
+    # choices yielded, accepted or not; the filter on u dropped 421 of 3,076
+    assert applications == 2_655
 
 
 @pytest.mark.parametrize("n", range(5, 10))
@@ -396,6 +414,25 @@ def test_operator_applications_drop_only_rejections(unicyclic, n):
             else:
                 assert _outcome(thunk) is PreconditionError, (name, params, format_edge_list(g))
         assert i == len(kept), format_edge_list(g)
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_operator_applications_leave_only_the_expensive_guards(unicyclic, n):
+    # the filter covers every guard on the targets but the arc's degree
+    # ordering and finish_one_neighbor_deg2's search for a second local
+    # minimum, so no other rejected choice is yielded
+    left = {"arc_transform": "arc vertex ", "finish_one_neighbor_deg2": "second local minimum "}
+    rejected = dict.fromkeys(left, 0)
+    for g in unicyclic(n):
+        for name, params, thunk in operator_applications(g):
+            try:
+                thunk()
+            except PreconditionError as exc:
+                assert name in left and str(exc).startswith(left[name]), (
+                    name, params, str(exc), format_edge_list(g))
+                rejected[name] += 1
+    assert rejected["arc_transform"] > 0
+    assert rejected["finish_one_neighbor_deg2"] > 0 or n < 7
 
 
 def test_star_fixed_points_have_zero_slack(unicyclic):

@@ -14,6 +14,7 @@ from gaindex import (
     g_eval,
     ga_index,
     make_family,
+    star_transform,
 )
 
 
@@ -86,6 +87,16 @@ def test_ag_star_k13():
 def test_ag_paw():
     expected = 2 * (5 / (2 * math.sqrt(6))) + 1 + 4 / (2 * math.sqrt(3))
     assert ag_index(make_family(FamilySpec("sn3", (4,)))) == pytest.approx(expected, abs=1e-12)
+
+
+def test_ga_index_builds_no_edge_set_for_a_rewrite_result():
+    # the emptiness test reads the edge count, which a rewrite's result
+    # knows without building its edge set
+    g = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+    h = star_transform(g, 2)  # 4 moves from 3 to 2
+    assert "edges" not in h.__dict__
+    assert ga_index(h) == ga_index(build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (2, 4)]))
+    assert "edges" not in h.__dict__
 
 
 def test_indices_need_an_edge():
