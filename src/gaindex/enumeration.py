@@ -378,8 +378,9 @@ def operator_applications(g: Graph):
 
 
 def _shared_arc(g: Graph, path: tuple, shared: dict) -> Graph:
-    """arc_transform once its edge has picked path=(u, ..., v), relocating
-    each path once per shared dict."""
+    """arc_transform once its edge has picked path=(u, ..., v) and the filter
+    has kept only local-maximum stars as v, relocating each path once per
+    shared dict."""
     out = shared.get(path)
     if out is None:
         try:

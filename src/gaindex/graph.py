@@ -423,7 +423,8 @@ def classify_cycle_vertex(g: Graph, v: int) -> VertexClass:
 
 # ---------------------------------------------------------------------------
 # Canonical labeling: iterated color refinement plus individualization
-# backtracking, with twin pruning. Sized for graphs up to a dozen vertices.
+# backtracking, with twin pruning and root branches pruned by the orbits of
+# the automorphisms equal leaves give. Sized for graphs up to a dozen vertices.
 # ---------------------------------------------------------------------------
 
 
@@ -438,7 +439,12 @@ def _refine(adj: tuple, colors: tuple) -> tuple:
 
 
 def canonical_form(g: Graph) -> bytes:
-    """A byte key equal for two graphs iff they are isomorphic."""
+    """A byte key equal for two graphs iff they are isomorphic: the least leaf
+    signature of the search. Equal leaves give an automorphism, each vertex
+    of one mapped to the vertex of its color in the other. Every automorphism
+    fixes the root's refined partition and maps a root branch onto one with
+    the same leaf signatures, so the root skips a branch in the orbit of one
+    it has explored, and the key stays that of the full search."""
     n = g.n
     if n >= 256:
         raise GraphError("canonical_form supports graphs with fewer than 256 vertices")
@@ -446,6 +452,11 @@ def canonical_form(g: Graph) -> bytes:
     nbr_sets = [set(a) for a in adj]
     npairs = n * (n - 1) // 2
     best: bytes | None = None
+    best_leaf: tuple = ()
+    orbit = list(range(n))  # union-find over the orbits found so far
+
+    def find(v: int) -> int:
+        return v if orbit[v] == v else find(orbit[v])
 
     def leaf_signature(colors: tuple) -> bytes:
         bits = bytearray((npairs + 7) // 8)
@@ -457,8 +468,8 @@ def canonical_form(g: Graph) -> bytes:
             bits[idx >> 3] |= 1 << (idx & 7)
         return bytes(bits)
 
-    def search(colors: tuple) -> None:
-        nonlocal best
+    def search(colors: tuple, root: bool = False) -> None:
+        nonlocal best, best_leaf
         colors = _refine(adj, colors)
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
@@ -471,19 +482,27 @@ def canonical_form(g: Graph) -> bytes:
         if target is None:
             sig = leaf_signature(colors)
             if best is None or sig < best:
-                best = sig
+                best, best_leaf = sig, colors
+            elif sig == best:
+                at = {c: v for v, c in enumerate(colors)}
+                for v, c in enumerate(best_leaf):
+                    orbit[find(v)] = find(at[c])
             return
         # branches that individualize mutual twins are automorphic; keep one
         reps: list[int] = []
         for v in target:
             if not any(nbr_sets[v] - {u} == nbr_sets[u] - {v} for u in reps):
                 reps.append(v)
+        explored: list[int] = []
         for v in reps:
+            if root and find(v) in {find(u) for u in explored}:
+                continue
+            explored.append(v)
             branch = list(colors)
             branch[v] = n
             search(tuple(branch))
 
-    search(tuple([0] * n))
+    search(tuple([0] * n), root=True)
     assert best is not None
     return bytes([n]) + best
 

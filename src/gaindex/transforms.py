@@ -163,10 +163,9 @@ def _arc_rewire(g: Graph, path: tuple) -> Graph:
 
 
 def _arc_relocate(g: Graph, path: tuple) -> Graph:
-    """arc_transform once its path=(u, ..., v) is chosen: the guards on v
-    and on the interior degrees, then the rewire."""
+    """arc_transform once its path=(u, ..., v) is chosen and v is known to be
+    a local-maximum star: the guard on the interior degrees, then the rewire."""
     u, v = path[0], path[-1]
-    _require_local_max_star(g, v)
     du, dv = g.degree(u), g.degree(v)
     for w in path[1:-1]:
         if not du <= g.degree(w) <= dv:
@@ -184,7 +183,9 @@ def arc_transform(g: Graph, u: int, e, v: int) -> Graph:
     pendant tree at v must be a star. The cycle gets strictly shorter; u
     ends up adjacent to v with its degree unchanged.
     """
-    return _arc_relocate(g, _arc_path(g, u, e, v))
+    path = _arc_path(g, u, e, v)
+    _require_local_max_star(g, v)
+    return _arc_relocate(g, path)
 
 
 # ---------------------------------------------------------------------------

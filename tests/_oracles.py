@@ -15,6 +15,10 @@ guards accept; the reference here yields every syntactic parameter choice.
 The package derives a rewrite's result from its input's cycle structure
 and holds no edge set for it; the reference here edits the input's edge
 set.
+The package's canonical labeling skips the root branches that the
+automorphisms it has found map onto explored ones; the reference here is
+the search without that pruning, which walks every branch twin pruning
+leaves.
 """
 
 import itertools
@@ -29,7 +33,7 @@ from gaindex import (
     star_transform,
 )
 from gaindex.enumeration import MAX_ORDER, _rooted_trees
-from gaindex.graph import norm_edge
+from gaindex.graph import GraphError, norm_edge
 
 
 def relabel(g: Graph, perm) -> Graph:
@@ -151,3 +155,65 @@ def edit_oracle(g: Graph, moves: dict, remove=(), add=()) -> frozenset:
     put = {norm_edge(*e) for e in [*add, *moves.items()]}
     gone = {norm_edge(*e) for e in [*remove, *cut]} - put
     return (g.edges - gone) | put
+
+
+def reference_refine(adj: tuple, colors: tuple) -> tuple:
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(len(adj))]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = tuple(rank[s] for s in sigs)
+        if new == colors:
+            return colors
+        colors = new
+
+
+def reference_canonical_form(g: Graph) -> bytes:
+    """A byte key equal for two graphs iff they are isomorphic, by the full
+    individualization search with twin pruning only."""
+    n = g.n
+    if n >= 256:
+        raise GraphError("canonical_form supports graphs with fewer than 256 vertices")
+    adj = g.adjacency
+    nbr_sets = [set(a) for a in adj]
+    npairs = n * (n - 1) // 2
+    best: bytes | None = None
+
+    def leaf_signature(colors: tuple) -> bytes:
+        bits = bytearray((npairs + 7) // 8)
+        for u, v in g.edges:
+            i, j = colors[u], colors[v]
+            if i > j:
+                i, j = j, i
+            idx = i * (2 * n - i - 1) // 2 + (j - i - 1)
+            bits[idx >> 3] |= 1 << (idx & 7)
+        return bytes(bits)
+
+    def search(colors: tuple) -> None:
+        nonlocal best
+        colors = reference_refine(adj, colors)
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        target = None
+        for c in sorted(cells):
+            if len(cells[c]) > 1:
+                target = cells[c]
+                break
+        if target is None:
+            sig = leaf_signature(colors)
+            if best is None or sig < best:
+                best = sig
+            return
+        # branches that individualize mutual twins are automorphic; keep one
+        reps: list[int] = []
+        for v in target:
+            if not any(nbr_sets[v] - {u} == nbr_sets[u] - {v} for u in reps):
+                reps.append(v)
+        for v in reps:
+            branch = list(colors)
+            branch[v] = n
+            search(tuple(branch))
+
+    search(tuple([0] * n))
+    assert best is not None
+    return bytes([n]) + best

@@ -316,6 +316,19 @@ def test_monotonicity_sweep_relocates_each_arc_path_once(unicyclic, monkeypatch)
     assert len(relocated) == distinct
 
 
+def test_arc_thunks_leave_the_v_guard_to_the_filter(unicyclic, monkeypatch):
+    # operator_applications yields arc thunks only at local-maximum stars v,
+    # so relocating an arc does not test v again
+    def refuse(g, v):
+        raise AssertionError(f"v = {v} guarded again")
+
+    monkeypatch.setattr(transforms, "_require_local_max_star", refuse)
+    for n in range(5, 9):
+        for g in unicyclic(n):
+            for _, thunk in _arc_entries(g):
+                _result_or_message(thunk)
+
+
 def test_each_arc_thunk_relocates_the_arc_of_its_edge(unicyclic, monkeypatch):
     # each thunk on its own maps its edge to the path arc_transform picks,
     # the wrap-around cycle edge and both orientations of the arc included

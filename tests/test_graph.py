@@ -23,10 +23,12 @@ from gaindex import (
     reduction_pipeline,
 )
 
+import gaindex.graph
 from gaindex.graph import MAX_VERTICES
 
+import _oracles
 from _helpers import graph_with_permutation, is_star, tree_edges, unicyclic_graphs
-from _oracles import reference_pendant_tree, relabel
+from _oracles import reference_canonical_form, reference_pendant_tree, relabel
 
 
 def paw():
@@ -386,6 +388,83 @@ def test_canonical_invariant_under_relabeling(data):
 def test_canonical_separates_all_order_6_classes(unicyclic):
     keys = [canonical_form(g) for g in unicyclic(6)]
     assert len(keys) == len(set(keys))
+
+
+def _relabeled(g, rng):
+    return relabel(g, rng.sample(range(g.n), g.n))
+
+
+def _cycle(n):
+    return make_family(FamilySpec("cycle", (n,)))
+
+
+SYMMETRIC_GRAPHS = {
+    "K4": build_graph(4, itertools.combinations(range(4), 2)),
+    "K3,3": build_graph(6, itertools.product(range(3), range(3, 6))),
+    "Petersen": build_graph(10, [p for i in range(5)
+                                 for p in ((i, (i + 1) % 5), (i, i + 5), (i + 5, (i + 2) % 5 + 5))]),
+    "3-cube": build_graph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b]),
+    "prism": build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]),
+    "2C4": build_graph(8, [(i + o, (i + 1) % 4 + o) for o in (0, 4) for i in range(4)]),
+    "empty3": build_graph(3, []),
+    "C40": _cycle(40),
+}
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_canonical_form_matches_the_unpruned_search_on_every_class(unicyclic, n):
+    rng = random.Random(n)
+    for g in unicyclic(n):
+        for h in (g, _relabeled(g, rng)):
+            assert canonical_form(h) == reference_canonical_form(h), format_edge_list(h)
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_canonical_form_matches_the_unpruned_search_on_the_witnesses(n):
+    for family in ("cycle", "sn3"):
+        g = make_family(FamilySpec(family, (n,)))
+        assert canonical_form(g) == reference_canonical_form(g), family
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_GRAPHS)
+def test_canonical_form_matches_the_unpruned_search_on_symmetric_graphs(name):
+    g = SYMMETRIC_GRAPHS[name]
+    for h in (g, _relabeled(g, random.Random(name))):
+        assert canonical_form(h) == reference_canonical_form(h)
+
+
+def test_canonical_form_matches_the_unpruned_search_on_random_graphs():
+    rng = random.Random(22)
+    for _ in range(300):
+        n, p = rng.randint(1, 9), rng.random()
+        g = build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        assert canonical_form(g) == reference_canonical_form(g), sorted(g.edges)
+
+
+def _refinements(monkeypatch, module, name, canon, g) -> int:
+    """How many times canon(g) calls module.name, its refinement function."""
+    calls = []
+    real = getattr(module, name)
+    with monkeypatch.context() as m:
+        m.setattr(module, name, lambda adj, colors: calls.append(colors) or real(adj, colors))
+        canon(g)
+    return len(calls)
+
+
+def test_canonical_form_prunes_automorphic_root_branches(monkeypatch):
+    # the unpruned search refines once per node: on C_n the root, its n
+    # branches and their 2n leaves; the pruned one stops after two root branches
+    def pruned(g):
+        return _refinements(monkeypatch, gaindex.graph, "_refine", canonical_form, g)
+
+    def reference(g):
+        return _refinements(monkeypatch, _oracles, "reference_refine", reference_canonical_form, g)
+
+    assert reference(_cycle(12)) == 37
+    assert pruned(_cycle(12)) <= 10
+    assert pruned(_cycle(100)) <= 10
+    sn3 = make_family(FamilySpec("sn3", (12,)))
+    assert pruned(sn3) <= reference(sn3) == 10
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,16 @@ def test_arc_requires_star_target():
         arc_transform(g, 2, (0, 1), 0)
 
 
+def test_arc_guards_v_after_the_path_and_before_the_degrees():
+    # C6 with a pendant at 1: v = 0 is no local maximum, and the arc
+    # 3-2-1-0 also breaks the degree ordering at 1
+    g = build_graph(7, [(i, (i + 1) % 6) for i in range(6)] + [(1, 6)])
+    with pytest.raises(PreconditionError, match="cycle edge"):
+        arc_transform(g, 3, (1, 6), 0)
+    with pytest.raises(PreconditionError, match="vertex 0 is not a local maximum"):
+        arc_transform(g, 3, (1, 2), 0)
+
+
 # ---------------------------------------------------------------------------
 # relocated-edge ratio growth (the single-edge mechanism behind every proof)
 # ---------------------------------------------------------------------------
