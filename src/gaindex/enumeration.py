@@ -19,15 +19,8 @@ graphs, which is why it reaches order MAX_BOUND_ORDER while the sweeps
 that need every graph stop at MAX_ORDER. Here the canonical labeling keys
 only those witnesses.
 
-:func:`verify_monotonicity` applies each rewrite wherever its
-preconditions hold. :func:`operator_applications` tries an operator only
-where the tests behind its own cheap guards accept the target vertices,
-u as well as v, so every choice it skips is one the operator rejects, and
-the sweep counts the same applications as trying every syntactic choice.
-The test suite checks the skipped choices against that unfiltered sweep.
-arc_transform uses its cycle edge only to pick one of the two u-v arcs,
-so the sweep computes both arcs once per (u, v) pair, binds each edge's
-application to its arc by cycle position, and relocates each arc once.
+:func:`verify_monotonicity` applies each rewrite at every choice
+:func:`gaindex.transforms.operator_applications` yields.
 """
 
 from __future__ import annotations
@@ -38,36 +31,13 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .families import bound_interval
-from .graph import (
-    Graph,
-    canonical_form,
-    classify_cycle_vertex,
-    format_edge_list,
-    ga_term,
-    ring_graph,
-)
-from .transforms import (
-    PreconditionError,
-    _arc_relocate,
-    _is_star,
-    finish_one_neighbor_deg2,
-    finish_two_neighbors_deg2,
-    relocate_min,
-    star_transform,
-)
+from .graph import canonical_form, format_edge_list, ga_term, ring_graph
+from .transforms import OPERATOR_NAMES, PreconditionError, operator_applications
 
 MAX_ORDER = 12
 # verify_bounds reads GA from the rings and builds a Graph only for the
 # witnesses, so it reaches further than the sweeps that need every graph.
 MAX_BOUND_ORDER = 14
-
-OPERATOR_NAMES = (
-    "star_transform",
-    "relocate_min",
-    "arc_transform",
-    "finish_two_neighbors_deg2",
-    "finish_one_neighbor_deg2",
-)
 
 
 def _check_order(n: int, cap: int = MAX_ORDER) -> None:
@@ -308,89 +278,6 @@ def verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
 # ---------------------------------------------------------------------------
 # Monotonicity sweep
 # ---------------------------------------------------------------------------
-
-
-def operator_applications(g: Graph):
-    """Yield (op, params, thunk) for each parameter choice whose targets
-    pass the operator's cheap guards, in the full syntactic sweep's order.
-
-    star_transform is tried at local-maximum cycle vertices, relocate_min
-    at a local-minimum u with a local-maximum star as v, arc_transform with
-    a local-maximum star as v not adjacent to u, finish_two_neighbors_deg2
-    at girth above 3 with a maximal-degree star v whose two cycle neighbors
-    have degree 2, and finish_one_neighbor_deg2 with a maximal-degree star
-    v and a degree-2 cycle neighbor u whose other neighbor is not of degree
-    2. The filter tests what the operators' guards test, so every choice it
-    drops is one the operator rejects with PreconditionError, and the
-    sweep's counts are those of trying every choice. The arc's degree
-    ordering and finish_one_neighbor_deg2's second-local-minimum guard stay
-    in the operators: thunks raise PreconditionError when one fails, and
-    the sweep counts only successful applications.
-
-    The two u-v arcs of each arc_transform pair are computed once and each
-    thunk is bound to the arc its edge lies on. The pair's thunks share a
-    dict from arc to result or rejection message, so each arc is relocated
-    once and every thunk returns the same graph or raises a fresh
-    PreconditionError with the same message, in any call order.
-    """
-    cyc = g.cycle
-    cvs, pos, k = cyc.vertices, cyc.position, cyc.girth
-    deg = g.degrees
-    classes = [classify_cycle_vertex(g, v) for v in cvs]
-    local_max = [v for v, c in zip(cvs, classes) if c.local_max]
-    local_min = [v for v, c in zip(cvs, classes) if c.local_min]
-    local_max_stars = [v for v in local_max if _is_star(g, v)]
-    top = max(deg[v] for v in cvs)
-    max_degree_stars = [v for v in cvs if deg[v] == top and _is_star(g, v)]
-    for v in local_max:
-        yield "star_transform", {"v": v}, (lambda v=v: star_transform(g, v))
-    for u in local_min:
-        for v in local_max_stars:
-            if u != v:
-                yield "relocate_min", {"u": u, "v": v}, (lambda u=u, v=v: relocate_min(g, u, v))
-    cycle_edges = cyc.cycle_edges()
-    for u in cvs:
-        iu = pos[u]
-        back, ahead = cyc.cycle_neighbors(u)
-        forward, backward = cyc.walk(u, ahead), cyc.walk(u, back)
-        for v in local_max_stars:
-            d = (pos[v] - iu) % k  # v is d steps ahead of u
-            if not 1 < d < k - 1:  # u == v, or u and v are adjacent
-                continue
-            # edge i joins positions i and i + 1, so it lies on the forward
-            # arc exactly when it starts fewer than d steps ahead of u
-            arcs = (backward[:k - d + 1], forward[:d + 1])
-            shared = {}
-            for i, e in enumerate(cycle_edges):
-                yield ("arc_transform", {"u": u, "e": list(e), "v": v},
-                       (lambda path=arcs[(i - iu) % k < d], shared=shared:
-                        _shared_arc(g, path, shared)))
-    neighbors = [(v, *cyc.cycle_neighbors(v)) for v in max_degree_stars]
-    for v, a, b in neighbors:
-        if k > 3 and deg[a] == deg[b] == 2:
-            yield ("finish_two_neighbors_deg2", {"v": v},
-                   (lambda v=v: finish_two_neighbors_deg2(g, v)))
-    for v, a, b in neighbors:
-        for u, other in ((a, b), (b, a)):
-            if deg[u] == 2 != deg[other]:
-                yield ("finish_one_neighbor_deg2", {"v": v, "u": u},
-                       (lambda v=v, u=u: finish_one_neighbor_deg2(g, v, u)))
-
-
-def _shared_arc(g: Graph, path: tuple, shared: dict) -> Graph:
-    """arc_transform once its edge has picked path=(u, ..., v) and the filter
-    has kept only local-maximum stars as v, relocating each path once per
-    shared dict."""
-    out = shared.get(path)
-    if out is None:
-        try:
-            out = _arc_relocate(g, path)
-        except PreconditionError as exc:
-            out = str(exc)
-        shared[path] = out
-    if isinstance(out, str):
-        raise PreconditionError(out)
-    return out
 
 
 class MonotonicityReport(NamedTuple):

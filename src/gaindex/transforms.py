@@ -11,10 +11,23 @@ so its result inherits the input's degrees and cycle structure, and no
 edge set: a reduction peels its input once and builds a result's edges
 only to print, compare or hash it.
 
+Each operator raises PreconditionError outside its case's conditions.
+:func:`operator_applications` yields the monotonicity sweep's choices,
+testing beside these guards what they test on the target vertices:
+star_transform at a local maximum v; relocate_min at a local minimum u
+with a local-maximum star v; arc_transform with such a v not adjacent to
+u; the finishing moves at a maximal-degree star v, with both cycle
+neighbors of degree 2 at girth above 3 (finish_two_neighbors_deg2) or u
+the one degree-2 cycle neighbor (finish_one_neighbor_deg2). Every choice
+it drops is one the operator rejects, so the sweep counts what trying
+every syntactic choice counts. Only the arc's degree ordering and the
+search for a second local minimum reject what it yields.
+
 Operators optionally re-check GA monotonicity at runtime (see
-set_runtime_checks), which turns the decrease guarantees into executable
-assertions during long sweeps. GA is cached per graph value, so the checks
-read the same values the pipeline records and add no GA evaluations.
+set_runtime_checks); the CLI's `reduce` and the benchmark's replay of its
+trace switch the check on, while verify_monotonicity compares GA itself.
+GA is cached per graph value, so the checks read the same values the
+pipeline records and add no GA evaluations.
 """
 
 from __future__ import annotations
@@ -76,11 +89,6 @@ def _is_star(g: Graph, v: int) -> bool:
     return len(pendant_tree(g, v)) == g.degree(v) - 1
 
 
-def _is_max_degree(g: Graph, v: int) -> bool:
-    """True when cycle vertex v has the largest degree on the cycle."""
-    return g.degree(v) == max(g.degree(w) for w in g.cycle.vertices)
-
-
 def _require_star(g: Graph, v: int) -> None:
     if not _is_star(g, v):
         raise PreconditionError(f"pendant tree at {v} is not a star")
@@ -93,7 +101,7 @@ def _require_local_max_star(g: Graph, v: int) -> None:
 
 
 def _require_max_degree_star(g: Graph, v: int) -> None:
-    if not _is_max_degree(g, v):
+    if g.degree(v) != max(g.degree(w) for w in g.cycle.vertices):
         raise PreconditionError(f"vertex {v} is not of maximal cycle degree")
     _require_star(g, v)
 
@@ -267,6 +275,92 @@ def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
         moves = {z: w if z in below else v for z in tree[1:] if z != w}
         cur = cur.rehang(moves, remove=[(u, vt)], add=[(u, w)], cycle=(u, w, vt, v))
     return _check_monotone("finish_one_neighbor_deg2", g, cur)
+
+
+# ---------------------------------------------------------------------------
+# The monotonicity sweep's choices
+# ---------------------------------------------------------------------------
+
+
+OPERATOR_NAMES = (
+    "star_transform",
+    "relocate_min",
+    "arc_transform",
+    "finish_two_neighbors_deg2",
+    "finish_one_neighbor_deg2",
+)
+
+
+def operator_applications(g: Graph):
+    """Yield (op, params, thunk) for each parameter choice whose targets
+    pass the operator's cheap guards (see the module docstring), in the
+    full syntactic sweep's order. A thunk raises PreconditionError when a
+    guard the filter leaves to the operator fails.
+
+    The two u-v arcs of each arc_transform pair are computed once and each
+    thunk is bound to the arc its edge lies on. The pair's thunks share a
+    dict from arc to result or rejection message, so each arc is relocated
+    once and every thunk returns the same graph or raises a fresh
+    PreconditionError with the same message, in any call order.
+    """
+    cyc = g.cycle
+    cvs, pos, k = cyc.vertices, cyc.position, cyc.girth
+    deg = g.degrees
+    classes = [classify_cycle_vertex(g, v) for v in cvs]
+    local_max = [v for v, c in zip(cvs, classes) if c.local_max]
+    local_min = [v for v, c in zip(cvs, classes) if c.local_min]
+    local_max_stars = [v for v in local_max if _is_star(g, v)]
+    top = max(deg[v] for v in cvs)
+    max_degree_stars = [v for v in cvs if deg[v] == top and _is_star(g, v)]
+    for v in local_max:
+        yield "star_transform", {"v": v}, (lambda v=v: star_transform(g, v))
+    for u in local_min:
+        for v in local_max_stars:
+            if u != v:
+                yield "relocate_min", {"u": u, "v": v}, (lambda u=u, v=v: relocate_min(g, u, v))
+    cycle_edges = cyc.cycle_edges()
+    for u in cvs:
+        iu = pos[u]
+        back, ahead = cyc.cycle_neighbors(u)
+        forward, backward = cyc.walk(u, ahead), cyc.walk(u, back)
+        for v in local_max_stars:
+            d = (pos[v] - iu) % k  # v is d steps ahead of u
+            if not 1 < d < k - 1:  # u == v, or u and v are adjacent
+                continue
+            # edge i joins positions i and i + 1, so it lies on the forward
+            # arc exactly when it starts fewer than d steps ahead of u
+            arcs = (backward[:k - d + 1], forward[:d + 1])
+            shared = {}
+            for i, e in enumerate(cycle_edges):
+                yield ("arc_transform", {"u": u, "e": list(e), "v": v},
+                       (lambda path=arcs[(i - iu) % k < d], shared=shared:
+                        _shared_arc(g, path, shared)))
+    neighbors = [(v, *cyc.cycle_neighbors(v)) for v in max_degree_stars]
+    for v, a, b in neighbors:
+        if k > 3 and deg[a] == deg[b] == 2:
+            yield ("finish_two_neighbors_deg2", {"v": v},
+                   (lambda v=v: finish_two_neighbors_deg2(g, v)))
+    for v, a, b in neighbors:
+        for u, other in ((a, b), (b, a)):
+            if deg[u] == 2 != deg[other]:
+                yield ("finish_one_neighbor_deg2", {"v": v, "u": u},
+                       (lambda v=v, u=u: finish_one_neighbor_deg2(g, v, u)))
+
+
+def _shared_arc(g: Graph, path: tuple, shared: dict) -> Graph:
+    """arc_transform once its edge has picked path=(u, ..., v) and the filter
+    has kept only local-maximum stars as v, relocating each path once per
+    shared dict."""
+    out = shared.get(path)
+    if out is None:
+        try:
+            out = _arc_relocate(g, path)
+        except PreconditionError as exc:
+            out = str(exc)
+        shared[path] = out
+    if isinstance(out, str):
+        raise PreconditionError(out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Shared hypothesis strategies, pendant-tree views and module loading for the test suite."""
+"""Shared hypothesis strategies, pendant-tree views, sweep fault injection and
+module loading for the test suite."""
 
 import importlib.util
 from pathlib import Path
 
 from hypothesis import strategies as st
 
-from gaindex import build_graph, pendant_tree
+from gaindex import build_graph, pendant_tree, transforms
 from gaindex.graph import norm_edge
 
 
@@ -36,6 +37,20 @@ def tree_edges(g, v) -> set:
 def is_star(g, v) -> bool:
     """True when every edge of the pendant tree at v is incident to v."""
     return all(v in e for e in tree_edges(g, v))
+
+
+def replace_star_thunks(monkeypatch, faulty) -> None:
+    """Make verify_monotonicity call faulty(g, v) for each star_transform
+    choice; the operator itself stays, as finish_two_neighbors_deg2 calls it."""
+    applications = transforms.operator_applications
+
+    def patched(g):
+        for name, params, thunk in applications(g):
+            if name == "star_transform":
+                thunk = lambda v=params["v"]: faulty(g, v)
+            yield name, params, thunk
+
+    monkeypatch.setattr("gaindex.enumeration.operator_applications", patched)
 
 
 REPO = Path(__file__).resolve().parent.parent

@@ -20,7 +20,7 @@ from gaindex.cli import (
 from gaindex.enumeration import MAX_BOUND_ORDER, MAX_ORDER
 from gaindex.graph import MAX_VERTICES
 
-from _helpers import REPO, load_module
+from _helpers import REPO, load_module, replace_star_thunks
 
 PAW = "4 4\n0 1\n0 2\n0 3\n1 2\n"
 
@@ -434,8 +434,7 @@ def test_verify_reports_bound_violations(capsys, monkeypatch):
 
 def test_verify_reports_monotonicity_violations(capsys, monkeypatch):
     # a star transform that returns the cycle raises GA on every non-cycle input
-    monkeypatch.setattr("gaindex.enumeration.star_transform",
-                        lambda g, v: make_family(FamilySpec("cycle", (g.n,))))
+    replace_star_thunks(monkeypatch, lambda g, v: make_family(FamilySpec("cycle", (g.n,))))
     code, out, _ = run(capsys, "verify", "5", "--monotonicity", "--format", "json")
     assert code == VERIFICATION_FAILURE
     doc = json.loads(out)

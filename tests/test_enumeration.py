@@ -19,7 +19,7 @@ from gaindex import (
     verify_bounds,
     verify_monotonicity,
 )
-from gaindex import enumeration, transforms
+from gaindex import transforms
 from gaindex.enumeration import (
     MAX_BOUND_ORDER,
     OPERATOR_NAMES,
@@ -31,6 +31,7 @@ from gaindex.enumeration import (
 from gaindex.graph import ga_term, ring_graph
 from gaindex.transforms import PreconditionError
 
+from _helpers import replace_star_thunks
 from _oracles import enumerate_unicyclic_by_chords, free_trees, least_rings, syntactic_applications
 
 # counts established by two independent generators here plus a labeled
@@ -266,11 +267,17 @@ def test_monotonicity_sweep_checks_the_result_edges(monkeypatch):
         extra = next((a, b) for a in range(g.n) for b in range(a + 1, g.n) if not g.has_edge(a, b))
         return build_graph(g.n, [*g.edges, extra])
 
-    monkeypatch.setattr("gaindex.enumeration.star_transform", add_an_edge)
+    replace_star_thunks(monkeypatch, add_an_edge)
     rep = verify_monotonicity(5, tol=math.inf)
     assert len(rep.violations) == rep.applications["star_transform"] > 0
     assert {(v["op"], v["problem"]) for v in rep.violations} == {
         ("star_transform", "result is not unicyclic: 6 edges on 5 vertices")}
+
+
+def test_the_sweep_reads_its_choices_from_transforms():
+    # the filter lives beside the operator guards it mirrors
+    assert operator_applications is transforms.operator_applications
+    assert OPERATOR_NAMES is transforms.OPERATOR_NAMES
 
 
 def _arc_entries(g):
@@ -291,13 +298,14 @@ def test_monotonicity_sweep_relocates_each_arc_path_once(unicyclic, monkeypatch)
     # arc_transform's edge only picks one of the two u-v arcs, so the
     # applications of one (u, v) pair relocate each distinct arc once
     relocated = []
-    relocate = enumeration._arc_relocate
+    share = transforms._shared_arc
 
-    def counted(g, path):
-        relocated.append(path)
-        return relocate(g, path)
+    def counted(g, path, shared):
+        if path not in shared:
+            relocated.append(path)
+        return share(g, path, shared)
 
-    monkeypatch.setattr("gaindex.enumeration._arc_relocate", counted)
+    monkeypatch.setattr("gaindex.transforms._shared_arc", counted)
     thunks = distinct = 0
     for n in range(5, 9):
         for g in unicyclic(n):
@@ -332,7 +340,7 @@ def test_arc_thunks_leave_the_v_guard_to_the_filter(unicyclic, monkeypatch):
 def test_each_arc_thunk_relocates_the_arc_of_its_edge(unicyclic, monkeypatch):
     # each thunk on its own maps its edge to the path arc_transform picks,
     # the wrap-around cycle edge and both orientations of the arc included
-    monkeypatch.setattr("gaindex.enumeration._arc_relocate", lambda g, path: ("path", path))
+    monkeypatch.setattr("gaindex.transforms._arc_relocate", lambda g, path: ("path", path))
     seen = set()
     for n in range(5, 10):
         for g in unicyclic(n):
@@ -377,7 +385,14 @@ def test_monotonicity_sweep_reports_shared_arc_violations_per_application(unicyc
         extra = next((a, b) for a in range(g.n) for b in range(a + 1, g.n) if not g.has_edge(a, b))
         return build_graph(g.n, [*g.edges, extra])
 
-    monkeypatch.setattr("gaindex.enumeration._arc_relocate", add_an_edge)
+    share = transforms._shared_arc
+
+    def faulty(g, path, shared):
+        if path not in shared:
+            shared[path] = add_an_edge(g, path)
+        return share(g, path, shared)
+
+    monkeypatch.setattr("gaindex.transforms._shared_arc", faulty)
     rep = verify_monotonicity(6, tol=math.inf)
     expected = []
     shared = 0

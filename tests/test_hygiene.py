@@ -2,9 +2,11 @@
 
 Every name a module imports must be used in that module, and every
 module-level private function or class must be referenced somewhere in the
-package outside its own definition. `__init__.py` is skipped: its imports
-are the package's re-exports. No function may rebind a module global,
-except the allowlisted switches below. Only graph.py calls the Graph
+package outside its own definition. No module imports an `_`-prefixed name
+from another gaindex module, so each private helper serves its own module
+only. `__init__.py` is skipped: its imports are the package's re-exports.
+No function may rebind a module global, except the allowlisted switches
+below. Only graph.py calls the Graph
 constructor, reads adjacency, builds a CycleStructure or writes a Graph
 value's cached fields, its classify memo or a structure's root record. A CycleStructure is plain data: no lazy
 field, and graph.py seeds only a value's degrees and cycle.
@@ -73,6 +75,21 @@ def test_every_private_helper_is_referenced(module):
         if PACKAGE_REFERENCES[node.name] == _references(node).count(node.name):
             unreferenced.append(node.name)
     assert unreferenced == [], f"{module} defines private helpers nothing references"
+
+
+def _private_imports(tree) -> list:
+    """`module.name` for each `_`-prefixed name imported from a gaindex module
+    under tree, at any depth."""
+    return [f"{node.module}.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "gaindex")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_module_imports_another_modules_private_names(module):
+    assert _private_imports(MODULES[module]) == [], f"{module} imports private names"
 
 
 # (module, function, name) for each `global` statement still allowed. The

@@ -33,10 +33,9 @@ from gaindex import (
     verify_monotonicity,
 )
 from gaindex import transforms
-from gaindex.enumeration import operator_applications
 from gaindex.graph import CycleStructure, GraphError, classify_cycle_vertex, ga_term
 from gaindex.indices import edge_contribution
-from gaindex.transforms import _arc_path
+from gaindex.transforms import _arc_path, operator_applications
 
 from _helpers import is_star, load_module, tree_edges
 from _oracles import edit_oracle
