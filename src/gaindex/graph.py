@@ -176,60 +176,58 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return norm_edge(u, v) in self.edges
 
-    def rehang(self, moves: dict, remove: Iterable = (), add: Iterable = (),
-               cycle: tuple | None = None) -> "Graph":
+    def rehang(self, moves: dict, cycle: tuple | None = None) -> "Graph":
         """Hang each vertex z in `moves` as a leaf on moves[z], a cycle vertex
-        of the result, with the further edits `remove` and `add`; a tree vertex
-        in `moves` loses the edge to its parent.
+        of the result; a tree vertex in `moves` loses the edge to its parent.
 
-        If the cycle changes, `cycle` is the new one in cyclic order: the cycle
-        vertices it drops are in `moves`, with their cycle edges in `remove`,
-        and the tree vertices it gains are not; every descendant of a moved or
-        gained vertex is in `moves`. `remove` and `add` edit cycle edges only,
-        and cancel without `cycle`; GraphError otherwise. The result's degrees
-        and structure are derived from this value's: trees are filtered by new
-        root and extended by their new leaves, and an unchanged cycle shares
-        `position`. A move onto a vertex's own parent edits no edge but may
-        change its root, so it is kept. A no-op returns self.
+        A moved cycle vertex leaves the cycle, and the remaining cycle
+        vertices close up in their old order. `cycle` is passed only when a
+        tree vertex joins the cycle: it is the new cycle in cyclic order, its
+        gained vertices are not in `moves` and the cycle vertices it drops
+        are. Every descendant of a moved or gained vertex is in `moves`. The
+        edge edits come from comparing the old cycle with the new one: an old
+        cycle edge the new cycle lacks is removed, and a new cycle edge that
+        is not an edge of this value is added. As every cycle vertex has two
+        cycle edges, the edits change the degrees of three kinds of vertex
+        only: a dropped vertex loses its two, a gained one trades its parent
+        edge for two, and a gained one's parent loses that child. The
+        result's degrees and structure are derived from this value's: trees
+        are filtered by new root and extended by their new leaves, and an
+        unchanged cycle shares `position`. A move onto a vertex's own parent
+        edits no edge but may change its root, so it is kept. A no-op
+        returns self.
         """
         cyc = self.cycle
-        pos, k = cyc.position, cyc.girth
-        # norm_edge and is_cycle_edge inlined: an arc relocation removes its whole path
-        gone = {(u, v) if u < v else (v, u) for u, v in remove}
-        put = {(u, v) if u < v else (v, u) for u, v in add}
-        if cycle is None and gone != put:
-            raise GraphError("rehang edits cycle edges only with the new cycle")
-        for u, v in gone:
-            if not (u in pos and v in pos and (pos[u] - pos[v]) % k in (1, k - 1)):
-                raise GraphError(f"rehang removes ({u}, {v}), which is not a cycle edge")
         parent, root, deg = list(cyc.parent), list(cyc.root), list(self.degrees)
-        sources, leaves, moved = set(), {}, False
+        sources, leaves, dropped, moved = set(), {}, [], False
         for z, p in moves.items():
             q, r = parent[z], root[z]
             if q != p:
                 moved = True
                 deg[p] += 1
-                if q is None:  # z leaves the cycle; `remove` takes its cycle edges
-                    deg[z] += 1
+                if q is None:  # z leaves the cycle: one parent edge for two cycle edges
+                    deg[z] -= 1
+                    dropped.append(z)
                 else:
                     deg[q] -= 1
             if r != p:
                 sources.add(r)
                 leaves.setdefault(p, []).append(z)
             parent[z] = root[z] = p
-        if not moved and gone == put:
-            return self
-        for change, pairs in ((-1, gone), (1, put)):  # an edge in both nets out
-            for u, v in pairs:
-                deg[u] += change
-                deg[v] += change
-        trees = dict(cyc.trees)
         vertices, position = cyc.vertices, cyc.position
-        if cycle is not None:
-            for z in set(cycle).difference(vertices):
+        gained = () if cycle is None else set(cycle).difference(position)
+        if not (moved or gained):
+            return self
+        trees = dict(cyc.trees)
+        if dropped or gained:
+            if cycle is None:
+                cycle = [v for v in vertices if parent[v] is None]
+            for z in gained:  # two cycle edges for its parent edge, which its parent loses
+                deg[z] += 1
+                deg[parent[z]] -= 1
                 sources.add(root[z])
                 parent[z], root[z], trees[z] = None, z, (z,)
-            for z in set(vertices).difference(cycle):
+            for z in dropped:
                 del trees[z]
             i = cycle.index(min(cycle))  # the fixed order, as Graph.cycle walks it
             vertices = tuple(cycle[i:] + cycle[:i])
@@ -241,13 +239,10 @@ class Graph:
                 trees[r] = tuple(z for z in trees[r] if root[z] == r)
         for p, zs in leaves.items():
             trees[p] += tuple(zs)
-        new_cycle = CycleStructure(vertices, len(vertices), tuple(parent), tuple(root),
-                                   trees, position)
-        if not all(new_cycle.is_cycle_edge(*e) for e in put):
-            raise GraphError("rehang adds an edge that is not a cycle edge of the result")
         new = Graph(self.n, None)
         new.__dict__["degrees"] = tuple(deg)
-        new.__dict__["cycle"] = new_cycle
+        new.__dict__["cycle"] = CycleStructure(vertices, len(vertices), tuple(parent),
+                                               tuple(root), trees, position)
         return new
 
     def __repr__(self) -> str:

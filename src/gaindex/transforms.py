@@ -157,17 +157,12 @@ def _arc_path(g: Graph, u: int, e, v: int) -> tuple:
 
 
 def _arc_rewire(g: Graph, path: tuple) -> Graph:
-    """Structural arc relocation along path=(u, ..., v), without GA preconditions.
-
-    Interior pendant trees and interior cycle vertices become pendants of v;
-    v takes over the cycle position next to u, shortening the cycle by
-    len(path) - 2 edges. A two-vertex path (u, v) changes nothing and
-    returns g itself.
+    """Structural arc relocation along path=(u, ..., v), without GA preconditions:
+    the interior cycle vertices and their pendant trees become pendants of v.
+    A two-vertex path (u, v) changes nothing and returns g itself.
     """
-    u, *interiors, v = path
-    moves = {z: v for w in interiors for z in pendant_tree(g, w)}
-    cycle = (u,) + g.cycle.walk(u, path[1])[len(path) - 1:]  # u, v, ... without interiors
-    return g.rehang(moves, remove=zip(path, path[1:]), add=[(u, v)], cycle=cycle)
+    v = path[-1]
+    return g.rehang({z: v for w in path[1:-1] for z in pendant_tree(g, w)})
 
 
 def _arc_relocate(g: Graph, path: tuple) -> Graph:
@@ -273,7 +268,7 @@ def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
         # w takes vt's cycle edge to u and stars its branch; the rest of the
         # tree at vt becomes pendants at v
         moves = {z: w if z in below else v for z in tree[1:] if z != w}
-        cur = cur.rehang(moves, remove=[(u, vt)], add=[(u, w)], cycle=(u, w, vt, v))
+        cur = cur.rehang(moves, cycle=(u, w, vt, v))
     return _check_monotone("finish_one_neighbor_deg2", g, cur)
 
 

@@ -146,14 +146,23 @@ def syntactic_applications(g: Graph):
                    (lambda v=v, u=u: finish_one_neighbor_deg2(g, v, u)))
 
 
-def edit_oracle(g: Graph, moves: dict, remove=(), add=()) -> frozenset:
-    """The edge set of g.rehang(moves, remove, add), by set edits on g.edges:
-    `remove` and each moved tree vertex's edge to its parent go, `add` and
-    each move's edge come, and an edge both taken and given stays."""
-    parent = g.cycle.parent
-    cut = [(z, parent[z]) for z in moves if parent[z] is not None]
-    put = {norm_edge(*e) for e in [*add, *moves.items()]}
-    gone = {norm_edge(*e) for e in [*remove, *cut]} - put
+def edit_oracle(g: Graph, moves: dict, cycle=None) -> frozenset:
+    """The edge set of g.rehang(moves, cycle), by set edits on g.edges: each
+    moved tree vertex's edge to its parent and each old cycle edge the new
+    cycle lacks go, each move's edge and each new cycle edge come, and an
+    edge both taken and given stays. Without `cycle` the new cycle is the
+    old one without the moved vertices."""
+    cyc = g.cycle
+    if cycle is None:
+        cycle = tuple(v for v in cyc.vertices if v not in moves)
+
+    def ring(vs) -> set:
+        return {norm_edge(*e) for e in zip(vs, vs[1:] + vs[:1])}
+
+    old, new = ring(cyc.vertices), ring(cycle)
+    cut = [(z, cyc.parent[z]) for z in moves if cyc.parent[z] is not None]
+    put = {norm_edge(*e) for e in moves.items()} | (new - old)
+    gone = ({norm_edge(*e) for e in cut} | (old - new)) - put
     return (g.edges - gone) | put
 
 

@@ -261,8 +261,9 @@ def test_monotonicity_sweep_clean(n):
 
 
 def test_monotonicity_sweep_checks_the_result_edges(monkeypatch):
-    # rehang rejects an edit that leaves two cycles, so the bad result is
-    # built from an edge list; only its edge count shows the extra cycle
+    # rehang derives its edits from its moves and cannot add a stray edge,
+    # so the bad result is built from an edge list; only its edge count
+    # shows the extra cycle
     def add_an_edge(g, v):
         extra = next((a, b) for a in range(g.n) for b in range(a + 1, g.n) if not g.has_edge(a, b))
         return build_graph(g.n, [*g.edges, extra])

@@ -24,7 +24,7 @@ from gaindex import (
 )
 
 import gaindex.graph
-from gaindex.graph import MAX_VERTICES
+from gaindex.graph import MAX_VERTICES, ring_graph
 
 import _oracles
 from _helpers import graph_with_permutation, is_star, tree_edges, unicyclic_graphs
@@ -79,15 +79,16 @@ def test_rehang_is_pure():
     assert h.has_edge(1, 3) and not h.has_edge(0, 3)
 
 
-@pytest.mark.parametrize("edits", [
-    pytest.param({"add": [(1, 3)]}, id="add-off-the-cycle"),
-    pytest.param({"add": [(1, 3)], "cycle": (0, 1, 2)}, id="add-off-the-new-cycle"),
-    pytest.param({"remove": [(0, 3)], "cycle": (0, 1, 2)}, id="remove-off-the-cycle"),
-    pytest.param({"remove": [(1, 2)], "add": [(1, 3)]}, id="cycle-edit-without-cycle"),
+@pytest.mark.parametrize("moves, cycle, degrees", [
+    pytest.param({1: 3, 2: 3}, (0, 3, 4, 5), (2, 1, 1, 4, 2, 2), id="interior-arc"),
+    pytest.param({0: 2, 1: 2}, (2, 3, 4, 5), (1, 1, 4, 2, 2, 2), id="least-vertex-dropped"),
+    pytest.param({5: 1, 0: 1}, (1, 2, 3, 4), (1, 4, 2, 2, 2, 1), id="wrap-around"),
 ])
-def test_rehang_rejects_edits_the_structure_cannot_hold(edits):
-    with pytest.raises(GraphError, match="cycle"):
-        paw().rehang({}, **edits)
+def test_rehang_closes_the_cycle_over_moved_cycle_vertices(moves, cycle, degrees):
+    h = ring_graph(((),) * 6).rehang(moves)
+    fresh = build_graph(h.n, h.edges)
+    assert h.cycle.vertices == cycle and h.degrees == degrees
+    assert h.cycle == fresh.cycle and h.degrees == fresh.degrees
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +184,7 @@ def test_cycle_is_computed_once_per_graph():
 def test_rehang_that_changes_nothing_keeps_the_value():
     g = paw()
     cyc = find_cycle(g)
-    h = g.rehang({3: 0}, remove=[(0, 1)], add=[(1, 0)], cycle=(0, 1, 2))
+    h = g.rehang({3: 0}, cycle=(0, 1, 2))
     assert h is g and find_cycle(h) is cyc
 
 

@@ -604,7 +604,7 @@ def assert_inherits_a_fresh_structure(h: Graph) -> None:
 
 class Rehanged(list):
     """The new values Graph.rehang returned, in call order; `calls` maps the
-    id of each to the (input, moves, remove, add) that made it."""
+    id of each to the (input, moves, cycle) that made it."""
 
     def __init__(self):
         super().__init__()
@@ -617,12 +617,11 @@ def rehanged(monkeypatch):
     results = Rehanged()
     rehang = Graph.rehang
 
-    def recording(g, moves, remove=(), add=(), cycle=None):
-        remove, add = list(remove), list(add)  # arc relocations pass iterators
-        h = rehang(g, moves, remove, add, cycle)
+    def recording(g, moves, cycle=None):
+        h = rehang(g, moves, cycle)
         if h is not g:
             results.append(h)
-            results.calls[id(h)] = (g, dict(moves), remove, add)
+            results.calls[id(h)] = (g, dict(moves), cycle)
         return h
 
     monkeypatch.setattr(Graph, "rehang", recording)
