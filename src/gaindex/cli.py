@@ -152,7 +152,7 @@ def _cmd_family(args) -> int:
             "family": spec.family,
             "params": list(spec.params),
             "n": g.n,
-            "edges": [list(e) for e in sorted(g.edges)],
+            "edges": [list(e) for e in g.sorted_edges()],
             "ga": round(ga_index(g), 9),
             "ga_closed_form": round(closed_form(spec), 9),
         }), args.out)

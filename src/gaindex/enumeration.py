@@ -3,11 +3,10 @@ brute-force verification of the GA bounds and rewrite monotonicity.
 
 A unicyclic graph is a ring: the rooted-tree shapes hung on its cycle.
 :func:`enumerate_unicyclic` keeps the least ring of each class under
-rotation and reflection and builds its graph with
-:func:`gaindex.graph.ring_graph`, so it yields one graph per class without
-any isomorphism test. The test suite checks it against a reference generator
-(every free tree plus one chord, deduplicated by canonical labeling) and
-against the known counts for small orders.
+rotation and reflection, so it yields one graph per class with no
+isomorphism test, built by :func:`gaindex.graph.ring_graph` with its
+degrees and cycle structure read off the ring, so no graph is peeled. The
+tests check it against a chord-based reference generator and known counts.
 
 :func:`verify_bounds` sweeps the rings themselves. Each ring's GA is built
 with the ring, position by position, as an exact integer in units of

@@ -5,10 +5,11 @@ structural operation returns a new Graph, so intermediate states of a
 rewrite sequence can be kept side by side and compared edge by edge.
 Values are built only here: from an edge list (`build_graph`), from a ring
 of rooted-tree shapes (`ring_graph`) or by a rewrite (`Graph.rehang`).
-One leaf peeling finds the cycle, each tree vertex's parent toward it and
-the pendant trees; a rewrite's result derives that structure and its
-degrees from its input's, with no peel and no edge set. Other modules read
-pendant trees and adjacency from the structure, never adjacency lists.
+Only an edge list's value peels: one leaf peeling finds the cycle, each tree
+vertex's parent toward it and the pendant trees. A ring's value reads them
+off the ring and a rewrite's result derives them from its input's, each
+with its degrees and no edge set. Other modules read pendant trees and
+adjacency from the structure, never adjacency lists.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ def ga_term(du: int, dv: int) -> float:
 class Graph:
     """An immutable simple graph on vertices 0..n-1: its order and its
     frozenset of edges (u, v) with u < v, which decide equality and the hash
-    (a rewrite's result builds it when first read). Derived fields are cached
-    in the instance's __dict__."""
+    (a ring's value and a rewrite's result build it when first read).
+    Derived fields are cached in the instance's __dict__."""
 
     def __init__(self, n: int, edges: frozenset | None):
         self.n = n
@@ -73,21 +74,24 @@ class Graph:
         return hash((self.n, self.edges))
 
     def _edge_pairs(self) -> tuple:
-        """(m, pairs, parents): the edges are `pairs` and each (z, parents[z])
-        whose parent is not None. A value built from a set has no parents; a
-        rewrite's result has its cycle edges as pairs and its parent map."""
+        """(pairs, parents): the edges are `pairs` and each (z, parents[z]) not None:
+        an edge set and no parents, or a seeded value's cycle edges and parents."""
         edges = self.__dict__.get("edges")
         if edges is not None:
-            return len(edges), edges, ()
-        cyc = self.__dict__["cycle"]  # seeded by rehang with the degrees
+            return edges, ()
+        cyc = self.__dict__["cycle"]  # seeded with the degrees
         vs = cyc.vertices
-        return self.n, zip(vs, vs[1:] + vs[:1]), cyc.parent
+        return zip(vs, vs[1:] + vs[:1]), cyc.parent
 
     @cached_property
-    def edges(self) -> frozenset:  # a rewrite's result: other values set it in __init__
-        _, pairs, parents = self._edge_pairs()
+    def edges(self) -> frozenset:  # a seeded value: others set it in __init__
+        return frozenset(self.sorted_edges())
+
+    def sorted_edges(self) -> list:
+        """The edges in order, sorted from the structure when there is no set."""
+        pairs, parents = self._edge_pairs()
         pairs = chain(pairs, ((z, p) for z, p in enumerate(parents) if p is not None))
-        return frozenset((u, v) if u < v else (v, u) for u, v in pairs)
+        return sorted((u, v) if u < v else (v, u) for u, v in pairs)
 
     @cached_property
     def adjacency(self) -> tuple:
@@ -156,7 +160,7 @@ class Graph:
     @cached_property
     def ga(self) -> float:
         """The GA index, the sum of ga_term over the edges (0.0 without edges)."""
-        _, pairs, parents = self._edge_pairs()
+        pairs, parents = self._edge_pairs()
         deg = self.degrees  # deg[z] pairs with parents[z] in the zip
         return math.fsum([ga_term(deg[u], deg[v]) for u, v in pairs]
                          + [ga_term(d, deg[p]) for d, p in zip(deg, parents) if p is not None])
@@ -168,7 +172,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return self._edge_pairs()[0]
+        return len(self.edges) if "edges" in self.__dict__ else self.n  # seeded: unicyclic
 
     def degree(self, v: int) -> int:
         return self.degrees[v]
@@ -239,14 +243,19 @@ class Graph:
                 trees[r] = tuple(z for z in trees[r] if root[z] == r)
         for p, zs in leaves.items():
             trees[p] += tuple(zs)
-        new = Graph(self.n, None)
-        new.__dict__["degrees"] = tuple(deg)
-        new.__dict__["cycle"] = CycleStructure(vertices, len(vertices), tuple(parent),
-                                               tuple(root), trees, position)
-        return new
+        return _seeded(deg, CycleStructure(vertices, len(vertices), tuple(parent),
+                                           tuple(root), trees, position))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={sorted(self.edges)})"
+        return f"Graph(n={self.n}, edges={self.sorted_edges()})"
+
+
+def _seeded(deg: list, cycle: CycleStructure) -> Graph:
+    """A unicyclic value holding its degrees and cycle structure, no edge set."""
+    g = Graph(len(deg), None)
+    g.__dict__["degrees"] = tuple(deg)
+    g.__dict__["cycle"] = cycle
+    return g
 
 
 def build_graph(n: int, edge_list: Iterable) -> Graph:
@@ -273,27 +282,32 @@ def build_graph(n: int, edge_list: Iterable) -> Graph:
     return Graph(n, frozenset(seen))
 
 
-def _attach(edges: list, root: int, children: tuple, next_id: int) -> int:
-    for child in children:
-        cid = next_id
-        next_id += 1
-        edges.append((root, cid))
-        next_id = _attach(edges, cid, child, next_id)
-    return next_id
-
-
 def ring_graph(ring: tuple) -> Graph:
     """The graph of a ring, the rooted-tree shapes hung on a cycle in order
     (a shape is the sorted tuple of its child shapes): cycle vertices
-    0..len(ring)-1, then tree vertices depth first."""
+    0..len(ring)-1 in cycle order, then each tree's vertices depth first, as
+    the structure read off the ring lists them. Raises GraphError below three."""
     girth = len(ring)
-    # edges come out as (u, v) with u < v: the cycle closes on (0, girth - 1)
-    # and each tree vertex's id exceeds its parent's
-    edges = [(i, i + 1) for i in range(girth - 1)] + [(0, girth - 1)]
-    next_id = girth
-    for pos in range(girth):
-        next_id = _attach(edges, pos, ring[pos], next_id)
-    return Graph(next_id, frozenset(edges))
+    if girth < 3:
+        raise GraphError(f"a ring needs at least 3 shapes, got {girth}")
+    deg = [len(shape) + 2 for shape in ring]
+    parent, root, trees = [None] * girth, list(range(girth)), {}
+
+    def hang(p: int, shape: tuple) -> None:  # numbers each child next, then its subtree
+        for child in shape:
+            parent.append(p)
+            deg.append(len(child) + 1)
+            if child:
+                hang(len(deg) - 1, child)
+
+    for r, shape in enumerate(ring):
+        start = len(deg)
+        hang(r, shape)
+        root += [r] * (len(deg) - start)
+        trees[r] = (r, *range(start, len(deg)))
+    cycle = tuple(range(girth))  # the order Graph.cycle walks: from 0 toward 1
+    return _seeded(deg, CycleStructure(cycle, girth, tuple(parent), tuple(root), trees,
+                                       dict(zip(cycle, cycle))))
 
 
 def is_connected(g: Graph) -> bool:
@@ -320,8 +334,8 @@ def is_unicyclic(g: Graph) -> bool:
 
 class CycleStructure:
     """The unique cycle of a unicyclic graph, in a fixed cyclic order, and the
-    pendant trees hanging off it; plain data, built only by Graph.cycle and
-    Graph.rehang.
+    pendant trees hanging off it; plain data, built only by Graph.cycle (the
+    peel of a value built from an edge list), ring_graph and Graph.rehang.
 
     The order starts at the smallest cycle vertex id and proceeds toward the
     smaller of its two cycle neighbors, which makes downstream traces
@@ -551,5 +565,5 @@ def parse_edge_list(text: str) -> Graph:
 
 def format_edge_list(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
     return "\n".join(lines) + "\n"

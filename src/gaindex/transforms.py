@@ -8,8 +8,8 @@ relocated vertices keep their ids and reappear as pendants of the target
 vertex, so consecutive trace states can be diffed edge by edge. Each
 rewrite moves vertices to new parents through one call, `Graph.rehang`,
 so its result inherits the input's degrees and cycle structure, and no
-edge set: a reduction peels its input once and builds a result's edges
-only to print, compare or hash it.
+edge set: a reduction peels its input once and builds a result's edge
+set only to compare or hash it.
 
 Each operator raises PreconditionError outside its case's conditions.
 :func:`operator_applications` yields the monotonicity sweep's choices,
@@ -33,6 +33,8 @@ pipeline records and add no GA evaluations.
 from __future__ import annotations
 
 import json
+from itertools import compress
+from operator import ge, le, neg
 from typing import NamedTuple
 
 from .families import FamilySpec, classify_family
@@ -77,6 +79,19 @@ def _check_monotone(op: str, before: Graph, after: Graph) -> Graph:
     return after
 
 
+def _heaviest(g: Graph, vs: tuple) -> int:
+    """The vertex of vs of largest degree, the least id among ties."""
+    return min(zip(map(neg, map(g.degrees.__getitem__, vs)), vs))[1]
+
+
+def _local_extremes(g: Graph) -> tuple:
+    """The cycle's local maxima and minima, as classify_cycle_vertex flags them, in order."""
+    ds = list(map(g.degrees.__getitem__, cvs := g.cycle.vertices))
+    prev, succ = ds[-1:] + ds[:-1], ds[1:] + ds[:1]
+    return (list(compress(cvs, map(ge, ds, map(max, prev, succ)))),
+            list(compress(cvs, map(le, ds, map(min, prev, succ)))))
+
+
 def _require_on_cycle(g: Graph, *xs: int) -> None:
     for x in xs:
         if x not in g.cycle.position:
@@ -101,7 +116,7 @@ def _require_local_max_star(g: Graph, v: int) -> None:
 
 
 def _require_max_degree_star(g: Graph, v: int) -> None:
-    if g.degree(v) != max(g.degree(w) for w in g.cycle.vertices):
+    if g.degrees[v] != max(map(g.degrees.__getitem__, g.cycle.vertices)):
         raise PreconditionError(f"vertex {v} is not of maximal cycle degree")
     _require_star(g, v)
 
@@ -214,7 +229,7 @@ def finish_two_neighbors_deg2(g: Graph, v: int) -> Graph:
         raise PreconditionError(f"both cycle neighbors of {v} must have degree 2")
     u, ubar = min(a, b), max(a, b)
     rest = cyc.walk(v, u)[2:-1]  # v_1 .. v_t, v_1 adjacent to u, v_t to ubar
-    vbar = min(rest, key=lambda w: (-g.degree(w), w))
+    vbar = _heaviest(g, rest)
     cur = star_transform(g, vbar)
     if vbar != rest[0]:
         cur = arc_transform(cur, u, (u, rest[0]), vbar)
@@ -242,8 +257,8 @@ def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
     other = b if u == a else a
     if g.degree(other) == 2:
         raise PreconditionError(f"{v} has two degree-2 cycle neighbors; wrong finishing move")
-    for w in cyc.vertices:
-        if w != u and classify_cycle_vertex(g, w).local_min:
+    for w in _local_extremes(g)[1]:
+        if w != u:
             raise PreconditionError(f"second local minimum present at vertex {w}")
 
     rest = cyc.walk(v, u)[2:]  # v_1 .. v_t with v_t adjacent to v
@@ -260,7 +275,7 @@ def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
         # keep vt's direct children, everything deeper becomes a pendant at v
         cur = cur.rehang({z: v for z in tree[1:] if parent[z] != vt})
     else:
-        w = min(heavy, key=lambda x: (-cur.degree(x), x))
+        w = _heaviest(cur, heavy)
         below = {w}  # w and its descendants; the tree lists parents first
         for z in tree:
             if parent[z] in below:
@@ -301,9 +316,7 @@ def operator_applications(g: Graph):
     cyc = g.cycle
     cvs, pos, k = cyc.vertices, cyc.position, cyc.girth
     deg = g.degrees
-    classes = [classify_cycle_vertex(g, v) for v in cvs]
-    local_max = [v for v, c in zip(cvs, classes) if c.local_max]
-    local_min = [v for v, c in zip(cvs, classes) if c.local_min]
+    local_max, local_min = _local_extremes(g)
     local_max_stars = [v for v in local_max if _is_star(g, v)]
     top = max(deg[v] for v in cvs)
     max_degree_stars = [v for v in cvs if deg[v] == top and _is_star(g, v)]
@@ -397,7 +410,7 @@ class TransformTrace(NamedTuple):
                 "ga_after": round(s.ga_after, 9),
             }
             if include_edges:
-                d["edges"] = [list(e) for e in sorted(s.graph.edges)]
+                d["edges"] = [list(e) for e in s.graph.sorted_edges()]
             return d
 
         return {
@@ -418,7 +431,7 @@ class TransformTrace(NamedTuple):
             params = ", ".join(f"{k}={v}" for k, v in s.params.items())
             lines.append(f"step {i}: {s.op}({params})  GA {s.ga_before:.9f} -> {s.ga_after:.9f}")
             if include_edges:
-                lines.append("  edges: " + " ".join(f"{u}-{v}" for u, v in sorted(s.graph.edges)))
+                lines.append("  edges: " + " ".join(f"{u}-{v}" for u, v in s.graph.sorted_edges()))
         lines.append(f"terminal: {self.terminal_family.label()}  GA={self.ga_terminal:.9f}")
         return "\n".join(lines) + "\n"
 
@@ -453,10 +466,11 @@ def reduction_pipeline(g: Graph) -> TransformTrace:
         steps.append(TraceStep(op.__name__, params, cur.ga, nxt.ga, nxt))
         cur = nxt
 
-    v = min(cur.cycle.vertices, key=lambda w: (-cur.degree(w), w))
+    v = _heaviest(cur, cur.cycle.vertices)
     apply(star_transform, v=v)
 
-    u = min((w for w in cur.cycle.vertices if w != v), key=lambda w: (cur.degree(w), w))
+    cvs = cur.cycle.vertices  # the least degree other than v's, the least id among ties
+    u = min(compress(zip(map(cur.degrees.__getitem__, cvs), cvs), map(v.__ne__, cvs)))[1]
     apply(relocate_min, u=u, v=v)
 
     if not cur.cycle.adjacent(u, v):
@@ -469,8 +483,7 @@ def reduction_pipeline(g: Graph) -> TransformTrace:
         if cur.degree(a) == 2 and cur.degree(b) == 2:
             config = "both"
             break
-        minima = [w for w in cyc.vertices
-                  if w not in (u, v) and classify_cycle_vertex(cur, w).local_min]
+        minima = [w for w in _local_extremes(cur)[1] if w not in (u, v)]
         if not minima:
             config = "one"
             break

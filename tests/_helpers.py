@@ -1,5 +1,5 @@
-"""Shared hypothesis strategies, pendant-tree views, sweep fault injection and
-module loading for the test suite."""
+"""Shared hypothesis strategies, pendant-tree views, a structure comparison,
+sweep fault injection and module loading for the test suite."""
 
 import importlib.util
 from pathlib import Path
@@ -37,6 +37,27 @@ def tree_edges(g, v) -> set:
 def is_star(g, v) -> bool:
     """True when every edge of the pendant tree at v is incident to v."""
     return all(v in e for e in tree_edges(g, v))
+
+
+def assert_same_structure(g, fresh) -> None:
+    """g carries degrees and a cycle structure equal to fresh's, field by
+    field: vertices, girth, parents and roots (`==`), the position index, and
+    pendant trees with the same vertex set per root, the root first and each
+    vertex after its parent."""
+    assert g.degrees == fresh.degrees
+    assert g.cycle == fresh.cycle
+    assert g.cycle.position == fresh.cycle.position
+    parent = g.cycle.parent
+    trees, fresh_trees = g.cycle.trees, fresh.cycle.trees
+    assert trees.keys() == fresh_trees.keys()
+    assert g.cycle.root == fresh.cycle.root
+    for r, tree in trees.items():
+        assert len(tree) == len(set(tree)) and set(tree) == set(fresh_trees[r])
+        assert tree[0] == r
+        seen = {r}
+        for z in tree[1:]:
+            assert parent[z] in seen
+            seen.add(z)
 
 
 def replace_star_thunks(monkeypatch, faulty) -> None:

@@ -10,6 +10,9 @@ composition and compares every candidate under every rotation and
 reflection.
 The package reads pendant trees from the parents its leaf peeling records;
 the reference here walks each tree by depth-first search.
+The package reads a ring's degrees and cycle structure off the ring and
+builds its edge set only when read; the reference here lists the ring's
+edges one by one, for the tests to peel.
 The package's monotonicity sweep tries each operator only at targets its
 guards accept; the reference here yields every syntactic parameter choice.
 The package derives a rewrite's result from its input's cycle structure
@@ -115,6 +118,26 @@ def reference_pendant_tree(g: Graph, v: int) -> tuple:
             edges.add(norm_edge(x, w))
             stack.append(w)
     return frozenset(vertices), frozenset(edges)
+
+
+def reference_ring_edges(ring: tuple) -> frozenset:
+    """The edge set of a ring's graph: the cycle on 0..len(ring)-1, then each
+    shape's vertices numbered depth first, each joined to its parent."""
+    girth = len(ring)
+    edges = [(i, i + 1) for i in range(girth - 1)] + [(0, girth - 1)]
+    next_id = girth
+
+    def attach(root: int, children: tuple) -> None:
+        nonlocal next_id
+        for child in children:
+            cid = next_id
+            next_id += 1
+            edges.append((root, cid))
+            attach(cid, child)
+
+    for pos in range(girth):
+        attach(pos, ring[pos])
+    return frozenset(edges)
 
 
 def syntactic_applications(g: Graph):

@@ -12,6 +12,7 @@ from gaindex import (
     build_graph,
     canonical_form,
     classify_cycle_vertex,
+    enumerate_unicyclic,
     find_cycle,
     format_edge_list,
     is_connected,
@@ -24,11 +25,18 @@ from gaindex import (
 )
 
 import gaindex.graph
+from gaindex.enumeration import _rings
 from gaindex.graph import MAX_VERTICES, ring_graph
 
 import _oracles
-from _helpers import graph_with_permutation, is_star, tree_edges, unicyclic_graphs
-from _oracles import reference_canonical_form, reference_pendant_tree, relabel
+from _helpers import (
+    assert_same_structure,
+    graph_with_permutation,
+    is_star,
+    tree_edges,
+    unicyclic_graphs,
+)
+from _oracles import reference_canonical_form, reference_pendant_tree, reference_ring_edges, relabel
 
 
 def paw():
@@ -89,6 +97,55 @@ def test_rehang_closes_the_cycle_over_moved_cycle_vertices(moves, cycle, degrees
     fresh = build_graph(h.n, h.edges)
     assert h.cycle.vertices == cycle and h.degrees == degrees
     assert h.cycle == fresh.cycle and h.degrees == fresh.degrees
+
+
+# ---------------------------------------------------------------------------
+# a ring's value reads its structure off the ring
+# ---------------------------------------------------------------------------
+
+
+def family_rings() -> list:
+    """(spec, ring) for cycle and sn3 at n = 3..30 and spq4 and srk3 at
+    parameters 0..7, each ring written out here: a cycle vertex with k
+    pendants carries the shape of k leaves, the larger count first."""
+    leaves = [((),) * k for k in range(8)]
+    found = [(FamilySpec("cycle", (n,)), ((),) * n) for n in range(3, 31)]
+    found += [(FamilySpec("sn3", (n,)), (((),) * (n - 3), (), ())) for n in range(3, 31)]
+    for p, q in itertools.combinations_with_replacement(range(8), 2):
+        a, b = leaves[q], leaves[p]
+        found += [(FamilySpec("spq4", (p, q)), (a, (), b, ())),
+                  (FamilySpec("srk3", (p, q)), (a, b, ()))]
+    return found
+
+
+def assert_matches_the_ring_oracle(g, ring) -> None:
+    """g holds its degrees and cycle structure but no edge set or adjacency
+    yet; its edges are the reference listing's, and its structure is a peel's
+    of a value built from that listing."""
+    assert {"degrees", "cycle"} <= vars(g).keys()
+    assert not {"edges", "adjacency"} & vars(g).keys()
+    reference = reference_ring_edges(ring)
+    assert_same_structure(g, build_graph(g.n, reference))
+    assert g.edges == reference
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_every_class_matches_the_ring_oracle(n):
+    for g, (ring, _) in zip(enumerate_unicyclic(n), _rings(n), strict=True):
+        assert_matches_the_ring_oracle(g, ring)
+
+
+def test_every_family_matches_the_ring_oracle():
+    for spec, ring in family_rings():
+        g = make_family(spec)
+        assert_matches_the_ring_oracle(g, ring)
+        assert g.n == spec.n
+
+
+@pytest.mark.parametrize("ring", [(), ((),), ((), (((),),))])
+def test_ring_graph_rejects_short_rings(ring):
+    with pytest.raises(GraphError, match="at least 3 shapes"):
+        ring_graph(ring)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from gaindex.graph import CycleStructure, GraphError, classify_cycle_vertex, ga_
 from gaindex.indices import edge_contribution
 from gaindex.transforms import _arc_path, operator_applications
 
-from _helpers import is_star, load_module, tree_edges
+from _helpers import assert_same_structure, is_star, load_module, tree_edges
 from _oracles import edit_oracle
 
 
@@ -580,26 +580,10 @@ def reduce_inputs() -> list:
 
 
 def assert_inherits_a_fresh_structure(h: Graph) -> None:
-    """h carries degrees and a cycle structure equal to a fresh value's, field
-    by field: vertices, girth, parents and roots (`==`), the position index,
-    and pendant trees with the same vertex set per root, the root first and
-    each vertex after its parent."""
+    """h carries degrees and a cycle structure equal to a fresh value's (see
+    assert_same_structure)."""
     assert {"degrees", "cycle"} <= vars(h).keys()
-    fresh = Graph(h.n, h.edges)
-    assert h.degrees == fresh.degrees
-    assert h.cycle == fresh.cycle
-    assert h.cycle.position == fresh.cycle.position
-    parent = h.cycle.parent
-    trees, fresh_trees = h.cycle.trees, fresh.cycle.trees
-    assert trees.keys() == fresh_trees.keys()
-    assert h.cycle.root == fresh.cycle.root
-    for r, tree in trees.items():
-        assert len(tree) == len(set(tree)) and set(tree) == set(fresh_trees[r])
-        assert tree[0] == r
-        seen = {r}
-        for z in tree[1:]:
-            assert parent[z] in seen
-            seen.add(z)
+    assert_same_structure(h, Graph(h.n, h.edges))
 
 
 class Rehanged(list):
@@ -758,13 +742,16 @@ def test_a_reduction_peels_only_its_input(peeled, rehanged):
         assert {id(s.graph) for s in trace.steps} - {id(g)} <= {id(h) for h in rehanged}
 
 
-def test_the_monotonicity_sweep_peels_only_the_classes(peeled, rehanged):
-    # one peel, and so one tree pass, per class; no rewrite result is peeled
-    report = verify_monotonicity(7)
-    assert report.total_applications > 0 and rehanged
-    assert len(peeled) == report.graphs
-    results = {id(h) for h in rehanged}
-    assert not any(id(g) in results for g in peeled)
+def test_the_monotonicity_sweep_peels_no_graph(peeled, rehanged, monkeypatch):
+    # a class reads its structure off its ring and a rewrite's result derives
+    # its own from its input's: no value is peeled and none builds adjacency
+    adjacency = []
+    build = Graph.adjacency.func
+    monkeypatch.setattr(Graph.adjacency, "func", lambda g: adjacency.append(g) or build(g))
+    for n in range(5, 11):
+        assert verify_monotonicity(n).total_applications > 0
+    assert rehanged
+    assert len(peeled) == 0 and len(adjacency) == 0
 
 
 @pytest.fixture
@@ -789,12 +776,10 @@ def test_a_reduction_walks_the_trees_of_its_input_only(tree_passes):
         assert len(tree_passes) == 1 and tree_passes[0] is g.cycle
 
 
-def test_the_monotonicity_sweep_walks_no_result_trees(rehanged, tree_passes):
+def test_the_monotonicity_sweep_walks_no_trees(rehanged, tree_passes):
     report = verify_monotonicity(7)
     assert report.total_applications > 0 and rehanged
-    results = {id(h.cycle) for h in rehanged}
-    assert not any(id(cyc) in results for cyc in tree_passes)
-    assert len(tree_passes) == report.graphs
+    assert len(tree_passes) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -826,6 +811,12 @@ def test_count_tests_and_the_classify_memo_match_their_definitions(unicyclic, n)
             direct = (d >= max(da, db), d <= min(da, db))
             assert classify_cycle_vertex(g, v) == direct
             assert classify_cycle_vertex(g, v) is classify_cycle_vertex(g, v)  # memoized
+        # the whole-cycle scan the sweep, the pipeline and the finishing
+        # move use flags the vertices classify_cycle_vertex flags, in order
+        classes = [classify_cycle_vertex(g, v) for v in cyc.vertices]
+        assert transforms._local_extremes(g) == (
+            [v for v, c in zip(cyc.vertices, classes) if c.local_max],
+            [v for v, c in zip(cyc.vertices, classes) if c.local_min])
         for z in tree_vertices[:1]:
             for _ in range(2):
                 with pytest.raises(GraphError, match="not a cycle vertex"):
