@@ -12,10 +12,8 @@ from .graph import (
     Graph,
     GraphError,
     NotUnicyclicError,
-    VertexClass,
     build_graph,
     canonical_form,
-    classify_cycle_vertex,
     find_cycle,
     format_edge_list,
     is_connected,

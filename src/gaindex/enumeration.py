@@ -24,7 +24,6 @@ only those witnesses.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
@@ -218,9 +217,6 @@ class BoundReport(NamedTuple):
             "min_attained_by_sn3": self.min_attained_by_sn3,
             "min_unique": self.min_unique,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:
         status = "ok" if not self.violations else f"{len(self.violations)} VIOLATIONS"

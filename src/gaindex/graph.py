@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 
 class GraphError(ValueError):
@@ -164,11 +164,6 @@ class Graph:
         deg = self.degrees  # deg[z] pairs with parents[z] in the zip
         return math.fsum([ga_term(deg[u], deg[v]) for u, v in pairs]
                          + [ga_term(d, deg[p]) for d, p in zip(deg, parents) if p is not None])
-
-    @cached_property
-    def _vertex_classes(self) -> dict:
-        """classify_cycle_vertex's memo, filled one vertex at a time."""
-        return {}
 
     @property
     def m(self) -> int:
@@ -408,26 +403,6 @@ def pendant_tree(g: Graph, v: int) -> tuple:
     if v not in cycle.position:
         raise GraphError(f"vertex {v} is not a cycle vertex")
     return cycle.trees[v]
-
-
-class VertexClass(NamedTuple):
-    local_max: bool
-    local_min: bool
-
-
-def classify_cycle_vertex(g: Graph, v: int) -> VertexClass:
-    """Compare deg(v) against its two cycle neighbors; both flags may hold at once.
-    Memoized per Graph value, one vertex at a time; a vertex off the cycle is
-    never stored, so it raises GraphError on every call."""
-    memo = g._vertex_classes
-    if v not in memo:
-        cycle = g.cycle
-        if v not in cycle.position:
-            raise GraphError(f"vertex {v} is not a cycle vertex")
-        a, b = cycle.cycle_neighbors(v)
-        d, da, db = g.degree(v), g.degree(a), g.degree(b)
-        memo[v] = VertexClass(d >= max(da, db), d <= min(da, db))
-    return memo[v]
 
 
 # ---------------------------------------------------------------------------

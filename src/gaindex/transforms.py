@@ -12,6 +12,11 @@ edge set: a reduction peels its input once and builds a result's edge
 set only to compare or hash it.
 
 Each operator raises PreconditionError outside its case's conditions.
+Whether a cycle vertex is a local maximum or minimum of the cycle's
+degrees is decided in two places that compare alike: one O(1) guard at a
+given vertex for star_transform, relocate_min and arc_transform, and one
+scan of the whole cycle for the sweep's choices, the pipeline and
+finish_one_neighbor_deg2.
 :func:`operator_applications` yields the monotonicity sweep's choices,
 testing beside these guards what they test on the target vertices:
 star_transform at a local maximum v; relocate_min at a local minimum u
@@ -41,7 +46,6 @@ from .families import FamilySpec, classify_family
 from .graph import (
     Graph,
     NotUnicyclicError,
-    classify_cycle_vertex,
     norm_edge,
     pendant_tree,
 )
@@ -85,11 +89,21 @@ def _heaviest(g: Graph, vs: tuple) -> int:
 
 
 def _local_extremes(g: Graph) -> tuple:
-    """The cycle's local maxima and minima, as classify_cycle_vertex flags them, in order."""
+    """The cycle's local maxima and minima, in order: the whole-cycle scan
+    whose per-vertex form is _require_local_extreme."""
     ds = list(map(g.degrees.__getitem__, cvs := g.cycle.vertices))
     prev, succ = ds[-1:] + ds[:-1], ds[1:] + ds[:1]
     return (list(compress(cvs, map(ge, ds, map(max, prev, succ)))),
             list(compress(cvs, map(le, ds, map(min, prev, succ)))))
+
+
+def _require_local_extreme(g: Graph, v: int, kind: str) -> None:
+    """Reject cycle vertex v unless its degree is a local `kind` ("maximum"
+    or "minimum") of the cycle's degrees: _local_extremes at one vertex, in O(1)."""
+    deg = g.degrees
+    d, (a, b) = deg[v], g.cycle.cycle_neighbors(v)
+    if not (d >= max(deg[a], deg[b]) if kind == "maximum" else d <= min(deg[a], deg[b])):
+        raise PreconditionError(f"vertex {v} is not a local {kind} on the cycle")
 
 
 def _require_on_cycle(g: Graph, *xs: int) -> None:
@@ -110,8 +124,7 @@ def _require_star(g: Graph, v: int) -> None:
 
 
 def _require_local_max_star(g: Graph, v: int) -> None:
-    if not classify_cycle_vertex(g, v).local_max:
-        raise PreconditionError(f"vertex {v} is not a local maximum on the cycle")
+    _require_local_extreme(g, v, "maximum")
     _require_star(g, v)
 
 
@@ -129,8 +142,7 @@ def _require_max_degree_star(g: Graph, v: int) -> None:
 def star_transform(g: Graph, v: int) -> Graph:
     """Flatten the pendant tree at local-maximum cycle vertex v into a star at v."""
     _require_on_cycle(g, v)
-    if not classify_cycle_vertex(g, v).local_max:
-        raise PreconditionError(f"vertex {v} is not a local maximum on the cycle")
+    _require_local_extreme(g, v, "maximum")
     return _check_monotone("star_transform", g, g.rehang(dict.fromkeys(pendant_tree(g, v)[1:], v)))
 
 
@@ -144,8 +156,7 @@ def relocate_min(g: Graph, u: int, v: int) -> Graph:
         raise PreconditionError("u and v must be distinct cycle vertices")
     _require_on_cycle(g, u, v)
     _require_local_max_star(g, v)
-    if not classify_cycle_vertex(g, u).local_min:
-        raise PreconditionError(f"vertex {u} is not a local minimum on the cycle")
+    _require_local_extreme(g, u, "minimum")
     return _check_monotone("relocate_min", g, g.rehang(dict.fromkeys(pendant_tree(g, u)[1:], v)))
 
 

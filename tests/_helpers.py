@@ -1,5 +1,6 @@
-"""Shared hypothesis strategies, pendant-tree views, a structure comparison,
-sweep fault injection and module loading for the test suite."""
+"""Shared hypothesis strategies, pendant-tree views, the local-extreme
+guard's verdicts, a structure comparison, sweep fault injection and module
+loading for the test suite."""
 
 import importlib.util
 from pathlib import Path
@@ -37,6 +38,20 @@ def tree_edges(g, v) -> set:
 def is_star(g, v) -> bool:
     """True when every edge of the pendant tree at v is incident to v."""
     return all(v in e for e in tree_edges(g, v))
+
+
+def extreme_flags(g, v) -> tuple:
+    """(local maximum, local minimum): whether the rewrite guards accept
+    cycle vertex v as each."""
+    flags = []
+    for kind in ("maximum", "minimum"):
+        try:
+            transforms._require_local_extreme(g, v, kind)
+        except transforms.PreconditionError:
+            flags.append(False)
+        else:
+            flags.append(True)
+    return tuple(flags)
 
 
 def assert_same_structure(g, fresh) -> None:

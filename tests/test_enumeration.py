@@ -242,8 +242,9 @@ def test_verify_bounds_witnesses_are_canonical_keys():
 
 def test_bound_report_is_deterministic_and_json_stable():
     a, b = verify_bounds(6), verify_bounds(6)
-    assert a == b
-    text = a.to_json()
+    assert a == b and a.to_dict() == b.to_dict()
+    text = json.dumps(a.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert json.loads(text) == a.to_dict()
     assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
 
 

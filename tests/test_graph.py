@@ -9,9 +9,9 @@ from gaindex import (
     EdgeListError,
     GraphError,
     NotUnicyclicError,
+    PreconditionError,
     build_graph,
     canonical_form,
-    classify_cycle_vertex,
     enumerate_unicyclic,
     find_cycle,
     format_edge_list,
@@ -22,15 +22,19 @@ from gaindex import (
     parse_edge_list,
     pendant_tree,
     reduction_pipeline,
+    relocate_min,
+    star_transform,
 )
 
 import gaindex.graph
 from gaindex.enumeration import _rings
 from gaindex.graph import MAX_VERTICES, ring_graph
+from gaindex.transforms import _local_extremes
 
 import _oracles
 from _helpers import (
     assert_same_structure,
+    extreme_flags,
     graph_with_permutation,
     is_star,
     tree_edges,
@@ -392,25 +396,31 @@ def test_pendant_trees_match_the_reference_walk_under_relabeling(gp):
 
 
 # ---------------------------------------------------------------------------
-# local extremes
+# local extremes of the cycle's degrees, as the rewrites read them
 # ---------------------------------------------------------------------------
 
 
 def test_classify_cycle_all_equal():
     g = make_family(FamilySpec("cycle", (6,)))
     for v in range(6):
-        assert classify_cycle_vertex(g, v) == (True, True)
+        assert extreme_flags(g, v) == (True, True)
+    assert _local_extremes(g) == (list(g.cycle.vertices), list(g.cycle.vertices))
 
 
 def test_classify_sn3_center_and_rim():
     g = make_family(FamilySpec("sn3", (6,)))
-    assert classify_cycle_vertex(g, 0) == (True, False)
-    assert classify_cycle_vertex(g, 1) == (False, True)
+    assert extreme_flags(g, 0) == (True, False)
+    assert extreme_flags(g, 1) == (False, True)
+    assert _local_extremes(g) == ([0], [1, 2])
 
 
 def test_classify_rejects_pendant():
-    with pytest.raises(GraphError):
-        classify_cycle_vertex(paw(), 3)
+    g = paw()
+    with pytest.raises(PreconditionError, match="vertex 3 is not a cycle vertex"):
+        star_transform(g, 3)
+    for u, v in ((3, 0), (1, 3)):
+        with pytest.raises(PreconditionError, match="vertex 3 is not a cycle vertex"):
+            relocate_min(g, u, v)
 
 
 # ---------------------------------------------------------------------------

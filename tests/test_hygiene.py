@@ -8,8 +8,9 @@ only. `__init__.py` is skipped: its imports are the package's re-exports.
 No function may rebind a module global, except the allowlisted switches
 below. Only graph.py calls the Graph
 constructor, reads adjacency, builds a CycleStructure or writes a Graph
-value's cached fields, its classify memo or a structure's root record. A CycleStructure is plain data: no lazy
-field, and graph.py seeds only a value's degrees and cycle.
+value's cached fields or a structure's root record. A Graph value caches
+only its edges, adjacency, degrees, cycle and GA; a CycleStructure is plain
+data: no lazy field, and graph.py seeds only a value's degrees and cycle.
 Every module parses under the oldest Python that pyproject.toml allows.
 No module imports `dataclasses`, whose import (with `inspect`) was the
 largest share of the CLI's start-up; a fresh `import gaindex.cli` loads
@@ -144,37 +145,44 @@ def test_only_graph_reads_adjacency():
 
 def _writes_cache(node) -> bool:
     """True for a node that builds a CycleStructure or can write a cached
-    field: `__dict__`, `vars`, the classify memo, a store to `.root`, or a
-    `setattr` that names the memo or `root`."""
+    field: `__dict__`, `vars`, a store to `.root`, or a `setattr` that
+    names `root`."""
     if isinstance(node, ast.Attribute):
-        return (node.attr in ("__dict__", "_vertex_classes")
+        return (node.attr == "__dict__"
                 or node.attr == "root" and isinstance(node.ctx, (ast.Store, ast.Del)))
     if not isinstance(node, ast.Call):
         return False
     func = _references(node.func)
     if func[:1] in (["setattr"], ["__setattr__"]):
-        return any(isinstance(a, ast.Constant) and a.value in ("root", "_vertex_classes")
-                   for a in node.args)
+        return any(isinstance(a, ast.Constant) and a.value == "root" for a in node.args)
     return func[:1] in (["vars"], ["CycleStructure"])
 
 
 def test_only_graph_builds_cycle_structures_and_seeds_caches():
     # a Graph value's cached fields (its cycle structure with the pendant
-    # trees and roots, and its classify memo) come from its own edges or, for
-    # a rewrite's result, from Graph.rehang; no other module writes them
+    # trees and roots among them) come from its own edges, from its ring or,
+    # for a rewrite's result, from Graph.rehang; no other module writes them
     writers = sorted({module for module, tree in MODULES.items() if module != "graph.py"
                       for node in ast.walk(tree) if _writes_cache(node)})
     assert writers == [], "modules other than graph.py build CycleStructure or seed Graph caches"
 
 
-def _cycle_structure_class() -> ast.ClassDef:
+def _graph_class(name: str) -> ast.ClassDef:
     return next(node for node in MODULES["graph.py"].body
-                if isinstance(node, ast.ClassDef) and node.name == "CycleStructure")
+                if isinstance(node, ast.ClassDef) and node.name == name)
+
+
+def test_graph_caches_only_its_structure_and_ga():
+    # per-value memos for what other modules decide stay out of Graph
+    cached = [node.name for node in _graph_class("Graph").body
+              if isinstance(node, ast.FunctionDef)
+              and any("cached_property" in _references(d) for d in node.decorator_list)]
+    assert cached == ["edges", "adjacency", "degrees", "cycle", "ga"]
 
 
 def test_cycle_structure_has_no_lazy_fields():
     # every field is set by the constructor; nothing is computed on first read
-    lazy = [node.name for node in _cycle_structure_class().body
+    lazy = [node.name for node in _graph_class("CycleStructure").body
             if isinstance(node, ast.FunctionDef)
             and {"cached_property", "property"} & {r for d in node.decorator_list
                                                    for r in _references(d)}]

@@ -33,11 +33,11 @@ from gaindex import (
     verify_monotonicity,
 )
 from gaindex import transforms
-from gaindex.graph import CycleStructure, GraphError, classify_cycle_vertex, ga_term
+from gaindex.graph import CycleStructure, ga_term
 from gaindex.indices import edge_contribution
 from gaindex.transforms import _arc_path, operator_applications
 
-from _helpers import assert_same_structure, is_star, load_module, tree_edges
+from _helpers import assert_same_structure, extreme_flags, is_star, load_module, tree_edges
 from _oracles import edit_oracle
 
 
@@ -783,8 +783,24 @@ def test_the_monotonicity_sweep_walks_no_trees(rehanged, tree_passes):
 
 
 # ---------------------------------------------------------------------------
-# degree counts and the classify memo stand in for scans
+# degree counts and the local-extreme guard stand in for scans
 # ---------------------------------------------------------------------------
+
+
+def assert_guard_matches_the_scan(g: Graph) -> None:
+    """At every cycle vertex of g, the local-extreme guard accepts exactly
+    what the direct comparison with the two cycle neighbors accepts, and
+    the whole-cycle scan lists the accepted vertices in cycle order."""
+    cyc = g.cycle
+    flags = []
+    for v in cyc.vertices:
+        a, b = cyc.cycle_neighbors(v)
+        d, da, db = g.degree(v), g.degree(a), g.degree(b)
+        flags.append(extreme_flags(g, v))
+        assert flags[-1] == (d >= max(da, db), d <= min(da, db))
+    assert transforms._local_extremes(g) == (
+        [v for v, (top, _) in zip(cyc.vertices, flags) if top],
+        [v for v, (_, bottom) in zip(cyc.vertices, flags) if bottom])
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -806,18 +822,18 @@ def test_count_tests_and_the_classify_memo_match_their_definitions(unicyclic, n)
                 assert not star
             else:
                 assert star
-            a, b = cyc.cycle_neighbors(v)
-            d, da, db = g.degree(v), g.degree(a), g.degree(b)
-            direct = (d >= max(da, db), d <= min(da, db))
-            assert classify_cycle_vertex(g, v) == direct
-            assert classify_cycle_vertex(g, v) is classify_cycle_vertex(g, v)  # memoized
+        # the guard of star_transform, relocate_min and arc_transform, and
         # the whole-cycle scan the sweep, the pipeline and the finishing
-        # move use flags the vertices classify_cycle_vertex flags, in order
-        classes = [classify_cycle_vertex(g, v) for v in cyc.vertices]
-        assert transforms._local_extremes(g) == (
-            [v for v, c in zip(cyc.vertices, classes) if c.local_max],
-            [v for v, c in zip(cyc.vertices, classes) if c.local_min])
+        # move use
+        assert_guard_matches_the_scan(g)
         for z in tree_vertices[:1]:
             for _ in range(2):
-                with pytest.raises(GraphError, match="not a cycle vertex"):
-                    classify_cycle_vertex(g, z)
+                with pytest.raises(PreconditionError, match=f"vertex {z} is not a cycle vertex"):
+                    star_transform(g, z)
+                with pytest.raises(PreconditionError, match=f"vertex {z} is not a cycle vertex"):
+                    relocate_min(g, z, cyc.vertices[0])
+
+
+def test_local_extreme_guard_matches_the_scan_on_large_graphs():
+    for g in reduce_inputs():
+        assert_guard_matches_the_scan(g)
