@@ -8,8 +8,9 @@ of rooted-tree shapes (`ring_graph`) or by a rewrite (`Graph.rehang`).
 Only an edge list's value peels: one leaf peeling finds the cycle, each tree
 vertex's parent toward it and the pendant trees. A ring's value reads them
 off the ring and a rewrite's result derives them from its input's, each
-with its degrees and no edge set. Other modules read pendant trees and
-adjacency from the structure, never adjacency lists.
+with its degrees and no edge set. No value holds neighbor lists: the peel
+tracks each vertex's sum of live-neighbor ids, and other modules read
+pendant trees and adjacency from the structure.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ class NotUnicyclicError(GraphError):
 
 
 # Upper bound on the order of a graph read from outside: per-vertex structures
-# (adjacency, cycle search) are allocated from n, so an unchecked header
-# would let a two-line file ask for gigabytes.
+# (degrees, the peel's neighbor-id sums) are allocated from n, so an unchecked
+# header would let a two-line file ask for gigabytes.
 MAX_VERTICES = 10**6
 
 _NOT_UNICYCLIC = "graph is not unicyclic (connected with |E| = |V|)"
@@ -94,18 +95,12 @@ class Graph:
         return sorted((u, v) if u < v else (v, u) for u, v in pairs)
 
     @cached_property
-    def adjacency(self) -> tuple:
-        """Each vertex's neighbors in edge order: readers take a min or the one
-        live neighbor, so no list is sorted here."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
+    def degrees(self) -> tuple:  # seeded for a ring's value and a rewrite's result
+        deg = [0] * self.n
         for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(map(tuple, nbrs))
-
-    @cached_property
-    def degrees(self) -> tuple:
-        return tuple(map(len, self.adjacency))
+            deg[u] += 1
+            deg[v] += 1
+        return tuple(deg)
 
     @cached_property
     def cycle(self) -> CycleStructure:
@@ -115,37 +110,39 @@ class Graph:
         every other component, with deg[v] the degree of v in it (0 off it).
         Each tree component has one edge fewer than vertices, so with m == n
         the graph is connected and unicyclic exactly when what remains is one cycle.
-        A peeled leaf's one live neighbor is its parent in its pendant tree,
-        so the peel reversed lists each tree vertex after its parent: one
-        pass over it gives every vertex's root and every pendant tree.
+        link[v] is the sum of the ids of v's live neighbors: a leaf's is its
+        one live neighbor, its parent in its pendant tree, and a cycle
+        vertex's the sum of its two cycle neighbors, so the walk steps to
+        link[cur] - prev. The peel reversed lists each tree vertex after its
+        parent: one pass over it gives every vertex's root and every pendant tree.
         """
         n = self.n
         if self.m != n:
             raise NotUnicyclicError(_NOT_UNICYCLIC)
-        adj = self.adjacency
         deg = list(self.degrees)
+        link = [0] * n
+        for u, v in self.edges:
+            link[u] += v
+            link[v] += u
         parent = [None] * n
         leaves = [v for v in range(n) if deg[v] == 1]
         for v in leaves:  # the list grows as peeling exposes new leaves
-            deg[v] = 0
-            for w in adj[v]:
-                if deg[w]:
-                    parent[v] = w
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        leaves.append(w)
+            if deg[v]:  # 0 when its one neighbor, also a leaf, was peeled first
+                w = parent[v] = link[v]
+                deg[v] = 0
+                deg[w] -= 1
+                link[w] -= v
+                if deg[w] == 1:
+                    leaves.append(w)
         on_cycle = [v for v in range(n) if deg[v]]
         if not on_cycle or any(deg[v] != 2 for v in on_cycle):
             raise NotUnicyclicError(_NOT_UNICYCLIC)
-        start = on_cycle[0]
-        prev, cur = start, min(w for w in adj[start] if deg[w])
+        start = on_cycle[0]  # the least cycle vertex: the lesser end of its cycle edges
+        prev, cur = start, min(v for u, v in self.edges if u == start and deg[v])
         order = [start]
         while cur != start:
             order.append(cur)
-            for w in adj[cur]:
-                if deg[w] and w != prev:
-                    prev, cur = cur, w
-                    break
+            prev, cur = cur, link[cur] - prev
         if len(order) != len(on_cycle):
             raise NotUnicyclicError(_NOT_UNICYCLIC)
         root = list(range(n))
@@ -306,16 +303,17 @@ def ring_graph(ring: tuple) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in g.adjacency[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+    """True iff g has one component: a union-find over the edges, with path halving."""
+    boss, parts = list(range(g.n)), g.n
+    for u, v in g.edges:
+        while boss[u] != u:
+            boss[u] = u = boss[boss[u]]
+        while boss[v] != v:
+            boss[v] = v = boss[boss[v]]
+        if u != v:
+            boss[u] = v
+            parts -= 1
+    return parts == 1
 
 
 def is_unicyclic(g: Graph) -> bool:
@@ -412,9 +410,9 @@ def pendant_tree(g: Graph, v: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _refine(adj: tuple, colors: tuple) -> tuple:
+def _refine(nbrs: list, colors: tuple) -> tuple:
     while True:
-        sigs = [(colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(len(adj))]
+        sigs = [(colors[v], tuple(sorted(colors[w] for w in nbrs[v]))) for v in range(len(nbrs))]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = tuple(rank[s] for s in sigs)
         if new == colors:
@@ -432,8 +430,10 @@ def canonical_form(g: Graph) -> bytes:
     n = g.n
     if n >= 256:
         raise GraphError("canonical_form supports graphs with fewer than 256 vertices")
-    adj = g.adjacency
-    nbr_sets = [set(a) for a in adj]
+    nbrs: list[set] = [set() for _ in range(n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
     npairs = n * (n - 1) // 2
     best: bytes | None = None
     best_leaf: tuple = ()
@@ -454,7 +454,7 @@ def canonical_form(g: Graph) -> bytes:
 
     def search(colors: tuple, root: bool = False) -> None:
         nonlocal best, best_leaf
-        colors = _refine(adj, colors)
+        colors = _refine(nbrs, colors)
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
             cells.setdefault(c, []).append(v)
@@ -475,7 +475,7 @@ def canonical_form(g: Graph) -> bytes:
         # branches that individualize mutual twins are automorphic; keep one
         reps: list[int] = []
         for v in target:
-            if not any(nbr_sets[v] - {u} == nbr_sets[u] - {v} for u in reps):
+            if not any(nbrs[v] - {u} == nbrs[u] - {v} for u in reps):
                 reps.append(v)
         explored: list[int] = []
         for v in reps:

@@ -18,6 +18,8 @@ guards accept; the reference here yields every syntactic parameter choice.
 The package derives a rewrite's result from its input's cycle structure
 and holds no edge set for it; the reference here edits the input's edge
 set.
+The package decides connectivity by a union-find over the edges; the
+reference here runs a breadth-first search from vertex 0.
 The package's canonical labeling skips the root branches that the
 automorphisms it has found map onto explored ones; the reference here is
 the search without that pruning, which walks every branch twin pruning
@@ -42,6 +44,29 @@ from gaindex.graph import GraphError, norm_edge
 def relabel(g: Graph, perm) -> Graph:
     """Apply the vertex permutation perm (old id -> new id)."""
     return Graph(g.n, frozenset(norm_edge(perm[u], perm[v]) for u, v in g.edges))
+
+
+def neighbor_lists(g: Graph) -> list:
+    """Each vertex's neighbors in increasing order, read off the edge set."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return [sorted(a) for a in nbrs]
+
+
+def reference_is_connected(g: Graph) -> bool:
+    """True iff a breadth-first search from vertex 0 reaches every vertex."""
+    if g.n == 0:
+        return False
+    nbrs = neighbor_lists(g)
+    seen, queue = {0}, [0]
+    for x in queue:  # the queue grows as the search reaches new vertices
+        for w in nbrs[x]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == g.n
 
 
 def free_trees(n: int) -> tuple:
@@ -106,12 +131,13 @@ def reference_pendant_tree(g: Graph, v: int) -> tuple:
     """(vertices, edges) of the tree at cycle vertex v, by a depth-first search
     from v that never enters another cycle vertex."""
     stop = g.cycle.position
+    nbrs = neighbor_lists(g)
     vertices = {v}
     edges = set()
     stack = [v]
     while stack:
         x = stack.pop()
-        for w in sorted(g.adjacency[x]):
+        for w in nbrs[x]:
             if w in stop or w in vertices:
                 continue
             vertices.add(w)
@@ -205,7 +231,7 @@ def reference_canonical_form(g: Graph) -> bytes:
     n = g.n
     if n >= 256:
         raise GraphError("canonical_form supports graphs with fewer than 256 vertices")
-    adj = g.adjacency
+    adj = neighbor_lists(g)
     nbr_sets = [set(a) for a in adj]
     npairs = n * (n - 1) // 2
     best: bytes | None = None

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +41,13 @@ from _helpers import (
     tree_edges,
     unicyclic_graphs,
 )
-from _oracles import reference_canonical_form, reference_pendant_tree, reference_ring_edges, relabel
+from _oracles import (
+    reference_canonical_form,
+    reference_is_connected,
+    reference_pendant_tree,
+    reference_ring_edges,
+    relabel,
+)
 
 
 def paw():
@@ -123,11 +130,11 @@ def family_rings() -> list:
 
 
 def assert_matches_the_ring_oracle(g, ring) -> None:
-    """g holds its degrees and cycle structure but no edge set or adjacency
-    yet; its edges are the reference listing's, and its structure is a peel's
-    of a value built from that listing."""
+    """g holds its degrees and cycle structure but no edge set yet; its
+    edges are the reference listing's, and its structure is a peel's of a
+    value built from that listing."""
     assert {"degrees", "cycle"} <= vars(g).keys()
-    assert not {"edges", "adjacency"} & vars(g).keys()
+    assert "edges" not in vars(g)
     reference = reference_ring_edges(ring)
     assert_same_structure(g, build_graph(g.n, reference))
     assert g.edges == reference
@@ -177,12 +184,26 @@ def test_is_unicyclic_needs_connectivity():
     ([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], 6),
     ([(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], 5),
     ([(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (4, 5)], 6),
-], ids=["two-triangles", "k4-minus-e-plus-isolated-vertex", "k4-minus-e-plus-k2"])
+    # the P3's middle vertex drops to degree 0 before its turn in the leaf queue
+    ([(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (4, 5), (5, 6)], 7),
+], ids=["two-triangles", "k4-minus-e-plus-isolated-vertex", "k4-minus-e-plus-k2",
+        "k4-minus-e-plus-p3"])
 def test_cycle_rejects_n_edge_graphs_that_are_not_unicyclic(edges, n):
     g = build_graph(n, edges)
     assert g.m == g.n and not is_unicyclic(g)
     with pytest.raises(NotUnicyclicError, match=r"^graph is not unicyclic \(connected with \|E\| = \|V\|\)$"):
         find_cycle(g)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_is_connected_matches_a_search_on_every_edge_subset(n):
+    # every subset of the edges of K_n, forests and isolated vertices among
+    # them: 1,024 graphs at n = 5
+    pairs = list(itertools.combinations(range(n), 2))
+    for m in range(len(pairs) + 1):
+        for edges in itertools.combinations(pairs, m):
+            g = build_graph(n, edges)
+            assert is_connected(g) == reference_is_connected(g), edges
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -221,7 +242,7 @@ def test_cycle_order_convention():
     g = build_graph(5, [(3, 1), (1, 4), (4, 0), (0, 2), (2, 3)])
     cyc = find_cycle(g)
     assert cyc.vertices[0] == 0
-    assert cyc.vertices[1] == min(g.adjacency[0])
+    assert cyc.vertices[1] == 2  # 0's cycle neighbors are 2 and 4
     assert set(cyc.vertices) == set(range(5))
 
 
@@ -265,8 +286,8 @@ def test_cycle_set_invariant_under_relabeling(data):
 
 
 # ---------------------------------------------------------------------------
-# edge order: adjacency lists follow the edge set's iteration order, which
-# depends on insertion history; no structure may depend on it
+# edge order: the edge set's iteration order depends on insertion history;
+# no structure may depend on it
 # ---------------------------------------------------------------------------
 
 
@@ -284,7 +305,7 @@ def _pipeline_json(g):
 
 def _assert_structure_ignores_edge_order(g, rng) -> int:
     """Check every rebuild of g (and of a relabeling of g) against it; return
-    how many rebuilds listed some vertex's neighbors in another order."""
+    how many rebuilds iterate their edge set in another order."""
     perm = list(range(g.n))
     rng.shuffle(perm)
     r = relabel(g, perm)
@@ -297,12 +318,13 @@ def _assert_structure_ignores_edge_order(g, rng) -> int:
         expected = _pipeline_json(base)
         for h in _rebuilt(base, rng):
             assert h == base
-            reordered += h.adjacency != base.adjacency
+            reordered += list(h.edges) != list(base.edges)
             assert h.cycle == base.cycle  # vertices, girth, parent and root
             assert h.ga == base.ga
             assert sum(h.degrees) == 2 * h.m
+            ends = Counter(itertools.chain.from_iterable(h.edges))
             for v in range(h.n):
-                assert h.degrees[v] == h.degree(v) == len(h.adjacency[v])
+                assert h.degrees[v] == h.degree(v) == ends[v]
             assert _pipeline_json(h) == expected
     return reordered
 
@@ -311,7 +333,7 @@ def test_structure_ignores_edge_order_on_every_small_class(unicyclic):
     rng = random.Random(12)
     reordered = sum(_assert_structure_ignores_edge_order(g, rng)
                     for n in range(3, 9) for g in unicyclic(n))
-    assert reordered > 0, "no rebuild changed an adjacency order; the test checks nothing"
+    assert reordered > 0, "no rebuild changed the edge order; the test checks nothing"
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -323,7 +345,7 @@ def test_structure_ignores_edge_order_on_large_random_graphs(seed):
         edges = [(i, (i + 1) % girth) for i in range(girth)]
         edges.extend((rng.randrange(w), w) for w in range(girth, n))
         reordered += _assert_structure_ignores_edge_order(build_graph(n, edges), rng)
-    assert reordered > 0, "no rebuild changed an adjacency order; the test checks nothing"
+    assert reordered > 0, "no rebuild changed the edge order; the test checks nothing"
 
 
 # ---------------------------------------------------------------------------

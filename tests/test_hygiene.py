@@ -6,11 +6,12 @@ package outside its own definition. No module imports an `_`-prefixed name
 from another gaindex module, so each private helper serves its own module
 only. `__init__.py` is skipped: its imports are the package's re-exports.
 No function may rebind a module global, except the allowlisted switches
-below. Only graph.py calls the Graph
-constructor, reads adjacency, builds a CycleStructure or writes a Graph
-value's cached fields or a structure's root record. A Graph value caches
-only its edges, adjacency, degrees, cycle and GA; a CycleStructure is plain
-data: no lazy field, and graph.py seeds only a value's degrees and cycle.
+below. No module, graph.py included, reads an `adjacency` or `neighbors`
+attribute. Only graph.py calls the Graph constructor, builds a
+CycleStructure or writes a Graph value's cached fields or a structure's
+root record. A Graph value caches only its edges, degrees, cycle and GA;
+a CycleStructure is plain data: no lazy field, and graph.py seeds only a
+value's degrees and cycle.
 Every module parses under the oldest Python that pyproject.toml allows.
 No module imports `dataclasses`, whose import (with `inspect`) was the
 largest share of the CLI's start-up; a fresh `import gaindex.cli` loads
@@ -134,13 +135,14 @@ def test_only_graph_calls_the_graph_constructor():
     assert callers == [], "modules other than graph.py call Graph(...)"
 
 
-def test_only_graph_reads_adjacency():
-    # every other module reads structure (cycle, parents, pendant trees)
-    # from the values graph.py computes once per Graph
-    readers = sorted({module for module, tree in MODULES.items() if module != "graph.py"
+def test_no_module_reads_neighbor_lists():
+    # no Graph value holds neighbor lists: modules read structure (cycle,
+    # parents, pendant trees) from the values graph.py computes once per
+    # Graph, and graph.py peels from degrees and neighbor-id sums
+    readers = sorted({module for module, tree in MODULES.items()
                       for node in ast.walk(tree)
                       if isinstance(node, ast.Attribute) and node.attr in ("neighbors", "adjacency")})
-    assert readers == [], "modules other than graph.py walk adjacency"
+    assert readers == [], "modules read an adjacency or neighbors attribute"
 
 
 def _writes_cache(node) -> bool:
@@ -177,7 +179,7 @@ def test_graph_caches_only_its_structure_and_ga():
     cached = [node.name for node in _graph_class("Graph").body
               if isinstance(node, ast.FunctionDef)
               and any("cached_property" in _references(d) for d in node.decorator_list)]
-    assert cached == ["edges", "adjacency", "degrees", "cycle", "ga"]
+    assert cached == ["edges", "degrees", "cycle", "ga"]
 
 
 def test_cycle_structure_has_no_lazy_fields():
