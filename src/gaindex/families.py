@@ -209,8 +209,8 @@ def classify_family(g: Graph) -> FamilySpec | None:
         return None
     if cyc.girth == g.n:
         return FamilySpec("cycle", (g.n,))
-    carriers = [v for v in cyc.vertices if g.degree(v) > 2]
-    counts = sorted((g.degree(v) - 2 for v in carriers), reverse=True)
+    carriers = [v for v in cyc.vertices if g.degrees[v] > 2]
+    counts = sorted((g.degrees[v] - 2 for v in carriers), reverse=True)
     # the cycle vertices have sum(counts) tree neighbors, so all n - girth
     # tree vertices are pendants on the cycle exactly when the two agree
     if sum(counts) != g.n - cyc.girth:

@@ -3,14 +3,15 @@
 Vertices are the integers 0..n-1. Graph values are immutable: every
 structural operation returns a new Graph, so intermediate states of a
 rewrite sequence can be kept side by side and compared edge by edge.
-Values are built only here: from an edge list (`build_graph`), from a ring
-of rooted-tree shapes (`ring_graph`) or by a rewrite (`Graph.rehang`).
+Values are built only here, each by one constructor from its degrees and
+its edge set or cycle structure: from an edge list (`build_graph`), from a
+ring of rooted-tree shapes (`ring_graph`) or by a rewrite (`Graph.rehang`).
 Only an edge list's value peels: one leaf peeling finds the cycle, each tree
 vertex's parent toward it and the pendant trees. A ring's value reads them
-off the ring and a rewrite's result derives them from its input's, each
-with its degrees and no edge set. No value holds neighbor lists: the peel
-tracks each vertex's sum of live-neighbor ids, and other modules read
-pendant trees and adjacency from the structure.
+off the ring and a rewrite's result derives them from its input's, with no
+edge set. No value holds neighbor lists: the peel tracks each vertex's sum
+of live-neighbor ids, and other modules read pendant trees and adjacency
+from the structure.
 """
 
 from __future__ import annotations
@@ -56,15 +57,19 @@ def ga_term(du: int, dv: int) -> float:
 
 
 class Graph:
-    """An immutable simple graph on vertices 0..n-1: its order and its
-    frozenset of edges (u, v) with u < v, which decide equality and the hash
-    (a ring's value and a rewrite's result build it when first read).
-    Derived fields are cached in the instance's __dict__."""
+    """An immutable simple graph on vertices 0..n-1. It holds n, m and its
+    degrees, and caches its frozenset of edges (u, v) with u < v, which
+    decide equality and the hash, its cycle structure and its GA. It is
+    built from its degrees and one of the edge set or, for a unicyclic
+    value, the structure; assigning that one fills its cache."""
 
-    def __init__(self, n: int, edges: frozenset | None):
-        self.n = n
-        if edges is not None:
-            self.edges = edges
+    def __init__(self, degrees: tuple, edges: frozenset | None = None,
+                 cycle: CycleStructure | None = None):
+        self.n, self.degrees = len(degrees), degrees
+        if cycle is None:
+            self.edges, self.m = edges, len(edges)
+        else:
+            self.cycle, self.m = cycle, self.n  # unicyclic
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -76,16 +81,16 @@ class Graph:
 
     def _edge_pairs(self) -> tuple:
         """(pairs, parents): the edges are `pairs` and each (z, parents[z]) not None:
-        an edge set and no parents, or a seeded value's cycle edges and parents."""
+        an edge set and no parents, or a structure value's cycle edges and parents."""
         edges = self.__dict__.get("edges")
         if edges is not None:
             return edges, ()
-        cyc = self.__dict__["cycle"]  # seeded with the degrees
+        cyc = self.cycle  # given to the constructor
         vs = cyc.vertices
         return zip(vs, vs[1:] + vs[:1]), cyc.parent
 
     @cached_property
-    def edges(self) -> frozenset:  # a seeded value: others set it in __init__
+    def edges(self) -> frozenset:  # a structure value's: others set it in __init__
         return frozenset(self.sorted_edges())
 
     def sorted_edges(self) -> list:
@@ -95,15 +100,7 @@ class Graph:
         return sorted((u, v) if u < v else (v, u) for u, v in pairs)
 
     @cached_property
-    def degrees(self) -> tuple:  # seeded for a ring's value and a rewrite's result
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg)
-
-    @cached_property
-    def cycle(self) -> CycleStructure:
+    def cycle(self) -> CycleStructure:  # an edge-list value's: others set it in __init__
         """The unique cycle; raises NotUnicyclicError (on every access) otherwise.
 
         Peeling leaves deletes every tree component and leaves the 2-core of
@@ -150,7 +147,7 @@ class Graph:
         for z in reversed(leaves):
             r = root[z] = root[parent[z]]
             trees[r].append(z)
-        return CycleStructure(tuple(order), len(order), tuple(parent), tuple(root),
+        return CycleStructure(tuple(order), tuple(parent), tuple(root),
                               {v: tuple(t) for v, t in trees.items()},
                               {v: i for i, v in enumerate(order)})
 
@@ -161,13 +158,6 @@ class Graph:
         deg = self.degrees  # deg[z] pairs with parents[z] in the zip
         return math.fsum([ga_term(deg[u], deg[v]) for u, v in pairs]
                          + [ga_term(d, deg[p]) for d, p in zip(deg, parents) if p is not None])
-
-    @property
-    def m(self) -> int:
-        return len(self.edges) if "edges" in self.__dict__ else self.n  # seeded: unicyclic
-
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return norm_edge(u, v) in self.edges
@@ -235,34 +225,31 @@ class Graph:
                 trees[r] = tuple(z for z in trees[r] if root[z] == r)
         for p, zs in leaves.items():
             trees[p] += tuple(zs)
-        return _seeded(deg, CycleStructure(vertices, len(vertices), tuple(parent),
-                                           tuple(root), trees, position))
+        return Graph(tuple(deg), cycle=CycleStructure(vertices, tuple(parent), tuple(root),
+                                                      trees, position))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.sorted_edges()})"
 
 
-def _seeded(deg: list, cycle: CycleStructure) -> Graph:
-    """A unicyclic value holding its degrees and cycle structure, no edge set."""
-    g = Graph(len(deg), None)
-    g.__dict__["degrees"] = tuple(deg)
-    g.__dict__["cycle"] = cycle
-    return g
-
-
 def build_graph(n: int, edge_list: Iterable) -> Graph:
     """Validate an edge list and return the Graph it describes.
 
-    Rejects a vertex count outside 1..MAX_VERTICES, out-of-range vertex ids,
-    self-loops and duplicate pairs, naming the offending pair in the error
-    message.
+    Rejects a vertex count that is not an int in 1..MAX_VERTICES, vertex ids
+    that are not ints in 0..n-1 (a bool is not an int here), self-loops and
+    duplicate pairs, naming the offending value or pair in the error message.
     """
+    if n.__class__ is not int:
+        raise GraphError(f"vertex count must be an integer, got {n!r}")
     if n < 1:
         raise GraphError(f"vertex count must be >= 1, got {n}")
     if n > MAX_VERTICES:
         raise GraphError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     seen: set[tuple[int, int]] = set()
+    deg = [0] * n
     for u, v in edge_list:
+        if u.__class__ is not int or v.__class__ is not int:
+            raise GraphError(f"non-integer vertex in edge ({u!r}, {v!r})")
         if u == v:
             raise GraphError(f"self-loop ({u}, {v})")
         if not (0 <= u < n and 0 <= v < n):
@@ -271,7 +258,9 @@ def build_graph(n: int, edge_list: Iterable) -> Graph:
         if e in seen:
             raise GraphError(f"duplicate edge ({u}, {v})")
         seen.add(e)
-    return Graph(n, frozenset(seen))
+        deg[u] += 1
+        deg[v] += 1
+    return Graph(tuple(deg), frozenset(seen))
 
 
 def ring_graph(ring: tuple) -> Graph:
@@ -298,8 +287,8 @@ def ring_graph(ring: tuple) -> Graph:
         root += [r] * (len(deg) - start)
         trees[r] = (r, *range(start, len(deg)))
     cycle = tuple(range(girth))  # the order Graph.cycle walks: from 0 toward 1
-    return _seeded(deg, CycleStructure(cycle, girth, tuple(parent), tuple(root), trees,
-                                       dict(zip(cycle, cycle))))
+    return Graph(tuple(deg), cycle=CycleStructure(cycle, tuple(parent), tuple(root), trees,
+                                                  dict(zip(cycle, cycle))))
 
 
 def is_connected(g: Graph) -> bool:
@@ -337,15 +326,16 @@ class CycleStructure:
     tree holds z. `trees` maps each cycle vertex to the vertices of its
     pendant tree, the root first and each vertex after its parent, and
     `position` each cycle vertex to its index in `vertices` (also the
-    membership test). Equality and hashing ignore `trees`, whose sibling
-    order depends on how the value was built, and `position`, which
-    `vertices` determines.
+    membership test), and `girth` is the length of `vertices`. Equality and
+    hashing read `vertices`, `parent` and `root` only: not `trees`, whose
+    sibling order depends on how the value was built, nor `position` and
+    `girth`, which `vertices` determines.
     """
 
-    def __init__(self, vertices: tuple, girth: int, parent: tuple, root: tuple,
-                 trees: dict, position: dict):
+    def __init__(self, vertices: tuple, parent: tuple, root: tuple, trees: dict,
+                 position: dict):
         self.vertices = vertices
-        self.girth = girth
+        self.girth = len(vertices)
         self.parent = parent
         self.root = root
         self.trees = trees
@@ -354,11 +344,11 @@ class CycleStructure:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.vertices == other.vertices and self.girth == other.girth
-                and self.parent == other.parent and self.root == other.root)
+        return (self.vertices == other.vertices and self.parent == other.parent
+                and self.root == other.root)
 
     def __hash__(self):
-        return hash((self.vertices, self.girth, self.parent, self.root))
+        return hash((self.vertices, self.parent, self.root))
 
     def cycle_neighbors(self, v: int) -> tuple[int, int]:
         """(previous, next) of cycle vertex v in the fixed cyclic order."""

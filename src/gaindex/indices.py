@@ -42,7 +42,7 @@ def edge_contribution(g: Graph, e) -> EdgeContribution:
     u, v = e
     if not g.has_edge(u, v):
         raise GraphError(f"edge ({u}, {v}) not in graph")
-    du, dv = sorted((g.degree(u), g.degree(v)))
+    du, dv = sorted((g.degrees[u], g.degrees[v]))
     return EdgeContribution(
         edge=norm_edge(u, v),
         du=du,
@@ -64,7 +64,7 @@ def ag_index(g: Graph) -> float:
         raise GraphError("AG index needs at least one edge")
     terms = []
     for u, v in g.edges:
-        du, dv = g.degree(u), g.degree(v)
+        du, dv = g.degrees[u], g.degrees[v]
         # arithmetic over geometric mean; halving is exact, so this rounds once
         terms.append((du + dv) / 2.0 / math.sqrt(du * dv))
     return math.fsum(terms)

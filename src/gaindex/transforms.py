@@ -115,7 +115,7 @@ def _require_on_cycle(g: Graph, *xs: int) -> None:
 def _is_star(g: Graph, v: int) -> bool:
     """True when the pendant tree at cycle vertex v is a star centred at v."""
     # v has deg(v) - 2 children; a star when they are its whole tree
-    return len(pendant_tree(g, v)) == g.degree(v) - 1
+    return len(pendant_tree(g, v)) == g.degrees[v] - 1
 
 
 def _require_star(g: Graph, v: int) -> None:
@@ -195,12 +195,12 @@ def _arc_relocate(g: Graph, path: tuple) -> Graph:
     """arc_transform once its path=(u, ..., v) is chosen and v is known to be
     a local-maximum star: the guard on the interior degrees, then the rewire."""
     u, v = path[0], path[-1]
-    du, dv = g.degree(u), g.degree(v)
+    du, dv = g.degrees[u], g.degrees[v]
     for w in path[1:-1]:
-        if not du <= g.degree(w) <= dv:
+        if not du <= g.degrees[w] <= dv:
             raise PreconditionError(
                 f"arc vertex {w} breaks the degree ordering: "
-                f"need d({u})={du} <= d({w})={g.degree(w)} <= d({v})={dv}"
+                f"need d({u})={du} <= d({w})={g.degrees[w]} <= d({v})={dv}"
             )
     return _check_monotone("arc_transform", g, _arc_rewire(g, path))
 
@@ -236,7 +236,7 @@ def finish_two_neighbors_deg2(g: Graph, v: int) -> Graph:
     _require_on_cycle(g, v)
     _require_max_degree_star(g, v)
     a, b = cyc.cycle_neighbors(v)
-    if g.degree(a) != 2 or g.degree(b) != 2:
+    if g.degrees[a] != 2 or g.degrees[b] != 2:
         raise PreconditionError(f"both cycle neighbors of {v} must have degree 2")
     u, ubar = min(a, b), max(a, b)
     rest = cyc.walk(v, u)[2:-1]  # v_1 .. v_t, v_1 adjacent to u, v_t to ubar
@@ -263,10 +263,10 @@ def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
     _require_max_degree_star(g, v)
     cyc = g.cycle
     a, b = cyc.cycle_neighbors(v)
-    if u not in (a, b) or g.degree(u) != 2:
+    if u not in (a, b) or g.degrees[u] != 2:
         raise PreconditionError(f"vertex {u} is not a degree-2 cycle neighbor of {v}")
     other = b if u == a else a
-    if g.degree(other) == 2:
+    if g.degrees[other] == 2:
         raise PreconditionError(f"{v} has two degree-2 cycle neighbors; wrong finishing move")
     for w in _local_extremes(g)[1]:
         if w != u:
@@ -281,7 +281,7 @@ def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
 
     tree = pendant_tree(cur, vt)
     parent = cur.cycle.parent
-    heavy = [w for w in tree if parent[w] == vt and cur.degree(w) > cur.degree(vt)]
+    heavy = [w for w in tree if parent[w] == vt and cur.degrees[w] > cur.degrees[vt]]
     if not heavy:
         # keep vt's direct children, everything deeper becomes a pendant at v
         cur = cur.rehang({z: v for z in tree[1:] if parent[z] != vt})
@@ -491,7 +491,7 @@ def reduction_pipeline(g: Graph) -> TransformTrace:
     for _ in range(g.n):
         cyc = cur.cycle
         a, b = cyc.cycle_neighbors(v)
-        if cur.degree(a) == 2 and cur.degree(b) == 2:
+        if cur.degrees[a] == 2 and cur.degrees[b] == 2:
             config = "both"
             break
         minima = [w for w in _local_extremes(cur)[1] if w not in (u, v)]

@@ -55,10 +55,12 @@ def extreme_flags(g, v) -> tuple:
 
 
 def assert_same_structure(g, fresh) -> None:
-    """g carries degrees and a cycle structure equal to fresh's, field by
-    field: vertices, girth, parents and roots (`==`), the position index, and
-    pendant trees with the same vertex set per root, the root first and each
-    vertex after its parent."""
+    """g carries the order, size, degrees and cycle structure of fresh, a
+    value built from an edge list, field by field: vertices, parents and
+    roots (`==`), the position index, and pendant trees with the
+    same vertex set per root, the root first and each vertex after its
+    parent."""
+    assert (g.n, g.m) == (fresh.n, fresh.m)
     assert g.degrees == fresh.degrees
     assert g.cycle == fresh.cycle
     assert g.cycle.position == fresh.cycle.position

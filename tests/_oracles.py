@@ -31,6 +31,7 @@ import itertools
 from gaindex import (
     Graph,
     arc_transform,
+    build_graph,
     canonical_form,
     finish_one_neighbor_deg2,
     finish_two_neighbors_deg2,
@@ -43,7 +44,7 @@ from gaindex.graph import GraphError, norm_edge
 
 def relabel(g: Graph, perm) -> Graph:
     """Apply the vertex permutation perm (old id -> new id)."""
-    return Graph(g.n, frozenset(norm_edge(perm[u], perm[v]) for u, v in g.edges))
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 def neighbor_lists(g: Graph) -> list:
@@ -71,12 +72,13 @@ def reference_is_connected(g: Graph) -> bool:
 
 def free_trees(n: int) -> tuple:
     """All non-isomorphic trees on n vertices, grown by leaf attachment."""
-    level = {canonical_form(Graph(1, frozenset())): Graph(1, frozenset())}
+    point = build_graph(1, [])
+    level = {canonical_form(point): point}
     for size in range(2, n + 1):
         grown: dict[bytes, Graph] = {}
         for tree in level.values():
             for v in range(tree.n):
-                bigger = Graph(size, frozenset(tree.edges | {(v, size - 1)}))
+                bigger = build_graph(size, tree.edges | {(v, size - 1)})
                 grown.setdefault(canonical_form(bigger), bigger)
         level = grown
     return tuple(level[k] for k in sorted(level))
@@ -92,7 +94,7 @@ def enumerate_unicyclic_by_chords(n: int) -> tuple:
             for v in range(u + 1, n):
                 if (u, v) in tree.edges:
                     continue
-                g = Graph(n, frozenset(tree.edges | {(u, v)}))
+                g = build_graph(n, tree.edges | {(u, v)})
                 seen.setdefault(canonical_form(g), g)
     return tuple(seen[k] for k in sorted(seen))
 

@@ -49,7 +49,7 @@ def test_spq4_without_pendants_is_c4():
 
 def test_srk3_2_1_degrees():
     g = make_family(FamilySpec("srk3", (2, 1)))
-    assert sorted(g.degree(v) for v in range(g.n)) == [1, 1, 1, 2, 3, 4]
+    assert sorted(g.degrees[v] for v in range(g.n)) == [1, 1, 1, 2, 3, 4]
 
 
 @pytest.mark.parametrize(

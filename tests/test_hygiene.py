@@ -7,11 +7,13 @@ from another gaindex module, so each private helper serves its own module
 only. `__init__.py` is skipped: its imports are the package's re-exports.
 No function may rebind a module global, except the allowlisted switches
 below. No module, graph.py included, reads an `adjacency` or `neighbors`
-attribute. Only graph.py calls the Graph constructor, builds a
+attribute. Only graph.py calls the Graph constructor, and within it only
+build_graph, ring_graph and Graph.rehang do; only graph.py builds a
 CycleStructure or writes a Graph value's cached fields or a structure's
-root record. A Graph value caches only its edges, degrees, cycle and GA;
-a CycleStructure is plain data: no lazy field, and graph.py seeds only a
-value's degrees and cycle.
+root record. A Graph value holds n, m and its degrees as plain fields and
+caches only its edges, cycle and GA, and Graph defines no property; a
+CycleStructure is plain data: no lazy field. graph.py writes no
+`__dict__` key: the constructor fills a cache by assigning the field.
 Every module parses under the oldest Python that pyproject.toml allows.
 No module imports `dataclasses`, whose import (with `inspect`) was the
 largest share of the CLI's start-up; a fresh `import gaindex.cli` loads
@@ -126,13 +128,27 @@ def _calls_graph(node) -> bool:
             or isinstance(func, ast.Attribute) and func.attr == "Graph")
 
 
+def _graph_callers(node, scope=None):
+    """The qualified name of the innermost function or class around each
+    call of Graph(...) under node (None at module level)."""
+    for child in ast.iter_child_nodes(node):
+        if _calls_graph(child):
+            yield scope
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = child.name if scope is None else f"{scope}.{child.name}"
+        yield from _graph_callers(child, inner)
+
+
 def test_only_graph_calls_the_graph_constructor():
     # a Graph value comes from an edge list (build_graph), a ring (ring_graph)
     # or a rewrite (rehang); the unchecked constructor stays
-    # inside graph.py
+    # inside graph.py, in those three builders
     callers = sorted({module for module, tree in MODULES.items() if module != "graph.py"
                       for node in ast.walk(tree) if _calls_graph(node)})
     assert callers == [], "modules other than graph.py call Graph(...)"
+    builders = set(_graph_callers(MODULES["graph.py"]))
+    assert builders == {"build_graph", "ring_graph", "Graph.rehang"}
 
 
 def test_no_module_reads_neighbor_lists():
@@ -179,7 +195,15 @@ def test_graph_caches_only_its_structure_and_ga():
     cached = [node.name for node in _graph_class("Graph").body
               if isinstance(node, ast.FunctionDef)
               and any("cached_property" in _references(d) for d in node.decorator_list)]
-    assert cached == ["edges", "degrees", "cycle", "ga"]
+    assert cached == ["edges", "cycle", "ga"]
+
+
+def test_graph_defines_no_property():
+    # n, m and the degrees are plain fields set by the constructor
+    props = [node.name for node in _graph_class("Graph").body
+             if isinstance(node, ast.FunctionDef)
+             and "property" in {r for d in node.decorator_list for r in _references(d)}]
+    assert props == [], "Graph computes a field through a property"
 
 
 def test_cycle_structure_has_no_lazy_fields():
@@ -206,10 +230,9 @@ def _dict_writes(tree) -> tuple:
     return keys, updates
 
 
-def test_graph_seeds_only_degrees_and_cycle():
-    # rehang seeds a result's degrees and cycle structure;
-    # a structure's own fields all go through its constructor
-    assert _dict_writes(MODULES["graph.py"]) == ({"degrees", "cycle"}, 0)
+def test_graph_writes_no_dict_key():
+    # a value's fields, and a structure's, all go through their constructors
+    assert _dict_writes(MODULES["graph.py"]) == (set(), 0)
 
 
 def _python_floor() -> tuple:
