@@ -64,8 +64,6 @@ def _forests(total: int) -> tuple:
 @lru_cache(maxsize=None)
 def _rooted_trees(size: int) -> tuple:
     """All rooted-tree shapes on `size` vertices (a tree is its child forest)."""
-    if size < 1:
-        return ()
     return _forests(size - 1)
 
 

@@ -6,10 +6,10 @@ the graph lands in one of the extremal families (or is a bare cycle, which
 no operator can improve). Vertex ids are stable across every rewrite:
 relocated vertices keep their ids and reappear as pendants of the target
 vertex, so consecutive trace states can be diffed edge by edge. Each
-rewrite moves vertices to new parents through one call, `Graph.rehang`,
-so its result inherits the input's degrees and cycle structure, and no
-edge set: a reduction peels its input once and builds a result's edge
-set only to compare or hash it.
+operator is its guards plus one call, `Graph.rehang`, that moves vertices
+of its input to new parents; none calls another. So a result inherits the
+input's degrees and cycle structure, and no edge set: a reduction peels
+its input once and builds a result's edge set only to compare or hash it.
 
 Each operator raises PreconditionError outside its case's conditions.
 Whether a cycle vertex is a local maximum or minimum of the cycle's
@@ -31,8 +31,9 @@ search for a second local minimum reject what it yields.
 Operators optionally re-check GA monotonicity at runtime (see
 set_runtime_checks); the CLI's `reduce` and the benchmark's replay of its
 trace switch the check on, while verify_monotonicity compares GA itself.
-GA is cached per graph value, so the checks read the same values the
-pipeline records and add no GA evaluations.
+Each operator is checked once, a finishing move for its whole move. GA is
+cached per graph value, so the checks read the same values the pipeline
+records and add no GA evaluations.
 """
 
 from __future__ import annotations
@@ -182,18 +183,10 @@ def _arc_path(g: Graph, u: int, e, v: int) -> tuple:
     return cyc.walk(u, back)[:k - d + 1]
 
 
-def _arc_rewire(g: Graph, path: tuple) -> Graph:
-    """Structural arc relocation along path=(u, ..., v), without GA preconditions:
-    the interior cycle vertices and their pendant trees become pendants of v.
-    A two-vertex path (u, v) changes nothing and returns g itself.
-    """
-    v = path[-1]
-    return g.rehang({z: v for w in path[1:-1] for z in pendant_tree(g, w)})
-
-
 def _arc_relocate(g: Graph, path: tuple) -> Graph:
     """arc_transform once its path=(u, ..., v) is chosen and v is known to be
-    a local-maximum star: the guard on the interior degrees, then the rewire."""
+    a local-maximum star: the guard on the interior degrees, then one rehang
+    that hangs the interior cycle vertices and their pendant trees on v."""
     u, v = path[0], path[-1]
     du, dv = g.degrees[u], g.degrees[v]
     for w in path[1:-1]:
@@ -202,7 +195,8 @@ def _arc_relocate(g: Graph, path: tuple) -> Graph:
                 f"arc vertex {w} breaks the degree ordering: "
                 f"need d({u})={du} <= d({w})={g.degrees[w]} <= d({v})={dv}"
             )
-    return _check_monotone("arc_transform", g, _arc_rewire(g, path))
+    moves = {z: v for w in path[1:-1] for z in pendant_tree(g, w)}
+    return _check_monotone("arc_transform", g, g.rehang(moves))
 
 
 def arc_transform(g: Graph, u: int, e, v: int) -> Graph:
@@ -226,9 +220,12 @@ def finish_two_neighbors_deg2(g: Graph, v: int) -> Graph:
     """Collapse a girth >= 4 graph whose maximal vertex v has two degree-2
     cycle neighbors into spq4 shape.
 
-    The heaviest remaining cycle vertex gets starred, then one or two arc
-    relocations pull the rest of the cycle onto it, leaving a 4-cycle with
-    pendants only at v and at that vertex.
+    The paper stars the heaviest remaining cycle vertex vbar, then relocates
+    the one or two arcs beside it onto vbar, leaving a 4-cycle with pendants
+    only at v and vbar. That chain is one rehang: every other vertex of the
+    remaining cycle, their pendant trees and vbar's own tree hang on vbar.
+    The chain's guards cannot fail: vbar is a local maximum, and as v's
+    neighbors have degree 2, every arc vertex w has 2 <= d(w) <= d(vbar).
     """
     cyc = g.cycle
     if cyc.girth == 3:
@@ -238,15 +235,10 @@ def finish_two_neighbors_deg2(g: Graph, v: int) -> Graph:
     a, b = cyc.cycle_neighbors(v)
     if g.degrees[a] != 2 or g.degrees[b] != 2:
         raise PreconditionError(f"both cycle neighbors of {v} must have degree 2")
-    u, ubar = min(a, b), max(a, b)
-    rest = cyc.walk(v, u)[2:-1]  # v_1 .. v_t, v_1 adjacent to u, v_t to ubar
+    rest = cyc.walk(v, a)[2:-1]  # the cycle without v and its two neighbors
     vbar = _heaviest(g, rest)
-    cur = star_transform(g, vbar)
-    if vbar != rest[0]:
-        cur = arc_transform(cur, u, (u, rest[0]), vbar)
-    if vbar != rest[-1]:
-        cur = arc_transform(cur, ubar, (ubar, rest[-1]), vbar)
-    return _check_monotone("finish_two_neighbors_deg2", g, cur)
+    moves = {z: vbar for w in rest for z in pendant_tree(g, w) if z != vbar}
+    return _check_monotone("finish_two_neighbors_deg2", g, g.rehang(moves))
 
 
 def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
@@ -254,10 +246,11 @@ def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
 
     Requires: v of maximal cycle degree with star pendant tree, u its unique
     degree-2 cycle neighbor, and no local minimum besides u (so degrees
-    grow weakly along the rest of the cycle). An arc relocation brings the
-    girth to 3 with all remaining weight on the last cycle vertex; its tree
-    is then split between itself and v (srk3) or, when one of its tree
-    neighbors outweighs it, rebuilt around that neighbor on a 4-cycle (spq4).
+    grow weakly along the rest of the cycle). The paper relocates the arc
+    from u to the last cycle vertex vt, bringing the girth to 3, then splits
+    vt's tree between vt and v (srk3) or, when one of vt's children
+    outweighs it, rebuilds it around that child on a 4-cycle (spq4). Each
+    branch is one rehang that makes both moves.
     """
     _require_on_cycle(g, u, v)
     _require_max_degree_star(g, v)
@@ -273,29 +266,26 @@ def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
             raise PreconditionError(f"second local minimum present at vertex {w}")
 
     rest = cyc.walk(v, u)[2:]  # v_1 .. v_t with v_t adjacent to v
-    # degrees grow weakly toward rest[-1]; this arc relocation is the one
-    # place the target need not be a local maximum, hence no arc_transform
-    # precondition gate here
-    cur = _arc_rewire(g, (u,) + rest)
     vt = rest[-1]
-
-    tree = pendant_tree(cur, vt)
-    parent = cur.cycle.parent
-    heavy = [w for w in tree if parent[w] == vt and cur.degrees[w] > cur.degrees[vt]]
+    # the arc relocation hangs these on vt as leaves. It skips arc_transform's
+    # gate: degrees grow weakly toward vt, which need not be a local maximum
+    inner = [z for w in rest[:-1] for z in pendant_tree(g, w)]
+    tree, parent, deg = pendant_tree(g, vt), cyc.parent, g.degrees
+    heavy = [w for w in tree if parent[w] == vt and deg[w] > deg[vt] + len(inner)]
     if not heavy:
-        # keep vt's direct children, everything deeper becomes a pendant at v
-        cur = cur.rehang({z: v for z in tree[1:] if parent[z] != vt})
+        # vt keeps its children and gains inner; everything deeper becomes a pendant at v
+        h = g.rehang({z: v for z in tree[1:] if parent[z] != vt} | dict.fromkeys(inner, vt))
     else:
-        w = _heaviest(cur, heavy)
+        w = _heaviest(g, heavy)
         below = {w}  # w and its descendants; the tree lists parents first
         for z in tree:
             if parent[z] in below:
                 below.add(z)
-        # w takes vt's cycle edge to u and stars its branch; the rest of the
-        # tree at vt becomes pendants at v
+        # w takes vt's cycle edge to u and stars its branch; inner and the
+        # rest of the tree at vt become pendants at v
         moves = {z: w if z in below else v for z in tree[1:] if z != w}
-        cur = cur.rehang(moves, cycle=(u, w, vt, v))
-    return _check_monotone("finish_one_neighbor_deg2", g, cur)
+        h = g.rehang(moves | dict.fromkeys(inner, v), cycle=(u, w, vt, v))
+    return _check_monotone("finish_one_neighbor_deg2", g, h)
 
 
 # ---------------------------------------------------------------------------

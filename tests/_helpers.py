@@ -79,7 +79,7 @@ def assert_same_structure(g, fresh) -> None:
 
 def replace_star_thunks(monkeypatch, faulty) -> None:
     """Make verify_monotonicity call faulty(g, v) for each star_transform
-    choice; the operator itself stays, as finish_two_neighbors_deg2 calls it."""
+    choice; the operator itself and every other choice stay as they are."""
     applications = transforms.operator_applications
 
     def patched(g):

@@ -20,6 +20,11 @@ and holds no edge set for it; the reference here edits the input's edge
 set.
 The package decides connectivity by a union-find over the edges; the
 reference here runs a breadth-first search from vertex 0.
+The package makes each finishing move one rewrite of its input; the
+references here run the paper's chains of moves: a star transformation
+and up to two arc relocations for finish_two_neighbors_deg2, an arc
+relocation and then a split of the last vertex's tree for
+finish_one_neighbor_deg2.
 The package's canonical labeling skips the root branches that the
 automorphisms it has found map onto explored ones; the reference here is
 the search without that pruning, which walks every branch twin pruning
@@ -38,8 +43,10 @@ from gaindex import (
     relocate_min,
     star_transform,
 )
+from gaindex import transforms
 from gaindex.enumeration import MAX_ORDER, _rooted_trees
-from gaindex.graph import GraphError, norm_edge
+from gaindex.graph import GraphError, norm_edge, pendant_tree
+from gaindex.transforms import PreconditionError
 
 
 def relabel(g: Graph, perm) -> Graph:
@@ -215,6 +222,69 @@ def edit_oracle(g: Graph, moves: dict, cycle=None) -> frozenset:
     put = {norm_edge(*e) for e in moves.items()} | (new - old)
     gone = ({norm_edge(*e) for e in cut} | (old - new)) - put
     return (g.edges - gone) | put
+
+
+def _relocate_arc(g: Graph, path: tuple) -> Graph:
+    """The interior cycle vertices of path=(u, ..., v) and their pendant
+    trees become pendants of v, with no degree guard."""
+    v = path[-1]
+    return g.rehang({z: v for w in path[1:-1] for z in pendant_tree(g, w)})
+
+
+def reference_finish_two_neighbors_deg2(g: Graph, v: int) -> Graph:
+    """finish_two_neighbors_deg2 as the paper's chain: star_transform at the
+    heaviest remaining cycle vertex vbar, then an arc_transform onto vbar
+    from u and from ubar, each when its arc has an interior."""
+    cyc = g.cycle
+    if cyc.girth == 3:
+        raise PreconditionError("girth-3 input is already in sn3 shape; nothing to finish")
+    transforms._require_on_cycle(g, v)
+    transforms._require_max_degree_star(g, v)
+    a, b = cyc.cycle_neighbors(v)
+    if g.degrees[a] != 2 or g.degrees[b] != 2:
+        raise PreconditionError(f"both cycle neighbors of {v} must have degree 2")
+    u, ubar = min(a, b), max(a, b)
+    rest = cyc.walk(v, u)[2:-1]  # v_1 .. v_t, v_1 adjacent to u, v_t to ubar
+    vbar = transforms._heaviest(g, rest)
+    cur = star_transform(g, vbar)
+    if vbar != rest[0]:
+        cur = arc_transform(cur, u, (u, rest[0]), vbar)
+    if vbar != rest[-1]:
+        cur = arc_transform(cur, ubar, (ubar, rest[-1]), vbar)
+    return cur
+
+
+def reference_finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
+    """finish_one_neighbor_deg2 as the paper's chain: relocate the arc from u
+    to the last cycle vertex vt, then split vt's tree between vt and v, or
+    rebuild it around a heavier child of vt on a 4-cycle."""
+    transforms._require_on_cycle(g, u, v)
+    transforms._require_max_degree_star(g, v)
+    cyc = g.cycle
+    a, b = cyc.cycle_neighbors(v)
+    if u not in (a, b) or g.degrees[u] != 2:
+        raise PreconditionError(f"vertex {u} is not a degree-2 cycle neighbor of {v}")
+    other = b if u == a else a
+    if g.degrees[other] == 2:
+        raise PreconditionError(f"{v} has two degree-2 cycle neighbors; wrong finishing move")
+    for w in transforms._local_extremes(g)[1]:
+        if w != u:
+            raise PreconditionError(f"second local minimum present at vertex {w}")
+    rest = cyc.walk(v, u)[2:]  # v_1 .. v_t with v_t adjacent to v
+    cur = _relocate_arc(g, (u,) + rest)
+    vt = rest[-1]
+    tree = pendant_tree(cur, vt)
+    parent = cur.cycle.parent
+    heavy = [w for w in tree if parent[w] == vt and cur.degrees[w] > cur.degrees[vt]]
+    if not heavy:
+        return cur.rehang({z: v for z in tree[1:] if parent[z] != vt})
+    w = transforms._heaviest(cur, heavy)
+    below = {w}
+    for z in tree:
+        if parent[z] in below:
+            below.add(z)
+    moves = {z: w if z in below else v for z in tree[1:] if z != w}
+    return cur.rehang(moves, cycle=(u, w, vt, v))
 
 
 def reference_refine(adj: tuple, colors: tuple) -> tuple:

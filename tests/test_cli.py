@@ -110,6 +110,21 @@ def test_compute_disconnected_warns(capsys, tmp_path):
     assert "girth" not in out
 
 
+def test_compute_rejects_a_graph_without_edges(capsys, tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("3 0\n")
+    code, out, err = run(capsys, "compute", str(path))
+    assert (code, out, err) == (INPUT_ERROR, "", "error: graph has no edges; GA is undefined\n")
+
+
+def test_compute_rejects_a_header_that_is_not_two_integers(capsys, tmp_path):
+    path = tmp_path / "header.txt"
+    path.write_text("a b\n")
+    code, out, err = run(capsys, "compute", str(path))
+    assert (code, out) == (INPUT_ERROR, "")
+    assert err.startswith("error: line 1: expected two integers in header")
+
+
 def test_compute_rejects_order_above_limit(capsys, tmp_path):
     path = tmp_path / "huge.txt"
     path.write_text(f"{MAX_VERTICES + 1} 1\n0 1\n")
@@ -191,6 +206,8 @@ def test_tables_invalid_range(capsys):
     assert code == 1
     code, _, err = run(capsys, "tables", "1", "--rows", "7:2")
     assert code == 1
+    code, out, err = run(capsys, "tables", "2", "--rows", "2:3:4")
+    assert (code, out, err) == (USAGE_ERROR, "", "error: bad row range '2:3:4', expected A or A:B\n")
 
 
 def test_tables_rejects_grid_above_limit(capsys):
@@ -201,6 +218,22 @@ def test_tables_rejects_grid_above_limit(capsys):
     assert code == USAGE_ERROR
     assert out == ""
     assert f"limit of {MAX_TABLE_CELLS} cells" in err
+
+
+# the text layout pads every cell to its column, a row's last "-" included
+TABLE1_TEXT = (
+    "p  A(q=2)  B(q=2)  A(q=3)  B(q=3)  A(q=4)  B(q=4)\n"
+    "2  0.5542  1.4468  -       -       -       -     \n"
+    "3  0.6934  1.4641  0.8721  1.4713  -       -     \n"
+    "4  0.7994  1.4749  1.0108  1.4734  1.1767  1.4681\n"
+    "5  0.8825  1.4829  1.1211  1.4740  1.3102  1.4624\n"
+    "6  0.9491  1.4896  1.2109  1.4744  1.4199  1.4572\n"
+    "7  1.0036  1.4957  1.2853  1.4750  1.5117  1.4531\n"
+)
+
+
+def test_table1_text_is_pinned(capsys):
+    assert run(capsys, "tables", "1", "--format", "text") == (0, TABLE1_TEXT, "")
 
 
 def test_tables_byte_stable(capsys):
@@ -233,6 +266,17 @@ def test_reduce_small_order_paw(capsys, paw_file):
     assert "small-order case paw" in out
 
 
+def test_reduce_small_order_json(capsys, paw_file):
+    code, out, _ = run(capsys, "reduce", paw_file, "--format", "json")
+    assert code == 0
+    assert out == json.dumps({
+        "ga": 3.825617198,
+        "n": 4,
+        "note": "the paw graph attains the lower bound on 4 vertices",
+        "small_order_case": "paw",
+    }, indent=2) + "\n"
+
+
 def test_reduce_rejects_tree(capsys, tmp_path):
     path = tmp_path / "tree.txt"
     path.write_text("4 3\n0 1\n1 2\n2 3\n")
@@ -249,7 +293,7 @@ def test_reduce_rejects_two_triangles(capsys, tmp_path):
     assert (code, out, err) == (INPUT_ERROR, "", "error: input graph is not unicyclic\n")
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "abc"])
 @pytest.mark.parametrize("command", ["reduce", "verify"])
 def test_tol_must_be_finite_and_nonnegative(capsys, paw_file, command, tol):
     target = paw_file if command == "reduce" else "6"
@@ -257,6 +301,12 @@ def test_tol_must_be_finite_and_nonnegative(capsys, paw_file, command, tol):
     assert code == USAGE_ERROR
     assert out == ""
     assert "--tol" in err
+
+
+def test_reduce_accepts_a_zero_tol(capsys, paw_file):
+    default = run(capsys, "reduce", paw_file)
+    assert default[0] == 0
+    assert run(capsys, "reduce", paw_file, "--tol", "0") == default
 
 
 def test_reduce_trace_flag_lists_edges(capsys, tmp_path):
@@ -463,7 +513,8 @@ def test_verify_bad_range(capsys):
     # the range is reported as typed, and only `..` separates its ends
     (["verify", "6..3"], "bad order range '6..3': empty"),
     (["verify", "3:5"], "bad order range '3:5', expected A or A..B"),
-], ids=["bound-cap", "monotonicity-cap", "empty", "colon"])
+    (["verify", "3..4..5"], "bad order range '3..4..5', expected A or A..B"),
+], ids=["bound-cap", "monotonicity-cap", "empty", "colon", "two-separators"])
 def test_verify_rejects_ranges(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == USAGE_ERROR

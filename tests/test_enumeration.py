@@ -276,6 +276,18 @@ def test_monotonicity_sweep_checks_the_result_edges(monkeypatch):
         ("star_transform", "result is not unicyclic: 6 edges on 5 vertices")}
 
 
+def test_monotonicity_sweep_checks_the_result_order(monkeypatch):
+    # a path on six vertices has five edges, so only its order is wrong
+    def path_on_six(g, v):
+        return build_graph(6, [(i, i + 1) for i in range(5)])
+
+    replace_star_thunks(monkeypatch, path_on_six)
+    rep = verify_monotonicity(5, tol=math.inf)
+    assert len(rep.violations) == rep.applications["star_transform"] > 0
+    assert {(v["op"], v["problem"]) for v in rep.violations} == {
+        ("star_transform", "order changed to 6")}
+
+
 def test_the_sweep_reads_its_choices_from_transforms():
     # the filter lives beside the operator guards it mirrors
     assert operator_applications is transforms.operator_applications

@@ -132,6 +132,16 @@ def test_closed_form_matches_built_family(family):
         assert closed_form(spec) == pytest.approx(ga_index(make_family(spec)), abs=1e-9)
 
 
+@pytest.mark.parametrize("closed, args", [
+    (ga_sn3_closed, (2,)),
+    (ga_spq4_closed, (-1, 0)),
+    (ga_srk3_closed, (0, -1)),
+], ids=["sn3", "spq4", "srk3"])
+def test_closed_forms_reject_parameters_out_of_range(closed, args):
+    with pytest.raises(ValueError):
+        closed(*args)
+
+
 def test_spq4_trivial_and_paw_values():
     assert ga_spq4_closed(0, 0) == pytest.approx(4.0, abs=1e-12)
     paw = 1 + 2 * (2 * math.sqrt(6) / 5) + 2 * math.sqrt(3) / 4

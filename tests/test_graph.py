@@ -479,6 +479,12 @@ def test_canonical_invariant_under_relabeling(data):
     assert canonical_form(g) == canonical_form(relabel(g, perm))
 
 
+def test_canonical_form_rejects_256_vertices():
+    c256 = build_graph(256, [(i, (i + 1) % 256) for i in range(256)])
+    with pytest.raises(GraphError, match="fewer than 256 vertices"):
+        canonical_form(c256)
+
+
 def test_canonical_separates_all_order_6_classes(unicyclic):
     keys = [canonical_form(g) for g in unicyclic(6)]
     assert len(keys) == len(set(keys))

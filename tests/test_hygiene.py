@@ -14,6 +14,8 @@ root record. A Graph value holds n, m and its degrees as plain fields and
 caches only its edges, cycle and GA, and Graph defines no property; a
 CycleStructure is plain data: no lazy field. graph.py writes no
 `__dict__` key: the constructor fills a cache by assigning the field.
+No rewrite operator in transforms.py calls another, directly or through
+the module's helpers: each is its guards plus one Graph.rehang.
 Every module parses under the oldest Python that pyproject.toml allows.
 No module imports `dataclasses`, whose import (with `inspect`) was the
 largest share of the CLI's start-up; a fresh `import gaindex.cli` loads
@@ -233,6 +235,29 @@ def _dict_writes(tree) -> tuple:
 def test_graph_writes_no_dict_key():
     # a value's fields, and a structure's, all go through their constructors
     assert _dict_writes(MODULES["graph.py"]) == (set(), 0)
+
+
+def _module_functions(tree) -> dict:
+    """Each module-level function's name, with the names its body calls."""
+    return {node.name: {sub.func.id for sub in ast.walk(node)
+                        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)}
+            for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_no_rewrite_operator_calls_another():
+    tree = MODULES["transforms.py"]
+    operators = next(ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and [t.id for t in node.targets] == ["OPERATOR_NAMES"])
+    calls = _module_functions(tree)
+    assert set(operators) <= calls.keys()
+    for op in operators:
+        reached, stack = set(), [op]
+        while stack:  # every module function op reaches, through its helpers
+            for name in calls[stack.pop()] & (calls.keys() - reached):
+                reached.add(name)
+                stack.append(name)
+        assert reached & (set(operators) - {op}) == set(), f"{op} calls another operator"
 
 
 def _python_floor() -> tuple:

@@ -38,7 +38,12 @@ from gaindex.indices import edge_contribution
 from gaindex.transforms import _arc_path, operator_applications
 
 from _helpers import assert_same_structure, extreme_flags, is_star, load_module, tree_edges
-from _oracles import edit_oracle
+from _oracles import (
+    edit_oracle,
+    reference_finish_one_neighbor_deg2,
+    reference_finish_two_neighbors_deg2,
+    syntactic_applications,
+)
 
 
 def triangle_with_path():
@@ -191,6 +196,12 @@ def test_arc_rejects_adjacent_endpoints():
     g = make_family(FamilySpec("cycle", (6,)))
     with pytest.raises(PreconditionError, match="adjacent"):
         arc_transform(g, 0, (0, 1), 1)
+
+
+def test_arc_rejects_equal_endpoints():
+    g = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    with pytest.raises(PreconditionError, match="arc endpoints must differ"):
+        arc_transform(g, 0, (0, 1), 0)
 
 
 def test_arc_rejects_non_cycle_edge():
@@ -551,7 +562,8 @@ def test_runtime_checks_evaluate_ga_once_per_graph(unicyclic, monkeypatch):
         return compute(g)
 
     monkeypatch.setattr(Graph.ga, "func", counting)
-    saw_nested = False
+    # a finishing move builds one graph and is checked once, for its whole move
+    saw_finish_two = False
     set_runtime_checks(1e-9)
     try:
         for g in unicyclic(8):
@@ -560,10 +572,10 @@ def test_runtime_checks_evaluate_ga_once_per_graph(unicyclic, monkeypatch):
             trace = reduction_pipeline(build_graph(g.n, g.edges))
             assert len(set(evaluated)) == len(evaluated)
             assert {s.graph for s in trace.steps} <= set(evaluated)
-            saw_nested |= any(s.op == "finish_two_neighbors_deg2" for s in trace.steps)
+            saw_finish_two |= any(s.op == "finish_two_neighbors_deg2" for s in trace.steps)
     finally:
         set_runtime_checks(None)
-    assert saw_nested
+    assert saw_finish_two
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +707,59 @@ def test_every_golden_reduce_step_matches_the_edit_oracle(rehanged):
     assert rehanged
     for h in rehanged:
         assert_matches_the_edit_oracle(h, rehanged.calls)
+
+
+FINISHING_REFERENCES = {
+    "finish_two_neighbors_deg2": reference_finish_two_neighbors_deg2,
+    "finish_one_neighbor_deg2": reference_finish_one_neighbor_deg2,
+}
+
+
+def outcome(thunk):
+    """thunk's result, or the message of the PreconditionError it raises."""
+    try:
+        return thunk()
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def assert_equals_the_reference(h: Graph, ref) -> None:
+    """ref, the composed reference's result, is a graph with h's edges,
+    degrees, cycle structure and GA bits."""
+    assert isinstance(ref, Graph)
+    assert_same_structure(h, ref)
+    assert h.ga.hex() == ref.ga.hex()
+    assert h.edges == ref.edges
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_finishing_moves_equal_their_composed_references(unicyclic, n):
+    # each finishing move is one rehang; the references run the paper's
+    # chains of star and arc moves, and accept and reject alike
+    accepted = set()
+    for g in unicyclic(n):
+        for name, params, thunk in syntactic_applications(g):
+            if name in FINISHING_REFERENCES:
+                h = outcome(thunk)
+                ref = outcome(lambda: FINISHING_REFERENCES[name](g, **params))
+                if isinstance(h, str):
+                    assert ref == h
+                else:
+                    assert_equals_the_reference(h, ref)
+                    accepted.add(name)
+    assert accepted == FINISHING_REFERENCES.keys()
+
+
+def test_every_finishing_step_of_a_reduction_equals_its_composed_reference():
+    seen = set()
+    for g in reduce_inputs():
+        prev = g
+        for s in reduction_pipeline(g).steps:
+            if s.op in FINISHING_REFERENCES:
+                assert_equals_the_reference(s.graph, FINISHING_REFERENCES[s.op](prev, **s.params))
+                seen.add(s.op)
+            prev = s.graph
+    assert seen == FINISHING_REFERENCES.keys()
 
 
 def test_a_reduction_builds_no_edge_set_for_its_steps():
