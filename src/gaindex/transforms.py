@@ -28,12 +28,11 @@ it drops is one the operator rejects, so the sweep counts what trying
 every syntactic choice counts. Only the arc's degree ordering and the
 search for a second local minimum reject what it yields.
 
-Operators optionally re-check GA monotonicity at runtime (see
-set_runtime_checks); the CLI's `reduce` and the benchmark's replay of its
-trace switch the check on, while verify_monotonicity compares GA itself.
-Each operator is checked once, a finishing move for its whole move. GA is
-cached per graph value, so the checks read the same values the pipeline
-records and add no GA evaluations.
+Operators read no switch: reduction_pipeline re-checks GA monotonicity
+at runtime for each step where it records it, when set_runtime_checks has
+switched the check on. The CLI's `reduce` does; verify_monotonicity
+compares GA itself. GA is cached per graph value, so the check reads the
+values the step records and adds no GA evaluations.
 """
 
 from __future__ import annotations
@@ -73,15 +72,10 @@ _runtime_check_tol: float | None = None
 
 
 def set_runtime_checks(tol: float | None) -> None:
-    """Enable (tol as slack) or disable (None) per-operator GA checks."""
+    """Enable (tol as slack) or disable (None) the GA check that
+    reduction_pipeline makes on each step; operators are never checked."""
     global _runtime_check_tol
     _runtime_check_tol = tol
-
-
-def _check_monotone(op: str, before: Graph, after: Graph) -> Graph:
-    if _runtime_check_tol is not None and after.ga > before.ga + _runtime_check_tol:
-        raise MonotonicityError(f"{op} raised GA from {before.ga!r} to {after.ga!r}")
-    return after
 
 
 def _heaviest(g: Graph, vs: tuple) -> int:
@@ -144,7 +138,7 @@ def star_transform(g: Graph, v: int) -> Graph:
     """Flatten the pendant tree at local-maximum cycle vertex v into a star at v."""
     _require_on_cycle(g, v)
     _require_local_extreme(g, v, "maximum")
-    return _check_monotone("star_transform", g, g.rehang(dict.fromkeys(pendant_tree(g, v)[1:], v)))
+    return g.rehang(dict.fromkeys(pendant_tree(g, v)[1:], v))
 
 
 def relocate_min(g: Graph, u: int, v: int) -> Graph:
@@ -158,7 +152,7 @@ def relocate_min(g: Graph, u: int, v: int) -> Graph:
     _require_on_cycle(g, u, v)
     _require_local_max_star(g, v)
     _require_local_extreme(g, u, "minimum")
-    return _check_monotone("relocate_min", g, g.rehang(dict.fromkeys(pendant_tree(g, u)[1:], v)))
+    return g.rehang(dict.fromkeys(pendant_tree(g, u)[1:], v))
 
 
 def _arc_path(g: Graph, u: int, e, v: int) -> tuple:
@@ -196,7 +190,7 @@ def _arc_relocate(g: Graph, path: tuple) -> Graph:
                 f"need d({u})={du} <= d({w})={g.degrees[w]} <= d({v})={dv}"
             )
     moves = {z: v for w in path[1:-1] for z in pendant_tree(g, w)}
-    return _check_monotone("arc_transform", g, g.rehang(moves))
+    return g.rehang(moves)
 
 
 def arc_transform(g: Graph, u: int, e, v: int) -> Graph:
@@ -238,7 +232,7 @@ def finish_two_neighbors_deg2(g: Graph, v: int) -> Graph:
     rest = cyc.walk(v, a)[2:-1]  # the cycle without v and its two neighbors
     vbar = _heaviest(g, rest)
     moves = {z: vbar for w in rest for z in pendant_tree(g, w) if z != vbar}
-    return _check_monotone("finish_two_neighbors_deg2", g, g.rehang(moves))
+    return g.rehang(moves)
 
 
 def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
@@ -274,18 +268,16 @@ def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
     heavy = [w for w in tree if parent[w] == vt and deg[w] > deg[vt] + len(inner)]
     if not heavy:
         # vt keeps its children and gains inner; everything deeper becomes a pendant at v
-        h = g.rehang({z: v for z in tree[1:] if parent[z] != vt} | dict.fromkeys(inner, vt))
-    else:
-        w = _heaviest(g, heavy)
-        below = {w}  # w and its descendants; the tree lists parents first
-        for z in tree:
-            if parent[z] in below:
-                below.add(z)
-        # w takes vt's cycle edge to u and stars its branch; inner and the
-        # rest of the tree at vt become pendants at v
-        moves = {z: w if z in below else v for z in tree[1:] if z != w}
-        h = g.rehang(moves | dict.fromkeys(inner, v), cycle=(u, w, vt, v))
-    return _check_monotone("finish_one_neighbor_deg2", g, h)
+        return g.rehang({z: v for z in tree[1:] if parent[z] != vt} | dict.fromkeys(inner, vt))
+    w = _heaviest(g, heavy)
+    below = {w}  # w and its descendants; the tree lists parents first
+    for z in tree:
+        if parent[z] in below:
+            below.add(z)
+    # w takes vt's cycle edge to u and stars its branch; inner and the
+    # rest of the tree at vt become pendants at v
+    moves = {z: w if z in below else v for z in tree[1:] if z != w}
+    return g.rehang(moves | dict.fromkeys(inner, v), cycle=(u, w, vt, v))
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +456,8 @@ def reduction_pipeline(g: Graph) -> TransformTrace:
         # step replays as op(previous graph, **params)
         nonlocal cur
         nxt = op(cur, **params)
+        if _runtime_check_tol is not None and nxt.ga > cur.ga + _runtime_check_tol:
+            raise MonotonicityError(f"{op.__name__} raised GA from {cur.ga!r} to {nxt.ga!r}")
         steps.append(TraceStep(op.__name__, params, cur.ga, nxt.ga, nxt))
         cur = nxt
 
@@ -477,16 +471,16 @@ def reduction_pipeline(g: Graph) -> TransformTrace:
     if not cur.cycle.adjacent(u, v):
         apply(arc_transform, u=u, e=[v, min(cur.cycle.cycle_neighbors(v))], v=v)
 
-    config = None
     for _ in range(g.n):
         cyc = cur.cycle
         a, b = cyc.cycle_neighbors(v)
         if cur.degrees[a] == 2 and cur.degrees[b] == 2:
-            config = "both"
+            if cyc.girth > 3:
+                apply(finish_two_neighbors_deg2, v=v)
             break
         minima = [w for w in _local_extremes(cur)[1] if w not in (u, v)]
         if not minima:
-            config = "one"
+            apply(finish_one_neighbor_deg2, v=v, u=u)
             break
         ubar = min(minima)
         apply(relocate_min, u=ubar, v=v)
@@ -495,12 +489,6 @@ def reduction_pipeline(g: Graph) -> TransformTrace:
             apply(arc_transform, u=ubar, e=[v, nb if na == u else na], v=v)
     else:  # pragma: no cover - the loop settles in at most two passes
         raise RuntimeError("local-minimum elimination failed to converge")
-
-    if config == "both":
-        if cur.cycle.girth > 3:
-            apply(finish_two_neighbors_deg2, v=v)
-    else:
-        apply(finish_one_neighbor_deg2, v=v, u=u)
 
     terminal = classify_family(cur)
     if terminal is None:  # pragma: no cover - would be a pipeline bug

@@ -359,10 +359,13 @@ def test_reduce_json_round_trips(capsys, tmp_path):
 
 
 def test_reduce_reports_a_failed_runtime_check(capsys, tmp_path, monkeypatch):
-    # a relocation that returns the cycle raises GA; the real check must catch it
+    # a relocation that returns the cycle raises GA; the pipeline's check must catch it
     cycle = make_family(FamilySpec("cycle", (7,)))
-    monkeypatch.setattr(transforms, "relocate_min",
-                        lambda g, u, v: transforms._check_monotone("relocate_min", g, cycle))
+
+    def relocate_min(g, u, v):
+        return cycle
+
+    monkeypatch.setattr(transforms, "relocate_min", relocate_min)
     path = tmp_path / "g.txt"
     path.write_text("7 7\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n0 6\n")
     code, out, err = run(capsys, "reduce", str(path))

@@ -15,7 +15,10 @@ caches only its edges, cycle and GA, and Graph defines no property; a
 CycleStructure is plain data: no lazy field. graph.py writes no
 `__dict__` key: the constructor fills a cache by assigning the field.
 No rewrite operator in transforms.py calls another, directly or through
-the module's helpers: each is its guards plus one Graph.rehang.
+the module's helpers: each is its guards plus one Graph.rehang. Only
+set_runtime_checks and reduction_pipeline name the runtime-check switch,
+and no operator reaches it through the helpers: the pipeline checks each
+step where it records it.
 Every module parses under the oldest Python that pyproject.toml allows.
 No module imports `dataclasses`, whose import (with `inspect`) was the
 largest share of the CLI's start-up; a fresh `import gaindex.cli` loads
@@ -100,8 +103,9 @@ def test_no_module_imports_another_modules_private_names(module):
 
 # (module, function, name) for each `global` statement still allowed. The
 # runtime-check switch is the last one. The benchmark harness calls it, so it
-# goes in a benchmark change, which replaces it with an explicit check_tol
-# argument and empties this set.
+# goes in a benchmark change, which replaces it with a check_tol argument on
+# reduction_pipeline, its one reader (the operators need none), and empties
+# this set.
 ALLOWED_GLOBALS = {("transforms.py", "set_runtime_checks", "_runtime_check_tol")}
 
 
@@ -244,20 +248,41 @@ def _module_functions(tree) -> dict:
             for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
-def test_no_rewrite_operator_calls_another():
+def _operator_reach() -> dict:
+    """Each name in transforms.OPERATOR_NAMES, with every module function it
+    reaches through the module's helpers."""
     tree = MODULES["transforms.py"]
     operators = next(ast.literal_eval(node.value) for node in tree.body
                      if isinstance(node, ast.Assign)
                      and [t.id for t in node.targets] == ["OPERATOR_NAMES"])
     calls = _module_functions(tree)
     assert set(operators) <= calls.keys()
+    reach = {}
     for op in operators:
         reached, stack = set(), [op]
-        while stack:  # every module function op reaches, through its helpers
+        while stack:
             for name in calls[stack.pop()] & (calls.keys() - reached):
                 reached.add(name)
                 stack.append(name)
-        assert reached & (set(operators) - {op}) == set(), f"{op} calls another operator"
+        reach[op] = reached
+    return reach
+
+
+def test_no_rewrite_operator_calls_another():
+    reach = _operator_reach()
+    for op, reached in reach.items():
+        assert reached & (reach.keys() - {op}) == set(), f"{op} calls another operator"
+
+
+def test_only_the_pipeline_reads_the_check_switch():
+    # so replacing the switch takes a check_tol argument on reduction_pipeline only
+    readers = {(module, node.name) for module, tree in MODULES.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and "_runtime_check_tol" in _references(node)}
+    assert readers == {("transforms.py", "set_runtime_checks"),
+                       ("transforms.py", "reduction_pipeline")}
+    for op, reached in _operator_reach().items():
+        assert {name for _, name in readers} & (reached | {op}) == set(), f"{op} reads the switch"
 
 
 def _python_floor() -> tuple:

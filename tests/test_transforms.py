@@ -360,14 +360,13 @@ def test_finish_one_is_linear_on_deep_trees(paths, terminal):
         top = 5 + p * DEEP
         edges += [(4, top)] + [(z, z + 1) for z in range(top, top + DEEP - 1)]
     g = build_graph(5 + paths * DEEP, edges)
-    set_runtime_checks(1e-9)
-    try:
-        start = time.perf_counter()
-        h = finish_one_neighbor_deg2(g, 0, 1)
-        elapsed = time.perf_counter() - start
-    finally:
-        set_runtime_checks(None)
+    start = time.perf_counter()
+    h = finish_one_neighbor_deg2(g, 0, 1)
+    # both GA values, which the pipeline's runtime check reads for this step
+    drop = g.ga - h.ga
+    elapsed = time.perf_counter() - start
     assert classify_family(h) == terminal
+    assert drop >= -1e-9
     assert elapsed < 5
 
 
@@ -479,14 +478,22 @@ PIPELINE_DIGESTS = {
 }
 
 
+def assert_loop_settles_in_two_passes(trace) -> None:
+    """The first relocation, plus at most one from the pipeline's
+    local-minimum loop: the pass count its `pragma: no cover` rests on."""
+    assert [s.op for s in trace.steps].count("relocate_min") <= 2
+
+
 def test_pipeline_traces_are_pinned_for_every_class(unicyclic):
     for orders, (count, digest) in PIPELINE_DIGESTS.items():
         h = hashlib.sha256()
         traces = 0
         for n in orders:
             for g in unicyclic(n):
-                h.update(reduction_pipeline(g).to_json(include_edges=True).encode())
+                trace = reduction_pipeline(g)
+                h.update(trace.to_json(include_edges=True).encode())
                 traces += 1
+                assert_loop_settles_in_two_passes(trace)
         assert (traces, h.hexdigest()) == (count, digest), f"orders {orders}"
 
 
@@ -538,8 +545,8 @@ def test_runtime_checks_fire_when_forced():
     # with an impossible negative slack any strict decrease trips the check
     set_runtime_checks(-1.0)
     try:
-        with pytest.raises(MonotonicityError):
-            star_transform(triangle_with_path(), 0)
+        with pytest.raises(MonotonicityError, match="^star_transform raised GA from "):
+            reduction_pipeline(triangle_with_path())
     finally:
         set_runtime_checks(None)
 
@@ -562,7 +569,7 @@ def test_runtime_checks_evaluate_ga_once_per_graph(unicyclic, monkeypatch):
         return compute(g)
 
     monkeypatch.setattr(Graph.ga, "func", counting)
-    # a finishing move builds one graph and is checked once, for its whole move
+    # a finishing move builds one graph, checked once where the pipeline records it
     saw_finish_two = False
     set_runtime_checks(1e-9)
     try:
@@ -576,6 +583,38 @@ def test_runtime_checks_evaluate_ga_once_per_graph(unicyclic, monkeypatch):
     finally:
         set_runtime_checks(None)
     assert saw_finish_two
+
+
+def operator_outcome(op: str, g: Graph, params: dict):
+    """A direct call's result (edges, degrees and cycle) or rejection message."""
+    try:
+        h = getattr(transforms, op)(g, **params)
+    except PreconditionError as exc:
+        return str(exc)
+    return h.edges, h.degrees, h.cycle
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_operators_read_no_check_switch(unicyclic, monkeypatch, n):
+    # the pipeline checks each step where it records it: an operator called
+    # directly evaluates no GA and acts alike with runtime checks on or off
+    evaluated = []
+    compute = Graph.ga.func
+
+    def counting(g):
+        evaluated.append(g)
+        return compute(g)
+
+    monkeypatch.setattr(Graph.ga, "func", counting)
+    for g in unicyclic(n):
+        for op, params, _ in operator_applications(g):
+            set_runtime_checks(1e-9)
+            try:
+                checked = operator_outcome(op, g, params)
+            finally:
+                set_runtime_checks(None)
+            assert evaluated == [], f"{op}{params} evaluated GA"
+            assert checked == operator_outcome(op, g, params)
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +707,10 @@ def test_every_accepted_application_hashes_like_a_fresh_value(unicyclic, n):
 
 def test_every_pipeline_step_inherits_a_fresh_peel(rehanged):
     for g in reduce_inputs():
-        for step in reduction_pipeline(g).steps:
+        trace = reduction_pipeline(g)
+        for step in trace.steps:
             assert_inherits_a_fresh_structure(step.graph)
+        assert_loop_settles_in_two_passes(trace)
     # the heavy branch is the one rewrite that moves a tree vertex onto the cycle
     assert any(h.cycle.girth == 4 and classify_family(h) == FamilySpec("spq4", (3, 2))
                for h in rehanged)
