@@ -9,17 +9,18 @@ degrees and cycle structure read off the ring, so no graph is peeled. The
 tests check it against a chord-based reference generator and known counts.
 
 :func:`verify_bounds` sweeps the rings themselves. Each ring's GA is built
-with the ring, position by position, as an exact integer in units of
-1/SCALE: ``ga_term``, the edge term of ``Graph.ga``, of each cycle edge
-from a table by degrees, plus each hung shape's memoized sum. One
-correctly rounded division gives the float, equal to the ring graph's
-``Graph.ga``. Only the witnesses and the violators it reports become
-graphs, which is why it reaches order MAX_BOUND_ORDER while the sweeps
-that need every graph stop at MAX_ORDER. Here the canonical labeling keys
-only those witnesses.
+with the ring, position by position, as the ring graph's exact
+``Graph.ga_sum``: ``ga_term`` of each cycle edge from a table by degrees,
+plus each hung shape's memoized sum. The bounds are exact too, sn3's ring
+sum and n * SCALE, so every comparison is an exact difference, and only
+the extremes and violators are divided. Only the witnesses and the
+violators it reports become graphs, which is why it reaches order
+MAX_BOUND_ORDER while the sweeps that need every graph stop at MAX_ORDER.
+Here the canonical labeling keys only those witnesses.
 
 :func:`verify_monotonicity` applies each rewrite at every choice
-:func:`gaindex.transforms.operator_applications` yields.
+:func:`gaindex.transforms.operator_applications` yields, and takes each
+GA slack as an exact difference, so a no-op reads exactly 0.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .families import bound_interval
-from .graph import canonical_form, format_edge_list, ga_term, ring_graph
+from .graph import SCALE, canonical_form, format_edge_list, ga_term, ring_graph
 from .transforms import OPERATOR_NAMES, PreconditionError, operator_applications
 
 MAX_ORDER = 12
@@ -107,23 +108,10 @@ def _stabilizer(sizes: tuple) -> tuple | None:
     return tuple(fixing)
 
 
-# Ring sums are exact integers in units of 1/SCALE, finer than the least
-# float (2**-1074), so each term converts without rounding; int true division
-# and math.fsum both round correctly, so total / SCALE == Graph.ga.
-SCALE = 1 << 1100
-
-
-@lru_cache(maxsize=None)
-def _term(du: int, dv: int) -> int:
-    """ga_term(du, dv) * SCALE, exactly."""
-    num, den = ga_term(du, dv).as_integer_ratio()
-    return num * (SCALE // den)
-
-
 @lru_cache(maxsize=None)
 def _tree_sum(shape: tuple, root_degree: int) -> int:
     """The scaled GA sum of the edges of a shape whose root has the given degree."""
-    return sum(_term(root_degree, len(child) + 1) + _tree_sum(child, len(child) + 1)
+    return sum(ga_term(root_degree, len(child) + 1) + _tree_sum(child, len(child) + 1)
                for child in shape)
 
 
@@ -137,17 +125,17 @@ def _hung_shapes(size: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _cycle_terms(n: int) -> tuple:
-    """_term(du, dv) at [du][dv] for the degrees of cycle vertices of order n
+    """ga_term(du, dv) at [du][dv] for the degrees of cycle vertices of order n
     (2..n-1), as nested lists for fast lookup while rings are built."""
-    return tuple([_term(du, dv) if du > 1 and dv > 1 else 0 for dv in range(n)]
+    return tuple([ga_term(du, dv) if du > 1 and dv > 1 else 0 for dv in range(n)]
                  for du in range(n))
 
 
 def _rings(n: int):
     """Yield (choice, total) for the least ring of each class of order n.
 
-    choice[i] is the shape hung on cycle vertex i, and total the scaled GA
-    of the ring's graph. Rings compare their sizes (each shape's number of
+    choice[i] is the shape hung on cycle vertex i, and total the ga_sum of
+    the ring's graph. Rings compare their sizes (each shape's number of
     tree vertices) first, so the sizes of a least ring are least among their
     images, they start with their least part, and only the symmetries that
     fix them can map its choice below itself. Girths ascend, and sizes and
@@ -230,26 +218,29 @@ class BoundReport(NamedTuple):
 
 
 def verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
-    """Check ga_sn3_closed(n) <= GA(G) <= n, the bound_interval(n), over every
-    unicyclic class of order n.
+    """Check GA(sn3(n)) <= GA(G) <= n, the bound_interval(n), over every
+    unicyclic class of order n, within a finite tol.
 
-    GA comes from the rings; only the witnesses and the violators become
-    graphs, for their canonical keys and edge lists.
+    GA and the bounds, sn3's ring sum and n * SCALE, are exact sums from the
+    rings, compared by exact differences; only the two extremes and the
+    violators are divided to floats. Only the witnesses and the violators
+    become graphs, for their canonical keys and edge lists.
     """
     _check_order(n, MAX_BOUND_ORDER)
-    entries = [(total / SCALE, choice) for choice, total in _rings(n)]
-    lower, upper = bound_interval(n)
-    min_ga = min(ga for ga, _ in entries)
-    max_ga = max(ga for ga, _ in entries)
-    min_rings = [choice for ga, choice in entries if ga <= min_ga + tol]
-    max_rings = [choice for ga, choice in entries if ga >= max_ga - tol]
-    violations = tuple(
-        (format_edge_list(ring_graph(choice)), ga)
-        for ga, choice in entries
-        if ga < lower - tol or ga > upper + tol
-    )
+    entries = list(_rings(n))
     cycle = ((),) * n
     sn3 = ((), (), ((),) * (n - 3))  # n-3 leaves on the last triangle vertex
+    lower, upper = next(t for c, t in entries if c == sn3), n * SCALE  # girth 3 comes first
+    num, den = tol.as_integer_ratio()  # den divides SCALE, so this is tol exactly
+    slack = num * SCALE // den  # never tol * SCALE: a float overflow
+    low, high = min(t for _, t in entries), max(t for _, t in entries)
+    min_rings = [choice for choice, total in entries if total - low <= slack]
+    max_rings = [choice for choice, total in entries if high - total <= slack]
+    violations = tuple(
+        (format_edge_list(ring_graph(choice)), total / SCALE)
+        for choice, total in entries
+        if lower - total > slack or total - upper > slack
+    )
 
     def keys(rings):
         return tuple(sorted(canonical_form(ring_graph(choice)).hex() for choice in rings))
@@ -257,12 +248,12 @@ def verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
     return BoundReport(
         n=n,
         count=len(entries),
-        min_ga=min_ga,
-        max_ga=max_ga,
+        min_ga=low / SCALE,
+        max_ga=high / SCALE,
         min_witnesses=keys(min_rings),
         max_witnesses=keys(max_rings),
         violations=violations,
-        max_only_cycle=(max_rings == [cycle] and abs(max_ga - upper) <= tol),
+        max_only_cycle=(max_rings == [cycle] and abs(high - upper) <= slack),
         min_attained_by_sn3=sn3 in min_rings,
         min_unique=len(min_rings) == 1,
     )
@@ -313,14 +304,14 @@ def verify_monotonicity(n: int, tol: float = 1e-9) -> MonotonicityReport:
     graphs = 0
     for g in enumerate_unicyclic(n):
         graphs += 1
-        ga0 = g.ga
+        base = g.ga_sum
         for name, params, thunk in operator_applications(g):
             try:
                 h = thunk()
             except PreconditionError:
                 continue
             applications[name] += 1
-            slack = h.ga - ga0
+            slack = (h.ga_sum - base) / SCALE  # exact until rounded: a no-op reads 0
             worst = max(worst, slack)
             problem = None
             if slack > tol:

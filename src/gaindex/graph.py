@@ -50,18 +50,26 @@ def norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+# GA sums are exact integers in units of 1/SCALE, finer than the least float
+# (2**-1074), so each term converts without rounding; int true division rounds
+# correctly, as math.fsum does, so sum / SCALE is the correctly rounded GA.
+SCALE = 1 << 1100
+
+
 @lru_cache(maxsize=1 << 12)  # bounded: outside graphs bring degrees up to MAX_VERTICES
-def ga_term(du: int, dv: int) -> float:
-    """The GA term of an edge whose ends have degrees du and dv."""
-    return 2.0 * math.sqrt(du * dv) / (du + dv)
+def ga_term(du: int, dv: int) -> int:
+    """The GA term 2*sqrt(du*dv)/(du+dv) of an edge whose ends have degrees
+    du and dv, the correctly rounded float times SCALE: an exact integer."""
+    num, den = (2.0 * math.sqrt(du * dv) / (du + dv)).as_integer_ratio()
+    return num * (SCALE // den)
 
 
 class Graph:
     """An immutable simple graph on vertices 0..n-1. It holds n, m and its
     degrees, and caches its frozenset of edges (u, v) with u < v, which
-    decide equality and the hash, its cycle structure and its GA. It is
-    built from its degrees and one of the edge set or, for a unicyclic
-    value, the structure; assigning that one fills its cache."""
+    decide equality and the hash, its cycle structure and its GA, exact and
+    as a float. It is built from its degrees and one of the edge set or, for
+    a unicyclic value, the structure; assigning that one fills its cache."""
 
     def __init__(self, degrees: tuple, edges: frozenset | None = None,
                  cycle: CycleStructure | None = None):
@@ -152,12 +160,17 @@ class Graph:
                               {v: i for i, v in enumerate(order)})
 
     @cached_property
-    def ga(self) -> float:
-        """The GA index, the sum of ga_term over the edges (0.0 without edges)."""
+    def ga_sum(self) -> int:
+        """The GA index times SCALE, exactly: the sum of ga_term over the edges."""
         pairs, parents = self._edge_pairs()
         deg = self.degrees  # deg[z] pairs with parents[z] in the zip
-        return math.fsum([ga_term(deg[u], deg[v]) for u, v in pairs]
-                         + [ga_term(d, deg[p]) for d, p in zip(deg, parents) if p is not None])
+        return (sum([ga_term(deg[u], deg[v]) for u, v in pairs])
+                + sum([ga_term(d, deg[p]) for d, p in zip(deg, parents) if p is not None]))
+
+    @cached_property
+    def ga(self) -> float:
+        """The GA index, ga_sum / SCALE correctly rounded (0.0 without edges)."""
+        return self.ga_sum / SCALE
 
     def has_edge(self, u: int, v: int) -> bool:
         return norm_edge(u, v) in self.edges

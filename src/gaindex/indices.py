@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .graph import Graph, GraphError, ga_term, norm_edge
+from .graph import SCALE, Graph, GraphError, ga_term, norm_edge
 
 
 def f_eval(x: float) -> float:
@@ -48,7 +48,7 @@ def edge_contribution(g: Graph, e) -> EdgeContribution:
         du=du,
         dv=dv,
         rd=dv / du,
-        ga=ga_term(du, dv),
+        ga=ga_term(du, dv) / SCALE,  # the float term, exactly
     )
 
 

@@ -31,7 +31,8 @@ search for a second local minimum reject what it yields.
 Operators read no switch: reduction_pipeline re-checks GA monotonicity
 at runtime for each step where it records it, when set_runtime_checks has
 switched the check on. The CLI's `reduce` does; verify_monotonicity
-compares GA itself. GA is cached per graph value, so the check reads the
+compares GA itself. Both compare the exact sums `Graph.ga_sum`, so a no-op
+rises by exactly 0. GA is cached per graph value, so the check reads the
 values the step records and adds no GA evaluations.
 """
 
@@ -43,12 +44,7 @@ from operator import ge, le, neg
 from typing import NamedTuple
 
 from .families import FamilySpec, classify_family
-from .graph import (
-    Graph,
-    NotUnicyclicError,
-    norm_edge,
-    pendant_tree,
-)
+from .graph import SCALE, Graph, NotUnicyclicError, norm_edge, pendant_tree
 
 
 class PreconditionError(ValueError):
@@ -456,7 +452,7 @@ def reduction_pipeline(g: Graph) -> TransformTrace:
         # step replays as op(previous graph, **params)
         nonlocal cur
         nxt = op(cur, **params)
-        if _runtime_check_tol is not None and nxt.ga > cur.ga + _runtime_check_tol:
+        if _runtime_check_tol is not None and (nxt.ga_sum - cur.ga_sum) / SCALE > _runtime_check_tol:
             raise MonotonicityError(f"{op.__name__} raised GA from {cur.ga!r} to {nxt.ga!r}")
         steps.append(TraceStep(op.__name__, params, cur.ga, nxt.ga, nxt))
         cur = nxt

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from gaindex import build_graph, pendant_tree, transforms
+from gaindex import build_graph, enumeration, pendant_tree, transforms
 from gaindex.graph import norm_edge
 
 
@@ -89,6 +89,18 @@ def replace_star_thunks(monkeypatch, faulty) -> None:
             yield name, params, thunk
 
     monkeypatch.setattr("gaindex.enumeration.operator_applications", patched)
+
+
+def lift_ring_sums(monkeypatch, lift) -> None:
+    """Make verify_bounds read each ring's exact GA sum plus lift(choice),
+    in units of 1/SCALE; the rings themselves stay as they are."""
+    rings = enumeration._rings
+
+    def patched(n):
+        for choice, total in rings(n):
+            yield choice, total + lift(choice)
+
+    monkeypatch.setattr("gaindex.enumeration._rings", patched)
 
 
 REPO = Path(__file__).resolve().parent.parent

@@ -29,9 +29,12 @@ The package's canonical labeling skips the root branches that the
 automorphisms it has found map onto explored ones; the reference here is
 the search without that pruning, which walks every branch twin pruning
 leaves.
+The package sums GA exactly, as integers in units of 1/SCALE; the
+reference here is math.fsum over float terms.
 """
 
 import itertools
+import math
 
 from gaindex import (
     Graph,
@@ -47,6 +50,16 @@ from gaindex import transforms
 from gaindex.enumeration import MAX_ORDER, _rooted_trees
 from gaindex.graph import GraphError, norm_edge, pendant_tree
 from gaindex.transforms import PreconditionError
+
+
+def float_ga_term(du: int, dv: int) -> float:
+    """The GA term of an edge whose ends have degrees du and dv, as a float."""
+    return 2.0 * math.sqrt(du * dv) / (du + dv)
+
+
+def fsum_ga(degrees, edges) -> float:
+    """GA of the edges under these degrees: math.fsum over the float terms."""
+    return math.fsum(float_ga_term(degrees[u], degrees[v]) for u, v in edges)
 
 
 def relabel(g: Graph, perm) -> Graph:

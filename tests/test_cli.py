@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from gaindex import FamilySpec, make_family, transforms
+from gaindex import FamilySpec, format_edge_list, make_family, transforms
 from gaindex.cli import (
     INPUT_ERROR,
     MAX_TABLE_CELLS,
@@ -18,9 +18,9 @@ from gaindex.cli import (
     main,
 )
 from gaindex.enumeration import MAX_BOUND_ORDER, MAX_ORDER
-from gaindex.graph import MAX_VERTICES
+from gaindex.graph import MAX_VERTICES, SCALE
 
-from _helpers import REPO, load_module, replace_star_thunks
+from _helpers import REPO, lift_ring_sums, load_module, replace_star_thunks
 
 PAW = "4 4\n0 1\n0 2\n0 3\n1 2\n"
 
@@ -303,10 +303,21 @@ def test_tol_must_be_finite_and_nonnegative(capsys, paw_file, command, tol):
     assert "--tol" in err
 
 
-def test_reduce_accepts_a_zero_tol(capsys, paw_file):
-    default = run(capsys, "reduce", paw_file)
-    assert default[0] == 0
-    assert run(capsys, "reduce", paw_file, "--tol", "0") == default
+def test_reduce_accepts_a_zero_tol(capsys, tmp_path, paw_file):
+    # sn3(8)'s trace has no-op steps, which rise by exactly 0
+    sn3_file = tmp_path / "sn3.txt"
+    sn3_file.write_text(format_edge_list(make_family(FamilySpec("sn3", (8,)))))
+    for path in (paw_file, str(sn3_file)):
+        default = run(capsys, "reduce", path)
+        assert default[0] == 0
+        assert run(capsys, "reduce", path, "--tol", "0") == default
+
+
+def test_verify_accepts_a_zero_tol(capsys):
+    # every bound is an exact ring sum, so sn3 attains its own bound exactly
+    code, out, _ = run(capsys, "verify", "3..13", "--tol", "0")
+    assert code == 0
+    assert out.endswith("total violations: 0\n")
 
 
 def test_reduce_trace_flag_lists_edges(capsys, tmp_path):
@@ -477,8 +488,8 @@ def test_verify_monotonicity_rejects_orders_up_front(capsys, orders):
 
 
 def test_verify_reports_bound_violations(capsys, monkeypatch):
-    # a lower bound above every order's cycle: each class violates it
-    monkeypatch.setattr("gaindex.enumeration.bound_interval", lambda n: (n + 1.0, float(n)))
+    # ring sums lifted by n: each class rises above the upper bound n
+    lift_ring_sums(monkeypatch, lambda choice: 5 * SCALE)
     code, out, _ = run(capsys, "verify", "5")
     assert code == VERIFICATION_FAILURE
     assert out.count("  violation: GA=") == 5

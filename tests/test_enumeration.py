@@ -20,19 +20,19 @@ from gaindex import (
     verify_monotonicity,
 )
 from gaindex import transforms
-from gaindex.enumeration import (
-    MAX_BOUND_ORDER,
-    OPERATOR_NAMES,
-    SCALE,
-    _rings,
-    _term,
-    operator_applications,
-)
-from gaindex.graph import ga_term, ring_graph
+from gaindex.enumeration import MAX_BOUND_ORDER, OPERATOR_NAMES, _rings, operator_applications
+from gaindex.graph import SCALE, ga_term, ring_graph
 from gaindex.transforms import PreconditionError
 
-from _helpers import replace_star_thunks
-from _oracles import enumerate_unicyclic_by_chords, free_trees, least_rings, syntactic_applications
+from _helpers import lift_ring_sums, replace_star_thunks
+from _oracles import (
+    enumerate_unicyclic_by_chords,
+    float_ga_term,
+    free_trees,
+    fsum_ga,
+    least_rings,
+    syntactic_applications,
+)
 
 # counts established by two independent generators here plus a labeled
 # brute force below; they also match the known unicyclic counting sequence
@@ -100,8 +100,11 @@ def test_rings_match_the_reference_filter(n):
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_ring_ga_equals_graph_ga(n):
+    # the ring's sum, built with the ring, is its graph's; both round like fsum
     for choice, total in _rings(n):
-        assert total / SCALE == ring_graph(choice).ga
+        g = ring_graph(choice)
+        assert total == g.ga_sum
+        assert total / SCALE == g.ga == fsum_ga(g.degrees, g.edges)
 
 
 degree_pairs = st.lists(st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)), max_size=40)
@@ -109,9 +112,10 @@ degree_pairs = st.lists(st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)),
 
 @given(degree_pairs)
 def test_scaled_sums_round_like_fsum(pairs):
-    # __wrapped__: the memo is sized for ring degrees, not for these
-    exact = sum(_term.__wrapped__(du, dv) for du, dv in pairs)
-    assert exact / SCALE == math.fsum(ga_term(du, dv) for du, dv in pairs)
+    # __wrapped__: keep these random degrees out of the memo
+    terms = [ga_term.__wrapped__(du, dv) for du, dv in pairs]
+    assert [t / SCALE for t in terms] == [float_ga_term(du, dv) for du, dv in pairs]
+    assert sum(terms) / SCALE == math.fsum(float_ga_term(du, dv) for du, dv in pairs)
 
 
 def test_verify_bounds_labels_only_witnesses(monkeypatch):
@@ -176,10 +180,17 @@ def test_verify_bounds_family_flags_match_canonical_keys(n):
 
 
 def test_verify_bounds_lists_violators_in_generation_order(monkeypatch, unicyclic):
-    # a lower bound above every order's cycle: each class violates it
-    monkeypatch.setattr("gaindex.enumeration.bound_interval", lambda n: (n + 1.0, float(n)))
-    rep = verify_bounds(7)
-    assert rep.violations == tuple((format_edge_list(g), g.ga) for g in unicyclic(7))
+    # lifted by n, every class rises above the upper bound n; dropped by n,
+    # every class but sn3, whose ring sum is the lower bound, falls below it
+    n, sn3 = 7, ((), (), ((),) * 4)
+    sn3_key = canonical_form(ring_graph(sn3))
+    for lift, spared in ((n * SCALE, None), (-n * SCALE, sn3_key)):
+        with monkeypatch.context() as patch:
+            lift_ring_sums(patch, lambda choice: 0 if spared and choice == sn3 else lift)
+            rep = verify_bounds(n)
+        assert rep.violations == tuple((format_edge_list(g), (g.ga_sum + lift) / SCALE)
+                                       for g in unicyclic(n) if canonical_form(g) != spared)
+        assert len(rep.violations) == EXPECTED_COUNTS[n] - (spared is not None)
 
 
 @pytest.mark.parametrize("n", sorted(BOUND_ONLY_COUNTS))

@@ -82,6 +82,7 @@ def test_build_paw():
         (3, [(0, 1.5)], "non-integer vertex in edge (0, 1.5)"),
         (3, [(0, True)], "non-integer vertex in edge (0, True)"),
         (3, [(0, "1")], "non-integer vertex in edge (0, '1')"),
+        (3, [(3, 0)], "out of range"),
     ],
 )
 def test_build_rejects_bad_edges(n, edges, fragment):
@@ -613,3 +614,23 @@ def test_edge_list_validation_propagates():
 def test_edge_list_rejects_order_above_limit():
     with pytest.raises(EdgeListError, match=f"limit of {MAX_VERTICES}"):
         parse_edge_list(f"{MAX_VERTICES + 1} 1\n0 1\n")
+
+
+def test_the_order_limit_admits_exactly_max_vertices(monkeypatch):
+    # a small patched limit keeps the boundary cheap: an order at it is
+    # accepted by every entry point, one above it rejected by each
+    limit = 6
+    monkeypatch.setattr("gaindex.graph.MAX_VERTICES", limit)
+    monkeypatch.setattr("gaindex.families.MAX_VERTICES", limit)
+    for n, accepted in ((limit, True), (limit + 1, False)):
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        text = f"{n} {n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        spec = FamilySpec("sn3", (n,))
+        for build, error in ((lambda: build_graph(n, edges), GraphError),
+                             (lambda: parse_edge_list(text), EdgeListError),
+                             (lambda: make_family(spec), ValueError)):
+            if accepted:
+                assert build().n == n
+            else:
+                with pytest.raises(error, match=f"limit of {limit}"):
+                    build()

@@ -11,8 +11,10 @@ attribute. Only graph.py calls the Graph constructor, and within it only
 build_graph, ring_graph and Graph.rehang do; only graph.py builds a
 CycleStructure or writes a Graph value's cached fields or a structure's
 root record. A Graph value holds n, m and its degrees as plain fields and
-caches only its edges, cycle and GA, and Graph defines no property; a
-CycleStructure is plain data: no lazy field. graph.py writes no
+caches only its edges, cycle and GA (the exact sum and its float), and
+Graph defines no property; a CycleStructure is plain data: no lazy field.
+GA has one definition: only graph.py assigns SCALE and defines a GA term
+function, and math.fsum is read only by indices.ag_index. graph.py writes no
 `__dict__` key: the constructor fills a cache by assigning the field.
 No rewrite operator in transforms.py calls another, directly or through
 the module's helpers: each is its guards plus one Graph.rehang. Only
@@ -201,7 +203,30 @@ def test_graph_caches_only_its_structure_and_ga():
     cached = [node.name for node in _graph_class("Graph").body
               if isinstance(node, ast.FunctionDef)
               and any("cached_property" in _references(d) for d in node.decorator_list)]
-    assert cached == ["edges", "cycle", "ga"]
+    assert cached == ["edges", "cycle", "ga_sum", "ga"]
+
+
+def _sites(match) -> set:
+    """(module, name of the module-level function or class, None for other
+    statements) for each node under which match holds."""
+    return {(module, getattr(top, "name", None)) for module, tree in MODULES.items()
+            for top in tree.body for node in ast.walk(top) if match(node)}
+
+
+def _is(node, name: str) -> bool:
+    """True when node itself is `name`: a bare name, an attribute, an import
+    alias or a definition."""
+    return name in (getattr(node, "id", None), getattr(node, "attr", None),
+                    getattr(node, "name", None))
+
+
+def test_ga_has_one_scale_one_term_function_and_no_float_sum():
+    # every GA reader sums graph.py's exact terms; fsum is left to AG's float terms
+    assert _sites(lambda node: _is(node, "SCALE")
+                  and isinstance(getattr(node, "ctx", None), ast.Store)) == {("graph.py", None)}
+    assert _sites(lambda node: isinstance(node, ast.FunctionDef)
+                  and node.name.endswith("term")) == {("graph.py", "ga_term")}
+    assert _sites(lambda node: _is(node, "fsum")) == {("indices.py", "ag_index")}
 
 
 def test_graph_defines_no_property():

@@ -33,13 +33,14 @@ from gaindex import (
     verify_monotonicity,
 )
 from gaindex import transforms
-from gaindex.graph import CycleStructure, ga_term
+from gaindex.graph import CycleStructure
 from gaindex.indices import edge_contribution
 from gaindex.transforms import _arc_path, operator_applications
 
 from _helpers import assert_same_structure, extreme_flags, is_star, load_module, tree_edges
 from _oracles import (
     edit_oracle,
+    fsum_ga,
     reference_finish_one_neighbor_deg2,
     reference_finish_two_neighbors_deg2,
     syntactic_applications,
@@ -562,13 +563,13 @@ def test_runtime_checks_accept_real_runs():
 
 def test_runtime_checks_evaluate_ga_once_per_graph(unicyclic, monkeypatch):
     evaluated = []
-    compute = Graph.ga.func
+    compute = Graph.ga_sum.func
 
     def counting(g):
         evaluated.append(g)
         return compute(g)
 
-    monkeypatch.setattr(Graph.ga, "func", counting)
+    monkeypatch.setattr(Graph.ga_sum, "func", counting)
     # a finishing move builds one graph, checked once where the pipeline records it
     saw_finish_two = False
     set_runtime_checks(1e-9)
@@ -599,13 +600,13 @@ def test_operators_read_no_check_switch(unicyclic, monkeypatch, n):
     # the pipeline checks each step where it records it: an operator called
     # directly evaluates no GA and acts alike with runtime checks on or off
     evaluated = []
-    compute = Graph.ga.func
+    compute = Graph.ga_sum.func
 
     def counting(g):
         evaluated.append(g)
         return compute(g)
 
-    monkeypatch.setattr(Graph.ga, "func", counting)
+    monkeypatch.setattr(Graph.ga_sum, "func", counting)
     for g in unicyclic(n):
         for op, params, _ in operator_applications(g):
             set_runtime_checks(1e-9)
@@ -728,8 +729,8 @@ def assert_matches_the_edit_oracle(h: Graph, calls: dict) -> None:
     assert h.edges == edges
     fresh = build_graph(h.n, h.edges)
     assert h.degrees == fresh.degrees and h.cycle == fresh.cycle
-    deg = fresh.degrees
-    assert ga == math.fsum(ga_term(deg[u], deg[v]) for u, v in edges)
+    assert ga == fsum_ga(fresh.degrees, edges)
+    assert h.ga_sum == fresh.ga_sum  # the structure's exact sum is the edge set's
 
 
 @pytest.mark.parametrize("n", range(4, 10))
