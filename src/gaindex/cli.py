@@ -17,7 +17,8 @@ import os
 import random
 import sys
 
-from .enumeration import MAX_BOUND_ORDER, MAX_ORDER, verify_bounds, verify_monotonicity
+from .enumeration import (MAX_BOUND_ORDER, MAX_MONOTONICITY_ORDER, verify_bounds,
+                          verify_monotonicity)
 from .families import (
     FAMILY_NAMES,
     FamilySpec,
@@ -293,10 +294,12 @@ def _cmd_verify(args) -> int:
         lo, hi = _parse_range(args.orders, "order", "..")
         if lo < 3:
             raise ValueError(f"orders start at 3, got {lo}")
+        # the sweep's cap first: it is no higher than the bounds' cap
+        if args.monotonicity and hi > MAX_MONOTONICITY_ORDER:
+            raise ValueError("range too large: the monotonicity sweep is capped at "
+                             f"n = {MAX_MONOTONICITY_ORDER}")
         if hi > MAX_BOUND_ORDER:
             raise ValueError(f"range too large: bound verification is capped at n = {MAX_BOUND_ORDER}")
-        if args.monotonicity and hi > MAX_ORDER:
-            raise ValueError(f"range too large: the monotonicity sweep is capped at n = {MAX_ORDER}")
     except ValueError as exc:
         raise _UsageError(exc) from exc
     # per order: its bound report, then (n >= 5) its monotonicity report

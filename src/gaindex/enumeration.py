@@ -13,14 +13,22 @@ with the ring, position by position, as the ring graph's exact
 ``Graph.ga_sum``: ``ga_term`` of each cycle edge from a table by degrees,
 plus each hung shape's memoized sum. The bounds are exact too, sn3's ring
 sum and n * SCALE, so every comparison is an exact difference, and only
-the extremes and violators are divided. Only the witnesses and the
+the extremes and the violators are divided. Only the witnesses and the
 violators it reports become graphs, which is why it reaches order
-MAX_BOUND_ORDER while the sweeps that need every graph stop at MAX_ORDER.
-Here the canonical labeling keys only those witnesses.
+MAX_BOUND_ORDER while enumerate_unicyclic, which builds every graph, stops
+at MAX_ORDER. Here the canonical labeling keys only those witnesses.
 
-:func:`verify_monotonicity` applies each rewrite at every choice
-:func:`gaindex.transforms.operator_applications` yields, and takes each
-GA slack as an exact difference, so a no-op reads exactly 0.
+:func:`verify_monotonicity` sweeps the rings too, and edits them. Every
+star_transform, relocate_min and arc_transform choice is an edit of the
+ring, and its result's exact GA is the ring's sum less the cycle terms and
+tree sums of the positions it changes, plus theirs after it; each arc is
+computed once and counted once per cycle edge that picks it. Only the two
+finishing moves run the graph operators, on the ring's graph, built for a
+class that has a choice for them. Each GA slack is an exact difference, so
+a no-op reads exactly 0. :func:`gaindex.transforms.operator_applications`,
+re-exported here, lists the same choices on a graph: the tests check the
+ring edits against the graph operators at each of them, and the sweep
+reads it to list a violating class's applications with their params.
 """
 
 from __future__ import annotations
@@ -31,12 +39,16 @@ from typing import NamedTuple
 
 from .families import bound_interval
 from .graph import SCALE, canonical_form, format_edge_list, ga_term, ring_graph
-from .transforms import OPERATOR_NAMES, PreconditionError, operator_applications
+from .transforms import (OPERATOR_NAMES, PreconditionError, finish_one_neighbor_deg2,
+                         finish_two_neighbors_deg2, operator_applications)
 
 MAX_ORDER = 12
 # verify_bounds reads GA from the rings and builds a Graph only for the
-# witnesses, so it reaches further than the sweeps that need every graph.
+# witnesses, so it reaches further than enumerate_unicyclic, which builds
+# every graph; verify_monotonicity edits the rings and builds a Graph only
+# for the finishing moves.
 MAX_BOUND_ORDER = 14
+MAX_MONOTONICITY_ORDER = 14
 
 
 def _check_order(n: int, cap: int = MAX_ORDER) -> None:
@@ -129,6 +141,22 @@ def _cycle_terms(n: int) -> tuple:
     (2..n-1), as nested lists for fast lookup while rings are built."""
     return tuple([ga_term(du, dv) if du > 1 and dv > 1 else 0 for dv in range(n)]
                  for du in range(n))
+
+
+@lru_cache(maxsize=None)
+def _star_sums(n: int) -> tuple:
+    """(d - 2) * ga_term(d, 1) at [d] for the degrees of cycle vertices of order
+    n (2..n-1): the scaled GA sum of the edges of a star hung on a cycle vertex
+    of degree d."""
+    return (0, 0) + tuple((d - 2) * ga_term(d, 1) for d in range(2, n))
+
+
+@lru_cache(maxsize=None)
+def _shape_sums(n: int) -> dict:
+    """shape -> (its number of vertices below the root, its _hung_shapes sum)
+    for every shape that a ring of order n hangs on a cycle vertex."""
+    return {shape: (size, total) for size in range(n - 2)
+            for shape, total, _ in _hung_shapes(size + 1)}
 
 
 def _rings(n: int):
@@ -295,38 +323,162 @@ class MonotonicityReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
+def _ring_edits(choice: tuple, n: int):
+    """Yield (op, where, count, rise) for each star_transform, relocate_min and
+    arc_transform choice that operator_applications yields for
+    ring_graph(choice), whose cycle vertex i is the ring's position i. where is
+    (v,), (u, v), or (u, v, ahead) for the arc from u to v that runs ahead of u
+    in the cycle order (ahead) or behind it; count is the number of
+    applications it stands for, one per cycle edge on an arc; rise is the
+    exact ga_sum of the operator's result less the graph's, or None when the
+    operator rejects the choice.
+
+    A rise edits the ring's sum: the cycle terms and tree sums at the
+    positions the rewrite changes go out, and those of the result come in.
+    star_transform gives v a star of its size; relocate_min empties u's tree
+    and gives v, a star, that many more leaves; arc_transform hangs the arc's
+    inner positions and their trees on v as leaves and joins u to v. So a
+    star or a relocation costs O(1) and an arc O(its length). The choices are
+    operator_applications' own, read off the degrees, and the arc's degree
+    ordering is the one guard left that can reject one.
+    """
+    terms, stars, shapes = _cycle_terms(n), _star_sums(n), _shape_sums(n)
+    k = len(choice)
+    deg = [len(shape) + 2 for shape in choice]
+    size, tree = zip(*map(shapes.__getitem__, choice))
+    prev, succ = deg[-1:] + deg[:-1], deg[1:] + deg[:1]
+    cyc = [terms[a][b] for a, b in zip(deg, succ)]  # cyc[i]: the edge from i to i + 1
+    local_max = [v for v in range(k) if deg[v] >= max(prev[v], succ[v])]
+    local_min = [u for u in range(k) if deg[u] <= min(prev[u], succ[u])]
+    max_stars = [v for v in local_max if not any(choice[v])]
+
+    def restar(at: dict) -> int:
+        """The rise when each position x in `at` takes degree at[x] with a star."""
+        new = deg.copy()
+        for x, d in at.items():
+            new[x] = d
+        edges = {i % k for x in at for i in (x - 1, x)}
+        return (sum(terms[new[i]][new[(i + 1) % k]] - cyc[i] for i in edges)
+                + sum(stars[d] - tree[x] for x, d in at.items()))
+
+    def relocate(run: list) -> int | None:
+        """The rise of arc_transform on the arc run[:-1] = (u, ..., v), where
+        run[-1] is v's other cycle neighbor, or None when it rejects the arc."""
+        u, v, inner = run[0], run[-2], run[1:-2]
+        du, dv = deg[u], deg[v]
+        if not all(du <= deg[w] <= dv for w in inner):
+            return None
+        d = dv + len(inner) + sum(size[w] for w in inner)
+        # out: the arc's edges, v's other cycle edge and the trees at inner and v
+        return (terms[du][d] + terms[d][deg[run[-1]]] + stars[d]
+                - sum(terms[deg[a]][deg[b]] for a, b in zip(run, run[1:]))
+                - sum(tree[w] for w in inner) - tree[v])
+
+    for v in local_max:
+        yield "star_transform", (v,), 1, restar({v: size[v] + 2})
+    for u in local_min:
+        for v in max_stars:
+            if u != v:  # moving u's tree changes nothing when it is empty
+                yield ("relocate_min", (u, v), 1,
+                       restar({u: 2, v: deg[v] + size[u]}) if size[u] else 0)
+    for u in range(k):
+        ahead = [(u + j) % k for j in range(k)]
+        behind = [(u - j) % k for j in range(k)]
+        for v in max_stars:
+            d = (v - u) % k  # v is d steps ahead of u
+            if 1 < d < k - 1:  # u and v are neither equal nor adjacent
+                yield "arc_transform", (u, v, True), d, relocate(ahead[:d + 2])
+                yield "arc_transform", (u, v, False), k - d, relocate(behind[:k - d + 2])
+
+
+def _finishing_moves(choice: tuple):
+    """Yield (op, where, result) for each finishing move that
+    operator_applications yields for ring_graph(choice) and the graph operator
+    accepts, where being its params' values, (v,) or (v, u). The graph is built
+    only for a ring with such a choice."""
+    k = len(choice)
+    deg = [len(shape) + 2 for shape in choice]
+    top = max(deg)
+    tops = [(v, (v - 1) % k, (v + 1) % k) for v in range(k)
+            if deg[v] == top and not any(choice[v])]  # the maximal-degree stars
+    moves = [("finish_two_neighbors_deg2", finish_two_neighbors_deg2, (v,))
+             for v, a, b in tops if k > 3 and deg[a] == deg[b] == 2]
+    moves += [("finish_one_neighbor_deg2", finish_one_neighbor_deg2, (v, u))
+              for v, a, b in tops for u, other in ((a, b), (b, a)) if deg[u] == 2 != deg[other]]
+    if moves:
+        g = ring_graph(choice)
+        for op, move, where in moves:
+            try:
+                h = move(g, *where)
+            except PreconditionError:
+                continue
+            yield op, where, h
+
+
+def _edit_key(op: str, params: dict, girth: int) -> tuple:
+    """The `where` under which _ring_edits or _finishing_moves lists the
+    application of op with these params to a ring's graph of this girth: the
+    params' values, but (u, v, ahead) for arc_transform, whose edge e picks
+    the arc that runs ahead of u exactly when it starts fewer than d(u, v)
+    steps ahead of u."""
+    if op != "arc_transform":
+        return tuple(params.values())
+    u, (a, b), v = params["u"], params["e"], params["v"]
+    edge = a if b == a + 1 else b  # cycle edge i joins positions i and i + 1
+    return u, v, (edge - u) % girth < (v - u) % girth
+
+
 def verify_monotonicity(n: int, tol: float = 1e-9) -> MonotonicityReport:
-    """Apply every operator wherever its preconditions hold; GA must not rise."""
-    _check_order(n)
-    applications = {name: 0 for name in OPERATOR_NAMES}
+    """Apply every operator wherever its preconditions hold; GA must not rise.
+
+    The sweep edits each class's ring (_ring_edits) and runs only the
+    finishing moves on its graph, which it checks for order and size. A rise
+    is divided by SCALE only when it could exceed tol, and worst_slack is the
+    largest exact rise divided once. A violation is reported per application,
+    with its params and the input's edge list, in the order
+    operator_applications yields them.
+    """
+    _check_order(n, MAX_MONOTONICITY_ORDER)
+    applications = dict.fromkeys(OPERATOR_NAMES, 0)
     worst = float("-inf")
     violations = []
     graphs = 0
-    for g in enumerate_unicyclic(n):
-        graphs += 1
-        base = g.ga_sum
-        for name, params, thunk in operator_applications(g):
-            try:
-                h = thunk()
-            except PreconditionError:
-                continue
-            applications[name] += 1
-            slack = (h.ga_sum - base) / SCALE  # exact until rounded: a no-op reads 0
-            worst = max(worst, slack)
-            problem = None
+
+    def rise_problem(rise: int) -> str | None:
+        if rise > 0 or tol < 0:  # otherwise rise / SCALE <= 0 <= tol
+            slack = rise / SCALE
             if slack > tol:
-                problem = f"GA increased by {slack!r}"
-            elif h.m != n:
+                return f"GA increased by {slack!r}"
+        return None
+
+    for choice, total in _rings(n):
+        graphs += 1
+        found = {}  # (op, where) -> problem
+        for op, where, count, rise in _ring_edits(choice, n):
+            if rise is not None:
+                applications[op] += count
+                worst = max(worst, rise)
+                problem = rise_problem(rise)
+                if problem:
+                    found[op, where] = problem
+        for op, where, h in _finishing_moves(choice):
+            applications[op] += 1
+            rise = h.ga_sum - total
+            worst = max(worst, rise)
+            problem = rise_problem(rise)
+            if problem is None and h.m != n:
                 problem = f"result is not unicyclic: {h.m} edges on {n} vertices"
-            elif h.n != n:
+            elif problem is None and h.n != n:
                 problem = f"order changed to {h.n}"
             if problem:
-                violations.append({
-                    "op": name,
-                    "params": params,
-                    "input": format_edge_list(g),
-                    "problem": problem,
-                })
-    if worst == float("-inf"):
-        worst = 0.0
-    return MonotonicityReport(n, graphs, applications, worst, tuple(violations))
+                found[op, where] = problem
+        if found:
+            g = ring_graph(choice)
+            source = format_edge_list(g)
+            for op, params, _ in operator_applications(g):
+                problem = found.get((op, _edit_key(op, params, len(choice))))
+                if problem:
+                    violations.append({"op": op, "params": params, "input": source,
+                                       "problem": problem})
+    worst_slack = 0.0 if worst == float("-inf") else worst / SCALE
+    return MonotonicityReport(n, graphs, applications, worst_slack, tuple(violations))

@@ -17,16 +17,22 @@ degrees is decided in two places that compare alike: one O(1) guard at a
 given vertex for star_transform, relocate_min and arc_transform, and one
 scan of the whole cycle for the sweep's choices, the pipeline and
 finish_one_neighbor_deg2.
-:func:`operator_applications` yields the monotonicity sweep's choices,
-testing beside these guards what they test on the target vertices:
-star_transform at a local maximum v; relocate_min at a local minimum u
-with a local-maximum star v; arc_transform with such a v not adjacent to
-u; the finishing moves at a maximal-degree star v, with both cycle
-neighbors of degree 2 at girth above 3 (finish_two_neighbors_deg2) or u
-the one degree-2 cycle neighbor (finish_one_neighbor_deg2). Every choice
-it drops is one the operator rejects, so the sweep counts what trying
-every syntactic choice counts. Only the arc's degree ordering and the
-search for a second local minimum reject what it yields.
+:func:`operator_applications` yields the monotonicity sweep's choices on
+a graph, testing beside these guards what they test on the target
+vertices: star_transform at a local maximum v; relocate_min at a local
+minimum u with a local-maximum star v; arc_transform with such a v not
+adjacent to u; the finishing moves at a maximal-degree star v, with both
+cycle neighbors of degree 2 at girth above 3 (finish_two_neighbors_deg2)
+or u the one degree-2 cycle neighbor (finish_one_neighbor_deg2). Every
+choice it drops is one the operator rejects, so the sweep counts what
+trying every syntactic choice counts. Only the arc's degree ordering and
+the search for a second local minimum reject what it yields. The sweep
+itself, verify_monotonicity, makes the same choices on each class's ring
+and edits the ring's GA sum for all but the finishing moves; it calls
+operator_applications only to list a violating class's applications.
+operator_applications is the graph-level oracle that the tests check the
+ring edits against at every choice, and the benchmark's per-operator probe
+times its thunks.
 
 Operators read no switch: reduction_pipeline re-checks GA monotonicity
 at runtime for each step where it records it, when set_runtime_checks has

@@ -77,18 +77,28 @@ def assert_same_structure(g, fresh) -> None:
             seen.add(z)
 
 
-def replace_star_thunks(monkeypatch, faulty) -> None:
-    """Make verify_monotonicity call faulty(g, v) for each star_transform
-    choice; the operator itself and every other choice stay as they are."""
-    applications = transforms.operator_applications
+def replace_finishing_moves(monkeypatch, faulty) -> None:
+    """Make verify_monotonicity take faulty(g, v) as the result of each
+    finishing move it tries on a class's graph g; every other operator stays
+    as it is."""
+    monkeypatch.setattr("gaindex.enumeration.finish_two_neighbors_deg2",
+                        lambda g, v: faulty(g, v))
+    monkeypatch.setattr("gaindex.enumeration.finish_one_neighbor_deg2",
+                        lambda g, v, u: faulty(g, v))
 
-    def patched(g):
-        for name, params, thunk in applications(g):
-            if name == "star_transform":
-                thunk = lambda v=params["v"]: faulty(g, v)
-            yield name, params, thunk
 
-    monkeypatch.setattr("gaindex.enumeration.operator_applications", patched)
+def lift_ring_edits(monkeypatch, lift) -> None:
+    """Make verify_monotonicity read lift(choice, op, where, rise) as the
+    exact rise of each ring edit (op, where, count, rise) of each class's ring
+    choice; a rejected edit has rise None. The edits themselves, and the
+    finishing moves, stay as they are."""
+    edits = enumeration._ring_edits
+
+    def patched(choice, n):
+        for op, where, count, rise in edits(choice, n):
+            yield op, where, count, lift(choice, op, where, rise)
+
+    monkeypatch.setattr("gaindex.enumeration._ring_edits", patched)
 
 
 def lift_ring_sums(monkeypatch, lift) -> None:

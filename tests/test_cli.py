@@ -17,10 +17,10 @@ from gaindex.cli import (
     build_parser,
     main,
 )
-from gaindex.enumeration import MAX_BOUND_ORDER, MAX_ORDER
+from gaindex.enumeration import MAX_BOUND_ORDER, MAX_MONOTONICITY_ORDER, MAX_ORDER
 from gaindex.graph import MAX_VERTICES, SCALE
 
-from _helpers import REPO, lift_ring_sums, load_module, replace_star_thunks
+from _helpers import REPO, lift_ring_edits, lift_ring_sums, load_module
 
 PAW = "4 4\n0 1\n0 2\n0 3\n1 2\n"
 
@@ -479,7 +479,7 @@ def test_verify_monotonicity_json(capsys):
     assert "monotonicity" not in json.loads(plain)
 
 
-@pytest.mark.parametrize("orders", ["2..4", f"3..{MAX_ORDER + 1}", "7..6"])
+@pytest.mark.parametrize("orders", ["2..4", f"3..{MAX_MONOTONICITY_ORDER + 1}", "7..6"])
 def test_verify_monotonicity_rejects_orders_up_front(capsys, orders):
     code, out, err = run(capsys, "verify", orders, "--monotonicity")
     assert code == USAGE_ERROR
@@ -497,8 +497,9 @@ def test_verify_reports_bound_violations(capsys, monkeypatch):
 
 
 def test_verify_reports_monotonicity_violations(capsys, monkeypatch):
-    # a star transform that returns the cycle raises GA on every non-cycle input
-    replace_star_thunks(monkeypatch, lambda g, v: make_family(FamilySpec("cycle", (g.n,))))
+    # each star edit lifted by 1, more than any star transformation lowers GA at n = 5
+    lift_ring_edits(monkeypatch, lambda choice, op, where, rise:
+                    rise + SCALE if op == "star_transform" else rise)
     code, out, _ = run(capsys, "verify", "5", "--monotonicity", "--format", "json")
     assert code == VERIFICATION_FAILURE
     doc = json.loads(out)
@@ -522,8 +523,8 @@ def test_verify_bad_range(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["verify", f"3..{MAX_BOUND_ORDER + 1}"],
      f"range too large: bound verification is capped at n = {MAX_BOUND_ORDER}"),
-    (["verify", f"3..{MAX_ORDER + 1}", "--monotonicity"],
-     f"range too large: the monotonicity sweep is capped at n = {MAX_ORDER}"),
+    (["verify", f"3..{MAX_MONOTONICITY_ORDER + 1}", "--monotonicity"],
+     f"range too large: the monotonicity sweep is capped at n = {MAX_MONOTONICITY_ORDER}"),
     # the range is reported as typed, and only `..` separates its ends
     (["verify", "6..3"], "bad order range '6..3': empty"),
     (["verify", "3:5"], "bad order range '3:5', expected A or A..B"),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gaindex import (
     FamilySpec,
+    Graph,
     build_graph,
     canonical_form,
     enumerate_unicyclic,
@@ -19,12 +20,20 @@ from gaindex import (
     verify_bounds,
     verify_monotonicity,
 )
-from gaindex import transforms
-from gaindex.enumeration import MAX_BOUND_ORDER, OPERATOR_NAMES, _rings, operator_applications
+from gaindex import enumeration, transforms
+from gaindex.enumeration import (
+    MAX_BOUND_ORDER,
+    OPERATOR_NAMES,
+    _edit_key,
+    _finishing_moves,
+    _ring_edits,
+    _rings,
+    operator_applications,
+)
 from gaindex.graph import SCALE, ga_term, ring_graph
 from gaindex.transforms import PreconditionError
 
-from _helpers import lift_ring_sums, replace_star_thunks
+from _helpers import lift_ring_edits, lift_ring_sums, replace_finishing_moves
 from _oracles import (
     enumerate_unicyclic_by_chords,
     float_ga_term,
@@ -40,6 +49,8 @@ EXPECTED_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1
 # accepted applications per operator (star_transform, relocate_min,
 # arc_transform, finish_two_neighbors_deg2, finish_one_neighbor_deg2),
 # as the unfiltered sweep of every syntactic parameter choice counted them
+# (n <= 11) and as running the graph operators at every choice counted them
+# (n = 12); n = 13 is the ring sweep's count
 MONOTONICITY_APPLICATIONS = {
     5: (11, 29, 54, 6, 2),
     6: (27, 65, 134, 10, 2),
@@ -48,6 +59,8 @@ MONOTONICITY_APPLICATIONS = {
     9: (456, 717, 1449, 44, 25),
     10: (1256, 1846, 3544, 90, 53),
     11: (3470, 4787, 8751, 195, 129),
+    12: (9796, 13127, 23827, 472, 306),
+    13: (27615, 36057, 65026, 1154, 761),
 }
 # the same sequence (OEIS A001429) beyond the graph enumeration's cap, which
 # only verify_bounds reaches
@@ -272,6 +285,9 @@ def test_monotonicity_sweep_clean(n):
     assert tuple(rep.applications[name] for name in OPERATOR_NAMES) == MONOTONICITY_APPLICATIONS[n]
 
 
+FINISHING_MOVES = OPERATOR_NAMES[3:]  # the finishing moves, the sweep's graph results
+
+
 def test_monotonicity_sweep_checks_the_result_edges(monkeypatch):
     # rehang derives its edits from its moves and cannot add a stray edge,
     # so the bad result is built from an edge list; only its edge count
@@ -280,11 +296,11 @@ def test_monotonicity_sweep_checks_the_result_edges(monkeypatch):
         extra = next((a, b) for a in range(g.n) for b in range(a + 1, g.n) if not g.has_edge(a, b))
         return build_graph(g.n, [*g.edges, extra])
 
-    replace_star_thunks(monkeypatch, add_an_edge)
+    replace_finishing_moves(monkeypatch, add_an_edge)
     rep = verify_monotonicity(5, tol=math.inf)
-    assert len(rep.violations) == rep.applications["star_transform"] > 0
+    assert len(rep.violations) == sum(rep.applications[op] for op in FINISHING_MOVES)
     assert {(v["op"], v["problem"]) for v in rep.violations} == {
-        ("star_transform", "result is not unicyclic: 6 edges on 5 vertices")}
+        (op, "result is not unicyclic: 6 edges on 5 vertices") for op in FINISHING_MOVES}
 
 
 def test_monotonicity_sweep_checks_the_result_order(monkeypatch):
@@ -292,15 +308,16 @@ def test_monotonicity_sweep_checks_the_result_order(monkeypatch):
     def path_on_six(g, v):
         return build_graph(6, [(i, i + 1) for i in range(5)])
 
-    replace_star_thunks(monkeypatch, path_on_six)
+    replace_finishing_moves(monkeypatch, path_on_six)
     rep = verify_monotonicity(5, tol=math.inf)
-    assert len(rep.violations) == rep.applications["star_transform"] > 0
+    assert len(rep.violations) == sum(rep.applications[op] for op in FINISHING_MOVES)
     assert {(v["op"], v["problem"]) for v in rep.violations} == {
-        ("star_transform", "order changed to 6")}
+        (op, "order changed to 6") for op in FINISHING_MOVES}
 
 
 def test_the_sweep_reads_its_choices_from_transforms():
-    # the filter lives beside the operator guards it mirrors
+    # the filter lives beside the operator guards it mirrors; the sweep lists
+    # a violating class's applications through it, and the benchmark reads it
     assert operator_applications is transforms.operator_applications
     assert OPERATOR_NAMES is transforms.OPERATOR_NAMES
 
@@ -332,21 +349,34 @@ def test_monotonicity_sweep_relocates_each_arc_path_once(unicyclic, monkeypatch)
 
     monkeypatch.setattr("gaindex.transforms._shared_arc", counted)
     thunks = distinct = 0
+    arcs = set()
     for n in range(5, 9):
-        for g in unicyclic(n):
+        for (choice, _), g in zip(_rings(n), unicyclic(n)):
             relocated.clear()
             paths = set()
             for params, thunk in _arc_entries(g):
                 paths.add((params["u"], params["v"], transforms._arc_path(g, **params)))
+                arcs.add((choice, _edit_key("arc_transform", params, g.cycle.girth)))
                 _result_or_message(thunk)
                 thunks += 1
             assert sorted((p[0], p[-1], p) for p in relocated) == sorted(paths), format_edge_list(g)
             distinct += len(paths)
     assert distinct < thunks
-    relocated.clear()
+    # the ring sweep edits each of those arcs once, as one (u, v, ahead)
+    edited = []
+    edits = enumeration._ring_edits
+
+    def logged(choice, n):
+        for op, where, count, rise in edits(choice, n):
+            if op == "arc_transform":
+                edited.append((choice, where))
+            yield op, where, count, rise
+
+    monkeypatch.setattr("gaindex.enumeration._ring_edits", logged)
     for n in range(5, 9):
         verify_monotonicity(n)
-    assert len(relocated) == distinct
+    assert len(edited) == len(set(edited)) == len(arcs) == distinct
+    assert set(edited) == arcs
 
 
 def test_arc_thunks_leave_the_v_guard_to_the_filter(unicyclic, monkeypatch):
@@ -404,21 +434,12 @@ def test_shared_arc_outcomes_do_not_depend_on_call_order(unicyclic, n):
 
 
 def test_monotonicity_sweep_reports_shared_arc_violations_per_application(unicyclic, monkeypatch):
-    # a bad relocation is computed once per path but reported once for
-    # every (u, e, v) that maps to that path, each with its own params
-    def add_an_edge(g, path):
-        extra = next((a, b) for a in range(g.n) for b in range(a + 1, g.n) if not g.has_edge(a, b))
-        return build_graph(g.n, [*g.edges, extra])
-
-    share = transforms._shared_arc
-
-    def faulty(g, path, shared):
-        if path not in shared:
-            shared[path] = add_an_edge(g, path)
-        return share(g, path, shared)
-
-    monkeypatch.setattr("gaindex.transforms._shared_arc", faulty)
-    rep = verify_monotonicity(6, tol=math.inf)
+    # a bad arc edit is computed once per arc but reported once for every
+    # (u, e, v) that picks that arc, each with its own params: every arc,
+    # rejected or not, is made to raise GA by 1
+    lift_ring_edits(monkeypatch, lambda choice, op, where, rise:
+                    SCALE if op == "arc_transform" else rise)
+    rep = verify_monotonicity(6)
     expected = []
     shared = 0
     for g in unicyclic(6):
@@ -428,8 +449,84 @@ def test_monotonicity_sweep_reports_shared_arc_violations_per_application(unicyc
     assert shared > 0
     assert [(v["input"], v["params"]) for v in rep.violations] == expected
     assert {(v["op"], v["problem"]) for v in rep.violations} == {
-        ("arc_transform", "result is not unicyclic: 7 edges on 6 vertices")}
+        ("arc_transform", "GA increased by 1.0")}
     assert len(rep.violations) == rep.applications["arc_transform"]
+
+
+@pytest.mark.parametrize("n", range(5, 12))
+def test_ring_edits_match_the_graph_operators(n):
+    # at every choice operator_applications yields on a ring's graph, the ring
+    # sweep accepts what the graph operator accepts, and an accepted edit's
+    # exact sum is op(graph, **params).ga_sum bit for bit: the star, relocation
+    # and arc edits of the ring, and the finishing moves run on its graph
+    accepted = dict.fromkeys(OPERATOR_NAMES, 0)
+    for choice, total in _rings(n):
+        g = ring_graph(choice)
+        ring = {(op, where): [None if rise is None else total + rise] * count
+                for op, where, count, rise in _ring_edits(choice, n)}
+        ring |= {(op, where): [h.ga_sum] for op, where, h in _finishing_moves(choice)}
+        graph = {}
+        for op, params, _ in operator_applications(g):
+            try:
+                outcome = getattr(transforms, op)(g, **params).ga_sum
+            except PreconditionError:
+                outcome = None
+            else:
+                accepted[op] += 1
+            graph.setdefault((op, _edit_key(op, params, len(choice))), []).append(outcome)
+        # a rejected finishing move is tried on the graph but lists no edit
+        assert ring == {key: outcomes for key, outcomes in graph.items()
+                        if key in ring or outcomes != [None] * len(outcomes)}, choice
+    assert tuple(accepted.values()) == MONOTONICITY_APPLICATIONS[n]
+
+
+def test_worst_slack_is_the_largest_exact_rise(monkeypatch):
+    # a no-op star edit lifted by x: worst_slack reads x, and that application
+    # alone is reported when tol is below x
+    n, x = 7, SCALE // 3
+    choice, where = next((choice, where) for choice, _ in _rings(n)
+                         for op, where, _, rise in _ring_edits(choice, n)
+                         if op == "star_transform" and rise == 0)
+    lift_ring_edits(monkeypatch, lambda c, op, w, rise:
+                    rise + x if (c, op, w) == (choice, "star_transform", where) else rise)
+    rep = verify_monotonicity(n, tol=x / SCALE / 2)
+    assert rep.worst_slack == x / SCALE
+    assert rep.violations == ({"op": "star_transform", "params": {"v": where[0]},
+                               "input": format_edge_list(ring_graph(choice)),
+                               "problem": f"GA increased by {x / SCALE!r}"},)
+    assert tuple(rep.applications.values()) == MONOTONICITY_APPLICATIONS[n]
+    assert verify_monotonicity(n, tol=x / SCALE).violations == ()
+
+
+def test_a_tol_of_minus_infinity_reports_every_application():
+    # a rise at or below 0 is divided only when tol is negative
+    rep = verify_monotonicity(6, tol=-math.inf)
+    assert len(rep.violations) == rep.total_applications > 0
+
+
+def test_the_monotonicity_sweep_builds_graphs_only_for_finishing_moves(unicyclic, monkeypatch):
+    # star, relocation and arc results are ring edits: a class's graph is
+    # built only when operator_applications yields a finishing move on it, and
+    # GA is summed only for the finishing moves' results
+    candidates = [g for g in unicyclic(10)
+                  if any(op in FINISHING_MOVES for op, _, _ in operator_applications(g))]
+    built, summed = [], []
+    build, ga_sum = enumeration.ring_graph, Graph.ga_sum.func
+
+    def counted_build(choice):
+        built.append(choice)
+        return build(choice)
+
+    def counted_sum(g):
+        summed.append(g)
+        return ga_sum(g)
+
+    monkeypatch.setattr("gaindex.enumeration.ring_graph", counted_build)
+    monkeypatch.setattr(Graph.ga_sum, "func", counted_sum)
+    rep = verify_monotonicity(10)
+    assert [ring_graph(choice) for choice in built] == candidates
+    assert len(built) < rep.graphs
+    assert 0 < len(summed) <= sum(rep.applications[op] for op in FINISHING_MOVES)
 
 
 def _outcome(call):
