@@ -19,16 +19,17 @@ MAX_BOUND_ORDER while enumerate_unicyclic, which builds every graph, stops
 at MAX_ORDER. Here the canonical labeling keys only those witnesses.
 
 :func:`verify_monotonicity` sweeps the rings too, and edits them. Every
-star_transform, relocate_min and arc_transform choice is an edit of the
-ring, and its result's exact GA is the ring's sum less the cycle terms and
-tree sums of the positions it changes, plus theirs after it; each arc is
-computed once and counted once per cycle edge that picks it. Only the two
-finishing moves run the graph operators, on the ring's graph, built for a
-class that has a choice for them. Each GA slack is an exact difference, so
-a no-op reads exactly 0. :func:`gaindex.transforms.operator_applications`,
-re-exported here, lists the same choices on a graph: the tests check the
-ring edits against the graph operators at each of them, and the sweep
-reads it to list a violating class's applications with their params.
+operator choice is an edit of the ring, and its result's exact GA is the
+ring's sum less the cycle terms and tree sums of the positions it changes,
+plus theirs after it; each arc is computed once and counted once per cycle
+edge that picks it, and each finishing move's result is a 4-cycle or a
+triangle with two stars, summed from their degrees. So the sweep builds no
+graph and sums no GA, except the graph of a violating class. Each GA slack
+is an exact difference, so a no-op reads exactly 0.
+:func:`gaindex.transforms.operator_applications`, re-exported here, lists
+the same choices on a graph: the tests check the ring edits against the
+graph operators at each of them, and the sweep reads it to list a violating
+class's applications with their params.
 """
 
 from __future__ import annotations
@@ -39,14 +40,13 @@ from typing import NamedTuple
 
 from .families import bound_interval
 from .graph import SCALE, canonical_form, format_edge_list, ga_term, ring_graph
-from .transforms import (OPERATOR_NAMES, PreconditionError, finish_one_neighbor_deg2,
-                         finish_two_neighbors_deg2, operator_applications)
+from .transforms import OPERATOR_NAMES, operator_applications
 
 MAX_ORDER = 12
 # verify_bounds reads GA from the rings and builds a Graph only for the
-# witnesses, so it reaches further than enumerate_unicyclic, which builds
-# every graph; verify_monotonicity edits the rings and builds a Graph only
-# for the finishing moves.
+# witnesses, and verify_monotonicity edits the rings and builds one only for
+# a violating class, so both reach further than enumerate_unicyclic, which
+# builds every graph.
 MAX_BOUND_ORDER = 14
 MAX_MONOTONICITY_ORDER = 14
 
@@ -324,23 +324,25 @@ class MonotonicityReport(NamedTuple):
 
 
 def _ring_edits(choice: tuple, n: int):
-    """Yield (op, where, count, rise) for each star_transform, relocate_min and
-    arc_transform choice that operator_applications yields for
-    ring_graph(choice), whose cycle vertex i is the ring's position i. where is
-    (v,), (u, v), or (u, v, ahead) for the arc from u to v that runs ahead of u
-    in the cycle order (ahead) or behind it; count is the number of
-    applications it stands for, one per cycle edge on an arc; rise is the
-    exact ga_sum of the operator's result less the graph's, or None when the
-    operator rejects the choice.
+    """Yield (op, where, count, rise) for each choice that operator_applications
+    yields for ring_graph(choice), whose cycle vertex i is the ring's position
+    i. where is the params' values, but (u, v, ahead) for the arc from u to v
+    that runs ahead of u in the cycle order (ahead) or behind it; count is the
+    number of applications it stands for, one per cycle edge on an arc; rise
+    is the exact ga_sum of the operator's result less the graph's, or None
+    when the operator rejects the choice.
 
     A rise edits the ring's sum: the cycle terms and tree sums at the
     positions the rewrite changes go out, and those of the result come in.
     star_transform gives v a star of its size; relocate_min empties u's tree
     and gives v, a star, that many more leaves; arc_transform hangs the arc's
-    inner positions and their trees on v as leaves and joins u to v. So a
-    star or a relocation costs O(1) and an arc O(its length). The choices are
-    operator_applications' own, read off the degrees, and the arc's degree
-    ordering is the one guard left that can reject one.
+    inner positions and their trees on v as leaves and joins u to v. The
+    finishing moves leave a 4-cycle or a triangle with two stars, whose sum
+    is read off their degrees. So a star, a relocation or a finishing move
+    costs O(1) and an arc O(its length). The choices are
+    operator_applications' own, read off the degrees; the arc's degree
+    ordering and a second local minimum for finish_one_neighbor_deg2 are
+    the guards left that can reject one.
     """
     terms, stars, shapes = _cycle_terms(n), _star_sums(n), _shape_sums(n)
     k = len(choice)
@@ -374,6 +376,25 @@ def _ring_edits(choice: tuple, n: int):
                 - sum(terms[deg[a]][deg[b]] for a, b in zip(run, run[1:]))
                 - sum(tree[w] for w in inner) - tree[v])
 
+    def square(a: int, b: int) -> int:
+        """The sum of a 4-cycle of degrees a, 2, b, 2 with stars at a and b."""
+        return 2 * terms[a][2] + 2 * terms[2][b] + stars[a] + stars[b]
+
+    def finish_one(d: int, vt: int) -> int:
+        """The sum of finish_one_neighbor_deg2's result at a star of degree d
+        whose other cycle neighbor is vt: the arc from u to vt hangs the
+        other positions and their trees, `inner` vertices, on vt. When a
+        child of vt then has a higher degree than vt, the first of largest
+        degree becomes w on the 4-cycle (u, w, vt, v)."""
+        shape, inner = choice[vt], n - 1 - d - size[vt]
+        dt = deg[vt] + inner
+        dw = max(len(child) + 1 for child in shape)  # vt, not of degree 2, has children
+        if dw <= dt:  # the triangle (v, u, vt)
+            dv = d + size[vt] - len(shape)
+            return terms[dv][2] + terms[2][dt] + terms[dt][dv] + stars[dt] + stars[dv]
+        sw = 1 + next(shapes[child][0] for child in shape if len(child) + 1 == dw)
+        return square(1 + sw, n - 1 - sw)
+
     for v in local_max:
         yield "star_transform", (v,), 1, restar({v: size[v] + 2})
     for u in local_min:
@@ -389,38 +410,22 @@ def _ring_edits(choice: tuple, n: int):
             if 1 < d < k - 1:  # u and v are neither equal nor adjacent
                 yield "arc_transform", (u, v, True), d, relocate(ahead[:d + 2])
                 yield "arc_transform", (u, v, False), k - d, relocate(behind[:k - d + 2])
-
-
-def _finishing_moves(choice: tuple):
-    """Yield (op, where, result) for each finishing move that
-    operator_applications yields for ring_graph(choice) and the graph operator
-    accepts, where being its params' values, (v,) or (v, u). The graph is built
-    only for a ring with such a choice."""
-    k = len(choice)
-    deg = [len(shape) + 2 for shape in choice]
-    top = max(deg)
-    tops = [(v, (v - 1) % k, (v + 1) % k) for v in range(k)
-            if deg[v] == top and not any(choice[v])]  # the maximal-degree stars
-    moves = [("finish_two_neighbors_deg2", finish_two_neighbors_deg2, (v,))
-             for v, a, b in tops if k > 3 and deg[a] == deg[b] == 2]
-    moves += [("finish_one_neighbor_deg2", finish_one_neighbor_deg2, (v, u))
-              for v, a, b in tops for u, other in ((a, b), (b, a)) if deg[u] == 2 != deg[other]]
-    if moves:
-        g = ring_graph(choice)
-        for op, move, where in moves:
-            try:
-                h = move(g, *where)
-            except PreconditionError:
-                continue
-            yield op, where, h
+    total, d = sum(cyc) + sum(tree), max(deg)
+    for v in (v for v in max_stars if deg[v] == d):  # the maximal-degree stars
+        a, b = (v - 1) % k, (v + 1) % k
+        if k > 3 and deg[a] == deg[b] == 2:
+            yield "finish_two_neighbors_deg2", (v,), 1, square(d, n - d) - total
+        for u, vt in ((a, b), (b, a)):
+            if deg[u] == 2 != deg[vt]:  # u, of degree 2, is a local minimum
+                yield ("finish_one_neighbor_deg2", (v, u), 1,
+                       finish_one(d, vt) - total if local_min == [u] else None)
 
 
 def _edit_key(op: str, params: dict, girth: int) -> tuple:
-    """The `where` under which _ring_edits or _finishing_moves lists the
-    application of op with these params to a ring's graph of this girth: the
-    params' values, but (u, v, ahead) for arc_transform, whose edge e picks
-    the arc that runs ahead of u exactly when it starts fewer than d(u, v)
-    steps ahead of u."""
+    """The `where` under which _ring_edits lists the application of op with
+    these params to a ring's graph of this girth: the params' values, but
+    (u, v, ahead) for arc_transform, whose edge e picks the arc that runs
+    ahead of u exactly when it starts fewer than d(u, v) steps ahead of u."""
     if op != "arc_transform":
         return tuple(params.values())
     u, (a, b), v = params["u"], params["e"], params["v"]
@@ -431,9 +436,8 @@ def _edit_key(op: str, params: dict, girth: int) -> tuple:
 def verify_monotonicity(n: int, tol: float = 1e-9) -> MonotonicityReport:
     """Apply every operator wherever its preconditions hold; GA must not rise.
 
-    The sweep edits each class's ring (_ring_edits) and runs only the
-    finishing moves on its graph, which it checks for order and size. A rise
-    is divided by SCALE only when it could exceed tol, and worst_slack is the
+    The sweep edits each class's ring (_ring_edits) and builds a class's
+    graph only to list its violations. A rise is divided by SCALE only when it could exceed tol, and worst_slack is the
     largest exact rise divided once. A violation is reported per application,
     with its params and the input's edge list, in the order
     operator_applications yields them.
@@ -451,7 +455,7 @@ def verify_monotonicity(n: int, tol: float = 1e-9) -> MonotonicityReport:
                 return f"GA increased by {slack!r}"
         return None
 
-    for choice, total in _rings(n):
+    for choice, _ in _rings(n):
         graphs += 1
         found = {}  # (op, where) -> problem
         for op, where, count, rise in _ring_edits(choice, n):
@@ -461,17 +465,6 @@ def verify_monotonicity(n: int, tol: float = 1e-9) -> MonotonicityReport:
                 problem = rise_problem(rise)
                 if problem:
                     found[op, where] = problem
-        for op, where, h in _finishing_moves(choice):
-            applications[op] += 1
-            rise = h.ga_sum - total
-            worst = max(worst, rise)
-            problem = rise_problem(rise)
-            if problem is None and h.m != n:
-                problem = f"result is not unicyclic: {h.m} edges on {n} vertices"
-            elif problem is None and h.n != n:
-                problem = f"order changed to {h.n}"
-            if problem:
-                found[op, where] = problem
         if found:
             g = ring_graph(choice)
             source = format_edge_list(g)

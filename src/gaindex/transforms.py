@@ -28,11 +28,11 @@ choice it drops is one the operator rejects, so the sweep counts what
 trying every syntactic choice counts. Only the arc's degree ordering and
 the search for a second local minimum reject what it yields. The sweep
 itself, verify_monotonicity, makes the same choices on each class's ring
-and edits the ring's GA sum for all but the finishing moves; it calls
-operator_applications only to list a violating class's applications.
-operator_applications is the graph-level oracle that the tests check the
-ring edits against at every choice, and the benchmark's per-operator probe
-times its thunks.
+and evaluates every operator as an edit of the ring's GA sum, running none
+of them; it calls operator_applications only to list a violating class's
+applications. operator_applications is the graph-level oracle: the tests
+check the ring edits against the graph operators at every choice it yields
+up to order 11, and the benchmark's per-operator probe times its thunks.
 
 Operators read no switch: reduction_pipeline re-checks GA monotonicity
 at runtime for each step where it records it, when set_runtime_checks has

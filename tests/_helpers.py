@@ -77,21 +77,11 @@ def assert_same_structure(g, fresh) -> None:
             seen.add(z)
 
 
-def replace_finishing_moves(monkeypatch, faulty) -> None:
-    """Make verify_monotonicity take faulty(g, v) as the result of each
-    finishing move it tries on a class's graph g; every other operator stays
-    as it is."""
-    monkeypatch.setattr("gaindex.enumeration.finish_two_neighbors_deg2",
-                        lambda g, v: faulty(g, v))
-    monkeypatch.setattr("gaindex.enumeration.finish_one_neighbor_deg2",
-                        lambda g, v, u: faulty(g, v))
-
-
 def lift_ring_edits(monkeypatch, lift) -> None:
     """Make verify_monotonicity read lift(choice, op, where, rise) as the
     exact rise of each ring edit (op, where, count, rise) of each class's ring
-    choice; a rejected edit has rise None. The edits themselves, and the
-    finishing moves, stay as they are."""
+    choice; a rejected edit has rise None. The edits themselves stay as they
+    are."""
     edits = enumeration._ring_edits
 
     def patched(choice, n):

@@ -25,7 +25,6 @@ from gaindex.enumeration import (
     MAX_BOUND_ORDER,
     OPERATOR_NAMES,
     _edit_key,
-    _finishing_moves,
     _ring_edits,
     _rings,
     operator_applications,
@@ -33,7 +32,7 @@ from gaindex.enumeration import (
 from gaindex.graph import SCALE, ga_term, ring_graph
 from gaindex.transforms import PreconditionError
 
-from _helpers import lift_ring_edits, lift_ring_sums, replace_finishing_moves
+from _helpers import assert_same_structure, lift_ring_edits, lift_ring_sums
 from _oracles import (
     enumerate_unicyclic_by_chords,
     float_ga_term,
@@ -50,7 +49,7 @@ EXPECTED_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1
 # arc_transform, finish_two_neighbors_deg2, finish_one_neighbor_deg2),
 # as the unfiltered sweep of every syntactic parameter choice counted them
 # (n <= 11) and as running the graph operators at every choice counted them
-# (n = 12); n = 13 is the ring sweep's count
+# (n = 12); n = 13 and 14 are the ring sweep's counts
 MONOTONICITY_APPLICATIONS = {
     5: (11, 29, 54, 6, 2),
     6: (27, 65, 134, 10, 2),
@@ -61,7 +60,10 @@ MONOTONICITY_APPLICATIONS = {
     11: (3470, 4787, 8751, 195, 129),
     12: (9796, 13127, 23827, 472, 306),
     13: (27615, 36057, 65026, 1154, 761),
+    14: (78656, 101576, 185813, 2969, 1903),
 }
+FINISHING_MOVES = OPERATOR_NAMES[3:]  # the two finishing moves
+
 # the same sequence (OEIS A001429) beyond the graph enumeration's cap, which
 # only verify_bounds reaches
 BOUND_ONLY_COUNTS = {13: 13999, 14: 39260}
@@ -285,34 +287,22 @@ def test_monotonicity_sweep_clean(n):
     assert tuple(rep.applications[name] for name in OPERATOR_NAMES) == MONOTONICITY_APPLICATIONS[n]
 
 
-FINISHING_MOVES = OPERATOR_NAMES[3:]  # the finishing moves, the sweep's graph results
-
-
-def test_monotonicity_sweep_checks_the_result_edges(monkeypatch):
-    # rehang derives its edits from its moves and cannot add a stray edge,
-    # so the bad result is built from an edge list; only its edge count
-    # shows the extra cycle
-    def add_an_edge(g, v):
-        extra = next((a, b) for a in range(g.n) for b in range(a + 1, g.n) if not g.has_edge(a, b))
-        return build_graph(g.n, [*g.edges, extra])
-
-    replace_finishing_moves(monkeypatch, add_an_edge)
-    rep = verify_monotonicity(5, tol=math.inf)
-    assert len(rep.violations) == sum(rep.applications[op] for op in FINISHING_MOVES)
-    assert {(v["op"], v["problem"]) for v in rep.violations} == {
-        (op, "result is not unicyclic: 6 edges on 5 vertices") for op in FINISHING_MOVES}
-
-
-def test_monotonicity_sweep_checks_the_result_order(monkeypatch):
-    # a path on six vertices has five edges, so only its order is wrong
-    def path_on_six(g, v):
-        return build_graph(6, [(i, i + 1) for i in range(5)])
-
-    replace_finishing_moves(monkeypatch, path_on_six)
-    rep = verify_monotonicity(5, tol=math.inf)
-    assert len(rep.violations) == sum(rep.applications[op] for op in FINISHING_MOVES)
-    assert {(v["op"], v["problem"]) for v in rep.violations} == {
-        (op, "order changed to 6") for op in FINISHING_MOVES}
+def test_monotonicity_sweep_reports_each_finishing_violation(unicyclic, monkeypatch):
+    # every accepted finishing edit is made to raise GA by 1: one violation
+    # per finishing application, with its own params and input, in the order
+    # operator_applications yields them; a rejected one stays unreported
+    lift_ring_edits(monkeypatch, lambda choice, op, where, rise:
+                    SCALE if op in FINISHING_MOVES and rise is not None else rise)
+    rep = verify_monotonicity(8)
+    tried = [(g, op, params, _outcome(thunk)) for g in unicyclic(8)
+             for op, params, thunk in operator_applications(g) if op in FINISHING_MOVES]
+    expected = [{"op": op, "params": params, "input": format_edge_list(g),
+                 "problem": "GA increased by 1.0"}
+                for g, op, params, outcome in tried if outcome is not PreconditionError]
+    assert len(expected) < len(tried)
+    assert list(rep.violations) == expected
+    assert len(expected) == sum(rep.applications[op] for op in FINISHING_MOVES)
+    assert tuple(rep.applications.values()) == MONOTONICITY_APPLICATIONS[8]
 
 
 def test_the_sweep_reads_its_choices_from_transforms():
@@ -457,27 +447,43 @@ def test_monotonicity_sweep_reports_shared_arc_violations_per_application(unicyc
 def test_ring_edits_match_the_graph_operators(n):
     # at every choice operator_applications yields on a ring's graph, the ring
     # sweep accepts what the graph operator accepts, and an accepted edit's
-    # exact sum is op(graph, **params).ga_sum bit for bit: the star, relocation
-    # and arc edits of the ring, and the finishing moves run on its graph
+    # exact sum is op(graph, **params).ga_sum bit for bit. An accepted
+    # result has the order, size, degrees and cycle structure of the graph
+    # its edge list builds: every finishing result, and the others to n = 10
+    # (at n = 11 they would add about a second)
     accepted = dict.fromkeys(OPERATOR_NAMES, 0)
     for choice, total in _rings(n):
         g = ring_graph(choice)
         ring = {(op, where): [None if rise is None else total + rise] * count
                 for op, where, count, rise in _ring_edits(choice, n)}
-        ring |= {(op, where): [h.ga_sum] for op, where, h in _finishing_moves(choice)}
         graph = {}
         for op, params, _ in operator_applications(g):
             try:
-                outcome = getattr(transforms, op)(g, **params).ga_sum
+                h = getattr(transforms, op)(g, **params)
             except PreconditionError:
                 outcome = None
             else:
+                if n <= 10 or op in FINISHING_MOVES:
+                    assert_same_structure(h, build_graph(h.n, h.edges))
+                outcome = h.ga_sum
                 accepted[op] += 1
             graph.setdefault((op, _edit_key(op, params, len(choice))), []).append(outcome)
-        # a rejected finishing move is tried on the graph but lists no edit
-        assert ring == {key: outcomes for key, outcomes in graph.items()
-                        if key in ring or outcomes != [None] * len(outcomes)}, choice
+        assert ring == graph, choice
     assert tuple(accepted.values()) == MONOTONICITY_APPLICATIONS[n]
+
+
+def test_a_finishing_edit_takes_the_first_heaviest_child():
+    # two children of vt of largest degree first differ in size at n = 16,
+    # beyond the sweep's cap: the edit rebuilds the 4-cycle on the first of
+    # them in the shape's order, the least id, as the graph operator does
+    leaves = ((),) * 4
+    vt = (leaves, leaves[:3] + (((),),))  # two children of degree 5, of 5 and 6 vertices
+    choice, n = (leaves[:2], (), vt), 16
+    g = ring_graph(choice)
+    h = transforms.finish_one_neighbor_deg2(g, 0, 1)
+    assert h.cycle.girth == 4 and 5 in h.cycle.vertices  # w is vt's first child, 5
+    assert [(where, g.ga_sum + rise) for op, where, _, rise in _ring_edits(choice, n)
+            if op in FINISHING_MOVES] == [((0, 1), h.ga_sum)]
 
 
 def test_worst_slack_is_the_largest_exact_rise(monkeypatch):
@@ -504,12 +510,9 @@ def test_a_tol_of_minus_infinity_reports_every_application():
     assert len(rep.violations) == rep.total_applications > 0
 
 
-def test_the_monotonicity_sweep_builds_graphs_only_for_finishing_moves(unicyclic, monkeypatch):
-    # star, relocation and arc results are ring edits: a class's graph is
-    # built only when operator_applications yields a finishing move on it, and
-    # GA is summed only for the finishing moves' results
-    candidates = [g for g in unicyclic(10)
-                  if any(op in FINISHING_MOVES for op, _, _ in operator_applications(g))]
+def test_the_monotonicity_sweep_builds_a_graph_only_for_a_violating_class(monkeypatch):
+    # every operator is a ring edit: a clean sweep builds no graph and sums
+    # no GA, and a violating class builds its one graph to list its violations
     built, summed = [], []
     build, ga_sum = enumeration.ring_graph, Graph.ga_sum.func
 
@@ -523,10 +526,16 @@ def test_the_monotonicity_sweep_builds_graphs_only_for_finishing_moves(unicyclic
 
     monkeypatch.setattr("gaindex.enumeration.ring_graph", counted_build)
     monkeypatch.setattr(Graph.ga_sum, "func", counted_sum)
-    rep = verify_monotonicity(10)
-    assert [ring_graph(choice) for choice in built] == candidates
-    assert len(built) < rep.graphs
-    assert 0 < len(summed) <= sum(rep.applications[op] for op in FINISHING_MOVES)
+    assert verify_monotonicity(10).violations == ()
+    assert built == summed == []
+    choice, where = next((choice, where) for choice, _ in _rings(10)
+                         for op, where, _, rise in _ring_edits(choice, 10)
+                         if op == "finish_one_neighbor_deg2" and rise is not None)
+    lift_ring_edits(monkeypatch, lambda c, op, w, rise:
+                    SCALE if (c, op, w) == (choice, "finish_one_neighbor_deg2", where)
+                    else rise)
+    assert len(verify_monotonicity(10).violations) == 1
+    assert built == [choice]
 
 
 def _outcome(call):

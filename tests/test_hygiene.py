@@ -17,8 +17,11 @@ GA has one definition: only graph.py assigns SCALE and defines a GA term
 function, and math.fsum is read only by indices.ag_index. graph.py writes no
 `__dict__` key: the constructor fills a cache by assigning the field.
 No rewrite operator in transforms.py calls another, directly or through
-the module's helpers: each is its guards plus one Graph.rehang. Only
-set_runtime_checks and reduction_pipeline name the runtime-check switch,
+the module's helpers: each is its guards plus one Graph.rehang. And
+enumeration.py imports from transforms only OPERATOR_NAMES and
+operator_applications and names no rewrite operator: the monotonicity
+sweep evaluates each one as an edit of a ring.
+Only set_runtime_checks and reduction_pipeline name the runtime-check switch,
 and no operator reaches it through the helpers: the pipeline checks each
 step where it records it.
 Every module parses under the oldest Python that pyproject.toml allows.
@@ -297,6 +300,22 @@ def test_no_rewrite_operator_calls_another():
     reach = _operator_reach()
     for op, reached in reach.items():
         assert reached & (reach.keys() - {op}) == set(), f"{op} calls another operator"
+
+
+def test_the_monotonicity_sweep_runs_no_rewrite_operator():
+    # enumeration.py evaluates every operator as a ring edit: it takes only
+    # the names and the graph-level choices from transforms and names no
+    # operator, so the sweep cannot fall back to the graph operators unnoticed
+    tree = MODULES["enumeration.py"]
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    from_transforms = sorted(alias.name for node in imports
+                             if isinstance(node, ast.ImportFrom)
+                             and (node.module or "").split(".")[-1] == "transforms"
+                             for alias in node.names)
+    assert from_transforms == ["OPERATOR_NAMES", "operator_applications"]
+    assert not any(alias.name.split(".")[-1] == "transforms"
+                   for node in imports for alias in node.names)
+    assert set(_references(tree)) & _operator_reach().keys() == set()
 
 
 def test_only_the_pipeline_reads_the_check_switch():

@@ -850,12 +850,14 @@ def test_a_reduction_peels_only_its_input(peeled, rehanged):
 
 
 def test_the_monotonicity_sweep_peels_no_graph(peeled, rehanged):
-    # a class reads its structure off its ring and a rewrite's result derives
-    # its own from its input's: no value is peeled
+    # every operator is an edit of a class's ring, and the graph that a
+    # violating class builds reads its structure off the ring: no value is
+    # rewritten or peeled, even when every application is reported
     for n in range(5, 11):
         assert verify_monotonicity(n).total_applications > 0
-    assert rehanged
-    assert len(peeled) == 0
+    report = verify_monotonicity(7, tol=-math.inf)
+    assert len(report.violations) == report.total_applications > 0
+    assert rehanged == [] and peeled == []
 
 
 @pytest.fixture
@@ -881,9 +883,9 @@ def test_a_reduction_walks_the_trees_of_its_input_only(tree_passes):
 
 
 def test_the_monotonicity_sweep_walks_no_trees(rehanged, tree_passes):
-    report = verify_monotonicity(7)
-    assert report.total_applications > 0 and rehanged
-    assert len(tree_passes) == 0
+    report = verify_monotonicity(7, tol=-math.inf)  # every application reported
+    assert len(report.violations) == report.total_applications > 0
+    assert rehanged == [] and tree_passes == []
 
 
 # ---------------------------------------------------------------------------
