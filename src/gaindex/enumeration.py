@@ -34,6 +34,7 @@ class's applications with their params.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
@@ -255,6 +256,8 @@ def verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
     become graphs, for their canonical keys and edge lists.
     """
     _check_order(n, MAX_BOUND_ORDER)
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
     entries = list(_rings(n))
     cycle = ((),) * n
     sn3 = ((), (), ((),) * (n - 3))  # n-3 leaves on the last triangle vertex
@@ -440,9 +443,11 @@ def verify_monotonicity(n: int, tol: float = 1e-9) -> MonotonicityReport:
     graph only to list its violations. A rise is divided by SCALE only when it could exceed tol, and worst_slack is the
     largest exact rise divided once. A violation is reported per application,
     with its params and the input's edge list, in the order
-    operator_applications yields them.
+    operator_applications yields them. tol may be infinite, not NaN.
     """
     _check_order(n, MAX_MONOTONICITY_ORDER)
+    if math.isnan(tol):  # every slack > nan is false: no rise would be reported
+        raise ValueError(f"tol must be a number, got {tol!r}")
     applications = dict.fromkeys(OPERATOR_NAMES, 0)
     worst = float("-inf")
     violations = []

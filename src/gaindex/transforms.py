@@ -179,22 +179,6 @@ def _arc_path(g: Graph, u: int, e, v: int) -> tuple:
     return cyc.walk(u, back)[:k - d + 1]
 
 
-def _arc_relocate(g: Graph, path: tuple) -> Graph:
-    """arc_transform once its path=(u, ..., v) is chosen and v is known to be
-    a local-maximum star: the guard on the interior degrees, then one rehang
-    that hangs the interior cycle vertices and their pendant trees on v."""
-    u, v = path[0], path[-1]
-    du, dv = g.degrees[u], g.degrees[v]
-    for w in path[1:-1]:
-        if not du <= g.degrees[w] <= dv:
-            raise PreconditionError(
-                f"arc vertex {w} breaks the degree ordering: "
-                f"need d({u})={du} <= d({w})={g.degrees[w]} <= d({v})={dv}"
-            )
-    moves = {z: v for w in path[1:-1] for z in pendant_tree(g, w)}
-    return g.rehang(moves)
-
-
 def arc_transform(g: Graph, u: int, e, v: int) -> Graph:
     """Relocate the (u, v)-arc through e onto local-maximum v.
 
@@ -204,7 +188,14 @@ def arc_transform(g: Graph, u: int, e, v: int) -> Graph:
     """
     path = _arc_path(g, u, e, v)
     _require_local_max_star(g, v)
-    return _arc_relocate(g, path)
+    du, dv = g.degrees[u], g.degrees[v]
+    for w in path[1:-1]:
+        if not du <= g.degrees[w] <= dv:
+            raise PreconditionError(
+                f"arc vertex {w} breaks the degree ordering: "
+                f"need d({u})={du} <= d({w})={g.degrees[w]} <= d({v})={dv}"
+            )
+    return g.rehang({z: v for w in path[1:-1] for z in pendant_tree(g, w)})
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +290,9 @@ OPERATOR_NAMES = (
 def operator_applications(g: Graph):
     """Yield (op, params, thunk) for each parameter choice whose targets
     pass the operator's cheap guards (see the module docstring), in the
-    full syntactic sweep's order. A thunk raises PreconditionError when a
-    guard the filter leaves to the operator fails.
-
-    The two u-v arcs of each arc_transform pair are computed once and each
-    thunk is bound to the arc its edge lies on. The pair's thunks share a
-    dict from arc to result or rejection message, so each arc is relocated
-    once and every thunk returns the same graph or raises a fresh
-    PreconditionError with the same message, in any call order.
+    full syntactic sweep's order. Each thunk calls the operator it names
+    once, with its params, so it raises PreconditionError when a guard the
+    filter leaves to the operator fails.
     """
     cyc = g.cycle
     cvs, pos, k = cyc.vertices, cyc.position, cyc.girth
@@ -323,21 +309,11 @@ def operator_applications(g: Graph):
                 yield "relocate_min", {"u": u, "v": v}, (lambda u=u, v=v: relocate_min(g, u, v))
     cycle_edges = cyc.cycle_edges()
     for u in cvs:
-        iu = pos[u]
-        back, ahead = cyc.cycle_neighbors(u)
-        forward, backward = cyc.walk(u, ahead), cyc.walk(u, back)
         for v in local_max_stars:
-            d = (pos[v] - iu) % k  # v is d steps ahead of u
-            if not 1 < d < k - 1:  # u == v, or u and v are adjacent
-                continue
-            # edge i joins positions i and i + 1, so it lies on the forward
-            # arc exactly when it starts fewer than d steps ahead of u
-            arcs = (backward[:k - d + 1], forward[:d + 1])
-            shared = {}
-            for i, e in enumerate(cycle_edges):
-                yield ("arc_transform", {"u": u, "e": list(e), "v": v},
-                       (lambda path=arcs[(i - iu) % k < d], shared=shared:
-                        _shared_arc(g, path, shared)))
+            if 1 < (pos[v] - pos[u]) % k < k - 1:  # u != v, and not adjacent
+                for e in cycle_edges:
+                    yield ("arc_transform", {"u": u, "e": list(e), "v": v},
+                           (lambda u=u, e=list(e), v=v: arc_transform(g, u, e, v)))
     neighbors = [(v, *cyc.cycle_neighbors(v)) for v in max_degree_stars]
     for v, a, b in neighbors:
         if k > 3 and deg[a] == deg[b] == 2:
@@ -348,22 +324,6 @@ def operator_applications(g: Graph):
             if deg[u] == 2 != deg[other]:
                 yield ("finish_one_neighbor_deg2", {"v": v, "u": u},
                        (lambda v=v, u=u: finish_one_neighbor_deg2(g, v, u)))
-
-
-def _shared_arc(g: Graph, path: tuple, shared: dict) -> Graph:
-    """arc_transform once its edge has picked path=(u, ..., v) and the filter
-    has kept only local-maximum stars as v, relocating each path once per
-    shared dict."""
-    out = shared.get(path)
-    if out is None:
-        try:
-            out = _arc_relocate(g, path)
-        except PreconditionError as exc:
-            out = str(exc)
-        shared[path] = out
-    if isinstance(out, str):
-        raise PreconditionError(out)
-    return out
 
 
 # ---------------------------------------------------------------------------

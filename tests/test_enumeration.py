@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import math
@@ -230,6 +231,12 @@ def test_verify_bounds_order_limits():
         verify_bounds(MAX_BOUND_ORDER + 1)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_verify_bounds_rejects_a_non_finite_tol(tol):
+    with pytest.raises(ValueError, match=f"tol must be finite, got {tol!r}"):
+        verify_bounds(5, tol=tol)
+
+
 def test_verify_bounds_order_3():
     rep = verify_bounds(3)
     assert rep.count == 1
@@ -328,28 +335,16 @@ def _result_or_message(call):
 
 def test_monotonicity_sweep_relocates_each_arc_path_once(unicyclic, monkeypatch):
     # arc_transform's edge only picks one of the two u-v arcs, so the
-    # applications of one (u, v) pair relocate each distinct arc once
-    relocated = []
-    share = transforms._shared_arc
-
-    def counted(g, path, shared):
-        if path not in shared:
-            relocated.append(path)
-        return share(g, path, shared)
-
-    monkeypatch.setattr("gaindex.transforms._shared_arc", counted)
+    # applications of one (u, v) pair name fewer arcs than they have edges
     thunks = distinct = 0
     arcs = set()
     for n in range(5, 9):
         for (choice, _), g in zip(_rings(n), unicyclic(n)):
-            relocated.clear()
             paths = set()
-            for params, thunk in _arc_entries(g):
-                paths.add((params["u"], params["v"], transforms._arc_path(g, **params)))
+            for params, _ in _arc_entries(g):
+                paths.add(transforms._arc_path(g, **params))
                 arcs.add((choice, _edit_key("arc_transform", params, g.cycle.girth)))
-                _result_or_message(thunk)
                 thunks += 1
-            assert sorted((p[0], p[-1], p) for p in relocated) == sorted(paths), format_edge_list(g)
             distinct += len(paths)
     assert distinct < thunks
     # the ring sweep edits each of those arcs once, as one (u, v, ahead)
@@ -369,38 +364,55 @@ def test_monotonicity_sweep_relocates_each_arc_path_once(unicyclic, monkeypatch)
     assert set(edited) == arcs
 
 
-def test_arc_thunks_leave_the_v_guard_to_the_filter(unicyclic, monkeypatch):
-    # operator_applications yields arc thunks only at local-maximum stars v,
-    # so relocating an arc does not test v again
-    def refuse(g, v):
-        raise AssertionError(f"v = {v} guarded again")
-
-    monkeypatch.setattr(transforms, "_require_local_max_star", refuse)
-    for n in range(5, 9):
-        for g in unicyclic(n):
-            for _, thunk in _arc_entries(g):
-                _result_or_message(thunk)
-
-
 def test_each_arc_thunk_relocates_the_arc_of_its_edge(unicyclic, monkeypatch):
-    # each thunk on its own maps its edge to the path arc_transform picks,
-    # the wrap-around cycle edge and both orientations of the arc included
-    monkeypatch.setattr("gaindex.transforms._arc_relocate", lambda g, path: ("path", path))
+    # each accepted thunk hangs on v the interior of the path its edge picks,
+    # with the interior's pendant trees, the wrap-around cycle edge and both
+    # orientations of the arc included; a rejected thunk moves nothing
+    moved = []
+    monkeypatch.setattr(Graph, "rehang", lambda g, moves, cycle=None: moved.append(moves))
     seen = set()
     for n in range(5, 10):
         for g in unicyclic(n):
-            cvs = g.cycle.vertices
+            cvs, root = g.cycle.vertices, g.cycle.root
             wrap = tuple(sorted((cvs[0], cvs[-1])))
             for params, thunk in _arc_entries(g):
                 path = transforms._arc_path(g, **params)
-                assert thunk() == ("path", path), (params, format_edge_list(g))
+                moved.clear()
+                if isinstance(_result_or_message(thunk), str):
+                    assert moved == [], (params, format_edge_list(g))
+                    continue
+                interior = set(path[1:-1])
+                expected = {z: params["v"] for z in range(g.n) if root[z] in interior}
+                assert moved == [expected], (params, format_edge_list(g))
                 ahead = g.cycle.cycle_neighbors(params["u"])[1]
                 seen.add((tuple(params["e"]) == wrap, path[1] == ahead))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
+@pytest.mark.parametrize("n", range(5, 9))
+def test_each_thunk_calls_its_operator_once_with_its_params(unicyclic, monkeypatch, n):
+    # a thunk is its operator on the graph and its params, called once, and
+    # it returns what the operator returns
+    calls = []
+    for name in OPERATOR_NAMES:
+        signature = inspect.signature(getattr(transforms, name))
+
+        def recorded(*args, name=name, signature=signature, **kwargs):
+            arguments = dict(signature.bind(*args, **kwargs).arguments)
+            calls.append((name, arguments.pop("g"), arguments))
+            return name
+
+        monkeypatch.setattr(transforms, name, recorded)
+    for g in unicyclic(n):
+        for op, params, thunk in operator_applications(g):
+            calls.clear()
+            assert thunk() == op
+            assert calls == [(op, g, params)], (op, params, format_edge_list(g))
+            assert calls[0][1] is g
+
+
 @pytest.mark.parametrize("n", range(5, 8))
-def test_shared_arc_outcomes_do_not_depend_on_call_order(unicyclic, n):
+def test_arc_thunk_outcomes_do_not_depend_on_call_order(unicyclic, n):
     # every thunk gives what arc_transform gives for its params, in any
     # order and on every call, and each rejection is a fresh exception
     for g in unicyclic(n):
@@ -508,6 +520,16 @@ def test_a_tol_of_minus_infinity_reports_every_application():
     # a rise at or below 0 is divided only when tol is negative
     rep = verify_monotonicity(6, tol=-math.inf)
     assert len(rep.violations) == rep.total_applications > 0
+
+
+def test_a_nan_tol_is_rejected_by_the_monotonicity_sweep(monkeypatch):
+    # no rise exceeds a NaN tol, so it would hide every violation
+    lift_ring_edits(monkeypatch, lambda choice, op, where, rise:
+                    None if rise is None else rise + SCALE)
+    assert len(verify_monotonicity(6).violations) > 0
+    assert verify_monotonicity(6, tol=math.inf).violations == ()
+    with pytest.raises(ValueError, match="tol must be a number, got nan"):
+        verify_monotonicity(6, tol=math.nan)
 
 
 def test_the_monotonicity_sweep_builds_a_graph_only_for_a_violating_class(monkeypatch):
