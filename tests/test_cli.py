@@ -236,6 +236,30 @@ def test_table1_text_is_pinned(capsys):
     assert run(capsys, "tables", "1", "--format", "text") == (0, TABLE1_TEXT, "")
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["1", "--format", "csv"], "15d7b293a612c9b10c25a70186e0ae1a8fc5b3612e84cd649e71cd235795a1f0"),
+    (["1", "--format", "text"], "d0697a6df0ddfc69fcc9065b236842a4abf27e3fbdd1b3191af2c7f635d3bfbf"),
+    (["1", "--format", "json"], "8322428d2d3c5ac870d2b83ac7ee310efbcfe85e9561ea1b103ee3b4df469dac"),
+    (["2", "--format", "csv"], "a55ab6d949fa18f0d9f1d69a3c1506b071431802191538c143c72f6f443b0e76"),
+    (["2", "--format", "text"], "15c62db9ed5b933bdc39dcb6d5850944430e7d3fa7afa397c0a1bdb38b70e83c"),
+    (["2", "--format", "json"], "add5cee5888838d14de72c11eef44afcca3177da8e11bcc8b52b3882fa8723e8"),
+    (["1", "--rows", "5:7", "--cols", "5:5"],
+     "b873ebe9a52a0c0d9ad97754b596ca80fd52d707233b7b00cddd00f2413f4499"),
+], ids=["1-csv", "1-text", "1-json", "2-csv", "2-text", "2-json", "1-custom-grid"])
+def test_tables_output_is_pinned(capsys, argv, expected):
+    code, out, err = run(capsys, "tables", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["2", "--cols", "0:3"], "table 2 needs r >= k >= 1"),
+    (["1", "--rows", "7:2"], "bad row range '7:2': empty"),
+], ids=["below-least", "empty"])
+def test_tables_range_errors_are_pinned(capsys, argv, message):
+    assert run(capsys, "tables", *argv) == (USAGE_ERROR, "", f"error: {message}\n")
+
+
 def test_tables_byte_stable(capsys):
     _, out1, _ = run(capsys, "tables", "1")
     _, out2, _ = run(capsys, "tables", "1")
