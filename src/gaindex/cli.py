@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import random
@@ -19,18 +18,7 @@ import sys
 
 from .enumeration import (MAX_BOUND_ORDER, MAX_MONOTONICITY_ORDER, verify_bounds,
                           verify_monotonicity)
-from .families import (
-    FAMILY_NAMES,
-    FamilySpec,
-    closed_form,
-    make_family,
-    table_ab,
-    table_cd,
-    TABLE_AB_COLS,
-    TABLE_AB_ROWS,
-    TABLE_CD_COLS,
-    TABLE_CD_ROWS,
-)
+from .families import FAMILY_NAMES, TABLES, FamilySpec, closed_form, make_family
 from .graph import (
     MAX_VERTICES,
     GraphError,
@@ -39,6 +27,7 @@ from .graph import (
     format_edge_list,
     is_connected,
     is_unicyclic,
+    json_text,
     parse_edge_list,
 )
 from .indices import ag_index, edge_contribution, ga_index
@@ -52,11 +41,6 @@ _SMALL_ORDER_NOTES = {
     "C3": "C_3 is the unique unicyclic graph on 3 vertices; GA = 3 meets both bounds",
     "C4": "C_4 attains the upper bound GA = 4 on 4 vertices",
     "paw": "the paw graph attains the lower bound on 4 vertices",
-}
-
-_TABLES = {
-    1: (table_ab, TABLE_AB_ROWS, TABLE_AB_COLS, 0, "p", "q", "A", "B"),
-    2: (table_cd, TABLE_CD_ROWS, TABLE_CD_COLS, 1, "r", "k", "C", "D"),
 }
 
 # Upper bound on the cells one `tables` call computes; the grid comes from
@@ -78,10 +62,6 @@ def _emit(text: str, out_path: str | None) -> None:
     else:
         sys.stdout.write(text)
         sys.stdout.flush()
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _load_graph(path: str):
@@ -106,7 +86,7 @@ def _cmd_compute(args) -> int:
     )
     girth = g.cycle.girth if is_unicyclic(g) else None
     if args.format == "json":
-        _emit(_json_text({
+        _emit(json_text({
             "n": g.n,
             "m": g.m,
             "connected": connected,
@@ -149,7 +129,7 @@ def _cmd_family(args) -> int:
     except ValueError as exc:
         raise _UsageError(exc) from exc
     if args.format == "json":
-        _emit(_json_text({
+        _emit(json_text({
             "family": spec.family,
             "params": list(spec.params),
             "n": g.n,
@@ -179,15 +159,16 @@ def _parse_range(text: str, what: str, sep: str = ":") -> tuple[int, int]:
 
 
 def _cmd_tables(args) -> int:
-    build, default_rows, default_cols, least, head, col_var, a_name, b_name = _TABLES[args.which]
+    table = TABLES[args.which]
+    head, col_var, a_name, b_name = table.names
     try:
-        rows = _parse_range(args.rows, "row") if args.rows else (default_rows[0], default_rows[-1])
-        cols = _parse_range(args.cols, "column") if args.cols else (default_cols[0], default_cols[-1])
-        if rows[0] < least or cols[0] < least:
-            raise ValueError(f"table {args.which} needs {head} >= {col_var} >= {least}")
+        rows = _parse_range(args.rows, "row") if args.rows else (table.rows[0], table.rows[-1])
+        cols = _parse_range(args.cols, "column") if args.cols else (table.cols[0], table.cols[-1])
+        if rows[0] < table.least or cols[0] < table.least:
+            raise ValueError(f"table {args.which} needs {head} >= {col_var} >= {table.least}")
         if (rows[1] - rows[0] + 1) * (cols[1] - cols[0] + 1) > MAX_TABLE_CELLS:
             raise ValueError(f"table exceeds the limit of {MAX_TABLE_CELLS} cells")
-        data = build(range(rows[0], rows[1] + 1), range(cols[0], cols[1] + 1))
+        data = table.cells(range(rows[0], rows[1] + 1), range(cols[0], cols[1] + 1))
     except ValueError as exc:
         raise _UsageError(exc) from exc
 
@@ -201,7 +182,7 @@ def _cmd_tables(args) -> int:
                 entry[f"{a_name}({c})"] = None if pair is None else round(pair[0], 4)
                 entry[f"{b_name}({c})"] = None if pair is None else round(pair[1], 4)
             rows_out.append(entry)
-        _emit(_json_text({"table": args.which, "rows": rows_out}), args.out)
+        _emit(json_text({"table": args.which, "rows": rows_out}), args.out)
         return 0
 
     header = [head]
@@ -273,7 +254,7 @@ def _cmd_reduce(args) -> int:
     except SmallOrderError as exc:
         note = _SMALL_ORDER_NOTES[exc.case]
         if args.format == "json":
-            _emit(_json_text({
+            _emit(json_text({
                 "n": exc.n,
                 "small_order_case": exc.case,
                 "note": note,
@@ -318,7 +299,7 @@ def _cmd_verify(args) -> int:
         }
         if args.monotonicity:
             doc["monotonicity"] = [s.to_dict() for s in sweeps]
-        _emit(_json_text(doc), args.out)
+        _emit(json_text(doc), args.out)
     else:
         text = "".join(r.to_text() for r in sections)
         _emit(text + f"total violations: {total_violations}\n", args.out)
@@ -348,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("tables", help="comparison-function tables at 4 decimals")
-    p.add_argument("which", type=int, choices=(1, 2))
+    p.add_argument("which", type=int, choices=sorted(TABLES))
     p.add_argument("--rows", default=None, metavar="A:B")
     p.add_argument("--cols", default=None, metavar="A:B")
     add_common(p, ("csv", "text", "json"))

@@ -2,34 +2,17 @@
 brute-force verification of the GA bounds and rewrite monotonicity.
 
 A unicyclic graph is a ring: the rooted-tree shapes hung on its cycle.
-:func:`enumerate_unicyclic` keeps the least ring of each class under
-rotation and reflection, so it yields one graph per class with no
-isomorphism test, built by :func:`gaindex.graph.ring_graph` with its
-degrees and cycle structure read off the ring, so no graph is peeled. The
-tests check it against a chord-based reference generator and known counts.
+Rings equal up to rotation and reflection are isomorphic graphs, so
+keeping the least ring of each class yields one graph per class with no
+isomorphism test.
 
-:func:`verify_bounds` sweeps the rings themselves. Each ring's GA is built
-with the ring, position by position, as the ring graph's exact
-``Graph.ga_sum``: ``ga_term`` of each cycle edge from a table by degrees,
-plus each hung shape's memoized sum. The bounds are exact too, sn3's ring
-sum and n * SCALE, so every comparison is an exact difference, and only
-the extremes and the violators are divided. Only the witnesses and the
-violators it reports become graphs, which is why it reaches order
-MAX_BOUND_ORDER while enumerate_unicyclic, which builds every graph, stops
-at MAX_ORDER. Here the canonical labeling keys only those witnesses.
-
-:func:`verify_monotonicity` sweeps the rings too, and edits them. Every
-operator choice is an edit of the ring, and its result's exact GA is the
-ring's sum less the cycle terms and tree sums of the positions it changes,
-plus theirs after it; each arc is computed once and counted once per cycle
-edge that picks it, and each finishing move's result is a 4-cycle or a
-triangle with two stars, summed from their degrees. So the sweep builds no
-graph and sums no GA, except the graph of a violating class. Each GA slack
-is an exact difference, so a no-op reads exactly 0.
-:func:`gaindex.transforms.operator_applications`, re-exported here, lists
-the same choices on a graph: the tests check the ring edits against the
-graph operators at each of them, and the sweep reads it to list a violating
-class's applications with their params.
+Both sweeps read each ring's GA as the exact ``Graph.ga_sum`` of its graph,
+so every comparison is an exact difference and a no-op reads exactly 0.
+:func:`verify_bounds` builds a graph only for the witnesses and violators it
+reports. :func:`verify_monotonicity` evaluates every operator as an edit of
+the ring's sum and builds a graph only to list a violating class's
+applications, read from :func:`gaindex.transforms.operator_applications`,
+which is re-exported here.
 """
 
 from __future__ import annotations
@@ -40,7 +23,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .families import bound_interval
-from .graph import SCALE, canonical_form, format_edge_list, ga_term, ring_graph
+from .graph import (SCALE, canonical_form, format_edge_list, ga_term, ring_graph, rises_above,
+                    scaled_tol)
 from .transforms import OPERATOR_NAMES, operator_applications
 
 MAX_ORDER = 12
@@ -48,7 +32,7 @@ MAX_ORDER = 12
 # witnesses, and verify_monotonicity edits the rings and builds one only for
 # a violating class, so both reach further than enumerate_unicyclic, which
 # builds every graph.
-MAX_BOUND_ORDER = 14
+MAX_BOUND_ORDER = 15
 MAX_MONOTONICITY_ORDER = 14
 
 
@@ -256,14 +240,11 @@ def verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
     become graphs, for their canonical keys and edge lists.
     """
     _check_order(n, MAX_BOUND_ORDER)
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol!r}")
+    slack = scaled_tol(tol)
     entries = list(_rings(n))
     cycle = ((),) * n
     sn3 = ((), (), ((),) * (n - 3))  # n-3 leaves on the last triangle vertex
     lower, upper = next(t for c, t in entries if c == sn3), n * SCALE  # girth 3 comes first
-    num, den = tol.as_integer_ratio()  # den divides SCALE, so this is tol exactly
-    slack = num * SCALE // den  # never tol * SCALE: a float overflow
     low, high = min(t for _, t in entries), max(t for _, t in entries)
     min_rings = [choice for choice, total in entries if total - low <= slack]
     max_rings = [choice for choice, total in entries if high - total <= slack]
@@ -366,10 +347,11 @@ def _ring_edits(choice: tuple, n: int):
         return (sum(terms[new[i]][new[(i + 1) % k]] - cyc[i] for i in edges)
                 + sum(stars[d] - tree[x] for x, d in at.items()))
 
-    def relocate(run: list) -> int | None:
-        """The rise of arc_transform on the arc run[:-1] = (u, ..., v), where
-        run[-1] is v's other cycle neighbor, or None when it rejects the arc."""
-        u, v, inner = run[0], run[-2], run[1:-2]
+    def relocate(u: int, step: int, length: int) -> int | None:
+        """The rise of arc_transform on the arc of `length` edges from u,
+        stepping ahead (step 1) or behind (-1) to v, or None when it rejects it."""
+        run = [(u + step * j) % k for j in range(length + 2)]  # the arc, then v's other neighbor
+        v, inner = run[length], run[1:length]
         du, dv = deg[u], deg[v]
         if not all(du <= deg[w] <= dv for w in inner):
             return None
@@ -406,13 +388,11 @@ def _ring_edits(choice: tuple, n: int):
                 yield ("relocate_min", (u, v), 1,
                        restar({u: 2, v: deg[v] + size[u]}) if size[u] else 0)
     for u in range(k):
-        ahead = [(u + j) % k for j in range(k)]
-        behind = [(u - j) % k for j in range(k)]
         for v in max_stars:
             d = (v - u) % k  # v is d steps ahead of u
             if 1 < d < k - 1:  # u and v are neither equal nor adjacent
-                yield "arc_transform", (u, v, True), d, relocate(ahead[:d + 2])
-                yield "arc_transform", (u, v, False), k - d, relocate(behind[:k - d + 2])
+                yield "arc_transform", (u, v, True), d, relocate(u, 1, d)
+                yield "arc_transform", (u, v, False), k - d, relocate(u, -1, k - d)
     total, d = sum(cyc) + sum(tree), max(deg)
     for v in (v for v in max_stars if deg[v] == d):  # the maximal-degree stars
         a, b = (v - 1) % k, (v + 1) % k
@@ -440,10 +420,10 @@ def verify_monotonicity(n: int, tol: float = 1e-9) -> MonotonicityReport:
     """Apply every operator wherever its preconditions hold; GA must not rise.
 
     The sweep edits each class's ring (_ring_edits) and builds a class's
-    graph only to list its violations. A rise is divided by SCALE only when it could exceed tol, and worst_slack is the
-    largest exact rise divided once. A violation is reported per application,
-    with its params and the input's edge list, in the order
-    operator_applications yields them. tol may be infinite, not NaN.
+    graph only to list its violations. A rise is tested by rises_above, and
+    worst_slack is the largest exact rise divided once. A violation is
+    reported per application, with its params and the input's edge list, in
+    the order operator_applications yields them. tol may be infinite, not NaN.
     """
     _check_order(n, MAX_MONOTONICITY_ORDER)
     if math.isnan(tol):  # every slack > nan is false: no rise would be reported
@@ -453,13 +433,6 @@ def verify_monotonicity(n: int, tol: float = 1e-9) -> MonotonicityReport:
     violations = []
     graphs = 0
 
-    def rise_problem(rise: int) -> str | None:
-        if rise > 0 or tol < 0:  # otherwise rise / SCALE <= 0 <= tol
-            slack = rise / SCALE
-            if slack > tol:
-                return f"GA increased by {slack!r}"
-        return None
-
     for choice, _ in _rings(n):
         graphs += 1
         found = {}  # (op, where) -> problem
@@ -467,9 +440,8 @@ def verify_monotonicity(n: int, tol: float = 1e-9) -> MonotonicityReport:
             if rise is not None:
                 applications[op] += count
                 worst = max(worst, rise)
-                problem = rise_problem(rise)
-                if problem:
-                    found[op, where] = problem
+                if rises_above(rise, tol):
+                    found[op, where] = f"GA increased by {rise / SCALE!r}"
         if found:
             g = ring_graph(choice)
             source = format_edge_list(g)

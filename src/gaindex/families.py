@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .graph import MAX_VERTICES, Graph, NotUnicyclicError, ring_graph
 from .indices import f_eval, g_eval
@@ -172,28 +172,29 @@ B_Q1_LOWER_BOUND = 2.0 * g_eval(3) - f_eval(5)
 
 
 # ---------------------------------------------------------------------------
-# Tabulation (4-decimal layout used by the CLI and golden files)
+# The paper's Tables 1 (A, B) and 2 (C, D), which the CLI prints at 4 decimals
 # ---------------------------------------------------------------------------
 
-TABLE_AB_ROWS = tuple(range(2, 8))
-TABLE_AB_COLS = (2, 3, 4)
-TABLE_CD_ROWS = tuple(range(2, 14))
-TABLE_CD_COLS = (2, 3, 4, 5)
+
+class GapTable(NamedTuple):
+    """A gap table: compare(row, col) for row >= col >= least, the printed
+    extents rows and cols, and the names of the row, the column and the gaps."""
+
+    compare: Callable
+    rows: tuple
+    cols: tuple
+    least: int
+    names: tuple
+
+    def cells(self, rows, cols) -> list:
+        """Rows of (row, {col: compare(row, col) or None}); cells with row < col are None."""
+        return [(r, {c: (self.compare(r, c) if r >= c else None) for c in cols}) for r in rows]
 
 
-def _gap_table(compare, rows, cols):
-    """Rows of (row, {col: compare(row, col) or None}); cells with row < col are None."""
-    return [(r, {c: (compare(r, c) if r >= c else None) for c in cols}) for r in rows]
-
-
-def table_ab(rows=TABLE_AB_ROWS, cols=TABLE_AB_COLS):
-    """Rows of (p, {q: (A, B) or None}); cells with p < q are None."""
-    return _gap_table(compare_AB, rows, cols)
-
-
-def table_cd(rows=TABLE_CD_ROWS, cols=TABLE_CD_COLS):
-    """Rows of (r, {k: (C, D) or None}); cells with r < k are None."""
-    return _gap_table(compare_CD, rows, cols)
+TABLES = {
+    1: GapTable(compare_AB, tuple(range(2, 8)), (2, 3, 4), 0, ("p", "q", "A", "B")),
+    2: GapTable(compare_CD, tuple(range(2, 14)), (2, 3, 4, 5), 1, ("r", "k", "C", "D")),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from the structure.
 
 from __future__ import annotations
 
+import json
 import math
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -62,6 +63,20 @@ def ga_term(du: int, dv: int) -> int:
     du and dv, the correctly rounded float times SCALE: an exact integer."""
     num, den = (2.0 * math.sqrt(du * dv) / (du + dv)).as_integer_ratio()
     return num * (SCALE // den)
+
+
+def scaled_tol(tol: float) -> int:
+    """tol times SCALE, exactly, for verify_bounds; raises ValueError unless tol is finite."""
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
+    num, den = tol.as_integer_ratio()  # den divides SCALE, so this is tol exactly
+    return num * SCALE // den  # never tol * SCALE: a float overflow
+
+
+def rises_above(diff: int, tol: float) -> bool:
+    """diff / SCALE > tol, dividing only when it can hold: the test of an exact
+    GA rise in the monotonicity sweep and the pipeline. NaN is never exceeded."""
+    return (diff > 0 or tol < 0) and diff / SCALE > tol
 
 
 class Graph:
@@ -495,7 +510,7 @@ def canonical_form(g: Graph) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Edge-list text format: first line "n m", then m lines "u v" (0-based).
+# Byte-pinned text: edge lists (a line "n m", then m lines "u v", 0-based), JSON
 # ---------------------------------------------------------------------------
 
 
@@ -545,3 +560,8 @@ def format_edge_list(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
     lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
     return "\n".join(lines) + "\n"
+
+
+def json_text(obj) -> str:
+    """The layout of every JSON document the package writes."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"

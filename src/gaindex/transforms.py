@@ -1,56 +1,37 @@
 """GA-decreasing rewrites on unicyclic graphs and the reduction pipeline.
 
 Each operator takes a unicyclic graph and returns a new unicyclic graph of
-the same order whose GA index is no larger. The pipeline chains them until
-the graph lands in one of the extremal families (or is a bare cycle, which
-no operator can improve). Vertex ids are stable across every rewrite:
-relocated vertices keep their ids and reappear as pendants of the target
-vertex, so consecutive trace states can be diffed edge by edge. Each
-operator is its guards plus one call, `Graph.rehang`, that moves vertices
-of its input to new parents; none calls another. So a result inherits the
-input's degrees and cycle structure, and no edge set: a reduction peels
-its input once and builds a result's edge set only to compare or hash it.
+the same order whose GA index is no larger, or raises PreconditionError
+outside its case's conditions. The pipeline chains them until the graph
+lands in one of the extremal families (or is a bare cycle, which no
+operator can improve). Vertex ids are stable across every rewrite, so
+consecutive trace states can be diffed edge by edge. Each operator is its
+guards plus one `Graph.rehang` and calls no other, so a result inherits its
+input's degrees and cycle structure, and a reduction peels its input only.
 
-Each operator raises PreconditionError outside its case's conditions.
-Whether a cycle vertex is a local maximum or minimum of the cycle's
-degrees is decided in two places that compare alike: one O(1) guard at a
-given vertex for star_transform, relocate_min and arc_transform, and one
-scan of the whole cycle for the sweep's choices, the pipeline and
-finish_one_neighbor_deg2.
-:func:`operator_applications` yields the monotonicity sweep's choices on
-a graph, testing beside these guards what they test on the target
-vertices: star_transform at a local maximum v; relocate_min at a local
-minimum u with a local-maximum star v; arc_transform with such a v not
-adjacent to u; the finishing moves at a maximal-degree star v, with both
-cycle neighbors of degree 2 at girth above 3 (finish_two_neighbors_deg2)
-or u the one degree-2 cycle neighbor (finish_one_neighbor_deg2). Every
-choice it drops is one the operator rejects, so the sweep counts what
-trying every syntactic choice counts. Only the arc's degree ordering and
-the search for a second local minimum reject what it yields. The sweep
-itself, verify_monotonicity, makes the same choices on each class's ring
-and evaluates every operator as an edit of the ring's GA sum, running none
-of them; it calls operator_applications only to list a violating class's
-applications. operator_applications is the graph-level oracle: the tests
-check the ring edits against the graph operators at every choice it yields
-up to order 11, and the benchmark's per-operator probe times its thunks.
+Whether a cycle vertex is a local maximum or minimum of the cycle's degrees
+is decided in two places that compare alike: an O(1) guard at one vertex
+and a scan of the whole cycle.
 
-Operators read no switch: reduction_pipeline re-checks GA monotonicity
-at runtime for each step where it records it, when set_runtime_checks has
-switched the check on. The CLI's `reduce` does; verify_monotonicity
-compares GA itself. Both compare the exact sums `Graph.ga_sum`, so a no-op
-rises by exactly 0. GA is cached per graph value, so the check reads the
-values the step records and adds no GA evaluations.
+:func:`operator_applications` yields the monotonicity sweep's choices on a
+graph. Every choice it drops is one the operator rejects, so the sweep
+counts what trying every syntactic choice counts; only the arc's degree
+ordering and the search for a second local minimum reject what it yields.
+verify_monotonicity makes the same choices as edits of a ring, and the
+tests check those edits against the operators at each choice up to order 11.
+
+reduction_pipeline checks each step's exact GA rise against the tol of
+set_runtime_checks while that is set; the CLI's `reduce` sets it.
 """
 
 from __future__ import annotations
 
-import json
 from itertools import compress
 from operator import ge, le, neg
 from typing import NamedTuple
 
 from .families import FamilySpec, classify_family
-from .graph import SCALE, Graph, NotUnicyclicError, norm_edge, pendant_tree
+from .graph import Graph, NotUnicyclicError, json_text, norm_edge, pendant_tree, rises_above
 
 
 class PreconditionError(ValueError):
@@ -289,10 +270,10 @@ OPERATOR_NAMES = (
 
 def operator_applications(g: Graph):
     """Yield (op, params, thunk) for each parameter choice whose targets
-    pass the operator's cheap guards (see the module docstring), in the
-    full syntactic sweep's order. Each thunk calls the operator it names
-    once, with its params, so it raises PreconditionError when a guard the
-    filter leaves to the operator fails.
+    pass the operator's cheap guards, in the full syntactic sweep's order.
+    Each thunk calls the operator it names once, with its params, so it
+    raises PreconditionError when a guard the filter leaves to the operator
+    fails.
     """
     cyc = g.cycle
     cvs, pos, k = cyc.vertices, cyc.position, cyc.girth
@@ -378,7 +359,7 @@ class TransformTrace(NamedTuple):
         }
 
     def to_json(self, include_edges: bool = False) -> str:
-        return json.dumps(self.to_dict(include_edges), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_dict(include_edges))
 
     def to_text(self, include_edges: bool = False) -> str:
         lines = [f"input: n={self.input_graph.n} m={self.input_graph.m} GA={self.ga_input:.9f}"]
@@ -418,7 +399,7 @@ def reduction_pipeline(g: Graph) -> TransformTrace:
         # step replays as op(previous graph, **params)
         nonlocal cur
         nxt = op(cur, **params)
-        if _runtime_check_tol is not None and (nxt.ga_sum - cur.ga_sum) / SCALE > _runtime_check_tol:
+        if _runtime_check_tol is not None and rises_above(nxt.ga_sum - cur.ga_sum, _runtime_check_tol):
             raise MonotonicityError(f"{op.__name__} raised GA from {cur.ga!r} to {nxt.ga!r}")
         steps.append(TraceStep(op.__name__, params, cur.ga, nxt.ga, nxt))
         cur = nxt

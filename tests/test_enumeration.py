@@ -67,7 +67,7 @@ FINISHING_MOVES = OPERATOR_NAMES[3:]  # the two finishing moves
 
 # the same sequence (OEIS A001429) beyond the graph enumeration's cap, which
 # only verify_bounds reaches
-BOUND_ONLY_COUNTS = {13: 13999, 14: 39260}
+BOUND_ONLY_COUNTS = {13: 13999, 14: 39260, 15: 110381}
 
 
 @pytest.mark.parametrize("n", sorted(EXPECTED_COUNTS))

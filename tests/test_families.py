@@ -24,11 +24,10 @@ from gaindex import (
 )
 from gaindex.families import (
     B_Q1_LOWER_BOUND,
+    TABLES,
     a_diagonal_lower_bound,
     c_diagonal_lower_bound,
     closed_form,
-    table_ab,
-    table_cd,
 )
 
 
@@ -287,11 +286,11 @@ def test_diagonal_bounds_sit_below_diagonal_values():
 
 
 def test_table_shapes():
-    t1 = table_ab()
+    t1 = TABLES[1].cells(TABLES[1].rows, TABLES[1].cols)
     assert [row for row, _ in t1] == list(range(2, 8))
     assert t1[0][1][3] is None  # p=2, q=3 not defined
     assert t1[1][1][3] is not None
-    t2 = table_cd()
+    t2 = TABLES[2].cells(TABLES[2].rows, TABLES[2].cols)
     assert [row for row, _ in t2] == list(range(2, 14))
 
 

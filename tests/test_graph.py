@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,7 @@ from gaindex import (
 
 import gaindex.graph
 from gaindex.enumeration import _rings
-from gaindex.graph import MAX_VERTICES, ring_graph
+from gaindex.graph import MAX_VERTICES, SCALE, json_text, ring_graph, rises_above, scaled_tol
 from gaindex.transforms import _local_extremes
 
 import _oracles
@@ -451,6 +453,46 @@ def test_classify_rejects_pendant():
 
 
 # ---------------------------------------------------------------------------
+# tolerance tests
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("diff, tol, expected", [
+    (0, 0.0, False),
+    (0, -1.0, True),
+    (1 << 26, 0.0, True),  # the least nonzero difference of two GA terms: 2**-1074
+    (-(1 << 26), 0.0, False),
+    (SCALE, math.nan, False),
+    (-SCALE, math.nan, False),
+    (5 * SCALE, math.inf, False),
+    (-5 * SCALE, -math.inf, True),
+], ids=["zero", "zero-below-negative-tol", "least-rise", "least-fall", "nan", "nan-negative",
+        "inf", "minus-inf"])
+def test_rises_above(diff, tol, expected):
+    assert rises_above(diff, tol) is expected
+
+
+def test_rises_above_is_the_float_comparison():
+    diffs = [-5 * SCALE, -SCALE, -(SCALE // 3), -(1 << 26), -1, 0, 1, 1 << 26, SCALE // 10**9,
+             SCALE // 3, SCALE, 5 * SCALE]
+    tols = [-math.inf, -10.0, -1.0, -1e-3, -5e-324, 0.0, 5e-324, 1e-9, 1 / 3, 1.0, 4.0,
+            math.inf, math.nan]
+    for diff, tol in itertools.product(diffs, tols):
+        assert rises_above(diff, tol) == (diff / SCALE > tol), (diff, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0, -10.0, 5e-324])
+def test_scaled_tol_is_exact(tol):
+    assert scaled_tol(tol) == Fraction(tol) * SCALE
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_scaled_tol_rejects_a_non_finite_tol(tol):
+    with pytest.raises(ValueError, match=f"^tol must be finite, got {tol!r}$"):
+        scaled_tol(tol)
+
+
+# ---------------------------------------------------------------------------
 # canonical form
 # ---------------------------------------------------------------------------
 
@@ -604,6 +646,11 @@ def test_edge_list_errors_carry_line_numbers(text, line):
     with pytest.raises(EdgeListError) as exc:
         parse_edge_list(text)
     assert exc.value.line == line
+
+
+def test_json_text_layout():
+    assert json_text({"b": [1, None], "a": {"d": 0.5, "c": True}}) == (
+        '{\n  "a": {\n    "c": true,\n    "d": 0.5\n  },\n  "b": [\n    1,\n    null\n  ]\n}\n')
 
 
 def test_edge_list_validation_propagates():

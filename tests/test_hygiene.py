@@ -14,8 +14,11 @@ root record. A Graph value holds n, m and its degrees as plain fields and
 caches only its edges, cycle and GA (the exact sum and its float), and
 Graph defines no property; a CycleStructure is plain data: no lazy field.
 GA has one definition: only graph.py assigns SCALE and defines a GA term
-function, and math.fsum is read only by indices.ag_index. graph.py writes no
-`__dict__` key: the constructor fills a cache by assigning the field.
+function, and math.fsum is read only by indices.ag_index. Only graph.py
+imports json, and only its json_text calls json.dumps; only its rises_above
+compares a rise divided by SCALE with a tolerance, and only graph.py turns a
+float into an exact ratio. graph.py writes no `__dict__` key: the
+constructor fills a cache by assigning the field.
 No rewrite operator in transforms.py calls another, directly or through
 the module's helpers: each is its guards plus one Graph.rehang. And
 enumeration.py imports from transforms only OPERATOR_NAMES and
@@ -230,6 +233,25 @@ def test_ga_has_one_scale_one_term_function_and_no_float_sum():
     assert _sites(lambda node: isinstance(node, ast.FunctionDef)
                   and node.name.endswith("term")) == {("graph.py", "ga_term")}
     assert _sites(lambda node: _is(node, "fsum")) == {("indices.py", "ag_index")}
+
+
+def _divides_by_scale(node) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and _is(node.right, "SCALE")
+
+
+def test_json_layout_and_tolerance_tests_have_one_definition_each():
+    # one JSON layout, graph.json_text; one float test of an exact rise
+    # against tol, graph.rises_above; and floats made exact ratios only by
+    # graph.py, for a GA term and for verify_bounds's exact tol
+    assert _sites(lambda node: isinstance(node, (ast.Import, ast.ImportFrom))
+                  and "json" in [getattr(node, "module", None), *(a.name for a in node.names)]
+                  ) == {("graph.py", None)}
+    assert _sites(lambda node: _is(node, "dumps")) == {("graph.py", "json_text")}
+    assert _sites(lambda node: isinstance(node, ast.Compare)
+                  and any(map(_divides_by_scale, [node.left, *node.comparators]))) == {
+        ("graph.py", "rises_above")}
+    assert {module for module, _ in _sites(lambda node: _is(node, "as_integer_ratio"))} == {
+        "graph.py"}
 
 
 def test_graph_defines_no_property():
