@@ -322,8 +322,8 @@ def _ring_edits(choice: tuple, n: int):
     and gives v, a star, that many more leaves; arc_transform hangs the arc's
     inner positions and their trees on v as leaves and joins u to v. The
     finishing moves leave a 4-cycle or a triangle with two stars, whose sum
-    is read off their degrees. So a star, a relocation or a finishing move
-    costs O(1) and an arc O(its length). The choices are
+    is read off their degrees. So each edit costs O(1): the arcs that end at
+    a star v come from two walks from v, one each way. The choices are
     operator_applications' own, read off the degrees; the arc's degree
     ordering and a second local minimum for finish_one_neighbor_deg2 are
     the guards left that can reject one.
@@ -347,19 +347,30 @@ def _ring_edits(choice: tuple, n: int):
         return (sum(terms[new[i]][new[(i + 1) % k]] - cyc[i] for i in edges)
                 + sum(stars[d] - tree[x] for x, d in at.items()))
 
-    def relocate(u: int, step: int, length: int) -> int | None:
-        """The rise of arc_transform on the arc of `length` edges from u,
-        stepping ahead (step 1) or behind (-1) to v, or None when it rejects it."""
-        run = [(u + step * j) % k for j in range(length + 2)]  # the arc, then v's other neighbor
-        v, inner = run[length], run[1:length]
-        du, dv = deg[u], deg[v]
-        if not all(du <= deg[w] <= dv for w in inner):
-            return None
-        d = dv + len(inner) + sum(size[w] for w in inner)
-        # out: the arc's edges, v's other cycle edge and the trees at inner and v
-        return (terms[du][d] + terms[d][deg[run[-1]]] + stars[d]
-                - sum(terms[deg[a]][deg[b]] for a, b in zip(run, run[1:]))
-                - sum(tree[w] for w in inner) - tree[v])
+    def arcs(v: int, step: int):
+        """The arc_transform edits of the arcs that end at v, from one walk
+        from v that steps ahead (step 1) or behind (-1) and meets u at 2..k-2
+        steps; from v behind, the arc from u runs ahead of u. The walk carries
+        the cycle terms and trees that go out, the inner sizes and the least
+        and largest inner degree, so each arc costs O(1)."""
+        dv, dw, ahead = deg[v], deg[(v - step) % k], step < 0  # w: v's other cycle neighbor
+        into = cyc if ahead else cyc[-1:] + cyc[:-1]  # into[x]: the edge passed to reach x
+        out, inner, low, high = into[v] + tree[v], 0, dv, 0
+        for j in range(1, k - 1):
+            x = (v + step * j) % k
+            out += into[x]
+            du = deg[x]
+            if j > 1:
+                d = dv + j - 1 + inner
+                yield ("arc_transform", (x, v, ahead), j,  # None unless du <= inner degrees <= dv
+                       terms[du][d] + terms[d][dw] + stars[d] - out if du <= low and high <= dv
+                       else None)
+            out += tree[x]
+            inner += size[x]
+            if du < low:
+                low = du
+            if du > high:
+                high = du
 
     def square(a: int, b: int) -> int:
         """The sum of a 4-cycle of degrees a, 2, b, 2 with stars at a and b."""
@@ -387,12 +398,9 @@ def _ring_edits(choice: tuple, n: int):
             if u != v:  # moving u's tree changes nothing when it is empty
                 yield ("relocate_min", (u, v), 1,
                        restar({u: 2, v: deg[v] + size[u]}) if size[u] else 0)
-    for u in range(k):
-        for v in max_stars:
-            d = (v - u) % k  # v is d steps ahead of u
-            if 1 < d < k - 1:  # u and v are neither equal nor adjacent
-                yield "arc_transform", (u, v, True), d, relocate(u, 1, d)
-                yield "arc_transform", (u, v, False), k - d, relocate(u, -1, k - d)
+    for v in max_stars:
+        yield from arcs(v, -1)
+        yield from arcs(v, 1)
     total, d = sum(cyc) + sum(tree), max(deg)
     for v in (v for v in max_stars if deg[v] == d):  # the maximal-degree stars
         a, b = (v - 1) % k, (v + 1) % k

@@ -51,25 +51,36 @@ def norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-# GA sums are exact integers in units of 1/SCALE, finer than the least float
-# (2**-1074), so each term converts without rounding; int true division rounds
-# correctly, as math.fsum does, so sum / SCALE is the correctly rounded GA.
-SCALE = 1 << 1100
+# GA sums are exact integers in units of 1/SCALE. For degrees below
+# MAX_VERTICES every term is at least that of degrees 1 and MAX_VERTICES - 1,
+# about 0.0019999990 > 2**-9, so its float has an exponent of -9 or more and
+# is a multiple of 2**-61: each term converts without rounding, and a sum of
+# up to 10**6 terms stays below 2**84. int true division rounds correctly, as
+# math.fsum does, so sum / SCALE is the correctly rounded GA.
+SCALE = 1 << 64
 
 
 @lru_cache(maxsize=1 << 12)  # bounded: outside graphs bring degrees up to MAX_VERTICES
 def ga_term(du: int, dv: int) -> int:
     """The GA term 2*sqrt(du*dv)/(du+dv) of an edge whose ends have degrees
-    du and dv, the correctly rounded float times SCALE: an exact integer."""
+    du and dv, the correctly rounded float times SCALE: an exact integer.
+
+    The product du*dv is exact below 2**53, and the sqrt and the division
+    each round once to nearest, so the term is within a relative 2**-52 of
+    the real 2*sqrt(du*dv)/(du+dv). Raises ValueError when the float is not
+    a multiple of 1/SCALE, which no pair of degrees below MAX_VERTICES gives."""
     num, den = (2.0 * math.sqrt(du * dv) / (du + dv)).as_integer_ratio()
+    if den > SCALE:
+        raise ValueError(f"the GA term of degrees {du} and {dv} is finer than 1/SCALE")
     return num * (SCALE // den)
 
 
 def scaled_tol(tol: float) -> int:
-    """tol times SCALE, exactly, for verify_bounds; raises ValueError unless tol is finite."""
+    """tol times SCALE, rounded down, for verify_bounds: an integer x exceeds
+    tol * SCALE exactly when it exceeds this. Raises ValueError unless tol is finite."""
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol!r}")
-    num, den = tol.as_integer_ratio()  # den divides SCALE, so this is tol exactly
+    num, den = tol.as_integer_ratio()
     return num * SCALE // den  # never tol * SCALE: a float overflow
 
 

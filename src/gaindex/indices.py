@@ -65,6 +65,6 @@ def ag_index(g: Graph) -> float:
     terms = []
     for u, v in g.edges:
         du, dv = g.degrees[u], g.degrees[v]
-        # arithmetic over geometric mean; halving is exact, so this rounds once
+        # arithmetic over geometric mean: halving is exact, the division and the sqrt each round
         terms.append((du + dv) / 2.0 / math.sqrt(du * dv))
     return math.fsum(terms)

@@ -31,6 +31,9 @@ the search without that pruning, which walks every branch twin pruning
 leaves.
 The package sums GA exactly, as integers in units of 1/SCALE; the
 reference here is math.fsum over float terms.
+The package's ring sweep reads every arc that ends at a star off two
+walks from the star; the reference here sums each arc on its own, from
+its start to the star's other cycle neighbor.
 """
 
 import itertools
@@ -47,7 +50,7 @@ from gaindex import (
     star_transform,
 )
 from gaindex import transforms
-from gaindex.enumeration import MAX_ORDER, _rooted_trees
+from gaindex.enumeration import MAX_ORDER, _cycle_terms, _rooted_trees, _shape_sums, _star_sums
 from gaindex.graph import GraphError, norm_edge, pendant_tree
 from gaindex.transforms import PreconditionError
 
@@ -215,6 +218,40 @@ def syntactic_applications(g: Graph):
         for u in cyc.cycle_neighbors(v):
             yield ("finish_one_neighbor_deg2", {"v": v, "u": u},
                    (lambda v=v, u=u: finish_one_neighbor_deg2(g, v, u)))
+
+
+def reference_arc_edits(choice: tuple, n: int) -> dict:
+    """(u, v, ahead) -> (count, rise) for the arc_transform edits the ring
+    sweep makes on the ring `choice` of order n: for each start u and each
+    local maximum v that is a star, neither equal nor adjacent, the arc
+    ahead of u and the arc behind it, each summed on its own."""
+    terms, stars, shapes = _cycle_terms(n), _star_sums(n), _shape_sums(n)
+    k = len(choice)
+    deg = [len(shape) + 2 for shape in choice]
+    size, tree = zip(*map(shapes.__getitem__, choice))
+    max_stars = [v for v in range(k) if not any(choice[v])
+                 and deg[v] >= max(deg[v - 1], deg[(v + 1) % k])]
+
+    def relocate(u: int, step: int, length: int):
+        run = [(u + step * j) % k for j in range(length + 2)]  # the arc, then v's other neighbor
+        v, inner = run[length], run[1:length]
+        du, dv = deg[u], deg[v]
+        if not all(du <= deg[w] <= dv for w in inner):
+            return None
+        d = dv + len(inner) + sum(size[w] for w in inner)
+        # out: the arc's edges, v's other cycle edge and the trees at inner and v
+        return (terms[du][d] + terms[d][deg[run[-1]]] + stars[d]
+                - sum(terms[deg[a]][deg[b]] for a, b in zip(run, run[1:]))
+                - sum(tree[w] for w in inner) - tree[v])
+
+    edits = {}
+    for u in range(k):
+        for v in max_stars:
+            d = (v - u) % k  # v is d steps ahead of u
+            if 1 < d < k - 1:
+                edits[u, v, True] = d, relocate(u, 1, d)
+                edits[u, v, False] = k - d, relocate(u, -1, k - d)
+    return edits
 
 
 def edit_oracle(g: Graph, moves: dict, cycle=None) -> frozenset:

@@ -40,6 +40,7 @@ from _oracles import (
     free_trees,
     fsum_ga,
     least_rings,
+    reference_arc_edits,
     syntactic_applications,
 )
 
@@ -482,6 +483,16 @@ def test_ring_edits_match_the_graph_operators(n):
             graph.setdefault((op, _edit_key(op, params, len(choice))), []).append(outcome)
         assert ring == graph, choice
     assert tuple(accepted.values()) == MONOTONICITY_APPLICATIONS[n]
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_arc_edits_match_the_per_arc_sums(n):
+    # past the graph operators' reach: each arc the walks from a star yield,
+    # its count and its rise, is the arc summed on its own
+    for choice, _ in _rings(n):
+        walked = {where: (count, rise) for op, where, count, rise in _ring_edits(choice, n)
+                  if op == "arc_transform"}
+        assert walked == reference_arc_edits(choice, n), choice
 
 
 def test_a_finishing_edit_takes_the_first_heaviest_child():

@@ -31,7 +31,8 @@ from gaindex import (
 
 import gaindex.graph
 from gaindex.enumeration import _rings
-from gaindex.graph import MAX_VERTICES, SCALE, json_text, ring_graph, rises_above, scaled_tol
+from gaindex.graph import (MAX_VERTICES, SCALE, ga_term, json_text, ring_graph, rises_above,
+                           scaled_tol)
 from gaindex.transforms import _local_extremes
 
 import _oracles
@@ -460,8 +461,8 @@ def test_classify_rejects_pendant():
 @pytest.mark.parametrize("diff, tol, expected", [
     (0, 0.0, False),
     (0, -1.0, True),
-    (1 << 26, 0.0, True),  # the least nonzero difference of two GA terms: 2**-1074
-    (-(1 << 26), 0.0, False),
+    (SCALE >> 61, 0.0, True),  # 2**-61: every GA term, so every difference of two, is a multiple
+    (-(SCALE >> 61), 0.0, False),
     (SCALE, math.nan, False),
     (-SCALE, math.nan, False),
     (5 * SCALE, math.inf, False),
@@ -473,8 +474,8 @@ def test_rises_above(diff, tol, expected):
 
 
 def test_rises_above_is_the_float_comparison():
-    diffs = [-5 * SCALE, -SCALE, -(SCALE // 3), -(1 << 26), -1, 0, 1, 1 << 26, SCALE // 10**9,
-             SCALE // 3, SCALE, 5 * SCALE]
+    diffs = [-5 * SCALE, -SCALE, -(SCALE // 3), -(SCALE >> 61), -1, 0, 1, SCALE >> 61,
+             SCALE // 10**9, SCALE // 3, SCALE, 5 * SCALE]
     tols = [-math.inf, -10.0, -1.0, -1e-3, -5e-324, 0.0, 5e-324, 1e-9, 1 / 3, 1.0, 4.0,
             math.inf, math.nan]
     for diff, tol in itertools.product(diffs, tols):
@@ -483,13 +484,65 @@ def test_rises_above_is_the_float_comparison():
 
 @pytest.mark.parametrize("tol", [1e-9, 0.0, -10.0, 5e-324])
 def test_scaled_tol_is_exact(tol):
-    assert scaled_tol(tol) == Fraction(tol) * SCALE
+    assert scaled_tol(tol) == math.floor(Fraction(tol) * SCALE)
+
+
+def test_scaled_tol_keeps_every_integer_comparison():
+    # an integer x exceeds tol * SCALE exactly when it exceeds its floor, so
+    # verify_bounds decides each exact sum as it would against tol itself
+    for tol in (1e-9, 0.0, -10.0, 5e-324, -5e-324, 1 / 3, -1e-3, 1e300, -1e300):
+        t = scaled_tol(tol)
+        for x in range(t - 3, t + 4):
+            assert (x > t) == (Fraction(x) > Fraction(tol) * SCALE), (tol, x)
+            assert (x <= t) == (Fraction(x) <= Fraction(tol) * SCALE), (tol, x)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
 def test_scaled_tol_rejects_a_non_finite_tol(tol):
     with pytest.raises(ValueError, match=f"^tol must be finite, got {tol!r}$"):
         scaled_tol(tol)
+
+
+# ---------------------------------------------------------------------------
+# exact GA terms
+# ---------------------------------------------------------------------------
+
+
+def test_ga_terms_are_exact_up_to_the_vertex_limit():
+    # the least term of a graph within MAX_VERTICES, at degrees 1 and
+    # MAX_VERTICES - 1, is at least 2**-9, so every term's float is a
+    # multiple of 2**-61, a multiple of 1/SCALE
+    least = _oracles.float_ga_term(1, MAX_VERTICES - 1)
+    assert least >= 2**-9 and SCALE % (1 << 61) == 0
+    assert SCALE % Fraction(least).denominator == 0
+    assert ga_term.__wrapped__(1, MAX_VERTICES - 1) == Fraction(least) * SCALE
+
+
+def test_a_term_finer_than_the_scale_is_rejected():
+    with pytest.raises(ValueError, match="^the GA term of degrees 1 and 1000000000 is finer "
+                                         "than 1/SCALE$"):
+        ga_term.__wrapped__(1, 10**9)
+
+
+def test_ga_terms_are_the_scaled_floats():
+    for du in range(1, 201):
+        for dv in range(du, 201):
+            assert ga_term.__wrapped__(du, dv) == Fraction(_oracles.float_ga_term(du, dv)) * SCALE
+
+
+def _within_two_roundings(du: int, dv: int) -> bool:
+    """Whether ga_term(du, dv) is within a relative 2**-52 of the real
+    R = 2*sqrt(du*dv)*SCALE/(du+dv), which r/s2 <= R < (r+1)/s2 encloses."""
+    s2 = (du + dv) << 64
+    r = math.isqrt(4 * du * dv * (SCALE << 64) ** 2)
+    t = ga_term.__wrapped__(du, dv) * s2 << 52  # the term times s2 * 2**52
+    return (r + 1) * ((1 << 52) - 1) <= t <= r * ((1 << 52) + 1)
+
+
+def test_each_term_is_within_two_roundings_of_the_real_term():
+    pairs = [(du, dv) for du in range(1, 65) for dv in range(du, 65)]
+    pairs.append((1, MAX_VERTICES - 1))
+    assert all(_within_two_roundings(du, dv) for du, dv in pairs)
 
 
 # ---------------------------------------------------------------------------
