@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import itemgetter
+from itertools import compress
+from operator import ge, itemgetter, le
 from typing import NamedTuple
 
 from .families import bound_interval
@@ -319,14 +320,16 @@ def _ring_edits(choice: tuple, n: int):
     A rise edits the ring's sum: the cycle terms and tree sums at the
     positions the rewrite changes go out, and those of the result come in.
     star_transform gives v a star of its size; relocate_min empties u's tree
-    and gives v, a star, that many more leaves; arc_transform hangs the arc's
-    inner positions and their trees on v as leaves and joins u to v. The
-    finishing moves leave a 4-cycle or a triangle with two stars, whose sum
-    is read off their degrees. So each edit costs O(1): the arcs that end at
-    a star v come from two walks from v, one each way. The choices are
-    operator_applications' own, read off the degrees; the arc's degree
-    ordering and a second local minimum for finish_one_neighbor_deg2 are
-    the guards left that can reject one.
+    and gives v, a star, that many more leaves. Each is a one-position edit,
+    or two whose shared edge, for adjacent u and v, counts once; an identity,
+    a star at v or an empty tree at u, reads 0 with no arithmetic.
+    arc_transform hangs the arc's inner positions and their trees on v as
+    leaves and joins u to v. The finishing moves leave a 4-cycle or a
+    triangle with two stars, whose sum is read off their degrees. So each
+    edit costs O(1): the arcs that end at a star v come from two walks from
+    v, one each way. The choices are operator_applications' own, read off
+    the degrees; the arc's degree ordering and a second local minimum for
+    finish_one_neighbor_deg2 are the guards left that can reject one.
     """
     terms, stars, shapes = _cycle_terms(n), _star_sums(n), _shape_sums(n)
     k = len(choice)
@@ -334,18 +337,14 @@ def _ring_edits(choice: tuple, n: int):
     size, tree = zip(*map(shapes.__getitem__, choice))
     prev, succ = deg[-1:] + deg[:-1], deg[1:] + deg[:1]
     cyc = [terms[a][b] for a, b in zip(deg, succ)]  # cyc[i]: the edge from i to i + 1
-    local_max = [v for v in range(k) if deg[v] >= max(prev[v], succ[v])]
-    local_min = [u for u in range(k) if deg[u] <= min(prev[u], succ[u])]
+    local_max = list(compress(range(k), map(ge, deg, map(max, prev, succ))))
+    local_min = list(compress(range(k), map(le, deg, map(min, prev, succ))))
     max_stars = [v for v in local_max if not any(choice[v])]
 
-    def restar(at: dict) -> int:
-        """The rise when each position x in `at` takes degree at[x] with a star."""
-        new = deg.copy()
-        for x, d in at.items():
-            new[x] = d
-        edges = {i % k for x in at for i in (x - 1, x)}
-        return (sum(terms[new[i]][new[(i + 1) % k]] - cyc[i] for i in edges)
-                + sum(stars[d] - tree[x] for x, d in at.items()))
+    def one(x: int, d: int) -> int:
+        """The rise when position x alone takes degree d with a star."""
+        return (terms[prev[x]][d] + terms[d][succ[x]] - cyc[x - 1] - cyc[x]
+                + stars[d] - tree[x])
 
     def arcs(v: int, step: int):
         """The arc_transform edits of the arcs that end at v, from one walk
@@ -392,12 +391,22 @@ def _ring_edits(choice: tuple, n: int):
         return square(1 + sw, n - 1 - sw)
 
     for v in local_max:
-        yield "star_transform", (v,), 1, restar({v: size[v] + 2})
+        d = size[v] + 2  # d == deg[v]: v holds a star already, so the result is the input
+        yield "star_transform", (v,), 1, 0 if d == deg[v] else one(v, d)
     for u in local_min:
+        s = size[u]  # moving an empty tree changes nothing
+        rest = one(u, 2) if s else 0
         for v in max_stars:
-            if u != v:  # moving u's tree changes nothing when it is empty
-                yield ("relocate_min", (u, v), 1,
-                       restar({u: 2, v: deg[v] + size[u]}) if size[u] else 0)
+            if u != v:
+                rise = 0
+                if s:
+                    d = deg[v] + s
+                    rise = rest + one(v, d)
+                    j = (v - u) % k
+                    if j == 1 or j == k - 1:  # both halves edited the shared edge
+                        rise += (cyc[u if j == 1 else v] + terms[2][d]
+                                 - terms[2][deg[v]] - terms[deg[u]][d])
+                yield "relocate_min", (u, v), 1, rise
     for v in max_stars:
         yield from arcs(v, -1)
         yield from arcs(v, 1)
@@ -447,7 +456,8 @@ def verify_monotonicity(n: int, tol: float = 1e-9) -> MonotonicityReport:
         for op, where, count, rise in _ring_edits(choice, n):
             if rise is not None:
                 applications[op] += count
-                worst = max(worst, rise)
+                if rise > worst:
+                    worst = rise
                 if rises_above(rise, tol):
                     found[op, where] = f"GA increased by {rise / SCALE!r}"
         if found:

@@ -495,6 +495,46 @@ def test_arc_edits_match_the_per_arc_sums(n):
         assert walked == reference_arc_edits(choice, n), choice
 
 
+LEAF, PAIR, TRIPLE = ((),), ((),) * 2, ((),) * 3  # stars of one, two and three leaves
+
+
+@pytest.mark.parametrize("choice, u, v", [
+    ((LEAF,) * 4, 0, 3),  # across the edge from position 3 to 0
+    ((LEAF,) * 4, 3, 0),
+    ((LEAF,) * 3, 0, 1),
+    ((LEAF,) * 3, 0, 2),  # across a triangle's edge from position 2 to 0
+    # u's two cycle neighbors differ in degree, so each edge's term is its own
+    ((LEAF, PAIR, TRIPLE), 0, 2),
+    ((LEAF, PAIR, LEAF, TRIPLE), 0, 1),
+    ((LEAF, PAIR, LEAF, TRIPLE), 0, 3),
+    ((LEAF, PAIR, LEAF, TRIPLE), 2, 1),
+    ((LEAF, PAIR, LEAF, TRIPLE), 2, 3),
+    ((LEAF, TRIPLE, PAIR, PAIR), 0, 1),  # v's two cycle neighbors differ too
+    ((LEAF, TRIPLE, PAIR, PAIR), 0, 3),
+])
+def test_adjacent_relocations_count_their_shared_edge_once(choice, u, v):
+    # u's and v's one-position edits each replace the edge between them; the
+    # rise puts it back once, at degrees 2 and v's new degree
+    n = len(choice) + sum(map(len, choice))
+    g = ring_graph(choice)
+    rises = [rise for op, where, _, rise in _ring_edits(choice, n)
+             if (op, where) == ("relocate_min", (u, v))]
+    assert rises == [transforms.relocate_min(g, u=u, v=v).ga_sum - g.ga_sum]
+
+
+def test_star_and_relocation_identities_read_exactly_zero():
+    # a star_transform at a star and a relocate_min of an empty tree return
+    # their input: each is an application whose rise is exactly 0
+    choice, n = ((), (), PAIR), 5
+    g = ring_graph(choice)
+    edits = {(op, where): (count, rise) for op, where, count, rise in _ring_edits(choice, n)}
+    for op, params in [("star_transform", {"v": 2}), ("relocate_min", {"u": 0, "v": 2}),
+                       ("relocate_min", {"u": 1, "v": 2})]:
+        count, rise = edits[op, tuple(params.values())]
+        assert (count, type(rise), rise) == (1, int, 0)
+        assert getattr(transforms, op)(g, **params) is g
+
+
 def test_a_finishing_edit_takes_the_first_heaviest_child():
     # two children of vt of largest degree first differ in size at n = 16,
     # beyond the sweep's cap: the edit rebuilds the 4-cycle on the first of
@@ -531,6 +571,30 @@ def test_a_tol_of_minus_infinity_reports_every_application():
     # a rise at or below 0 is divided only when tol is negative
     rep = verify_monotonicity(6, tol=-math.inf)
     assert len(rep.violations) == rep.total_applications > 0
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+@pytest.mark.parametrize("tol", [-1e-3, -0.2])
+def test_a_finite_negative_tol_reports_the_applications_above_it(n, tol):
+    # every application whose exact rise, divided once, exceeds tol, in the
+    # order operator_applications yields it: the no-ops at -1e-3, as every
+    # fall to n = 8 is at least 0.17, and some falls too at -0.2
+    expected = []
+    for choice, _ in _rings(n):
+        g = ring_graph(choice)
+        for op, params, _ in operator_applications(g):
+            try:
+                rise = getattr(transforms, op)(g, **params).ga_sum - g.ga_sum
+            except PreconditionError:
+                continue
+            if rise / SCALE > tol:
+                expected.append({"op": op, "params": params, "input": format_edge_list(g),
+                                 "problem": f"GA increased by {rise / SCALE!r}"})
+    rep = verify_monotonicity(n, tol=tol)
+    assert list(rep.violations) == expected
+    noops = sum(v["problem"] == "GA increased by 0.0" for v in expected)
+    assert 0 < noops and (noops < len(expected)) == (tol == -0.2)
+    assert len(expected) < rep.total_applications
 
 
 def test_a_nan_tol_is_rejected_by_the_monotonicity_sweep(monkeypatch):

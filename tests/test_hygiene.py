@@ -23,7 +23,8 @@ No rewrite operator in transforms.py calls another, directly or through
 the module's helpers: each is its guards plus one Graph.rehang. And
 enumeration.py imports from transforms only OPERATOR_NAMES and
 operator_applications and names no rewrite operator: the monotonicity
-sweep evaluates each one as an edit of a ring.
+sweep evaluates each one as an edit of a ring, and _ring_edits builds no
+dict or set and copies no list, so each edit stays O(1) arithmetic.
 Only set_runtime_checks and reduction_pipeline name the runtime-check switch,
 and no operator reaches it through the helpers: the pipeline checks each
 step where it records it.
@@ -338,6 +339,18 @@ def test_the_monotonicity_sweep_runs_no_rewrite_operator():
     assert not any(alias.name.split(".")[-1] == "transforms"
                    for node in imports for alias in node.names)
     assert set(_references(tree)) & _operator_reach().keys() == set()
+
+
+def test_ring_edits_allocate_no_dict_or_set_per_edit():
+    # each star and relocation edit is one-position arithmetic: _ring_edits
+    # and its helpers build no dict or set and copy no list
+    tree = next(node for node in MODULES["enumeration.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "_ring_edits")
+    built = [type(node).__name__ for node in ast.walk(tree)
+             if isinstance(node, (ast.Dict, ast.Set, ast.DictComp, ast.SetComp))
+             or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "copy")]
+    assert built == []
 
 
 def test_only_the_pipeline_reads_the_check_switch():
