@@ -75,7 +75,7 @@ def _load_graph(path: str):
 
 def _cmd_compute(args) -> int:
     g = _load_graph(args.path)
-    if not g.edges:
+    if not g.m:
         raise GraphError("graph has no edges; GA is undefined")
     connected = is_connected(g)
     if not connected:

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import compress
-from operator import ge, itemgetter, le
+from operator import itemgetter
 from typing import NamedTuple
 
 from .families import bound_interval
@@ -337,8 +336,8 @@ def _ring_edits(choice: tuple, n: int):
     size, tree = zip(*map(shapes.__getitem__, choice))
     prev, succ = deg[-1:] + deg[:-1], deg[1:] + deg[:1]
     cyc = [terms[a][b] for a, b in zip(deg, succ)]  # cyc[i]: the edge from i to i + 1
-    local_max = list(compress(range(k), map(ge, deg, map(max, prev, succ))))
-    local_min = list(compress(range(k), map(le, deg, map(min, prev, succ))))
+    local_max = [i for i, d, a, b in zip(range(k), deg, prev, succ) if d >= a and d >= b]
+    local_min = [i for i, d, a, b in zip(range(k), deg, prev, succ) if d <= a and d <= b]
     max_stars = [v for v in local_max if not any(choice[v])]
 
     def one(x: int, d: int) -> int:

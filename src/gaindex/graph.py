@@ -3,15 +3,20 @@
 Vertices are the integers 0..n-1. Graph values are immutable: every
 structural operation returns a new Graph, so intermediate states of a
 rewrite sequence can be kept side by side and compared edge by edge.
-Values are built only here, each by one constructor from its degrees and
-its edge set or cycle structure: from an edge list (`build_graph`), from a
-ring of rooted-tree shapes (`ring_graph`) or by a rewrite (`Graph.rehang`).
-Only an edge list's value peels: one leaf peeling finds the cycle, each tree
-vertex's parent toward it and the pendant trees. A ring's value reads them
-off the ring and a rewrite's result derives them from its input's, with no
-edge set. No value holds neighbor lists: the peel tracks each vertex's sum
-of live-neighbor ids, and other modules read pendant trees and adjacency
-from the structure.
+Values are built only here, each by one constructor, Graph(degrees,
+ends=None, cycle=None), from its degrees and its ends or cycle structure:
+from an edge list (`build_graph`, which hands over each edge's lesser and
+greater end as two int lists), from a ring of rooted-tree shapes
+(`ring_graph`) or by a rewrite (`Graph.rehang`). Only an edge list's value
+peels: one leaf peeling finds the cycle, each tree vertex's parent toward
+it and the pendant trees. A ring's value reads them off the ring and a
+rewrite's result derives them from its input's. No value holds an edge set
+from the start: each builds its frozenset of edge tuples only when it is
+compared, hashed or read. No value holds neighbor lists: the peel sums
+each vertex's live-neighbor ids over the lists of ends, and other modules
+read pendant trees and adjacency from the structure. GA is summed over the
+lists of ends, or over the cycle and then tree by tree, a star in closed
+form.
 """
 
 from __future__ import annotations
@@ -91,17 +96,19 @@ def rises_above(diff: int, tol: float) -> bool:
 
 
 class Graph:
-    """An immutable simple graph on vertices 0..n-1. It holds n, m and its
-    degrees, and caches its frozenset of edges (u, v) with u < v, which
-    decide equality and the hash, its cycle structure and its GA, exact and
-    as a float. It is built from its degrees and one of the edge set or, for
-    a unicyclic value, the structure; assigning that one fills its cache."""
+    """An immutable simple graph on vertices 0..n-1. It holds n, m, its
+    degrees and its ends, and caches its frozenset of edges (u, v) with
+    u < v, which decide equality and the hash and are built on first read,
+    its cycle structure and its GA, exact and as a float. `ends` is the pair
+    of int lists (lo, hi) whose i-th entries are the i-th input edge's
+    lesser and greater end, or None for a unicyclic value built from its
+    cycle structure, which the constructor stores as the cached cycle."""
 
-    def __init__(self, degrees: tuple, edges: frozenset | None = None,
+    def __init__(self, degrees: tuple, ends: tuple | None = None,
                  cycle: CycleStructure | None = None):
-        self.n, self.degrees = len(degrees), degrees
+        self.n, self.degrees, self.ends = len(degrees), degrees, ends
         if cycle is None:
-            self.edges, self.m = edges, len(edges)
+            self.m = len(ends[0])
         else:
             self.cycle, self.m = cycle, self.n  # unicyclic
 
@@ -113,25 +120,24 @@ class Graph:
     def __hash__(self):
         return hash((self.n, self.edges))
 
-    def _edge_pairs(self) -> tuple:
-        """(pairs, parents): the edges are `pairs` and each (z, parents[z]) not None:
-        an edge set and no parents, or a structure value's cycle edges and parents."""
-        edges = self.__dict__.get("edges")
-        if edges is not None:
-            return edges, ()
+    def _pairs(self):
+        """Every edge once as (u, v) with u < v: the ends zipped, or a structure
+        value's cycle edges and parent edges."""
+        if self.ends is not None:
+            return zip(*self.ends)
         cyc = self.cycle  # given to the constructor
         vs = cyc.vertices
-        return zip(vs, vs[1:] + vs[:1]), cyc.parent
+        pairs = chain(zip(vs, vs[1:] + vs[:1]),
+                      ((z, p) for z, p in enumerate(cyc.parent) if p is not None))
+        return ((u, v) if u < v else (v, u) for u, v in pairs)
 
     @cached_property
-    def edges(self) -> frozenset:  # a structure value's: others set it in __init__
-        return frozenset(self.sorted_edges())
+    def edges(self) -> frozenset:  # built on first read: ==, hash, has_edge, ...
+        return frozenset(self._pairs())
 
     def sorted_edges(self) -> list:
-        """The edges in order, sorted from the structure when there is no set."""
-        pairs, parents = self._edge_pairs()
-        pairs = chain(pairs, ((z, p) for z, p in enumerate(parents) if p is not None))
-        return sorted((u, v) if u < v else (v, u) for u, v in pairs)
+        """The edges in order, sorted from the ends or the structure, with no set."""
+        return sorted(self._pairs())
 
     @cached_property
     def cycle(self) -> CycleStructure:  # an edge-list value's: others set it in __init__
@@ -144,15 +150,19 @@ class Graph:
         link[v] is the sum of the ids of v's live neighbors: a leaf's is its
         one live neighbor, its parent in its pendant tree, and a cycle
         vertex's the sum of its two cycle neighbors, so the walk steps to
-        link[cur] - prev. The peel reversed lists each tree vertex after its
-        parent: one pass over it gives every vertex's root and every pendant tree.
+        link[cur] - prev. The least cycle vertex is the lesser end of both
+        its cycle edges: the first edge at it in `lo` whose other end is not
+        peeled gives one, link[start] less that one the other. The peel
+        reversed lists each tree vertex after its parent: one pass over it
+        gives every vertex's root and every pendant tree.
         """
         n = self.n
         if self.m != n:
             raise NotUnicyclicError(_NOT_UNICYCLIC)
         deg = list(self.degrees)
         link = [0] * n
-        for u, v in self.edges:
+        lo, hi = self.ends
+        for u, v in zip(lo, hi):
             link[u] += v
             link[v] += u
         parent = [None] * n
@@ -168,8 +178,12 @@ class Graph:
         on_cycle = [v for v in range(n) if deg[v]]
         if not on_cycle or any(deg[v] != 2 for v in on_cycle):
             raise NotUnicyclicError(_NOT_UNICYCLIC)
-        start = on_cycle[0]  # the least cycle vertex: the lesser end of its cycle edges
-        prev, cur = start, min(v for u, v in self.edges if u == start and deg[v])
+        start = on_cycle[0]
+        i = lo.index(start)
+        while not deg[hi[i]]:  # a peeled child of start
+            i = lo.index(start, i + 1)
+        first = hi[i]
+        prev, cur = start, min(first, link[start] - first)
         order = [start]
         while cur != start:
             order.append(cur)
@@ -187,11 +201,26 @@ class Graph:
 
     @cached_property
     def ga_sum(self) -> int:
-        """The GA index times SCALE, exactly: the sum of ga_term over the edges."""
-        pairs, parents = self._edge_pairs()
-        deg = self.degrees  # deg[z] pairs with parents[z] in the zip
-        return (sum([ga_term(deg[u], deg[v]) for u, v in pairs])
-                + sum([ga_term(d, deg[p]) for d, p in zip(deg, parents) if p is not None]))
+        """The GA index times SCALE, exactly: the sum of ga_term over the edges.
+        A structure value sums its cycle edges, then tree by tree: a root of
+        degree 2 has no tree edge, and a star root of degree d has d - 2
+        edges to leaves, each of term ga_term(d, 1)."""
+        deg = self.degrees
+        if self.ends is not None:
+            return sum([ga_term(deg[u], deg[v]) for u, v in zip(*self.ends)])
+        cyc = self.cycle
+        vs, parent = cyc.vertices, cyc.parent
+        total = sum([ga_term(deg[u], deg[v]) for u, v in zip(vs, vs[1:] + vs[:1])])
+        for r, tree in cyc.trees.items():
+            d = deg[r]
+            if d == 2:
+                continue
+            if len(tree) == d - 1:  # a star: its d - 2 children are leaves
+                total += (d - 2) * ga_term(d, 1)
+            else:
+                for z in tree[1:]:
+                    total += ga_term(deg[z], deg[parent[z]])
+        return total
 
     @cached_property
     def ga(self) -> float:
@@ -284,8 +313,9 @@ def build_graph(n: int, edge_list: Iterable) -> Graph:
         raise GraphError(f"vertex count must be >= 1, got {n}")
     if n > MAX_VERTICES:
         raise GraphError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()  # u * n + v for each edge (u, v) with u < v
     deg = [0] * n
+    lo, hi = [], []
     for u, v in edge_list:
         if u.__class__ is not int or v.__class__ is not int:
             raise GraphError(f"non-integer vertex in edge ({u!r}, {v!r})")
@@ -293,13 +323,19 @@ def build_graph(n: int, edge_list: Iterable) -> Graph:
             raise GraphError(f"self-loop ({u}, {v})")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"vertex out of range in edge ({u}, {v}) for n={n}")
-        e = norm_edge(u, v)
-        if e in seen:
+        if u < v:
+            a, b = u, v
+        else:
+            a, b = v, u
+        key = a * n + b
+        if key in seen:
             raise GraphError(f"duplicate edge ({u}, {v})")
-        seen.add(e)
+        seen.add(key)
+        lo.append(a)
+        hi.append(b)
         deg[u] += 1
         deg[v] += 1
-    return Graph(tuple(deg), frozenset(seen))
+    return Graph(tuple(deg), (lo, hi))
 
 
 def ring_graph(ring: tuple) -> Graph:

@@ -27,7 +27,7 @@ set_runtime_checks while that is set; the CLI's `reduce` sets it.
 from __future__ import annotations
 
 from itertools import compress
-from operator import ge, le, neg
+from operator import neg
 from typing import NamedTuple
 
 from .families import FamilySpec, classify_family
@@ -71,16 +71,16 @@ def _local_extremes(g: Graph) -> tuple:
     whose per-vertex form is _require_local_extreme."""
     ds = list(map(g.degrees.__getitem__, cvs := g.cycle.vertices))
     prev, succ = ds[-1:] + ds[:-1], ds[1:] + ds[:1]
-    return (list(compress(cvs, map(ge, ds, map(max, prev, succ)))),
-            list(compress(cvs, map(le, ds, map(min, prev, succ)))))
+    return ([v for v, d, a, b in zip(cvs, ds, prev, succ) if d >= a and d >= b],
+            [v for v, d, a, b in zip(cvs, ds, prev, succ) if d <= a and d <= b])
 
 
 def _require_local_extreme(g: Graph, v: int, kind: str) -> None:
     """Reject cycle vertex v unless its degree is a local `kind` ("maximum"
     or "minimum") of the cycle's degrees: _local_extremes at one vertex, in O(1)."""
     deg = g.degrees
-    d, (a, b) = deg[v], g.cycle.cycle_neighbors(v)
-    if not (d >= max(deg[a], deg[b]) if kind == "maximum" else d <= min(deg[a], deg[b])):
+    d, (a, b) = deg[v], map(deg.__getitem__, g.cycle.cycle_neighbors(v))
+    if not (d >= a and d >= b if kind == "maximum" else d <= a and d <= b):
         raise PreconditionError(f"vertex {v} is not a local {kind} on the cycle")
 
 

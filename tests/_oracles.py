@@ -30,7 +30,13 @@ automorphisms it has found map onto explored ones; the reference here is
 the search without that pruning, which walks every branch twin pruning
 leaves.
 The package sums GA exactly, as integers in units of 1/SCALE; the
-reference here is math.fsum over float terms.
+reference here is math.fsum over float terms. The package sums a value
+built from an edge list over its lists of ends and a structure value tree
+by tree, each star's leaf edges in closed form; the exact reference here
+adds ga_term edge by edge over an edge set.
+The package finds the cycle by peeling leaves over neighbor-id sums and
+steps off the least cycle vertex through the first unpeeled edge at it;
+the reference here peels neighbor lists and compares both cycle neighbors.
 The package's ring sweep reads every arc that ends at a star off two
 walks from the star; the reference here sums each arc on its own, from
 its start to the star's other cycle neighbor.
@@ -51,7 +57,7 @@ from gaindex import (
 )
 from gaindex import transforms
 from gaindex.enumeration import MAX_ORDER, _cycle_terms, _rooted_trees, _shape_sums, _star_sums
-from gaindex.graph import GraphError, norm_edge, pendant_tree
+from gaindex.graph import GraphError, ga_term, norm_edge, pendant_tree
 from gaindex.transforms import PreconditionError
 
 
@@ -63,6 +69,11 @@ def float_ga_term(du: int, dv: int) -> float:
 def fsum_ga(degrees, edges) -> float:
     """GA of the edges under these degrees: math.fsum over the float terms."""
     return math.fsum(float_ga_term(degrees[u], degrees[v]) for u, v in edges)
+
+
+def reference_ga_sum(degrees, edges) -> int:
+    """The exact GA sum of the edges under these degrees, edge by edge."""
+    return sum(ga_term(degrees[u], degrees[v]) for u, v in edges)
 
 
 def relabel(g: Graph, perm) -> Graph:
@@ -77,6 +88,26 @@ def neighbor_lists(g: Graph) -> list:
         nbrs[u].append(v)
         nbrs[v].append(u)
     return [sorted(a) for a in nbrs]
+
+
+def reference_cycle_order(g: Graph) -> tuple:
+    """The cycle of a unicyclic g in the package's order: peel leaves off the
+    neighbor lists, then walk from the least cycle vertex toward the lesser
+    of its two cycle neighbors."""
+    nbrs = [set(a) for a in neighbor_lists(g)]
+    leaves = [v for v in range(g.n) if len(nbrs[v]) == 1]
+    for v in leaves:  # the list grows as peeling exposes new leaves
+        for w in nbrs[v]:
+            nbrs[w].discard(v)
+            if len(nbrs[w]) == 1:
+                leaves.append(w)
+        nbrs[v] = set()
+    start = min(v for v in range(g.n) if nbrs[v])
+    order, prev, cur = [start], start, min(nbrs[start])
+    while cur != start:
+        order.append(cur)
+        prev, cur = cur, min(nbrs[cur] - {prev})
+    return tuple(order)
 
 
 def reference_is_connected(g: Graph) -> bool:

@@ -30,6 +30,7 @@ from gaindex import (
 )
 
 import gaindex.graph
+from gaindex.cli import _random_unicyclic
 from gaindex.enumeration import _rings
 from gaindex.graph import (MAX_VERTICES, SCALE, ga_term, json_text, ring_graph, rises_above,
                            scaled_tol)
@@ -46,6 +47,8 @@ from _helpers import (
 )
 from _oracles import (
     reference_canonical_form,
+    reference_cycle_order,
+    reference_ga_sum,
     reference_is_connected,
     reference_pendant_tree,
     reference_ring_edges,
@@ -294,8 +297,9 @@ def test_cycle_set_invariant_under_relabeling(data):
 
 
 # ---------------------------------------------------------------------------
-# edge order: the edge set's iteration order depends on insertion history;
-# no structure may depend on it
+# edge order: an edge-list value peels and sums its ends in input order, and
+# the edge set's iteration order depends on insertion history; no structure
+# may depend on either
 # ---------------------------------------------------------------------------
 
 
@@ -354,6 +358,55 @@ def test_structure_ignores_edge_order_on_large_random_graphs(seed):
         edges.extend((rng.randrange(w), w) for w in range(girth, n))
         reordered += _assert_structure_ignores_edge_order(build_graph(n, edges), rng)
     assert reordered > 0, "no rebuild changed the edge order; the test checks nothing"
+
+
+# The least cycle vertex 2 of this graph has tree children 3 and 4 of greater
+# id, both listed before its cycle edges, and a child 1 of lesser id; its
+# cycle neighbors are 6 and 10, so the cycle is walked 2, 6, 9, 5, 10.
+_TREE_EDGES = [(2, 3), (2, 4), (1, 2), (3, 8), (4, 7), (0, 1)]
+_CYCLE_EDGES = [(6, 9), (9, 5), (5, 10)]
+
+
+@pytest.mark.parametrize("lesser_first", [True, False], ids=["to-6-first", "to-10-first"])
+@pytest.mark.parametrize("flip", [False, True], ids=["lesser-end-first", "greater-end-first"])
+def test_the_walk_leaves_the_least_cycle_vertex_past_its_tree_children(lesser_first, flip):
+    at_start = [(2, 6), (2, 10)] if lesser_first else [(2, 10), (2, 6)]
+    edges = _TREE_EDGES + at_start + _CYCLE_EDGES
+    g = build_graph(11, [(v, u) for u, v in edges] if flip else edges)
+    assert g.cycle.vertices == reference_cycle_order(g) == (2, 6, 9, 5, 10)
+    _assert_structure_ignores_edge_order(g, random.Random(lesser_first + 2 * flip))
+
+
+@given(graph_with_permutation(max_n=40))
+def test_the_cycle_order_matches_the_reference_peel(gp):
+    g, perm = gp
+    r = relabel(g, perm)
+    assert r.cycle.vertices == reference_cycle_order(r)
+
+
+def test_reducing_an_edge_list_value_builds_no_edge_set():
+    g = parse_edge_list(format_edge_list(_random_unicyclic(200, random.Random(5))))
+    trace = reduction_pipeline(g)
+    trace.to_json()
+    assert trace.steps and "edges" not in vars(g)
+    assert all("edges" not in vars(s.graph) for s in trace.steps)
+
+
+def _assert_equal_values(a, b) -> None:
+    assert a == b and b == a and hash(a) == hash(b)
+
+
+def test_edge_list_values_equal_the_ring_and_rewrite_values_of_their_graph(unicyclic):
+    for n in range(3, 9):
+        built = [build_graph(n, sorted(reference_ring_edges(ring), reverse=True))
+                 for ring, _ in _rings(n)]
+        for g, b, other in zip(unicyclic(n), built, built[1:] + built[:1], strict=True):
+            _assert_equal_values(b, g)
+            assert len(built) == 1 or b != other and g != other
+            if n >= 5:
+                for step in reduction_pipeline(g).steps:
+                    h = step.graph
+                    _assert_equal_values(build_graph(n, [(v, u) for u, v in h.edges]), h)
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +599,62 @@ def test_each_term_is_within_two_roundings_of_the_real_term():
 
 
 # ---------------------------------------------------------------------------
+# exact GA sums: over the ends of an edge-list value, tree by tree for a
+# structure value, each star in closed form
+# ---------------------------------------------------------------------------
+
+
+def _assert_ga_sum(g) -> None:
+    """g's exact GA sum, and that of the edge-list value of g's edges, is the
+    edge-by-edge reference."""
+    expected = reference_ga_sum(g.degrees, g.edges)
+    assert g.ga_sum == expected
+    assert build_graph(g.n, list(g.edges)).ga_sum == expected
+
+
+def _tree_kinds(g) -> set:
+    """The kinds of pendant tree g's structure value sums: a root of degree
+    2, a star hub or a tree summed edge by edge."""
+    deg = g.degrees
+    return {"degree-2 root" if deg[r] == 2 else "star hub" if len(t) == deg[r] - 1
+            else "non-star tree" for r, t in g.cycle.trees.items()}
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_ring_sums_match_the_reference(n):
+    for ring, total in _rings(n):
+        g = ring_graph(ring)
+        assert g.ga_sum == total == reference_ga_sum(g.degrees, reference_ring_edges(ring))
+        assert build_graph(n, reference_ring_edges(ring)).ga_sum == total
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_ga_sums_match_the_reference_at_every_pipeline_step(unicyclic, n):
+    kinds = set()
+    for g in unicyclic(n):  # ring values, and the pipeline's rewrite values
+        for h in [g, *(step.graph for step in reduction_pipeline(g).steps)]:
+            _assert_ga_sum(h)
+            kinds |= _tree_kinds(h)
+    assert kinds == {"degree-2 root", "star hub", "non-star tree"}
+
+
+def test_ga_sums_match_the_reference_on_random_graphs():
+    kinds = set()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(5, 300), st.integers(0, 2**32))
+    def check(n, seed):
+        g = _random_unicyclic(n, random.Random(seed))
+        _assert_ga_sum(g)
+        for step in reduction_pipeline(g).steps:
+            _assert_ga_sum(step.graph)
+            kinds.update(_tree_kinds(step.graph))
+
+    check()
+    assert kinds == {"degree-2 root", "star hub", "non-star tree"}
+
+
+# ---------------------------------------------------------------------------
 # canonical form
 # ---------------------------------------------------------------------------
 
@@ -690,6 +799,9 @@ def test_edge_list_round_trip():
         ("3 3\n0 1\n1 0\n1 2\n", 3),
         ("3 3\n0 1\n1 3\n0 2\n", 3),
         ("3 2\n0 1\n2 2\n\n\n", 3),
+        # of two faults the first line's is blamed, as the pairs are read
+        ("3 3\n1 1\n0 x\n1 2\n", 2),
+        ("3 3\n0 1\n1 0\n0 5\n", 3),
         # a bad header is blamed on line 1
         (f"{MAX_VERTICES + 1} 1\n0 1\n", 1),
         ("0 0\n\n", 1),
@@ -699,6 +811,22 @@ def test_edge_list_errors_carry_line_numbers(text, line):
     with pytest.raises(EdgeListError) as exc:
         parse_edge_list(text)
     assert exc.value.line == line
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 3\n1 1\n0 x\n1 2\n", "line 2: self-loop (1, 1)"),
+    ("3 3\n0 1\n1 0\n0 5\n", "line 3: duplicate edge (1, 0)"),
+    ("3 3\n0 1\n2 0\n0 2\n", "line 4: duplicate edge (0, 2)"),
+    ("3 2\n0 1\n0 3\n", "line 3: vertex out of range in edge (0, 3) for n=3"),
+    ("3 2\n0 1\n-1 2\n", "line 3: vertex out of range in edge (-1, 2) for n=3"),
+    ("3 2\n0 1\n1 x\n", "line 3: expected two integers, got '1 x'"),
+    ("3 2\n0 1 2\n", "line 2: expected 'u v', got '0 1 2'"),
+    ("3 3\n0 1\n1 2\n", "line 3: header declares 3 edges but 2 were given"),
+])
+def test_edge_list_error_messages_are_pinned(text, message):
+    with pytest.raises(EdgeListError) as exc:
+        parse_edge_list(text)
+    assert str(exc.value) == message
 
 
 def test_json_text_layout():

@@ -10,9 +10,11 @@ below. No module, graph.py included, reads an `adjacency` or `neighbors`
 attribute. Only graph.py calls the Graph constructor, and within it only
 build_graph, ring_graph and Graph.rehang do; only graph.py builds a
 CycleStructure or writes a Graph value's cached fields or a structure's
-root record. A Graph value holds n, m and its degrees as plain fields and
-caches only its edges, cycle and GA (the exact sum and its float), and
-Graph defines no property; a CycleStructure is plain data: no lazy field.
+root record. A Graph value holds n, m, its degrees and its ends as plain
+fields and caches only its edges, cycle and GA (the exact sum and its
+float), and Graph defines no property; a CycleStructure is plain data: no
+lazy field. build_graph, the peel and the GA sum read no edge set and make
+no normalized edge tuple.
 GA has one definition: only graph.py assigns SCALE and defines a GA term
 function, and math.fsum is read only by indices.ag_index. Only graph.py
 imports json, and only its json_text calls json.dumps; only its rises_above
@@ -211,6 +213,21 @@ def test_graph_caches_only_its_structure_and_ga():
               if isinstance(node, ast.FunctionDef)
               and any("cached_property" in _references(d) for d in node.decorator_list)]
     assert cached == ["edges", "cycle", "ga_sum", "ga"]
+
+
+def _graph_function(qualname: str) -> ast.FunctionDef:
+    """A function of graph.py by its qualified name: `name` or `Class.name`."""
+    *cls, name = qualname.split(".")
+    body = _graph_class(cls[0]).body if cls else MODULES["graph.py"].body
+    return next(node for node in body if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+@pytest.mark.parametrize("qualname", ["build_graph", "Graph.cycle", "Graph.ga_sum"])
+def test_the_reduce_path_builds_no_edge_set(qualname):
+    # reduce validates, peels and sums an input over its two lists of ends;
+    # an `.edges` read or a norm_edge call there would rebuild the tuple set
+    refs = set(_references(_graph_function(qualname)))
+    assert refs & {"edges", "norm_edge"} == set(), f"{qualname} builds edge tuples"
 
 
 def _sites(match) -> set:
