@@ -2,8 +2,9 @@
 
 Library surface: graph construction and unicyclic structure (graph),
 GA/AG evaluation (indices), extremal families and closed forms (families),
-GA-decreasing rewrites and the reduction pipeline (transforms), exhaustive
-enumeration and bound verification (enumeration), CLI (cli).
+GA-decreasing rewrites and the reduction pipeline (transforms), rings of
+rooted-tree shapes and their edits (rings), exhaustive enumeration and
+bound verification (enumeration), CLI (cli).
 """
 
 from .graph import (

@@ -8,7 +8,7 @@ Four families appear as endpoints of the rewrite pipeline:
 * ``spq4``   a 4-cycle with p and q pendants on two opposite vertices;
 * ``srk3``   a triangle with r and k pendants on two of its vertices.
 
-:func:`make_family` builds each as a ring (``graph.ring_graph``): a cycle
+:func:`make_family` builds each as a ring (``rings.ring_graph``): a cycle
 vertex with k pendants carries the shape of k leaves.
 
 The comparison functions compare_AB / compare_CD decompose the GA gap
@@ -22,8 +22,9 @@ import math
 import operator
 from typing import Callable, NamedTuple
 
-from .graph import MAX_VERTICES, Graph, NotUnicyclicError, ring_graph
+from .graph import MAX_VERTICES, Graph, NotUnicyclicError
 from .indices import f_eval, g_eval
+from .rings import ring_graph
 
 FAMILY_NAMES = ("cycle", "sn3", "spq4", "srk3")
 

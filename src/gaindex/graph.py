@@ -3,14 +3,14 @@
 Vertices are the integers 0..n-1. Graph values are immutable: every
 structural operation returns a new Graph, so intermediate states of a
 rewrite sequence can be kept side by side and compared edge by edge.
-Values are built only here, each by one constructor, Graph(degrees,
-ends=None, cycle=None), from its degrees and its ends or cycle structure:
-from an edge list (`build_graph`, which hands over each edge's lesser and
-greater end as two int lists), from a ring of rooted-tree shapes
-(`ring_graph`) or by a rewrite (`Graph.rehang`). Only an edge list's value
-peels: one leaf peeling finds the cycle, each tree vertex's parent toward
-it and the pendant trees. A ring's value reads them off the ring and a
-rewrite's result derives them from its input's. No value holds an edge set
+Each value is built by one constructor, Graph(degrees, ends=None,
+cycle=None), from its degrees and its ends or cycle structure: here from an
+edge list (`build_graph`, which hands over each edge's lesser and greater
+end as two int lists) or by a rewrite (`Graph.rehang`); the rings module
+builds a ring's value the same way. Only an edge list's value peels: one
+leaf peeling finds the cycle, each tree vertex's parent toward it and the
+pendant trees. A ring's value reads them off the ring and a rewrite's
+result derives them from its input's. No value holds an edge set
 from the start: each builds its frozenset of edge tuples only when it is
 compared, hashed or read. No value holds neighbor lists: the peel sums
 each vertex's live-neighbor ids over the lists of ends, and other modules
@@ -338,34 +338,6 @@ def build_graph(n: int, edge_list: Iterable) -> Graph:
     return Graph(tuple(deg), (lo, hi))
 
 
-def ring_graph(ring: tuple) -> Graph:
-    """The graph of a ring, the rooted-tree shapes hung on a cycle in order
-    (a shape is the sorted tuple of its child shapes): cycle vertices
-    0..len(ring)-1 in cycle order, then each tree's vertices depth first, as
-    the structure read off the ring lists them. Raises GraphError below three."""
-    girth = len(ring)
-    if girth < 3:
-        raise GraphError(f"a ring needs at least 3 shapes, got {girth}")
-    deg = [len(shape) + 2 for shape in ring]
-    parent, root, trees = [None] * girth, list(range(girth)), {}
-
-    def hang(p: int, shape: tuple) -> None:  # numbers each child next, then its subtree
-        for child in shape:
-            parent.append(p)
-            deg.append(len(child) + 1)
-            if child:
-                hang(len(deg) - 1, child)
-
-    for r, shape in enumerate(ring):
-        start = len(deg)
-        hang(r, shape)
-        root += [r] * (len(deg) - start)
-        trees[r] = (r, *range(start, len(deg)))
-    cycle = tuple(range(girth))  # the order Graph.cycle walks: from 0 toward 1
-    return Graph(tuple(deg), cycle=CycleStructure(cycle, tuple(parent), tuple(root), trees,
-                                                  dict(zip(cycle, cycle))))
-
-
 def is_connected(g: Graph) -> bool:
     """True iff g has one component: a union-find over the edges, with path halving."""
     boss, parts = list(range(g.n)), g.n
@@ -392,7 +364,7 @@ def is_unicyclic(g: Graph) -> bool:
 class CycleStructure:
     """The unique cycle of a unicyclic graph, in a fixed cyclic order, and the
     pendant trees hanging off it; plain data, built only by Graph.cycle (the
-    peel of a value built from an edge list), ring_graph and Graph.rehang.
+    peel of a value built from an edge list), Graph.rehang and rings.ring_graph.
 
     The order starts at the smallest cycle vertex id and proceeds toward the
     smaller of its two cycle neighbors, which makes downstream traces

@@ -1,0 +1,289 @@
+"""A unicyclic graph is a ring: the rooted-tree shapes hung on its cycle,
+where a shape is the sorted tuple of its child shapes. Rings equal up to
+rotation and reflection are isomorphic graphs, so keeping the least ring
+of each class yields one graph per class with no isomorphism test.
+
+Here are the shapes and the tables of their exact GA sums, the least rings
+(:func:`ring_classes`), the graph of a ring (:func:`ring_graph`, cycle
+vertex i at position i) and the operators as edits of a ring's sum
+(:func:`ring_edits`, :func:`edit_key`), which rely on that numbering.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from operator import itemgetter
+
+from .graph import CycleStructure, Graph, GraphError, ga_term
+
+
+@lru_cache(maxsize=None)
+def _forests(total: int) -> tuple:
+    """All multisets of rooted-tree shapes with vertex counts summing to total.
+    A shape is its child forest: the shapes on s vertices are _forests(s - 1)."""
+    if total == 0:
+        return ((),)
+    found = set()
+    for first in range(1, total + 1):
+        for tree in _forests(first - 1):
+            for rest in _forests(total - first):
+                found.add(tuple(sorted((tree,) + rest)))
+    return tuple(sorted(found))
+
+
+def _compositions_from(total: int, parts: int, low: int):
+    """Compositions of total into parts, each at least low, in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(low, total - low * (parts - 1) + 1):
+        for rest in _compositions_from(total - head, parts - 1, low):
+            yield (head,) + rest
+
+
+@lru_cache(maxsize=None)
+def _dihedral(girth: int) -> tuple:
+    """The rotations and reflections of a ring of this girth, identity excluded,
+    each as an itemgetter that returns the image of a tuple."""
+    maps = []
+    for k in range(girth):
+        if k:
+            maps.append([(i + k) % girth for i in range(girth)])
+        maps.append([girth - 1 - (i + k) % girth for i in range(girth)])
+    return tuple(itemgetter(*p) for p in maps)
+
+
+def _stabilizer(sizes: tuple) -> tuple | None:
+    """The symmetries that fix sizes, or None when one maps sizes below itself."""
+    fixing = []
+    for sym in _dihedral(len(sizes)):
+        image = sym(sizes)
+        if image < sizes:
+            return None
+        if image == sizes:
+            fixing.append(sym)
+    return tuple(fixing)
+
+
+@lru_cache(maxsize=None)
+def _tree_sum(shape: tuple, root_degree: int) -> int:
+    """The scaled GA sum of the edges of a shape whose root has the given degree."""
+    return sum(ga_term(root_degree, len(child) + 1) + _tree_sum(child, len(child) + 1)
+               for child in shape)
+
+
+@lru_cache(maxsize=None)
+def _hung_shapes(below: int) -> tuple:
+    """(shape, scaled GA sum of its edges, root degree) for each shape with
+    `below` vertices under its root hung on a cycle vertex, which adds two
+    to its root's degree."""
+    return tuple((shape, _tree_sum(shape, len(shape) + 2), len(shape) + 2)
+                 for shape in _forests(below))
+
+
+@lru_cache(maxsize=None)
+def _cycle_terms(n: int) -> tuple:
+    """ga_term(du, dv) at [du][dv] for the degrees of cycle vertices of order n
+    (2..n-1), as nested lists for fast lookup while rings are built."""
+    return tuple([ga_term(du, dv) if du > 1 and dv > 1 else 0 for dv in range(n)]
+                 for du in range(n))
+
+
+@lru_cache(maxsize=None)
+def _star_sums(n: int) -> tuple:
+    """(d - 2) * ga_term(d, 1) at [d] for the degrees of cycle vertices of order
+    n (2..n-1): the scaled GA sum of the edges of a star hung on a cycle vertex
+    of degree d."""
+    return (0, 0) + tuple((d - 2) * ga_term(d, 1) for d in range(2, n))
+
+
+@lru_cache(maxsize=None)
+def _shape_sums(n: int) -> dict:
+    """shape -> (its number of vertices below the root, its _hung_shapes sum)
+    for every shape that a ring of order n hangs on a cycle vertex."""
+    return {shape: (size, total) for size in range(n - 2)
+            for shape, total, _ in _hung_shapes(size)}
+
+
+def ring_classes(n: int):
+    """Yield (choice, total) for the least ring of each class of order n.
+
+    choice[i] is the shape hung on cycle vertex i, and total the ga_sum of
+    the ring's graph. Rings compare their sizes (each shape's number of
+    tree vertices) first, so the sizes of a least ring are least among their
+    images, they start with their least part, and only the symmetries that
+    fix them can map its choice below itself. Girths ascend, and sizes and
+    choices come in lexicographic product order. Each ring's sum grows with
+    it: a level holds (sum so far, last degree, first degree, choice prefix).
+    """
+    terms = _cycle_terms(n)
+    for girth in range(3, n + 1):
+        extra = n - girth
+        for head in range(extra // girth + 1):
+            for rest in _compositions_from(extra - head, girth - 1, head):
+                sizes = (head,) + rest
+                fixing = _stabilizer(sizes)
+                if fixing is None:
+                    continue
+                first, *others = [_hung_shapes(s) for s in sizes]
+                level = [(t, d, d, (c,)) for c, t, d in first]
+                for options in others:
+                    level = [(t + u + terms[p][d], d, f, prefix + (c,))
+                             for t, p, f, prefix in level for c, u, d in options]
+                rings = [(choice, t + terms[p][f]) for t, p, f, choice in level]
+                if fixing:
+                    rings = [r for r in rings if all(sym(r[0]) >= r[0] for sym in fixing)]
+                yield from rings
+
+
+def ring_graph(ring: tuple) -> Graph:
+    """The graph of a ring, the rooted-tree shapes hung on a cycle in order
+    (a shape is the sorted tuple of its child shapes): cycle vertices
+    0..len(ring)-1 in cycle order, then each tree's vertices depth first, as
+    the structure read off the ring lists them. Raises GraphError below three."""
+    girth = len(ring)
+    if girth < 3:
+        raise GraphError(f"a ring needs at least 3 shapes, got {girth}")
+    deg = [len(shape) + 2 for shape in ring]
+    parent, root, trees = [None] * girth, list(range(girth)), {}
+
+    def hang(p: int, shape: tuple) -> None:  # numbers each child next, then its subtree
+        for child in shape:
+            parent.append(p)
+            deg.append(len(child) + 1)
+            if child:
+                hang(len(deg) - 1, child)
+
+    for r, shape in enumerate(ring):
+        start = len(deg)
+        hang(r, shape)
+        root += [r] * (len(deg) - start)
+        trees[r] = (r, *range(start, len(deg)))
+    cycle = tuple(range(girth))  # the order Graph.cycle walks: from 0 toward 1
+    return Graph(tuple(deg), cycle=CycleStructure(cycle, tuple(parent), tuple(root), trees,
+                                                  dict(zip(cycle, cycle))))
+
+
+def ring_edits(choice: tuple, n: int):
+    """Yield (op, where, count, rise) for each choice that operator_applications
+    yields for ring_graph(choice), whose cycle vertex i is the ring's position
+    i. where is the params' values, but (u, v, ahead) for the arc from u to v
+    that runs ahead of u in the cycle order (ahead) or behind it; count is the
+    number of applications it stands for, one per cycle edge on an arc; rise
+    is the exact ga_sum of the operator's result less the graph's, or None
+    when the operator rejects the choice.
+
+    A rise edits the ring's sum: the cycle terms and tree sums at the
+    positions the rewrite changes go out, and those of the result come in.
+    star_transform gives v a star of its size; relocate_min empties u's tree
+    and gives v, a star, that many more leaves. Each is a one-position edit,
+    or two whose shared edge, for adjacent u and v, counts once; an identity,
+    a star at v or an empty tree at u, reads 0 with no arithmetic.
+    arc_transform hangs the arc's inner positions and their trees on v as
+    leaves and joins u to v. The finishing moves leave a 4-cycle or a
+    triangle with two stars, whose sum is read off their degrees. So each
+    edit costs O(1): the arcs that end at a star v come from two walks from
+    v, one each way. The choices are operator_applications' own, read off
+    the degrees; the arc's degree ordering and a second local minimum for
+    finish_one_neighbor_deg2 are the guards left that can reject one.
+    """
+    terms, stars, shapes = _cycle_terms(n), _star_sums(n), _shape_sums(n)
+    k = len(choice)
+    deg = [len(shape) + 2 for shape in choice]
+    size, tree = zip(*map(shapes.__getitem__, choice))
+    prev, succ = deg[-1:] + deg[:-1], deg[1:] + deg[:1]
+    cyc = [terms[a][b] for a, b in zip(deg, succ)]  # cyc[i]: the edge from i to i + 1
+    local_max = [i for i, d, a, b in zip(range(k), deg, prev, succ) if d >= a and d >= b]
+    local_min = [i for i, d, a, b in zip(range(k), deg, prev, succ) if d <= a and d <= b]
+    max_stars = [v for v in local_max if not any(choice[v])]
+
+    def one(x: int, d: int) -> int:
+        """The rise when position x alone takes degree d with a star."""
+        return (terms[prev[x]][d] + terms[d][succ[x]] - cyc[x - 1] - cyc[x]
+                + stars[d] - tree[x])
+
+    def arcs(v: int, step: int):
+        """The arc_transform edits of the arcs that end at v, from one walk
+        from v that steps ahead (step 1) or behind (-1) and meets u at 2..k-2
+        steps; from v behind, the arc from u runs ahead of u. The walk carries
+        the cycle terms and trees that go out, the inner sizes and the least
+        and largest inner degree, so each arc costs O(1)."""
+        dv, dw, ahead = deg[v], deg[(v - step) % k], step < 0  # w: v's other cycle neighbor
+        into = cyc if ahead else cyc[-1:] + cyc[:-1]  # into[x]: the edge passed to reach x
+        out, inner, low, high = into[v] + tree[v], 0, dv, 0
+        for j in range(1, k - 1):
+            x = (v + step * j) % k
+            out += into[x]
+            du = deg[x]
+            if j > 1:
+                d = dv + j - 1 + inner
+                yield ("arc_transform", (x, v, ahead), j,  # None unless du <= inner degrees <= dv
+                       terms[du][d] + terms[d][dw] + stars[d] - out if du <= low and high <= dv
+                       else None)
+            out += tree[x]
+            inner += size[x]
+            if du < low:
+                low = du
+            if du > high:
+                high = du
+
+    def square(a: int, b: int) -> int:
+        """The sum of a 4-cycle of degrees a, 2, b, 2 with stars at a and b."""
+        return 2 * terms[a][2] + 2 * terms[2][b] + stars[a] + stars[b]
+
+    def finish_one(d: int, vt: int) -> int:
+        """The sum of finish_one_neighbor_deg2's result at a star of degree d
+        whose other cycle neighbor is vt: the arc from u to vt hangs the
+        other positions and their trees, `inner` vertices, on vt. When a
+        child of vt then has a higher degree than vt, the first of largest
+        degree becomes w on the 4-cycle (u, w, vt, v)."""
+        shape, inner = choice[vt], n - 1 - d - size[vt]
+        dt = deg[vt] + inner
+        dw = max(len(child) + 1 for child in shape)  # vt, not of degree 2, has children
+        if dw <= dt:  # the triangle (v, u, vt)
+            dv = d + size[vt] - len(shape)
+            return terms[dv][2] + terms[2][dt] + terms[dt][dv] + stars[dt] + stars[dv]
+        sw = 1 + next(shapes[child][0] for child in shape if len(child) + 1 == dw)
+        return square(1 + sw, n - 1 - sw)
+
+    for v in local_max:
+        d = size[v] + 2  # d == deg[v]: v holds a star already, so the result is the input
+        yield "star_transform", (v,), 1, 0 if d == deg[v] else one(v, d)
+    for u in local_min:
+        s = size[u]  # moving an empty tree changes nothing
+        rest = one(u, 2) if s else 0
+        for v in max_stars:
+            if u != v:
+                rise = 0
+                if s:
+                    d = deg[v] + s
+                    rise = rest + one(v, d)
+                    j = (v - u) % k
+                    if j == 1 or j == k - 1:  # both halves edited the shared edge
+                        rise += (cyc[u if j == 1 else v] + terms[2][d]
+                                 - terms[2][deg[v]] - terms[deg[u]][d])
+                yield "relocate_min", (u, v), 1, rise
+    for v in max_stars:
+        yield from arcs(v, -1)
+        yield from arcs(v, 1)
+    total, d = sum(cyc) + sum(tree), max(deg)
+    for v in (v for v in max_stars if deg[v] == d):  # the maximal-degree stars
+        a, b = (v - 1) % k, (v + 1) % k
+        if k > 3 and deg[a] == deg[b] == 2:
+            yield "finish_two_neighbors_deg2", (v,), 1, square(d, n - d) - total
+        for u, vt in ((a, b), (b, a)):
+            if deg[u] == 2 != deg[vt]:  # u, of degree 2, is a local minimum
+                yield ("finish_one_neighbor_deg2", (v, u), 1,
+                       finish_one(d, vt) - total if local_min == [u] else None)
+
+
+def edit_key(op: str, params: dict, girth: int) -> tuple:
+    """The `where` under which ring_edits lists the application of op with
+    these params to a ring's graph of this girth: the params' values, but
+    (u, v, ahead) for arc_transform, whose edge e picks the arc that runs
+    ahead of u exactly when it starts fewer than d(u, v) steps ahead of u."""
+    if op != "arc_transform":
+        return tuple(params.values())
+    u, (a, b), v = params["u"], params["e"], params["v"]
+    edge = a if b == a + 1 else b  # cycle edge i joins positions i and i + 1
+    return u, v, (edge - u) % girth < (v - u) % girth

@@ -82,25 +82,25 @@ def lift_ring_edits(monkeypatch, lift) -> None:
     exact rise of each ring edit (op, where, count, rise) of each class's ring
     choice; a rejected edit has rise None. The edits themselves stay as they
     are."""
-    edits = enumeration._ring_edits
+    edits = enumeration.ring_edits
 
     def patched(choice, n):
         for op, where, count, rise in edits(choice, n):
             yield op, where, count, lift(choice, op, where, rise)
 
-    monkeypatch.setattr("gaindex.enumeration._ring_edits", patched)
+    monkeypatch.setattr("gaindex.enumeration.ring_edits", patched)
 
 
 def lift_ring_sums(monkeypatch, lift) -> None:
     """Make verify_bounds read each ring's exact GA sum plus lift(choice),
     in units of 1/SCALE; the rings themselves stay as they are."""
-    rings = enumeration._rings
+    rings = enumeration.ring_classes
 
     def patched(n):
         for choice, total in rings(n):
             yield choice, total + lift(choice)
 
-    monkeypatch.setattr("gaindex.enumeration._rings", patched)
+    monkeypatch.setattr("gaindex.enumeration.ring_classes", patched)
 
 
 REPO = Path(__file__).resolve().parent.parent

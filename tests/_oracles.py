@@ -38,8 +38,10 @@ The package finds the cycle by peeling leaves over neighbor-id sums and
 steps off the least cycle vertex through the first unpeeled edge at it;
 the reference here peels neighbor lists and compares both cycle neighbors.
 The package's ring sweep reads every arc that ends at a star off two
-walks from the star; the reference here sums each arc on its own, from
-its start to the star's other cycle neighbor.
+walks from the star, with terms and tree sums from its memoized tables;
+the reference here sums each arc on its own, from its start to the star's
+other cycle neighbor, with each term from ga_term and each tree summed
+edge by edge.
 """
 
 import itertools
@@ -56,8 +58,9 @@ from gaindex import (
     star_transform,
 )
 from gaindex import transforms
-from gaindex.enumeration import MAX_ORDER, _cycle_terms, _rooted_trees, _shape_sums, _star_sums
+from gaindex.enumeration import MAX_ORDER
 from gaindex.graph import GraphError, ga_term, norm_edge, pendant_tree
+from gaindex.rings import _forests
 from gaindex.transforms import PreconditionError
 
 
@@ -178,7 +181,7 @@ def least_rings(n: int):
     the full product of shapes, in the package's generation order."""
     for girth in range(3, n + 1):
         for sizes in compositions(n - girth, girth):
-            for choice in itertools.product(*[_rooted_trees(s + 1) for s in sizes]):
+            for choice in itertools.product(*[_forests(s) for s in sizes]):
                 if is_least_ring(sizes, choice):
                     yield sizes, choice
 
@@ -251,15 +254,31 @@ def syntactic_applications(g: Graph):
                    (lambda v=v, u=u: finish_one_neighbor_deg2(g, v, u)))
 
 
-def reference_arc_edits(choice: tuple, n: int) -> dict:
+def hung_shape(shape: tuple) -> tuple:
+    """(vertices below the root, exact GA sum of the edges) of a shape hung
+    on a cycle vertex, which adds two to its root's degree: edge by edge,
+    from a stack of (shape, degree of its root)."""
+    size = total = 0
+    stack = [(shape, len(shape) + 2)]
+    while stack:
+        node, d = stack.pop()
+        for child in node:
+            size += 1
+            total += ga_term(d, len(child) + 1)
+            stack.append((child, len(child) + 1))
+    return size, total
+
+
+def reference_arc_edits(choice: tuple) -> dict:
     """(u, v, ahead) -> (count, rise) for the arc_transform edits the ring
-    sweep makes on the ring `choice` of order n: for each start u and each
-    local maximum v that is a star, neither equal nor adjacent, the arc
-    ahead of u and the arc behind it, each summed on its own."""
-    terms, stars, shapes = _cycle_terms(n), _star_sums(n), _shape_sums(n)
+    sweep makes on the ring `choice`: for each start u and each local
+    maximum v that is a star, neither equal nor adjacent, the arc ahead of u
+    and the arc behind it, each summed on its own. Every term comes from
+    ga_term, and every tree sum, the result's star at v included, from
+    hung_shape; no table of the package is read."""
     k = len(choice)
     deg = [len(shape) + 2 for shape in choice]
-    size, tree = zip(*map(shapes.__getitem__, choice))
+    size, tree = zip(*map(hung_shape, choice))
     max_stars = [v for v in range(k) if not any(choice[v])
                  and deg[v] >= max(deg[v - 1], deg[(v + 1) % k])]
 
@@ -271,8 +290,8 @@ def reference_arc_edits(choice: tuple, n: int) -> dict:
             return None
         d = dv + len(inner) + sum(size[w] for w in inner)
         # out: the arc's edges, v's other cycle edge and the trees at inner and v
-        return (terms[du][d] + terms[d][deg[run[-1]]] + stars[d]
-                - sum(terms[deg[a]][deg[b]] for a, b in zip(run, run[1:]))
+        return (ga_term(du, d) + ga_term(d, deg[run[-1]]) + hung_shape(((),) * (d - 2))[1]
+                - sum(ga_term(deg[a], deg[b]) for a, b in zip(run, run[1:]))
                 - sum(tree[w] for w in inner) - tree[v])
 
     edits = {}

@@ -22,15 +22,9 @@ from gaindex import (
     verify_monotonicity,
 )
 from gaindex import enumeration, transforms
-from gaindex.enumeration import (
-    MAX_BOUND_ORDER,
-    OPERATOR_NAMES,
-    _edit_key,
-    _ring_edits,
-    _rings,
-    operator_applications,
-)
-from gaindex.graph import SCALE, ga_term, ring_graph
+from gaindex.enumeration import MAX_BOUND_ORDER, OPERATOR_NAMES, operator_applications
+from gaindex.graph import SCALE, ga_term
+from gaindex.rings import edit_key, ring_classes, ring_edits, ring_graph
 from gaindex.transforms import PreconditionError
 
 from _helpers import assert_same_structure, lift_ring_edits, lift_ring_sums
@@ -112,13 +106,13 @@ def test_generation_needs_no_canonical_labeling(monkeypatch):
 @pytest.mark.parametrize("n", range(3, 12))
 def test_rings_match_the_reference_filter(n):
     # a ring's sizes are its shapes' sizes, so the choices say it all
-    assert [choice for choice, _ in _rings(n)] == [choice for _, choice in least_rings(n)]
+    assert [choice for choice, _ in ring_classes(n)] == [choice for _, choice in least_rings(n)]
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_ring_ga_equals_graph_ga(n):
     # the ring's sum, built with the ring, is its graph's; both round like fsum
-    for choice, total in _rings(n):
+    for choice, total in ring_classes(n):
         g = ring_graph(choice)
         assert total == g.ga_sum
         assert total / SCALE == g.ga == fsum_ga(g.degrees, g.edges)
@@ -340,17 +334,17 @@ def test_monotonicity_sweep_relocates_each_arc_path_once(unicyclic, monkeypatch)
     thunks = distinct = 0
     arcs = set()
     for n in range(5, 9):
-        for (choice, _), g in zip(_rings(n), unicyclic(n)):
+        for (choice, _), g in zip(ring_classes(n), unicyclic(n)):
             paths = set()
             for params, _ in _arc_entries(g):
                 paths.add(transforms._arc_path(g, **params))
-                arcs.add((choice, _edit_key("arc_transform", params, g.cycle.girth)))
+                arcs.add((choice, edit_key("arc_transform", params, g.cycle.girth)))
                 thunks += 1
             distinct += len(paths)
     assert distinct < thunks
     # the ring sweep edits each of those arcs once, as one (u, v, ahead)
     edited = []
-    edits = enumeration._ring_edits
+    edits = enumeration.ring_edits
 
     def logged(choice, n):
         for op, where, count, rise in edits(choice, n):
@@ -358,7 +352,7 @@ def test_monotonicity_sweep_relocates_each_arc_path_once(unicyclic, monkeypatch)
                 edited.append((choice, where))
             yield op, where, count, rise
 
-    monkeypatch.setattr("gaindex.enumeration._ring_edits", logged)
+    monkeypatch.setattr("gaindex.enumeration.ring_edits", logged)
     for n in range(5, 9):
         verify_monotonicity(n)
     assert len(edited) == len(set(edited)) == len(arcs) == distinct
@@ -465,10 +459,10 @@ def test_ring_edits_match_the_graph_operators(n):
     # its edge list builds: every finishing result, and the others to n = 10
     # (at n = 11 they would add about a second)
     accepted = dict.fromkeys(OPERATOR_NAMES, 0)
-    for choice, total in _rings(n):
+    for choice, total in ring_classes(n):
         g = ring_graph(choice)
         ring = {(op, where): [None if rise is None else total + rise] * count
-                for op, where, count, rise in _ring_edits(choice, n)}
+                for op, where, count, rise in ring_edits(choice, n)}
         graph = {}
         for op, params, _ in operator_applications(g):
             try:
@@ -480,7 +474,7 @@ def test_ring_edits_match_the_graph_operators(n):
                     assert_same_structure(h, build_graph(h.n, h.edges))
                 outcome = h.ga_sum
                 accepted[op] += 1
-            graph.setdefault((op, _edit_key(op, params, len(choice))), []).append(outcome)
+            graph.setdefault((op, edit_key(op, params, len(choice))), []).append(outcome)
         assert ring == graph, choice
     assert tuple(accepted.values()) == MONOTONICITY_APPLICATIONS[n]
 
@@ -489,10 +483,10 @@ def test_ring_edits_match_the_graph_operators(n):
 def test_arc_edits_match_the_per_arc_sums(n):
     # past the graph operators' reach: each arc the walks from a star yield,
     # its count and its rise, is the arc summed on its own
-    for choice, _ in _rings(n):
-        walked = {where: (count, rise) for op, where, count, rise in _ring_edits(choice, n)
+    for choice, _ in ring_classes(n):
+        walked = {where: (count, rise) for op, where, count, rise in ring_edits(choice, n)
                   if op == "arc_transform"}
-        assert walked == reference_arc_edits(choice, n), choice
+        assert walked == reference_arc_edits(choice), choice
 
 
 LEAF, PAIR, TRIPLE = ((),), ((),) * 2, ((),) * 3  # stars of one, two and three leaves
@@ -517,7 +511,7 @@ def test_adjacent_relocations_count_their_shared_edge_once(choice, u, v):
     # rise puts it back once, at degrees 2 and v's new degree
     n = len(choice) + sum(map(len, choice))
     g = ring_graph(choice)
-    rises = [rise for op, where, _, rise in _ring_edits(choice, n)
+    rises = [rise for op, where, _, rise in ring_edits(choice, n)
              if (op, where) == ("relocate_min", (u, v))]
     assert rises == [transforms.relocate_min(g, u=u, v=v).ga_sum - g.ga_sum]
 
@@ -527,7 +521,7 @@ def test_star_and_relocation_identities_read_exactly_zero():
     # their input: each is an application whose rise is exactly 0
     choice, n = ((), (), PAIR), 5
     g = ring_graph(choice)
-    edits = {(op, where): (count, rise) for op, where, count, rise in _ring_edits(choice, n)}
+    edits = {(op, where): (count, rise) for op, where, count, rise in ring_edits(choice, n)}
     for op, params in [("star_transform", {"v": 2}), ("relocate_min", {"u": 0, "v": 2}),
                        ("relocate_min", {"u": 1, "v": 2})]:
         count, rise = edits[op, tuple(params.values())]
@@ -545,7 +539,7 @@ def test_a_finishing_edit_takes_the_first_heaviest_child():
     g = ring_graph(choice)
     h = transforms.finish_one_neighbor_deg2(g, 0, 1)
     assert h.cycle.girth == 4 and 5 in h.cycle.vertices  # w is vt's first child, 5
-    assert [(where, g.ga_sum + rise) for op, where, _, rise in _ring_edits(choice, n)
+    assert [(where, g.ga_sum + rise) for op, where, _, rise in ring_edits(choice, n)
             if op in FINISHING_MOVES] == [((0, 1), h.ga_sum)]
 
 
@@ -553,8 +547,8 @@ def test_worst_slack_is_the_largest_exact_rise(monkeypatch):
     # a no-op star edit lifted by x: worst_slack reads x, and that application
     # alone is reported when tol is below x
     n, x = 7, SCALE // 3
-    choice, where = next((choice, where) for choice, _ in _rings(n)
-                         for op, where, _, rise in _ring_edits(choice, n)
+    choice, where = next((choice, where) for choice, _ in ring_classes(n)
+                         for op, where, _, rise in ring_edits(choice, n)
                          if op == "star_transform" and rise == 0)
     lift_ring_edits(monkeypatch, lambda c, op, w, rise:
                     rise + x if (c, op, w) == (choice, "star_transform", where) else rise)
@@ -580,7 +574,7 @@ def test_a_finite_negative_tol_reports_the_applications_above_it(n, tol):
     # order operator_applications yields it: the no-ops at -1e-3, as every
     # fall to n = 8 is at least 0.17, and some falls too at -0.2
     expected = []
-    for choice, _ in _rings(n):
+    for choice, _ in ring_classes(n):
         g = ring_graph(choice)
         for op, params, _ in operator_applications(g):
             try:
@@ -625,8 +619,8 @@ def test_the_monotonicity_sweep_builds_a_graph_only_for_a_violating_class(monkey
     monkeypatch.setattr(Graph.ga_sum, "func", counted_sum)
     assert verify_monotonicity(10).violations == ()
     assert built == summed == []
-    choice, where = next((choice, where) for choice, _ in _rings(10)
-                         for op, where, _, rise in _ring_edits(choice, 10)
+    choice, where = next((choice, where) for choice, _ in ring_classes(10)
+                         for op, where, _, rise in ring_edits(choice, 10)
                          if op == "finish_one_neighbor_deg2" and rise is not None)
     lift_ring_edits(monkeypatch, lambda c, op, w, rise:
                     SCALE if (c, op, w) == (choice, "finish_one_neighbor_deg2", where)

@@ -31,9 +31,8 @@ from gaindex import (
 
 import gaindex.graph
 from gaindex.cli import _random_unicyclic
-from gaindex.enumeration import _rings
-from gaindex.graph import (MAX_VERTICES, SCALE, ga_term, json_text, ring_graph, rises_above,
-                           scaled_tol)
+from gaindex.graph import MAX_VERTICES, SCALE, ga_term, json_text, rises_above, scaled_tol
+from gaindex.rings import ring_classes, ring_graph
 from gaindex.transforms import _local_extremes
 
 import _oracles
@@ -153,7 +152,7 @@ def assert_matches_the_ring_oracle(g, ring) -> None:
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_every_class_matches_the_ring_oracle(n):
-    for g, (ring, _) in zip(enumerate_unicyclic(n), _rings(n), strict=True):
+    for g, (ring, _) in zip(enumerate_unicyclic(n), ring_classes(n), strict=True):
         assert_matches_the_ring_oracle(g, ring)
 
 
@@ -399,7 +398,7 @@ def _assert_equal_values(a, b) -> None:
 def test_edge_list_values_equal_the_ring_and_rewrite_values_of_their_graph(unicyclic):
     for n in range(3, 9):
         built = [build_graph(n, sorted(reference_ring_edges(ring), reverse=True))
-                 for ring, _ in _rings(n)]
+                 for ring, _ in ring_classes(n)]
         for g, b, other in zip(unicyclic(n), built, built[1:] + built[:1], strict=True):
             _assert_equal_values(b, g)
             assert len(built) == 1 or b != other and g != other
@@ -622,7 +621,7 @@ def _tree_kinds(g) -> set:
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_ring_sums_match_the_reference(n):
-    for ring, total in _rings(n):
+    for ring, total in ring_classes(n):
         g = ring_graph(ring)
         assert g.ga_sum == total == reference_ga_sum(g.degrees, reference_ring_edges(ring))
         assert build_graph(n, reference_ring_edges(ring)).ga_sum == total

@@ -7,14 +7,14 @@ from another gaindex module, so each private helper serves its own module
 only. `__init__.py` is skipped: its imports are the package's re-exports.
 No function may rebind a module global, except the allowlisted switches
 below. No module, graph.py included, reads an `adjacency` or `neighbors`
-attribute. Only graph.py calls the Graph constructor, and within it only
-build_graph, ring_graph and Graph.rehang do; only graph.py builds a
-CycleStructure or writes a Graph value's cached fields or a structure's
-root record. A Graph value holds n, m, its degrees and its ends as plain
-fields and caches only its edges, cycle and GA (the exact sum and its
-float), and Graph defines no property; a CycleStructure is plain data: no
-lazy field. build_graph, the peel and the GA sum read no edge set and make
-no normalized edge tuple.
+attribute. Only graph.build_graph, graph.Graph.rehang and rings.ring_graph
+call the Graph constructor; only those and the peel, graph.Graph.cycle,
+build a CycleStructure; only graph.py writes a Graph value's cached fields
+or a structure's root record. A Graph value holds n, m, its degrees and
+its ends as plain fields and caches only its edges, cycle and GA (the
+exact sum and its float), and Graph defines no property; a
+CycleStructure is plain data: no lazy field. build_graph, the peel and the
+GA sum read no edge set and make no normalized edge tuple.
 GA has one definition: only graph.py assigns SCALE and defines a GA term
 function, and math.fsum is read only by indices.ag_index. Only graph.py
 imports json, and only its json_text calls json.dumps; only its rises_above
@@ -24,9 +24,13 @@ constructor fills a cache by assigning the field.
 No rewrite operator in transforms.py calls another, directly or through
 the module's helpers: each is its guards plus one Graph.rehang. And
 enumeration.py imports from transforms only OPERATOR_NAMES and
-operator_applications and names no rewrite operator: the monotonicity
-sweep evaluates each one as an edit of a ring, and _ring_edits builds no
-dict or set and copies no list, so each edit stays O(1) arithmetic.
+operator_applications, rings.py nothing, and neither names a rewrite
+operator: the monotonicity sweep evaluates each one as an edit of a ring,
+and rings.ring_edits builds no dict or set and copies no list, so each
+edit stays O(1) arithmetic. rings.py imports only graph from the package,
+and no other module defines ring generation, a shape or sum table,
+ring_graph or the ring edits, or memoizes a function other than the GA
+term and the CLI's parser.
 Only set_runtime_checks and reduction_pipeline name the runtime-check switch,
 and no operator reaches it through the helpers: the pipeline checks each
 step where it records it.
@@ -136,36 +140,35 @@ def test_no_global_switches():
     assert found - ALLOWED_GLOBALS == set(), "src/gaindex rebinds module globals"
 
 
-def _calls_graph(node) -> bool:
-    """True for a call of `Graph(...)` or `x.Graph(...)`."""
+def _calls(node, name: str) -> bool:
+    """True for a call of `name(...)` or `x.name(...)`."""
     if not isinstance(node, ast.Call):
         return False
     func = node.func
-    return (isinstance(func, ast.Name) and func.id == "Graph"
-            or isinstance(func, ast.Attribute) and func.attr == "Graph")
+    return (isinstance(func, ast.Name) and func.id == name
+            or isinstance(func, ast.Attribute) and func.attr == name)
 
 
-def _graph_callers(node, scope=None):
-    """The qualified name of the innermost function or class around each
-    call of Graph(...) under node (None at module level)."""
-    for child in ast.iter_child_nodes(node):
-        if _calls_graph(child):
-            yield scope
-        inner = scope
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            inner = child.name if scope is None else f"{scope}.{child.name}"
-        yield from _graph_callers(child, inner)
+def _callers(name: str) -> set:
+    """(module, qualified name of the innermost function or class, None at
+    module level) around each call of name(...) in the package."""
+    def walk(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if _calls(child, name):
+                yield module, scope
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if scope is None else f"{scope}.{child.name}"
+            yield from walk(child, module, inner)
+
+    return {site for module, tree in MODULES.items() for site in walk(tree, module, None)}
 
 
-def test_only_graph_calls_the_graph_constructor():
-    # a Graph value comes from an edge list (build_graph), a ring (ring_graph)
-    # or a rewrite (rehang); the unchecked constructor stays
-    # inside graph.py, in those three builders
-    callers = sorted({module for module, tree in MODULES.items() if module != "graph.py"
-                      for node in ast.walk(tree) if _calls_graph(node)})
-    assert callers == [], "modules other than graph.py call Graph(...)"
-    builders = set(_graph_callers(MODULES["graph.py"]))
-    assert builders == {"build_graph", "ring_graph", "Graph.rehang"}
+def test_only_the_three_builders_call_the_graph_constructor():
+    # a Graph value comes from an edge list (build_graph), a rewrite (rehang)
+    # or a ring (ring_graph); the unchecked constructor stays in those three
+    assert _callers("Graph") == {("graph.py", "build_graph"), ("graph.py", "Graph.rehang"),
+                                 ("rings.py", "ring_graph")}
 
 
 def test_no_module_reads_neighbor_lists():
@@ -179,9 +182,8 @@ def test_no_module_reads_neighbor_lists():
 
 
 def _writes_cache(node) -> bool:
-    """True for a node that builds a CycleStructure or can write a cached
-    field: `__dict__`, `vars`, a store to `.root`, or a `setattr` that
-    names `root`."""
+    """True for a node that can write a cached field: `__dict__`, `vars`, a
+    store to `.root`, or a `setattr` that names `root`."""
     if isinstance(node, ast.Attribute):
         return (node.attr == "__dict__"
                 or node.attr == "root" and isinstance(node.ctx, (ast.Store, ast.Del)))
@@ -190,16 +192,19 @@ def _writes_cache(node) -> bool:
     func = _references(node.func)
     if func[:1] in (["setattr"], ["__setattr__"]):
         return any(isinstance(a, ast.Constant) and a.value == "root" for a in node.args)
-    return func[:1] in (["vars"], ["CycleStructure"])
+    return func[:1] == ["vars"]
 
 
-def test_only_graph_builds_cycle_structures_and_seeds_caches():
+def test_three_builders_make_cycle_structures_and_only_graph_seeds_caches():
     # a Graph value's cached fields (its cycle structure with the pendant
-    # trees and roots among them) come from its own edges, from its ring or,
-    # for a rewrite's result, from Graph.rehang; no other module writes them
+    # trees and roots among them) come from its own edges (the peel), from
+    # its ring or, for a rewrite's result, from Graph.rehang; no other
+    # function builds a structure, and no other module writes a cache
+    assert _callers("CycleStructure") == {
+        ("graph.py", "Graph.cycle"), ("graph.py", "Graph.rehang"), ("rings.py", "ring_graph")}
     writers = sorted({module for module, tree in MODULES.items() if module != "graph.py"
                       for node in ast.walk(tree) if _writes_cache(node)})
-    assert writers == [], "modules other than graph.py build CycleStructure or seed Graph caches"
+    assert writers == [], "modules other than graph.py seed Graph caches"
 
 
 def _graph_class(name: str) -> ast.ClassDef:
@@ -342,32 +347,78 @@ def test_no_rewrite_operator_calls_another():
         assert reached & (reach.keys() - {op}) == set(), f"{op} calls another operator"
 
 
-def test_the_monotonicity_sweep_runs_no_rewrite_operator():
-    # enumeration.py evaluates every operator as a ring edit: it takes only
-    # the names and the graph-level choices from transforms and names no
-    # operator, so the sweep cannot fall back to the graph operators unnoticed
-    tree = MODULES["enumeration.py"]
+def _from_transforms(tree) -> list:
+    """The names a module imports from transforms, sorted; asserts that it
+    does not import the module itself."""
     imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
-    from_transforms = sorted(alias.name for node in imports
-                             if isinstance(node, ast.ImportFrom)
-                             and (node.module or "").split(".")[-1] == "transforms"
-                             for alias in node.names)
-    assert from_transforms == ["OPERATOR_NAMES", "operator_applications"]
     assert not any(alias.name.split(".")[-1] == "transforms"
                    for node in imports for alias in node.names)
-    assert set(_references(tree)) & _operator_reach().keys() == set()
+    return sorted(alias.name for node in imports
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.module or "").split(".")[-1] == "transforms"
+                  for alias in node.names)
+
+
+def test_the_monotonicity_sweep_runs_no_rewrite_operator():
+    # the sweep evaluates every operator as a ring edit: enumeration.py takes
+    # only the names and the graph-level choices from transforms, rings.py
+    # takes nothing, and neither names an operator, so the sweep cannot fall
+    # back to the graph operators unnoticed
+    assert _from_transforms(MODULES["enumeration.py"]) == ["OPERATOR_NAMES",
+                                                           "operator_applications"]
+    assert _from_transforms(MODULES["rings.py"]) == []
+    for module in ("enumeration.py", "rings.py"):
+        assert set(_references(MODULES[module])) & _operator_reach().keys() == set(), module
 
 
 def test_ring_edits_allocate_no_dict_or_set_per_edit():
-    # each star and relocation edit is one-position arithmetic: _ring_edits
+    # each star and relocation edit is one-position arithmetic: ring_edits
     # and its helpers build no dict or set and copy no list
-    tree = next(node for node in MODULES["enumeration.py"].body
-                if isinstance(node, ast.FunctionDef) and node.name == "_ring_edits")
+    tree = next(node for node in MODULES["rings.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "ring_edits")
     built = [type(node).__name__ for node in ast.walk(tree)
              if isinstance(node, (ast.Dict, ast.Set, ast.DictComp, ast.SetComp))
              or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                  and node.func.attr == "copy")]
     assert built == []
+
+
+# the shapes, the sum tables, the least rings, the graph of a ring and the
+# ring edits: every function that decides something about rings
+RING_FUNCTIONS = {"_forests", "_compositions_from", "_dihedral", "_stabilizer", "_tree_sum",
+                  "_hung_shapes", "_cycle_terms", "_star_sums", "_shape_sums", "ring_classes",
+                  "ring_graph", "ring_edits", "edit_key"}
+
+
+def _package_imports(tree) -> set:
+    """The gaindex modules imported under tree, each by its last name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[-1] for alias in node.names
+                         if alias.name.split(".")[0] == "gaindex")
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "gaindex"):
+            found.update([node.module.split(".")[-1]] if node.module
+                         else [alias.name for alias in node.names])
+    return found
+
+
+def test_rings_imports_only_graph_and_no_other_module_defines_ring_code():
+    # rings.py sits on graph alone, so families and enumeration can both read
+    # it with no import cycle, and every ring decision has this one home
+    assert _package_imports(MODULES["rings.py"]) == {"graph"}
+    defined = {(module, node.name) for module, tree in MODULES.items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name in RING_FUNCTIONS}
+    assert defined == {("rings.py", name) for name in RING_FUNCTIONS}
+    # the ring tables are memos: elsewhere only the GA term and the CLI's
+    # parser are, so no other module keeps a table of its own
+    memoized = {(module, node.name) for module, tree in MODULES.items() if module != "rings.py"
+                for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                and {"cache", "lru_cache"} & {r for d in node.decorator_list
+                                               for r in _references(d)}}
+    assert memoized == {("graph.py", "ga_term"), ("cli.py", "build_parser")}
 
 
 def test_only_the_pipeline_reads_the_check_switch():
