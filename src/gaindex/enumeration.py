@@ -14,6 +14,7 @@ which is re-exported here.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import NamedTuple
 
 from .families import bound_interval
@@ -26,7 +27,7 @@ MAX_ORDER = 12
 # witnesses, and verify_monotonicity edits the rings and builds one only for
 # a violating class, so both reach further than enumerate_unicyclic, which
 # builds every graph.
-MAX_BOUND_ORDER = 15
+MAX_BOUND_ORDER = 16
 MAX_MONOTONICITY_ORDER = 14
 
 
@@ -96,37 +97,47 @@ def verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
 
     GA and the bounds, sn3's ring sum and n * SCALE, are exact sums from the
     rings, compared by exact differences; only the two extremes and the
-    violators are divided to floats. Only the witnesses and the violators
-    become graphs, for their canonical keys and edge lists.
+    violators are divided to floats. The rings are read in one pass, which
+    keeps the running extremes, the rings within slack of each (filtered
+    again when an extreme moves) and the violators, in generation order.
+    Only the witnesses and the violators become graphs, for their canonical
+    keys and edge lists.
     """
     _check_order(n, MAX_BOUND_ORDER)
     slack = scaled_tol(tol)
-    entries = list(ring_classes(n))
-    cycle = ((),) * n
-    sn3 = ((), (), ((),) * (n - 3))  # n-3 leaves on the last triangle vertex
-    lower, upper = next(t for c, t in entries if c == sn3), n * SCALE  # girth 3 comes first
-    low, high = min(t for _, t in entries), max(t for _, t in entries)
-    min_rings = [choice for choice, total in entries if total - low <= slack]
-    max_rings = [choice for choice, total in entries if high - total <= slack]
-    violations = tuple(
-        (format_edge_list(ring_graph(choice)), total / SCALE)
-        for choice, total in entries
-        if lower - total > slack or total - upper > slack
-    )
+    rings = ring_classes(n)
+    sn3, lower = next(rings)  # girth 3, least sizes, least shape: n-3 leaves on one vertex
+    upper = n * SCALE
+    low = high = lower
+    min_rings, max_rings, violators = [], [], []
+    for count, (choice, total) in enumerate(chain([(sn3, lower)], rings), 1):
+        if total < low:
+            low = total
+            min_rings = [r for r in min_rings if r[1] - low <= slack]
+        elif total > high:
+            high = total
+            max_rings = [r for r in max_rings if high - r[1] <= slack]
+        if total - low <= slack:
+            min_rings.append((choice, total))
+        if high - total <= slack:
+            max_rings.append((choice, total))
+        if lower - total > slack or total - upper > slack:
+            violators.append((choice, total))
 
     def keys(rings):
-        return tuple(sorted(canonical_form(ring_graph(choice)).hex() for choice in rings))
+        return tuple(sorted(canonical_form(ring_graph(choice)).hex() for choice, _ in rings))
 
     return BoundReport(
         n=n,
-        count=len(entries),
+        count=count,
         min_ga=low / SCALE,
         max_ga=high / SCALE,
         min_witnesses=keys(min_rings),
         max_witnesses=keys(max_rings),
-        violations=violations,
-        max_only_cycle=(max_rings == [cycle] and abs(high - upper) <= slack),
-        min_attained_by_sn3=sn3 in min_rings,
+        violations=tuple((format_edge_list(ring_graph(choice)), total / SCALE)
+                         for choice, total in violators),
+        max_only_cycle=([c for c, _ in max_rings] == [((),) * n] and abs(high - upper) <= slack),
+        min_attained_by_sn3=min_rings[:1] == [(sn3, lower)],
         min_unique=len(min_rings) == 1,
     )
 

@@ -11,6 +11,7 @@ vertex i at position i) and the operators as edits of a ring's sum
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from operator import itemgetter
 
@@ -18,58 +19,95 @@ from .graph import CycleStructure, Graph, GraphError, ga_term
 
 
 @lru_cache(maxsize=None)
-def _forests(total: int) -> tuple:
-    """All multisets of rooted-tree shapes with vertex counts summing to total.
-    A shape is its child forest: the shapes on s vertices are _forests(s - 1)."""
+def _shapes(total: int) -> tuple:
+    """(forest, the scaled GA sum of the edges under its trees' roots) for
+    every multiset of rooted-tree shapes with vertex counts summing to total,
+    in shape order (tuple order). A shape is its child forest: the shapes on
+    s vertices are the forests of _shapes(s - 1). Each forest comes once, as
+    its least tree followed by a forest of trees no less, in blocks that
+    share the least tree, merged in its order."""
+    from heapq import merge  # here, not at import: only the shape tables use it
+
     if total == 0:
-        return ((),)
-    found = set()
-    for first in range(1, total + 1):
-        for tree in _forests(first - 1):
-            for rest in _forests(total - first):
-                found.add(tuple(sorted((tree,) + rest)))
-    return tuple(sorted(found))
+        return (((), 0),)
+    found = []
+    for _, block in merge(*(_led_by(size, total) for size in range(1, total + 1))):
+        found += block
+    return tuple(found)
 
 
-def _compositions_from(total: int, parts: int, low: int):
-    """Compositions of total into parts, each at least low, in lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(low, total - low * (parts - 1) + 1):
-        for rest in _compositions_from(total - head, parts - 1, low):
-            yield (head,) + rest
+def _led_by(size: int, total: int):
+    """Yield (tree, block) in shape order for each tree of `size` vertices,
+    where block holds the _shapes(total) entries whose least tree it is: the
+    tree followed by each forest of total - size whose trees are no less (a
+    suffix of them), or by none when size is total."""
+    rests, start = _shapes(total - size), 0
+    for tree, under in _shapes(size - 1):
+        d = len(tree) + 1  # the tree's root, with its parent
+        inner = under + sum(ga_term(d, len(child) + 1) for child in tree)
+        if size == total:
+            yield tree, [((tree,), inner)]
+            continue
+        start = bisect_left(rests, ((tree,),), start)  # a forest below (tree,) starts lower
+        if start == len(rests):
+            return
+        yield tree, [((tree,) + rest, inner + rest_under) for rest, rest_under in rests[start:]]
+
+
+def _necklaces(total: int, parts: int) -> list:
+    """(composition, its least period) for the compositions of total into
+    parts nonnegative parts that are least among their rotations, in
+    lexicographic order: the FKM recursion (Ruskey, Savage and Wang,
+    J. Algorithms 13, 1992) extends a prefix of the given period by a part
+    no less than the one a period back, and keeps a composition whose period
+    divides parts. A prefix stops growing where the parts still to come,
+    each at least the first, would exceed what is left."""
+    found = []
+
+    def grow(prefix: tuple, period: int, left: int) -> None:
+        t = len(prefix)
+        low = prefix[t - period]
+        if t == parts - 1:  # the last part takes what is left
+            if left > low:
+                found.append((prefix + (left,), parts))
+            elif left == low and parts % period == 0:
+                found.append((prefix + (left,), period))
+            return
+        for part in range(low, left - prefix[0] * (parts - 1 - t) + 1):
+            grow(prefix + (part,), period if part == low else t + 1, left - part)
+
+    for head in range(total // parts + 1):
+        grow((head,), 1, total - head)
+    return found
 
 
 @lru_cache(maxsize=None)
 def _dihedral(girth: int) -> tuple:
-    """The rotations and reflections of a ring of this girth, identity excluded,
-    each as an itemgetter that returns the image of a tuple."""
-    maps = []
-    for k in range(girth):
-        if k:
-            maps.append([(i + k) % girth for i in range(girth)])
-        maps.append([girth - 1 - (i + k) % girth for i in range(girth)])
-    return tuple(itemgetter(*p) for p in maps)
+    """(rotations, reflections) of a ring of this girth, each symmetry an
+    itemgetter that returns the image of a tuple: the rotation by k steps at
+    [k - 1] (the identity excluded), and the girth reflections."""
+    steps = range(girth)
+    return (tuple(itemgetter(*[(i + k) % girth for i in steps]) for k in range(1, girth)),
+            tuple(itemgetter(*[girth - 1 - (i + k) % girth for i in steps]) for k in steps))
 
 
-def _stabilizer(sizes: tuple) -> tuple | None:
-    """The symmetries that fix sizes, or None when one maps sizes below itself."""
-    fixing = []
-    for sym in _dihedral(len(sizes)):
+def _stabilizer(sizes: tuple, period: int) -> tuple | None:
+    """For sizes least among their rotations, of this least period: the
+    symmetries that fix sizes and move a position of size 2 or more, or None
+    when a reflection maps sizes below itself. The rotations that fix sizes
+    are those by a multiple of the period; a size below 2 has one shape, so
+    a symmetry that moves only such positions fixes every choice."""
+    rotations, reflections = _dihedral(len(sizes))
+    fixing = list(rotations[period - 1::period])
+    for sym in reflections:
         image = sym(sizes)
         if image < sizes:
             return None
         if image == sizes:
             fixing.append(sym)
-    return tuple(fixing)
-
-
-@lru_cache(maxsize=None)
-def _tree_sum(shape: tuple, root_degree: int) -> int:
-    """The scaled GA sum of the edges of a shape whose root has the given degree."""
-    return sum(ga_term(root_degree, len(child) + 1) + _tree_sum(child, len(child) + 1)
-               for child in shape)
+    # each position of size 2 or more by its index, the others all alike
+    many = tuple(i if s > 1 else -1 for i, s in enumerate(sizes)) if fixing else ()
+    return tuple(sym for sym in fixing if sym(many) != many)
 
 
 @lru_cache(maxsize=None)
@@ -77,8 +115,8 @@ def _hung_shapes(below: int) -> tuple:
     """(shape, scaled GA sum of its edges, root degree) for each shape with
     `below` vertices under its root hung on a cycle vertex, which adds two
     to its root's degree."""
-    return tuple((shape, _tree_sum(shape, len(shape) + 2), len(shape) + 2)
-                 for shape in _forests(below))
+    return tuple((shape, under + sum(ga_term(d, len(child) + 1) for child in shape), d)
+                 for shape, under in _shapes(below) for d in (len(shape) + 2,))
 
 
 @lru_cache(maxsize=None)
@@ -111,29 +149,28 @@ def ring_classes(n: int):
     choice[i] is the shape hung on cycle vertex i, and total the ga_sum of
     the ring's graph. Rings compare their sizes (each shape's number of
     tree vertices) first, so the sizes of a least ring are least among their
-    images, they start with their least part, and only the symmetries that
-    fix them can map its choice below itself. Girths ascend, and sizes and
+    images: _necklaces yields those least among their rotations, _stabilizer
+    drops those a reflection maps lower, and only the symmetries that fix
+    them can map its choice below itself. Girths ascend, and sizes and
     choices come in lexicographic product order. Each ring's sum grows with
     it: a level holds (sum so far, last degree, first degree, choice prefix).
     """
     terms = _cycle_terms(n)
     for girth in range(3, n + 1):
-        extra = n - girth
-        for head in range(extra // girth + 1):
-            for rest in _compositions_from(extra - head, girth - 1, head):
-                sizes = (head,) + rest
-                fixing = _stabilizer(sizes)
-                if fixing is None:
-                    continue
-                first, *others = [_hung_shapes(s) for s in sizes]
-                level = [(t, d, d, (c,)) for c, t, d in first]
-                for options in others:
-                    level = [(t + u + terms[p][d], d, f, prefix + (c,))
-                             for t, p, f, prefix in level for c, u, d in options]
-                rings = [(choice, t + terms[p][f]) for t, p, f, choice in level]
-                if fixing:
-                    rings = [r for r in rings if all(sym(r[0]) >= r[0] for sym in fixing)]
-                yield from rings
+        for sizes, period in _necklaces(n - girth, girth):
+            fixing = _stabilizer(sizes, period)
+            if fixing is None:
+                continue
+            first, *others, last = [_hung_shapes(s) for s in sizes]
+            level = [(t, d, d, (c,)) for c, t, d in first]
+            for options in others:
+                level = [(t + u + terms[p][d], d, f, prefix + (c,))
+                         for t, p, f, prefix in level for c, u, d in options]
+            rings = [(prefix + (c,), t + u + terms[p][d] + terms[d][f])
+                     for t, p, f, prefix in level for c, u, d in last]
+            if fixing:
+                rings = [r for r in rings if all(sym(r[0]) >= r[0] for sym in fixing)]
+            yield from rings
 
 
 def ring_graph(ring: tuple) -> Graph:

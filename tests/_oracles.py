@@ -3,11 +3,20 @@
 The package generates unicyclic graphs one per class by construction
 (`gaindex.enumerate_unicyclic`); the generator here takes an independent
 route, every free tree plus one chord, deduplicated by canonical labeling.
-The package's ring generator skips whole compositions (it builds only
-those whose first part is least) and compares each candidate only under
-the symmetries that fix its sizes; the reference filter here takes every
-composition and compares every candidate under every rotation and
-reflection.
+The package's ring generator draws only the compositions least among
+their rotations, from a necklace recursion, and compares each candidate
+only under the symmetries that fix its sizes; the reference filter here
+takes every composition and compares every candidate under every rotation
+and reflection, and the reference size loop takes every composition whose
+first part is least and rejects it when a rotation or reflection maps it
+lower.
+The package generates the shapes in order, each forest once as its least
+tree followed by a forest of trees no less, with its edge sum carried
+beside it; the reference here collects every tree-plus-forest in a set,
+sorts them, and sums each shape's edges through a memo on whole shapes.
+The package's bound sweep reads the rings in one pass and keeps only the
+witnesses and violators; the reference here lists every class first and
+scans the list.
 The package reads pendant trees from the parents its leaf peeling records;
 the reference here walks each tree by depth-first search.
 The package reads a ring's degrees and cycle structure off the ring and
@@ -46,6 +55,7 @@ edge by edge.
 
 import itertools
 import math
+from functools import lru_cache
 
 from gaindex import (
     Graph,
@@ -54,13 +64,14 @@ from gaindex import (
     canonical_form,
     finish_one_neighbor_deg2,
     finish_two_neighbors_deg2,
+    format_edge_list,
     relocate_min,
     star_transform,
 )
 from gaindex import transforms
-from gaindex.enumeration import MAX_ORDER
-from gaindex.graph import GraphError, ga_term, norm_edge, pendant_tree
-from gaindex.rings import _forests
+from gaindex.enumeration import MAX_ORDER, BoundReport
+from gaindex.graph import SCALE, GraphError, ga_term, norm_edge, pendant_tree, scaled_tol
+from gaindex.rings import ring_classes, ring_graph
 from gaindex.transforms import PreconditionError
 
 
@@ -181,9 +192,93 @@ def least_rings(n: int):
     the full product of shapes, in the package's generation order."""
     for girth in range(3, n + 1):
         for sizes in compositions(n - girth, girth):
-            for choice in itertools.product(*[_forests(s) for s in sizes]):
+            for choice in itertools.product(*[reference_forests(s) for s in sizes]):
                 if is_least_ring(sizes, choice):
                     yield sizes, choice
+
+
+@lru_cache(maxsize=None)
+def reference_forests(total: int) -> tuple:
+    """All multisets of rooted-tree shapes with vertex counts summing to
+    total: every tree followed by every forest, each sorted, deduplicated in
+    a set and sorted."""
+    if total == 0:
+        return ((),)
+    found = set()
+    for first in range(1, total + 1):
+        for tree in reference_forests(first - 1):
+            for rest in reference_forests(total - first):
+                found.add(tuple(sorted((tree,) + rest)))
+    return tuple(sorted(found))
+
+
+@lru_cache(maxsize=None)
+def reference_tree_sum(shape: tuple, root_degree: int) -> int:
+    """The scaled GA sum of the edges of a shape whose root has the given degree."""
+    return sum(ga_term(root_degree, len(child) + 1) + reference_tree_sum(child, len(child) + 1)
+               for child in shape)
+
+
+def reference_hung_shapes(below: int) -> tuple:
+    """(shape, scaled GA sum of its edges, root degree) for each shape with
+    `below` vertices under its root hung on a cycle vertex."""
+    return tuple((shape, reference_tree_sum(shape, len(shape) + 2), len(shape) + 2)
+                 for shape in reference_forests(below))
+
+
+def compositions_from(total: int, parts: int, low: int):
+    """Compositions of total into parts, each at least low, in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(low, total - low * (parts - 1) + 1):
+        for rest in compositions_from(total - head, parts - 1, low):
+            yield (head,) + rest
+
+
+def kept_sizes(total: int, parts: int):
+    """Yield the compositions of total into parts that a least ring's sizes
+    can be, in lexicographic order: each whose first part is least, unless a
+    rotation or reflection maps it lower."""
+    for head in range(total // parts + 1):
+        for rest in compositions_from(total - head, parts - 1, head):
+            sizes = (head,) + rest
+            rotations = [sizes[k:] + sizes[:k] for k in range(parts)]
+            if all(sizes <= image and sizes <= image[::-1] for image in rotations):
+                yield sizes
+
+
+def reference_verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
+    """verify_bounds over a list of every class, scanned once per quantity."""
+    slack = scaled_tol(tol)
+    entries = list(ring_classes(n))
+    cycle = ((),) * n
+    sn3 = ((), (), ((),) * (n - 3))
+    lower, upper = next(t for c, t in entries if c == sn3), n * SCALE
+    low, high = min(t for _, t in entries), max(t for _, t in entries)
+    min_rings = [choice for choice, total in entries if total - low <= slack]
+    max_rings = [choice for choice, total in entries if high - total <= slack]
+    violations = tuple(
+        (format_edge_list(ring_graph(choice)), total / SCALE)
+        for choice, total in entries
+        if lower - total > slack or total - upper > slack
+    )
+
+    def keys(rings):
+        return tuple(sorted(canonical_form(ring_graph(choice)).hex() for choice in rings))
+
+    return BoundReport(
+        n=n,
+        count=len(entries),
+        min_ga=low / SCALE,
+        max_ga=high / SCALE,
+        min_witnesses=keys(min_rings),
+        max_witnesses=keys(max_rings),
+        violations=violations,
+        max_only_cycle=(max_rings == [cycle] and abs(high - upper) <= slack),
+        min_attained_by_sn3=sn3 in min_rings,
+        min_unique=len(min_rings) == 1,
+    )
 
 
 def reference_pendant_tree(g: Graph, v: int) -> tuple:

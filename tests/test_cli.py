@@ -479,6 +479,15 @@ def test_verify_json_is_pinned(capsys):
     assert digest == "63b65cd193e0046faab51421f72f0e8b628d30c810525414075008054b307f0c"
 
 
+def test_verify_json_beyond_the_graph_cap_is_pinned(capsys):
+    # sha256 of `gaindex verify 13..16 --format json`, as the list-based sweep
+    # printed it
+    code, out, _ = run(capsys, "verify", "13..16", "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "d5c5296e303a9f76f94c37c3895fa24fbe91693634aad1ce01d5258e55477043"
+
+
 @pytest.mark.parametrize("argv, expected", [
     # the text of the former bounds-plus-monotonicity sweep script, for orders 5..7
     (["verify", "5..7", "--monotonicity"],

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -24,17 +25,23 @@ from gaindex import (
 from gaindex import enumeration, transforms
 from gaindex.enumeration import MAX_BOUND_ORDER, OPERATOR_NAMES, operator_applications
 from gaindex.graph import SCALE, ga_term
-from gaindex.rings import edit_key, ring_classes, ring_edits, ring_graph
+from gaindex.rings import (_hung_shapes, _necklaces, _shapes, _stabilizer, edit_key,
+                           ring_classes, ring_edits, ring_graph)
 from gaindex.transforms import PreconditionError
 
 from _helpers import assert_same_structure, lift_ring_edits, lift_ring_sums
 from _oracles import (
+    compositions,
     enumerate_unicyclic_by_chords,
     float_ga_term,
     free_trees,
     fsum_ga,
+    kept_sizes,
     least_rings,
     reference_arc_edits,
+    reference_forests,
+    reference_hung_shapes,
+    reference_verify_bounds,
     syntactic_applications,
 )
 
@@ -62,7 +69,7 @@ FINISHING_MOVES = OPERATOR_NAMES[3:]  # the two finishing moves
 
 # the same sequence (OEIS A001429) beyond the graph enumeration's cap, which
 # only verify_bounds reaches
-BOUND_ONLY_COUNTS = {13: 13999, 14: 39260, 15: 110381}
+BOUND_ONLY_COUNTS = {13: 13999, 14: 39260, 15: 110381, 16: 311_465}
 
 
 @pytest.mark.parametrize("n", sorted(EXPECTED_COUNTS))
@@ -107,6 +114,32 @@ def test_generation_needs_no_canonical_labeling(monkeypatch):
 def test_rings_match_the_reference_filter(n):
     # a ring's sizes are its shapes' sizes, so the choices say it all
     assert [choice for choice, _ in ring_classes(n)] == [choice for _, choice in least_rings(n)]
+
+
+@pytest.mark.parametrize("size", range(11))
+def test_shape_tables_match_the_set_and_sort_reference(size):
+    assert tuple(forest for forest, _ in _shapes(size)) == reference_forests(size)
+    assert _hung_shapes(size) == reference_hung_shapes(size)
+
+
+@pytest.mark.parametrize("n", range(3, MAX_BOUND_ORDER + 1))
+def test_necklaces_give_exactly_the_kept_sizes_in_order(n):
+    for girth in range(3, n + 1):
+        extra = n - girth
+        necklaces = _necklaces(extra, girth)
+        assert [c for c, _ in necklaces] == [c for c in compositions(extra, girth)
+                                             if all(c <= c[k:] + c[:k] for k in range(girth))]
+        assert all(p == next(k for k in range(1, girth + 1) if c[k:] + c[:k] == c)
+                   for c, p in necklaces)
+        assert [c for c, p in necklaces if _stabilizer(c, p) is not None] == list(
+            kept_sizes(extra, girth))
+
+
+@pytest.mark.parametrize("n", range(3, MAX_BOUND_ORDER + 1))
+def test_the_first_ring_is_sn3(n):
+    # verify_bounds reads the lower bound off the first ring it is given
+    sn3 = ((), (), ((),) * (n - 3))  # n-3 leaves on the last triangle vertex
+    assert next(ring_classes(n)) == (sn3, ring_graph(sn3).ga_sum)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -188,6 +221,25 @@ def test_verify_bounds_family_flags_match_canonical_keys(n):
     assert rep.max_only_cycle == (rep.max_witnesses == (cycle_key,) and abs(rep.max_ga - n) <= 1e-9)
     assert rep.min_attained_by_sn3 == (sn3_key in rep.min_witnesses)
     assert rep.max_only_cycle and rep.min_attained_by_sn3
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0, 5e-324, -1e-3, -0.2, 0.2, 1e300])
+@pytest.mark.parametrize("n", range(3, 12))
+def test_verify_bounds_matches_the_list_reference(n, tol):
+    # negative tols give violators and no witnesses, positive ones several
+    # witnesses: the running extremes must keep the same rings as a scan
+    assert verify_bounds(n, tol).to_dict() == reference_verify_bounds(n, tol).to_dict()
+
+
+def test_verify_bounds_keeps_no_class_list():
+    verify_bounds(14)  # the shape and sum tables are built once, outside the trace
+    tracemalloc.start()
+    try:
+        verify_bounds(14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_verify_bounds_lists_violators_in_generation_order(monkeypatch, unicyclic):

@@ -385,7 +385,7 @@ def test_ring_edits_allocate_no_dict_or_set_per_edit():
 
 # the shapes, the sum tables, the least rings, the graph of a ring and the
 # ring edits: every function that decides something about rings
-RING_FUNCTIONS = {"_forests", "_compositions_from", "_dihedral", "_stabilizer", "_tree_sum",
+RING_FUNCTIONS = {"_shapes", "_led_by", "_necklaces", "_dihedral", "_stabilizer",
                   "_hung_shapes", "_cycle_terms", "_star_sums", "_shape_sums", "ring_classes",
                   "ring_graph", "ring_edits", "edit_key"}
 
