@@ -34,20 +34,6 @@ from .families import (
     ga_srk3_closed,
     make_family,
 )
-from .transforms import (
-    MonotonicityError,
-    PreconditionError,
-    SmallOrderError,
-    TraceStep,
-    TransformTrace,
-    arc_transform,
-    finish_one_neighbor_deg2,
-    finish_two_neighbors_deg2,
-    reduction_pipeline,
-    relocate_min,
-    set_runtime_checks,
-    star_transform,
-)
 from .enumeration import (
     BoundReport,
     MonotonicityReport,
@@ -57,3 +43,29 @@ from .enumeration import (
 )
 
 __version__ = "0.1.0"
+
+# transforms and these names of it load on first access (PEP 562), so that
+# commands that rewrite nothing, `verify` among them, never compile it
+_TRANSFORMS_NAMES = frozenset({
+    "MonotonicityError",
+    "PreconditionError",
+    "SmallOrderError",
+    "TraceStep",
+    "TransformTrace",
+    "arc_transform",
+    "finish_one_neighbor_deg2",
+    "finish_two_neighbors_deg2",
+    "reduction_pipeline",
+    "relocate_min",
+    "set_runtime_checks",
+    "star_transform",
+})
+
+
+def __getattr__(name: str):
+    if name == "transforms" or name in _TRANSFORMS_NAMES:
+        import importlib  # loaded with the interpreter; a relative import would recurse here
+
+        transforms = importlib.import_module(".transforms", __name__)
+        return transforms if name == "transforms" else getattr(transforms, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

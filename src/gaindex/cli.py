@@ -31,7 +31,6 @@ from .graph import (
     parse_edge_list,
 )
 from .indices import ag_index, edge_contribution, ga_index
-from .transforms import MonotonicityError, SmallOrderError, reduction_pipeline, set_runtime_checks
 
 USAGE_ERROR = 1
 INPUT_ERROR = 2
@@ -232,6 +231,10 @@ def _random_unicyclic(n: int, rng: random.Random):
 
 
 def _cmd_reduce(args) -> int:
+    # here, not at import: only reduce runs the rewrites
+    from .transforms import (MonotonicityError, SmallOrderError, reduction_pipeline,
+                             set_runtime_checks)
+
     if args.random is None:
         if args.seed is not None:
             raise _UsageError("--seed needs --random")

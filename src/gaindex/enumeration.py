@@ -8,7 +8,9 @@ so every comparison is an exact difference and a no-op reads exactly 0.
 reports. :func:`verify_monotonicity` evaluates every operator as an edit of
 the ring's sum and builds a graph only to list a violating class's
 applications, read from :func:`gaindex.transforms.operator_applications`,
-which is re-exported here.
+which this module imports there and resolves on first access as
+``enumeration.operator_applications``: neither sweep loads the rewrites
+otherwise.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from typing import NamedTuple
 
 from .families import bound_interval
 from .graph import SCALE, canonical_form, format_edge_list, rises_above, scaled_tol
-from .rings import edit_key, ring_classes, ring_edits, ring_graph
-from .transforms import OPERATOR_NAMES, operator_applications
+from .rings import OPERATOR_NAMES, edit_key, ring_classes, ring_edits, ring_graph
 
 MAX_ORDER = 12
 # verify_bounds reads GA from the rings and builds a Graph only for the
@@ -29,6 +30,15 @@ MAX_ORDER = 12
 # builds every graph.
 MAX_BOUND_ORDER = 16
 MAX_MONOTONICITY_ORDER = 14
+
+
+def __getattr__(name: str):
+    """operator_applications, imported from transforms on first access."""
+    if name == "operator_applications":
+        from .transforms import operator_applications
+
+        return operator_applications
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _check_order(n: int, cap: int = MAX_ORDER) -> None:
@@ -206,6 +216,8 @@ def verify_monotonicity(n: int, tol: float = 1e-9) -> MonotonicityReport:
                 if rises_above(rise, tol):
                     found[op, where] = f"GA increased by {rise / SCALE!r}"
         if found:
+            from .transforms import operator_applications
+
             g = ring_graph(choice)
             source = format_edge_list(g)
             for op, params, _ in operator_applications(g):

@@ -449,7 +449,7 @@ def pendant_tree(g: Graph, v: int) -> tuple:
 
 def _refine(nbrs: list, colors: tuple) -> tuple:
     while True:
-        sigs = [(colors[v], tuple(sorted(colors[w] for w in nbrs[v]))) for v in range(len(nbrs))]
+        sigs = [(c, tuple(sorted(map(colors.__getitem__, ws)))) for c, ws in zip(colors, nbrs)]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = tuple(rank[s] for s in sigs)
         if new == colors:

@@ -5,8 +5,9 @@ of each class yields one graph per class with no isomorphism test.
 
 Here are the shapes and the tables of their exact GA sums, the least rings
 (:func:`ring_classes`), the graph of a ring (:func:`ring_graph`, cycle
-vertex i at position i) and the operators as edits of a ring's sum
-(:func:`ring_edits`, :func:`edit_key`), which rely on that numbering.
+vertex i at position i) and the operators, named once in
+:data:`OPERATOR_NAMES`, as edits of a ring's sum (:func:`ring_edits`,
+:func:`edit_key`), which rely on that numbering.
 """
 
 from __future__ import annotations
@@ -199,6 +200,16 @@ def ring_graph(ring: tuple) -> Graph:
     cycle = tuple(range(girth))  # the order Graph.cycle walks: from 0 toward 1
     return Graph(tuple(deg), cycle=CycleStructure(cycle, tuple(parent), tuple(root), trees,
                                                   dict(zip(cycle, cycle))))
+
+
+# the rewrite operators, in the order ring_edits and operator_applications yield them
+OPERATOR_NAMES = (
+    "star_transform",
+    "relocate_min",
+    "arc_transform",
+    "finish_two_neighbors_deg2",
+    "finish_one_neighbor_deg2",
+)
 
 
 def ring_edits(choice: tuple, n: int):

@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 from .families import FamilySpec, classify_family
 from .graph import Graph, NotUnicyclicError, json_text, norm_edge, pendant_tree, rises_above
+from .rings import OPERATOR_NAMES as OPERATOR_NAMES  # re-exported
 
 
 class PreconditionError(ValueError):
@@ -257,15 +258,6 @@ def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
 # ---------------------------------------------------------------------------
 # The monotonicity sweep's choices
 # ---------------------------------------------------------------------------
-
-
-OPERATOR_NAMES = (
-    "star_transform",
-    "relocate_min",
-    "arc_transform",
-    "finish_two_neighbors_deg2",
-    "finish_one_neighbor_deg2",
-)
 
 
 def operator_applications(g: Graph):

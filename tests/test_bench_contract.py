@@ -4,12 +4,18 @@ bench/ reads gaindex through `gx.<module>.<name>`, through local aliases
 bound to `gx.<module>` and through `from gaindex import ...`; most of those
 reads happen only in a traced run (`bench/run.py --trace 1`). This reads
 the benchmark's sources with ast and checks that each such name resolves on
-the package, and that the benchmark's pinned operator names and
-monotonicity counts are the test suite's.
+the package, in this session and as attributes of a package freshly
+imported as `bench/run.py` imports it, where the names that load on first
+access have not loaded yet; and that the benchmark's pinned operator names
+and monotonicity counts are the test suite's.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -85,6 +91,36 @@ def test_every_package_name_the_benchmark_reads_resolves(relpath):
         if name and not hasattr(found, name):
             missing.append(f"{target}.{name}")
     assert missing == [], f"{relpath} reads names the package does not have"
+
+
+# reads each (module, name) of argv[1] as attributes of a package imported
+# afresh for it, as bench/run.py's fresh_import imports it, so that no other
+# read has loaded what this one must load itself; prints the misses
+FRESH_PROBE = """
+import importlib, json, sys
+missing = []
+for module, name in json.loads(sys.argv[1]):
+    for loaded in [m for m in sys.modules if m == "gaindex" or m.startswith("gaindex.")]:
+        del sys.modules[loaded]
+    found = importlib.import_module("gaindex")
+    importlib.import_module("gaindex.cli")
+    for part in filter(None, (module, name)):
+        found = getattr(found, part, None)
+        if found is None:
+            missing.append(".".join(filter(None, ("gaindex", module, name))))
+            break
+print(json.dumps(missing))
+"""
+
+
+@pytest.mark.parametrize("relpath", BENCH_SOURCES)
+def test_every_package_name_the_benchmark_reads_resolves_on_a_fresh_import(relpath):
+    reads = sorted(package_reads(_parse(relpath)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", FRESH_PROBE, json.dumps(reads)], env=env,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert json.loads(out) == [], f"{relpath} reads names a fresh package does not resolve"
 
 
 def test_the_reads_include_the_traced_probes():

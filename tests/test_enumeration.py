@@ -22,7 +22,7 @@ from gaindex import (
     verify_bounds,
     verify_monotonicity,
 )
-from gaindex import enumeration, transforms
+from gaindex import enumeration, rings, transforms
 from gaindex.enumeration import MAX_BOUND_ORDER, OPERATOR_NAMES, operator_applications
 from gaindex.graph import SCALE, ga_term
 from gaindex.rings import (_hung_shapes, _necklaces, _shapes, _stabilizer, edit_key,
@@ -363,7 +363,7 @@ def test_the_sweep_reads_its_choices_from_transforms():
     # the filter lives beside the operator guards it mirrors; the sweep lists
     # a violating class's applications through it, and the benchmark reads it
     assert operator_applications is transforms.operator_applications
-    assert OPERATOR_NAMES is transforms.OPERATOR_NAMES
+    assert OPERATOR_NAMES is transforms.OPERATOR_NAMES is rings.OPERATOR_NAMES
 
 
 def _arc_entries(g):
