@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import json
@@ -539,6 +540,45 @@ def test_arc_edits_match_the_per_arc_sums(n):
         walked = {where: (count, rise) for op, where, count, rise in ring_edits(choice, n)
                   if op == "arc_transform"}
         assert walked == reference_arc_edits(choice), choice
+
+
+# sha256 over the rings of ring_classes(n), in order, of each ring's edits
+# as sorted reprs, one per line, closed by a blank line
+EDIT_DIGESTS = {
+    12: "795d95e89884a7923d2d5b753d08b97a3ffd2574459244ceb585fd5acab29400",
+    13: "df8d9afedf64007289e6971ce29590d4ec47345b2436ed3f28a71addd0da7d3d",
+}
+
+
+@pytest.mark.parametrize("n", sorted(EDIT_DIGESTS))
+def test_ring_edits_are_pinned_past_the_graph_operators(n):
+    # the graph operators check every edit only to n = 11 and the per-arc
+    # sums only the arcs: every edit, its where, count and exact rise, is
+    # pinned here as it was computed at n = 12 and 13
+    digest = hashlib.sha256()
+    for choice, _ in ring_classes(n):
+        digest.update(("\n".join(sorted(map(repr, ring_edits(choice, n)))) + "\n\n").encode())
+    assert digest.hexdigest() == EDIT_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", range(5, 12))
+def test_the_edits_a_ring_cannot_have(n):
+    # every relocation, arc and finishing edit ends at a star on a local
+    # maximum, a finishing one at a star of the largest degree, and an arc
+    # has inner positions on both sides: a ring with no such star yields
+    # only star edits, and a triangle no arc edit
+    for choice, _ in ring_classes(n):
+        k, deg = len(choice), [len(shape) + 2 for shape in choice]
+        max_stars = [v for v in range(k) if not any(choice[v])
+                     and deg[v] >= max(deg[v - 1], deg[(v + 1) % k])]
+        edits = [(op, where) for op, where, _, _ in ring_edits(choice, n)]
+        if not max_stars:
+            assert {op for op, _ in edits} <= {"star_transform"}, choice
+        if k == 3:
+            assert all(op != "arc_transform" for op, _ in edits), choice
+        for op, where in edits:
+            if op in FINISHING_MOVES:
+                assert where[0] in max_stars and deg[where[0]] == max(deg), choice
 
 
 LEAF, PAIR, TRIPLE = ((),), ((),) * 2, ((),) * 3  # stars of one, two and three leaves
