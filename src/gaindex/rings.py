@@ -234,21 +234,56 @@ def ring_edits(choice: tuple, n: int):
     v, one each way. The choices are operator_applications' own, read off
     the degrees; the arc's degree ordering and a second local minimum for
     finish_one_neighbor_deg2 are the guards left that can reject one.
+
+    One pass over the positions sets the ring up: its cycle terms, local
+    maxima, local minima and the stars among the maxima. A ring pays only
+    for the edits it can have. Every relocation, arc and finishing edit
+    ends at a star on a local maximum, so a ring with none stops after its
+    star edits. An arc meets u 2..k-2 steps from v, so a triangle walks no
+    arc. The ring's total and largest degree, which only the finishing
+    moves read, come after both.
     """
     terms, stars, shapes = _cycle_terms(n), _star_sums(n), _shape_sums(n)
     k = len(choice)
     deg = [len(shape) + 2 for shape in choice]
     size, tree = zip(*map(shapes.__getitem__, choice))
-    prev, succ = deg[-1:] + deg[:-1], deg[1:] + deg[:1]
-    cyc = [terms[a][b] for a, b in zip(deg, succ)]  # cyc[i]: the edge from i to i + 1
-    local_max = [i for i, d, a, b in zip(range(k), deg, prev, succ) if d >= a and d >= b]
-    local_min = [i for i, d, a, b in zip(range(k), deg, prev, succ) if d <= a and d <= b]
-    max_stars = [v for v in local_max if not any(choice[v])]
+    succ = deg[1:] + deg[:1]
+    cyc, local_max, local_min, max_stars = [], [], [], []  # cyc[i]: the edge from i to i + 1
+    a = deg[-1]  # the degree a step behind d, and succ's b a step ahead
+    for i, d, b, s in zip(range(k), deg, succ, size):
+        cyc.append(terms[d][b])
+        if d >= a and d >= b:
+            local_max.append(i)
+            if d == s + 2:  # a star: each child is a leaf
+                max_stars.append(i)
+        if d <= a and d <= b:
+            local_min.append(i)
+        a = d
 
     def one(x: int, d: int) -> int:
         """The rise when position x alone takes degree d with a star."""
-        return (terms[prev[x]][d] + terms[d][succ[x]] - cyc[x - 1] - cyc[x]
+        return (terms[deg[x - 1]][d] + terms[d][succ[x]] - cyc[x - 1] - cyc[x]
                 + stars[d] - tree[x])
+
+    for v in local_max:
+        d = size[v] + 2  # d == deg[v]: v holds a star already, so the result is the input
+        yield "star_transform", (v,), 1, 0 if d == deg[v] else one(v, d)
+    if not max_stars:  # every other edit ends at a star on a local maximum
+        return
+    for u in local_min:
+        s = size[u]  # moving an empty tree changes nothing
+        rest = one(u, 2) if s else 0
+        for v in max_stars:
+            if u != v:
+                rise = 0
+                if s:
+                    d = deg[v] + s
+                    rise = rest + one(v, d)
+                    j = (v - u) % k
+                    if j == 1 or j == k - 1:  # both halves edited the shared edge
+                        rise += (cyc[u if j == 1 else v] + terms[2][d]
+                                 - terms[2][deg[v]] - terms[deg[u]][d])
+                yield "relocate_min", (u, v), 1, rise
 
     def arcs(v: int, step: int):
         """The arc_transform edits of the arcs that end at v, from one walk
@@ -275,6 +310,12 @@ def ring_edits(choice: tuple, n: int):
             if du > high:
                 high = du
 
+    if k > 3:  # an arc meets u at 2..k-2 steps from v: a triangle has none
+        for v in max_stars:
+            yield from arcs(v, -1)
+            yield from arcs(v, 1)
+    total, d = sum(cyc) + sum(tree), max(deg)
+
     def square(a: int, b: int) -> int:
         """The sum of a 4-cycle of degrees a, 2, b, 2 with stars at a and b."""
         return 2 * terms[a][2] + 2 * terms[2][b] + stars[a] + stars[b]
@@ -294,27 +335,6 @@ def ring_edits(choice: tuple, n: int):
         sw = 1 + next(shapes[child][0] for child in shape if len(child) + 1 == dw)
         return square(1 + sw, n - 1 - sw)
 
-    for v in local_max:
-        d = size[v] + 2  # d == deg[v]: v holds a star already, so the result is the input
-        yield "star_transform", (v,), 1, 0 if d == deg[v] else one(v, d)
-    for u in local_min:
-        s = size[u]  # moving an empty tree changes nothing
-        rest = one(u, 2) if s else 0
-        for v in max_stars:
-            if u != v:
-                rise = 0
-                if s:
-                    d = deg[v] + s
-                    rise = rest + one(v, d)
-                    j = (v - u) % k
-                    if j == 1 or j == k - 1:  # both halves edited the shared edge
-                        rise += (cyc[u if j == 1 else v] + terms[2][d]
-                                 - terms[2][deg[v]] - terms[deg[u]][d])
-                yield "relocate_min", (u, v), 1, rise
-    for v in max_stars:
-        yield from arcs(v, -1)
-        yield from arcs(v, 1)
-    total, d = sum(cyc) + sum(tree), max(deg)
     for v in (v for v in max_stars if deg[v] == d):  # the maximal-degree stars
         a, b = (v - 1) % k, (v + 1) % k
         if k > 3 and deg[a] == deg[b] == 2:
