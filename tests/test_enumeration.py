@@ -25,7 +25,7 @@ from gaindex import (
 )
 from gaindex import enumeration, rings, transforms
 from gaindex.enumeration import MAX_BOUND_ORDER, OPERATOR_NAMES, operator_applications
-from gaindex.graph import SCALE, ga_term
+from gaindex.graph import SCALE, ga_term, json_text
 from gaindex.rings import (_hung_shapes, _necklaces, _shapes, _stabilizer, edit_key,
                            ring_classes, ring_edits, ring_graph)
 from gaindex.transforms import PreconditionError
@@ -681,6 +681,22 @@ def test_a_finite_negative_tol_reports_the_applications_above_it(n, tol):
     noops = sum(v["problem"] == "GA increased by 0.0" for v in expected)
     assert 0 < noops and (noops < len(expected)) == (tol == -0.2)
     assert len(expected) < rep.total_applications
+
+
+# sha256 of json_text of the monotonicity reports for n = 3..9 at each tol:
+# every no-op (and at -10 every fall) listed in order, with the counts and worst_slack
+NEGATIVE_TOL_REPORT_DIGESTS = {
+    -10: "9ed34e7ade01b6a5a8cfaa9173f36387cb7d6a89861d02770c37fdd1229c36b2",
+    -1e-3: "5314645cefa9e2d85f96b2fbc71a85dbd3761f09584aa6915ca422deb300d706",
+}
+
+
+@pytest.mark.parametrize("tol", sorted(NEGATIVE_TOL_REPORT_DIGESTS))
+def test_the_negative_tol_reports_are_pinned(tol):
+    # the oracle above stops at n = 8: these reports, as computed at n = 3..9,
+    # pin each listed violation and its order one order further
+    text = json_text([verify_monotonicity(n, tol).to_dict() for n in range(3, 10)])
+    assert hashlib.sha256(text.encode()).hexdigest() == NEGATIVE_TOL_REPORT_DIGESTS[tol]
 
 
 def test_a_nan_tol_is_rejected_by_the_monotonicity_sweep(monkeypatch):
