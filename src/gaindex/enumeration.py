@@ -6,11 +6,13 @@ Both sweeps read each ring's GA as the exact ``Graph.ga_sum`` of its graph,
 so every comparison is an exact difference and a no-op reads exactly 0.
 :func:`verify_bounds` builds a graph only for the witnesses and violators it
 reports. :func:`verify_monotonicity` evaluates every operator as an edit of
-the ring's sum and builds a graph only to list a violating class's
-applications, read from :func:`gaindex.transforms.operator_applications`,
-which this module imports there and resolves on first access as
-``enumeration.operator_applications``: neither sweep loads the rewrites
-otherwise.
+the ring's sum and tests the tolerance once per ring, on its largest
+accepted rise: a clean ring's edits are walked once, and a violating
+ring's a second time to collect its violations. It builds a graph only to
+list a violating class's applications, read from
+:func:`gaindex.transforms.operator_applications`, which this module imports
+there and resolves on first access as ``enumeration.operator_applications``:
+neither sweep loads the rewrites otherwise.
 """
 
 from __future__ import annotations
@@ -191,9 +193,11 @@ class MonotonicityReport(NamedTuple):
 def verify_monotonicity(n: int, tol: float = 1e-9) -> MonotonicityReport:
     """Apply every operator wherever its preconditions hold; GA must not rise.
 
-    The sweep edits each class's ring (ring_edits) and builds a class's
-    graph only to list its violations. A rise is tested by rises_above, and
-    worst_slack is the largest exact rise divided once. A violation is
+    The sweep edits each class's ring (ring_edits) and keeps the ring's
+    largest accepted rise. rises_above is monotone in the rise, so it tests
+    that one: when it fires, the ring's edits are walked again to collect
+    each rise above tol, and its graph is built to list them. worst_slack is
+    the largest exact rise divided once. A violation is
     reported per application, with its params and the input's edge list, in
     the order operator_applications yields them. tol may be infinite, not NaN.
     """
@@ -201,23 +205,27 @@ def verify_monotonicity(n: int, tol: float = 1e-9) -> MonotonicityReport:
     if math.isnan(tol):  # every slack > nan is false: no rise would be reported
         raise ValueError(f"tol must be a number, got {tol!r}")
     applications = dict.fromkeys(OPERATOR_NAMES, 0)
-    worst = float("-inf")
+    floor = float("-inf")  # below every rise
+    worst = floor
     violations = []
     graphs = 0
 
     for choice, _ in ring_classes(n):
         graphs += 1
-        found = {}  # (op, where) -> problem
-        for op, where, count, rise in ring_edits(choice, n):
+        top = floor  # the ring's largest accepted rise
+        for op, _, count, rise in ring_edits(choice, n):
             if rise is not None:
                 applications[op] += count
-                if rise > worst:
-                    worst = rise
-                if rises_above(rise, tol):
-                    found[op, where] = f"GA increased by {rise / SCALE!r}"
-        if found:
+                if rise > top:
+                    top = rise
+        if top > worst:
+            worst = top
+        if rises_above(top, tol):  # monotone in the rise: some edit is above tol
             from .transforms import operator_applications
 
+            found = {(op, where): f"GA increased by {rise / SCALE!r}"  # (op, where) -> problem
+                     for op, where, _, rise in ring_edits(choice, n)
+                     if rise is not None and rises_above(rise, tol)}
             g = ring_graph(choice)
             source = format_edge_list(g)
             for op, params, _ in operator_applications(g):
@@ -225,5 +233,5 @@ def verify_monotonicity(n: int, tol: float = 1e-9) -> MonotonicityReport:
                 if problem:
                     violations.append({"op": op, "params": params, "input": source,
                                        "problem": problem})
-    worst_slack = 0.0 if worst == float("-inf") else worst / SCALE
+    worst_slack = 0.0 if worst == floor else worst / SCALE
     return MonotonicityReport(n, graphs, applications, worst_slack, tuple(violations))

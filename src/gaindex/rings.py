@@ -138,10 +138,10 @@ def _star_sums(n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _shape_sums(n: int) -> dict:
-    """shape -> (its number of vertices below the root, its _hung_shapes sum)
-    for every shape that a ring of order n hangs on a cycle vertex."""
-    return {shape: (size, total) for size in range(n - 2)
-            for shape, total, _ in _hung_shapes(size)}
+    """shape -> (its number of vertices below the root, its _hung_shapes sum,
+    its root degree) for every shape that a ring of order n hangs on a cycle vertex."""
+    return {shape: (size, total, d) for size in range(n - 2)
+            for shape, total, d in _hung_shapes(size)}
 
 
 def ring_classes(n: int):
@@ -235,114 +235,110 @@ def ring_edits(choice: tuple, n: int):
     the degrees; the arc's degree ordering and a second local minimum for
     finish_one_neighbor_deg2 are the guards left that can reject one.
 
-    One pass over the positions sets the ring up: its cycle terms, local
-    maxima, local minima and the stars among the maxima. A ring pays only
-    for the edits it can have. Every relocation, arc and finishing edit
-    ends at a star on a local maximum, so a ring with none stops after its
-    star edits. An arc meets u 2..k-2 steps from v, so a triangle walks no
-    arc. The ring's total and largest degree, which only the finishing
-    moves read, come after both.
+    A ring is evaluated in this one generator frame, with no helper function
+    or comprehension to build per ring. One pass over the positions reads
+    each shape's size, tree sum and degree from one table, yields the star
+    edits and keeps the cycle terms, the local minima and the stars among
+    the local maxima. A ring pays only for the edits it can have: every
+    relocation, arc and finishing edit ends at such a star, so a ring with
+    none stops after its star edits, and an arc meets u 2..k-2 steps from v,
+    so a triangle walks no arc. The ring's total and largest degree, which
+    only the finishing moves read, come last.
     """
     terms, stars, shapes = _cycle_terms(n), _star_sums(n), _shape_sums(n)
     k = len(choice)
-    deg = [len(shape) + 2 for shape in choice]
-    size, tree = zip(*map(shapes.__getitem__, choice))
+    size, tree, deg = zip(*map(shapes.__getitem__, choice))
     succ = deg[1:] + deg[:1]
-    cyc, local_max, local_min, max_stars = [], [], [], []  # cyc[i]: the edge from i to i + 1
-    a = deg[-1]  # the degree a step behind d, and succ's b a step ahead
+    cyc, local_min, max_stars = [], [], []  # cyc[i]: the edge from i to i + 1
+    a = deg[-1]  # the degree a step behind d and c its edge, and succ's b a step ahead
+    c = terms[a][deg[0]]
     for i, d, b, s in zip(range(k), deg, succ, size):
-        cyc.append(terms[d][b])
+        e = terms[d][b]
+        cyc.append(e)
         if d >= a and d >= b:
-            local_max.append(i)
-            if d == s + 2:  # a star: each child is a leaf
+            if d == s + 2:  # v holds a star already, so the result is the input
                 max_stars.append(i)
+                yield "star_transform", (i,), 1, 0
+            else:  # a star of s leaves at i alone
+                yield ("star_transform", (i,), 1,
+                       terms[a][s + 2] + terms[s + 2][b] - c - e + stars[s + 2] - tree[i])
         if d <= a and d <= b:
             local_min.append(i)
-        a = d
-
-    def one(x: int, d: int) -> int:
-        """The rise when position x alone takes degree d with a star."""
-        return (terms[deg[x - 1]][d] + terms[d][succ[x]] - cyc[x - 1] - cyc[x]
-                + stars[d] - tree[x])
-
-    for v in local_max:
-        d = size[v] + 2  # d == deg[v]: v holds a star already, so the result is the input
-        yield "star_transform", (v,), 1, 0 if d == deg[v] else one(v, d)
+        a, c = d, e
     if not max_stars:  # every other edit ends at a star on a local maximum
         return
     for u in local_min:
-        s = size[u]  # moving an empty tree changes nothing
-        rest = one(u, 2) if s else 0
+        s = size[u]
+        if not s:  # moving an empty tree changes nothing
+            for v in max_stars:
+                if u != v:
+                    yield "relocate_min", (u, v), 1, 0
+            continue
+        rest = terms[deg[u - 1]][2] + terms[2][succ[u]] - cyc[u - 1] - cyc[u] - tree[u]
         for v in max_stars:
-            if u != v:
-                rise = 0
-                if s:
-                    d = deg[v] + s
-                    rise = rest + one(v, d)
-                    j = (v - u) % k
-                    if j == 1 or j == k - 1:  # both halves edited the shared edge
-                        rise += (cyc[u if j == 1 else v] + terms[2][d]
-                                 - terms[2][deg[v]] - terms[deg[u]][d])
+            if u != v:  # u empties its tree and v, of degree d, takes a star of it
+                d = deg[v] + s
+                rise = rest + terms[deg[v - 1]][d] + terms[d][succ[v]] - cyc[v - 1] - cyc[v] \
+                    + stars[d] - tree[v]
+                j = (v - u) % k
+                if j == 1 or j == k - 1:  # both halves edited the shared edge
+                    rise += (cyc[u if j == 1 else v] + terms[2][d]
+                             - terms[2][deg[v]] - terms[deg[u]][d])
                 yield "relocate_min", (u, v), 1, rise
-
-    def arcs(v: int, step: int):
-        """The arc_transform edits of the arcs that end at v, from one walk
-        from v that steps ahead (step 1) or behind (-1) and meets u at 2..k-2
-        steps; from v behind, the arc from u runs ahead of u. The walk carries
-        the cycle terms and trees that go out, the inner sizes and the least
-        and largest inner degree, so each arc costs O(1)."""
-        dv, dw, ahead = deg[v], deg[(v - step) % k], step < 0  # w: v's other cycle neighbor
-        into = cyc if ahead else cyc[-1:] + cyc[:-1]  # into[x]: the edge passed to reach x
-        out, inner, low, high = into[v] + tree[v], 0, dv, 0
-        for j in range(1, k - 1):
-            x = (v + step * j) % k
-            out += into[x]
-            du = deg[x]
-            if j > 1:
-                d = dv + j - 1 + inner
-                yield ("arc_transform", (x, v, ahead), j,  # None unless du <= inner degrees <= dv
-                       terms[du][d] + terms[d][dw] + stars[d] - out if du <= low and high <= dv
-                       else None)
-            out += tree[x]
-            inner += size[x]
-            if du < low:
-                low = du
-            if du > high:
-                high = du
-
     if k > 3:  # an arc meets u at 2..k-2 steps from v: a triangle has none
+        back = cyc[-1:] + cyc[:-1]  # back[x]: the edge from x - 1 to x
         for v in max_stars:
-            yield from arcs(v, -1)
-            yield from arcs(v, 1)
+            # the walk behind v meets each u whose arc runs ahead of u, then
+            # the walk ahead of v; w is v's other cycle neighbor and into[x]
+            # the edge passed to reach x. A walk carries the cycle terms and
+            # trees that go out, d, the inner sizes and the least and largest
+            # inner degree, so each arc costs O(1); x runs below 0, as an index
+            dv = deg[v]
+            for ahead, into, dw, walk in ((True, cyc, succ[v], range(v - 1, v + 1 - k, -1)),
+                                          (False, back, deg[v - 1], range(v + 1 - k, v - 1))):
+                out, d, low, high = into[v] + tree[v], dv, dv, 0
+                for j, x in enumerate(walk, 1):
+                    out += into[x]
+                    du = deg[x]
+                    if j > 1:  # None unless du <= inner degrees <= dv
+                        yield ("arc_transform", (x % k, v, ahead), j,
+                               terms[du][d] + terms[d][dw] + stars[d] - out
+                               if du <= low and high <= dv else None)
+                    out += tree[x]
+                    d += size[x] + 1
+                    if du < low:
+                        low = du
+                    if du > high:
+                        high = du
     total, d = sum(cyc) + sum(tree), max(deg)
-
-    def square(a: int, b: int) -> int:
-        """The sum of a 4-cycle of degrees a, 2, b, 2 with stars at a and b."""
-        return 2 * terms[a][2] + 2 * terms[2][b] + stars[a] + stars[b]
-
-    def finish_one(d: int, vt: int) -> int:
-        """The sum of finish_one_neighbor_deg2's result at a star of degree d
-        whose other cycle neighbor is vt: the arc from u to vt hangs the
-        other positions and their trees, `inner` vertices, on vt. When a
-        child of vt then has a higher degree than vt, the first of largest
-        degree becomes w on the 4-cycle (u, w, vt, v)."""
-        shape, inner = choice[vt], n - 1 - d - size[vt]
-        dt = deg[vt] + inner
-        dw = max(len(child) + 1 for child in shape)  # vt, not of degree 2, has children
-        if dw <= dt:  # the triangle (v, u, vt)
-            dv = d + size[vt] - len(shape)
-            return terms[dv][2] + terms[2][dt] + terms[dt][dv] + stars[dt] + stars[dv]
-        sw = 1 + next(shapes[child][0] for child in shape if len(child) + 1 == dw)
-        return square(1 + sw, n - 1 - sw)
-
-    for v in (v for v in max_stars if deg[v] == d):  # the maximal-degree stars
+    for v in max_stars:
+        if deg[v] != d:  # the finishing moves act at a star of the largest degree
+            continue
         a, b = (v - 1) % k, (v + 1) % k
-        if k > 3 and deg[a] == deg[b] == 2:
-            yield "finish_two_neighbors_deg2", (v,), 1, square(d, n - d) - total
+        if k > 3 and deg[a] == deg[b] == 2:  # the 4-cycle d, 2, n - d, 2 with two stars
+            yield ("finish_two_neighbors_deg2", (v,), 1, 2 * terms[d][2] + 2 * terms[2][n - d]
+                   + stars[d] + stars[n - d] - total)
         for u, vt in ((a, b), (b, a)):
-            if deg[u] == 2 != deg[vt]:  # u, of degree 2, is a local minimum
-                yield ("finish_one_neighbor_deg2", (v, u), 1,
-                       finish_one(d, vt) - total if local_min == [u] else None)
+            if deg[u] != 2 or deg[vt] == 2:  # u, of degree 2, is a local minimum
+                continue
+            rise = None  # unless u is the only local minimum
+            if local_min == [u]:
+                # the arc from u to vt hangs the other positions and their
+                # trees on vt, of degree dt then. When a child of vt has a
+                # higher degree, the first of largest degree becomes w, of sw
+                # vertices, on the 4-cycle (u, w, vt, v); else the triangle (v, u, vt)
+                shape = choice[vt]
+                lens = [*map(len, shape)]  # vt, not of degree 2, has children
+                dt = deg[vt] + n - 1 - d - size[vt]
+                if max(lens) < dt:
+                    dv = d + size[vt] - len(shape)
+                    rise = terms[dv][2] + terms[2][dt] + terms[dt][dv] + stars[dt] + stars[dv]
+                else:
+                    sw = 1 + shapes[shape[lens.index(max(lens))]][0]
+                    rise = (2 * terms[1 + sw][2] + 2 * terms[2][n - 1 - sw]
+                            + stars[1 + sw] + stars[n - 1 - sw])
+                rise -= total
+            yield "finish_one_neighbor_deg2", (v, u), 1, rise
 
 
 def edit_key(op: str, params: dict, girth: int) -> tuple:

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -710,10 +711,11 @@ def test_a_nan_tol_is_rejected_by_the_monotonicity_sweep(monkeypatch):
 
 
 def test_the_monotonicity_sweep_builds_a_graph_only_for_a_violating_class(monkeypatch):
-    # every operator is a ring edit: a clean sweep builds no graph and sums
-    # no GA, and a violating class builds its one graph to list its violations
-    built, summed = [], []
-    build, ga_sum = enumeration.ring_graph, Graph.ga_sum.func
+    # every operator is a ring edit: a clean sweep builds no graph, sums no
+    # GA and walks each class's edits once; a violating class walks them
+    # again to collect its violations and builds its one graph to list them
+    built, summed, walked = [], [], Counter()
+    build, ga_sum, edits = enumeration.ring_graph, Graph.ga_sum.func, enumeration.ring_edits
 
     def counted_build(choice):
         built.append(choice)
@@ -723,18 +725,27 @@ def test_the_monotonicity_sweep_builds_a_graph_only_for_a_violating_class(monkey
         summed.append(g)
         return ga_sum(g)
 
+    def counted_edits(choice, n):
+        walked[choice] += 1
+        return edits(choice, n)
+
     monkeypatch.setattr("gaindex.enumeration.ring_graph", counted_build)
     monkeypatch.setattr(Graph.ga_sum, "func", counted_sum)
+    monkeypatch.setattr("gaindex.enumeration.ring_edits", counted_edits)
+    classes = [choice for choice, _ in ring_classes(10)]
     assert verify_monotonicity(10).violations == ()
     assert built == summed == []
-    choice, where = next((choice, where) for choice, _ in ring_classes(10)
+    assert walked == dict.fromkeys(classes, 1)
+    choice, where = next((choice, where) for choice in classes
                          for op, where, _, rise in ring_edits(choice, 10)
                          if op == "finish_one_neighbor_deg2" and rise is not None)
     lift_ring_edits(monkeypatch, lambda c, op, w, rise:
                     SCALE if (c, op, w) == (choice, "finish_one_neighbor_deg2", where)
                     else rise)
+    walked.clear()
     assert len(verify_monotonicity(10).violations) == 1
     assert built == [choice]
+    assert walked == {c: 1 + (c == choice) for c in classes}
 
 
 def _outcome(call):

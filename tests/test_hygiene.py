@@ -28,7 +28,8 @@ enumeration.py imports from transforms nothing at module level and only
 operator_applications inside functions, rings.py nothing, and neither
 names a rewrite operator: the monotonicity sweep evaluates each one as an
 edit of a ring, and rings.ring_edits builds no dict or set and copies no
-list, so each edit stays O(1) arithmetic. rings.py imports only graph from
+list, so each edit stays O(1) arithmetic, and makes no function object (no
+nested def, lambda, comprehension or generator expression) per ring. rings.py imports only graph from
 the package, and no other module defines ring generation, a shape or sum table,
 ring_graph or the ring edits, or memoizes a function other than the GA
 term and the CLI's parser.
@@ -384,16 +385,29 @@ def test_the_monotonicity_sweep_runs_no_rewrite_operator():
         assert set(_references(MODULES[module])) & _operator_reach().keys() == set(), module
 
 
+RING_EDITS = next(node for node in MODULES["rings.py"].body
+                  if isinstance(node, ast.FunctionDef) and node.name == "ring_edits")
+
+
 def test_ring_edits_allocate_no_dict_or_set_per_edit():
     # each star and relocation edit is one-position arithmetic: ring_edits
-    # and its helpers build no dict or set and copy no list
-    tree = next(node for node in MODULES["rings.py"].body
-                if isinstance(node, ast.FunctionDef) and node.name == "ring_edits")
-    built = [type(node).__name__ for node in ast.walk(tree)
+    # builds no dict or set and copies no list
+    built = [type(node).__name__ for node in ast.walk(RING_EDITS)
              if isinstance(node, (ast.Dict, ast.Set, ast.DictComp, ast.SetComp))
              or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                  and node.func.attr == "copy")]
     assert built == []
+
+
+def test_ring_edits_makes_no_function_per_ring():
+    # a nested def, lambda, comprehension or generator expression is a
+    # function object made anew on each call, once per ring: ring_edits
+    # evaluates a ring in its own generator frame
+    nested = [type(node).__name__ for node in ast.walk(RING_EDITS) if node is not RING_EDITS
+              and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                    ast.ClassDef, ast.ListComp, ast.SetComp, ast.DictComp,
+                                    ast.GeneratorExp))]
+    assert nested == []
 
 
 # the shapes, the sum tables, the least rings, the graph of a ring and the
