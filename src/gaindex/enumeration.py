@@ -223,7 +223,7 @@ def verify_monotonicity(n: int, tol: float = 1e-9) -> MonotonicityReport:
         if rises_above(top, tol):  # monotone in the rise: some edit is above tol
             from .transforms import operator_applications
 
-            found = {(op, where): f"GA increased by {rise / SCALE!r}"  # (op, where) -> problem
+            found = {(op, where): f"GA increased by {rise / SCALE!r}"
                      for op, where, _, rise in ring_edits(choice, n)
                      if rise is not None and rises_above(rise, tol)}
             g = ring_graph(choice)

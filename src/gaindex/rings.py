@@ -256,7 +256,7 @@ def ring_edits(choice: tuple, n: int):
         e = terms[d][b]
         cyc.append(e)
         if d >= a and d >= b:
-            if d == s + 2:  # v holds a star already, so the result is the input
+            if d == s + 2:  # i holds a star already, so the result is the input
                 max_stars.append(i)
                 yield "star_transform", (i,), 1, 0
             else:  # a star of s leaves at i alone
@@ -278,8 +278,8 @@ def ring_edits(choice: tuple, n: int):
         for v in max_stars:
             if u != v:  # u empties its tree and v, of degree d, takes a star of it
                 d = deg[v] + s
-                rise = rest + terms[deg[v - 1]][d] + terms[d][succ[v]] - cyc[v - 1] - cyc[v] \
-                    + stars[d] - tree[v]
+                rise = (rest + terms[deg[v - 1]][d] + terms[d][succ[v]] - cyc[v - 1] - cyc[v]
+                        + stars[d] - tree[v])
                 j = (v - u) % k
                 if j == 1 or j == k - 1:  # both halves edited the shared edge
                     rise += (cyc[u if j == 1 else v] + terms[2][d]
@@ -319,22 +319,23 @@ def ring_edits(choice: tuple, n: int):
             yield ("finish_two_neighbors_deg2", (v,), 1, 2 * terms[d][2] + 2 * terms[2][n - d]
                    + stars[d] + stars[n - d] - total)
         for u, vt in ((a, b), (b, a)):
-            if deg[u] != 2 or deg[vt] == 2:  # u, of degree 2, is a local minimum
+            if deg[u] != 2 or deg[vt] == 2:  # a choice: u of degree 2, a local minimum, vt not
                 continue
             rise = None  # unless u is the only local minimum
             if local_min == [u]:
                 # the arc from u to vt hangs the other positions and their
                 # trees on vt, of degree dt then. When a child of vt has a
-                # higher degree, the first of largest degree becomes w, of sw
-                # vertices, on the 4-cycle (u, w, vt, v); else the triangle (v, u, vt)
+                # higher degree, the first of largest degree, w of sw
+                # vertices, goes on the 4-cycle (u, w, vt, v); else the
+                # result is the triangle (v, u, vt)
                 shape = choice[vt]
                 lens = [*map(len, shape)]  # vt, not of degree 2, has children
-                dt = deg[vt] + n - 1 - d - size[vt]
-                if max(lens) < dt:
+                dt, most = deg[vt] + n - 1 - d - size[vt], max(lens)
+                if most < dt:
                     dv = d + size[vt] - len(shape)
                     rise = terms[dv][2] + terms[2][dt] + terms[dt][dv] + stars[dt] + stars[dv]
                 else:
-                    sw = 1 + shapes[shape[lens.index(max(lens))]][0]
+                    sw = 1 + shapes[shape[lens.index(most)]][0]
                     rise = (2 * terms[1 + sw][2] + 2 * terms[2][n - 1 - sw]
                             + stars[1 + sw] + stars[n - 1 - sw])
                 rise -= total

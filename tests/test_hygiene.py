@@ -28,11 +28,11 @@ enumeration.py imports from transforms nothing at module level and only
 operator_applications inside functions, rings.py nothing, and neither
 names a rewrite operator: the monotonicity sweep evaluates each one as an
 edit of a ring, and rings.ring_edits builds no dict or set and copies no
-list, so each edit stays O(1) arithmetic, and makes no function object (no
-nested def, lambda, comprehension or generator expression) per ring. rings.py imports only graph from
-the package, and no other module defines ring generation, a shape or sum table,
-ring_graph or the ring edits, or memoizes a function other than the GA
-term and the CLI's parser.
+list, so each edit stays O(1) arithmetic, and makes no function object
+(no nested def, lambda, comprehension or generator expression) per ring.
+rings.py imports only graph from the package, and no other module defines
+ring generation, a shape or sum table, ring_graph or the ring edits, or
+memoizes a function other than the GA term and the CLI's parser.
 Only set_runtime_checks and reduction_pipeline name the runtime-check switch,
 and no operator reaches it through the helpers: the pipeline checks each
 step where it records it.
