@@ -282,6 +282,9 @@ def _cmd_verify(args) -> int:
         if args.monotonicity and hi > MAX_MONOTONICITY_ORDER:
             raise ValueError("range too large: the monotonicity sweep is capped at "
                              f"n = {MAX_MONOTONICITY_ORDER}")
+        if args.monotonicity and hi < 5:
+            raise ValueError("range too small: the monotonicity sweep starts at n = 5, "
+                             f"got {args.orders!r}")
         if hi > MAX_BOUND_ORDER:
             raise ValueError(f"range too large: bound verification is capped at n = {MAX_BOUND_ORDER}")
     except ValueError as exc:

@@ -51,8 +51,8 @@ def _check_order(n: int, cap: int = MAX_ORDER) -> None:
 def enumerate_unicyclic(n: int):
     """Yield one representative per isomorphism class of unicyclic graphs on n vertices."""
     _check_order(n)
-    for choice, _ in ring_classes(n):
-        yield ring_graph(choice)
+    for ring, _ in ring_classes(n):
+        yield ring_graph(next(zip(*ring)))  # the shapes, the rows' first column
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,7 @@ def verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
     keeps the running extremes, the rings within slack of each (filtered
     again when an extreme moves) and the violators, in generation order.
     Only the witnesses and the violators become graphs, for their canonical
-    keys and edge lists.
+    keys and edge lists: only there are a ring's shapes read off its rows.
     """
     _check_order(n, MAX_BOUND_ORDER)
     slack = scaled_tol(tol)
@@ -122,7 +122,7 @@ def verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
     upper = n * SCALE
     low = high = lower
     min_rings, max_rings, violators = [], [], []
-    for count, (choice, total) in enumerate(chain([(sn3, lower)], rings), 1):
+    for count, (ring, total) in enumerate(chain([(sn3, lower)], rings), 1):
         if total < low:
             low = total
             min_rings = [r for r in min_rings if r[1] - low <= slack]
@@ -130,14 +130,14 @@ def verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
             high = total
             max_rings = [r for r in max_rings if high - r[1] <= slack]
         if total - low <= slack:
-            min_rings.append((choice, total))
+            min_rings.append((ring, total))
         if high - total <= slack:
-            max_rings.append((choice, total))
+            max_rings.append((ring, total))
         if lower - total > slack or total - upper > slack:
-            violators.append((choice, total))
+            violators.append((ring, total))
 
     def keys(rings):
-        return tuple(sorted(canonical_form(ring_graph(choice)).hex() for choice, _ in rings))
+        return tuple(sorted(canonical_form(ring_graph(next(zip(*ring)))).hex() for ring, _ in rings))
 
     return BoundReport(
         n=n,
@@ -146,9 +146,10 @@ def verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
         max_ga=high / SCALE,
         min_witnesses=keys(min_rings),
         max_witnesses=keys(max_rings),
-        violations=tuple((format_edge_list(ring_graph(choice)), total / SCALE)
-                         for choice, total in violators),
-        max_only_cycle=([c for c, _ in max_rings] == [((),) * n] and abs(high - upper) <= slack),
+        violations=tuple((format_edge_list(ring_graph(next(zip(*ring)))), total / SCALE)
+                         for ring, total in violators),
+        # the cycle is the one ring of girth n
+        max_only_cycle=([len(r) for r, _ in max_rings] == [n] and abs(high - upper) <= slack),
         min_attained_by_sn3=min_rings[:1] == [(sn3, lower)],
         min_unique=len(min_rings) == 1,
     )
@@ -193,11 +194,11 @@ class MonotonicityReport(NamedTuple):
 def verify_monotonicity(n: int, tol: float = 1e-9) -> MonotonicityReport:
     """Apply every operator wherever its preconditions hold; GA must not rise.
 
-    The sweep edits each class's ring (ring_edits) and keeps the ring's
+    The sweep edits each class's ring, its rows (ring_edits), and keeps its
     largest accepted rise. rises_above is monotone in the rise, so it tests
     that one: when it fires, the ring's edits are walked again to collect
-    each rise above tol, and its graph is built to list them. worst_slack is
-    the largest exact rise divided once. A violation is
+    each rise above tol, and the graph of its shapes is built to list them.
+    worst_slack is the largest exact rise divided once. A violation is
     reported per application, with its params and the input's edge list, in
     the order operator_applications yields them. tol may be infinite, not NaN.
     """
@@ -210,10 +211,10 @@ def verify_monotonicity(n: int, tol: float = 1e-9) -> MonotonicityReport:
     violations = []
     graphs = 0
 
-    for choice, _ in ring_classes(n):
+    for ring, _ in ring_classes(n):
         graphs += 1
         top = floor  # the ring's largest accepted rise
-        for op, _, count, rise in ring_edits(choice, n):
+        for op, _, count, rise in ring_edits(ring, n):
             if rise is not None:
                 applications[op] += count
                 if rise > top:
@@ -224,12 +225,12 @@ def verify_monotonicity(n: int, tol: float = 1e-9) -> MonotonicityReport:
             from .transforms import operator_applications
 
             found = {(op, where): f"GA increased by {rise / SCALE!r}"
-                     for op, where, _, rise in ring_edits(choice, n)
+                     for op, where, _, rise in ring_edits(ring, n)
                      if rise is not None and rises_above(rise, tol)}
-            g = ring_graph(choice)
+            g = ring_graph(next(zip(*ring)))  # the shapes, the rows' first column
             source = format_edge_list(g)
             for op, params, _ in operator_applications(g):
-                problem = found.get((op, edit_key(op, params, len(choice))))
+                problem = found.get((op, edit_key(op, params, len(ring))))
                 if problem:
                     violations.append({"op": op, "params": params, "input": source,
                                        "problem": problem})

@@ -97,7 +97,7 @@ def _stabilizer(sizes: tuple, period: int) -> tuple | None:
     symmetries that fix sizes and move a position of size 2 or more, or None
     when a reflection maps sizes below itself. The rotations that fix sizes
     are those by a multiple of the period; a size below 2 has one shape, so
-    a symmetry that moves only such positions fixes every choice."""
+    a symmetry that moves only such positions fixes every ring of them."""
     rotations, reflections = _dihedral(len(sizes))
     fixing = list(rotations[period - 1::period])
     for sym in reflections:
@@ -113,10 +113,10 @@ def _stabilizer(sizes: tuple, period: int) -> tuple | None:
 
 @lru_cache(maxsize=None)
 def _hung_shapes(below: int) -> tuple:
-    """(shape, scaled GA sum of its edges, root degree) for each shape with
-    `below` vertices under its root hung on a cycle vertex, which adds two
-    to its root's degree."""
-    return tuple((shape, under + sum(ga_term(d, len(child) + 1) for child in shape), d)
+    """A row (shape, scaled GA sum of its edges, root degree, size) for each
+    shape with size = `below` vertices under its root hung on a cycle
+    vertex, which adds two to its root's degree."""
+    return tuple((shape, under + sum(ga_term(d, len(child) + 1) for child in shape), d, below)
                  for shape, under in _shapes(below) for d in (len(shape) + 2,))
 
 
@@ -136,25 +136,18 @@ def _star_sums(n: int) -> tuple:
     return (0, 0) + tuple((d - 2) * ga_term(d, 1) for d in range(2, n))
 
 
-@lru_cache(maxsize=None)
-def _shape_sums(n: int) -> dict:
-    """shape -> (its number of vertices below the root, its _hung_shapes sum,
-    its root degree) for every shape that a ring of order n hangs on a cycle vertex."""
-    return {shape: (size, total, d) for size in range(n - 2)
-            for shape, total, d in _hung_shapes(size)}
-
-
 def ring_classes(n: int):
-    """Yield (choice, total) for the least ring of each class of order n.
+    """Yield (ring, total) for the least ring of each class of order n.
 
-    choice[i] is the shape hung on cycle vertex i, and total the ga_sum of
-    the ring's graph. Rings compare their sizes (each shape's number of
-    tree vertices) first, so the sizes of a least ring are least among their
+    ring[i] is the _hung_shapes row (shape, tree sum, root degree, size) of
+    cycle vertex i, and total the ga_sum of the ring's graph. Rings compare
+    their sizes first, so the sizes of a least ring are least among their
     images: _necklaces yields those least among their rotations, _stabilizer
     drops those a reflection maps lower, and only the symmetries that fix
-    them can map its choice below itself. Girths ascend, and sizes and
-    choices come in lexicographic product order. Each ring's sum grows with
-    it: a level holds (sum so far, last degree, first degree, choice prefix).
+    them can map its rows below themselves; a shape has one row, so rows
+    compare as their shapes. Girths ascend, and sizes and rows come in
+    lexicographic product order. Each ring's sum grows with it: a level
+    holds (sum so far, last degree, first degree, prefix of rows).
     """
     terms = _cycle_terms(n)
     for girth in range(3, n + 1):
@@ -163,12 +156,12 @@ def ring_classes(n: int):
             if fixing is None:
                 continue
             first, *others, last = [_hung_shapes(s) for s in sizes]
-            level = [(t, d, d, (c,)) for c, t, d in first]
+            level = [(row[1], row[2], row[2], (row,)) for row in first]
             for options in others:
-                level = [(t + u + terms[p][d], d, f, prefix + (c,))
-                         for t, p, f, prefix in level for c, u, d in options]
-            rings = [(prefix + (c,), t + u + terms[p][d] + terms[d][f])
-                     for t, p, f, prefix in level for c, u, d in last]
+                level = [(t + row[1] + terms[p][row[2]], row[2], f, prefix + (row,))
+                         for t, p, f, prefix in level for row in options]
+            rings = [(prefix + (row,), t + row[1] + terms[p][row[2]] + terms[row[2]][f])
+                     for t, p, f, prefix in level for row in last]
             if fixing:
                 rings = [r for r in rings if all(sym(r[0]) >= r[0] for sym in fixing)]
             yield from rings
@@ -212,14 +205,15 @@ OPERATOR_NAMES = (
 )
 
 
-def ring_edits(choice: tuple, n: int):
-    """Yield (op, where, count, rise) for each choice that operator_applications
-    yields for ring_graph(choice), whose cycle vertex i is the ring's position
-    i. where is the params' values, but (u, v, ahead) for the arc from u to v
-    that runs ahead of u in the cycle order (ahead) or behind it; count is the
-    number of applications it stands for, one per cycle edge on an arc; rise
-    is the exact ga_sum of the operator's result less the graph's, or None
-    when the operator rejects the choice.
+def ring_edits(ring: tuple, n: int):
+    """Yield (op, where, count, rise) for each choice operator_applications
+    yields for the graph of a ring of order n, least or not, given as its
+    rows (shape, tree sum, root degree, size): ring_graph of its shapes,
+    cycle vertex i at position i. where is the params' values, but
+    (u, v, ahead) for the arc from u to v that runs ahead of u in the cycle
+    order (ahead) or behind it; count is the number of applications it
+    stands for, one per cycle edge on an arc; rise is the exact ga_sum of
+    the result less the graph's, or None when the operator rejects the choice.
 
     A rise edits the ring's sum: the cycle terms and tree sums at the
     positions the rewrite changes go out, and those of the result come in.
@@ -236,18 +230,19 @@ def ring_edits(choice: tuple, n: int):
     finish_one_neighbor_deg2 are the guards left that can reject one.
 
     A ring is evaluated in this one generator frame, with no helper function
-    or comprehension to build per ring. One pass over the positions reads
-    each shape's size, tree sum and degree from one table, yields the star
-    edits and keeps the cycle terms, the local minima and the stars among
-    the local maxima. A ring pays only for the edits it can have: every
-    relocation, arc and finishing edit ends at such a star, so a ring with
-    none stops after its star edits, and an arc meets u 2..k-2 steps from v,
-    so a triangle walks no arc. The ring's total and largest degree, which
-    only the finishing moves read, come last.
+    or comprehension to build per ring and no shape looked up: one
+    transposition of the rows gives each position's size, tree sum and
+    degree. One pass over the positions yields the star edits and keeps the
+    cycle terms, the local minima and the stars among the local maxima. A
+    ring pays only for the edits it can have: every relocation, arc and
+    finishing edit ends at such a star, so a ring with none stops after its
+    star edits, and an arc meets u 2..k-2 steps from v, so a triangle walks
+    no arc. The ring's total and largest degree, which only the finishing
+    moves read, come last.
     """
-    terms, stars, shapes = _cycle_terms(n), _star_sums(n), _shape_sums(n)
-    k = len(choice)
-    size, tree, deg = zip(*map(shapes.__getitem__, choice))
+    terms, stars = _cycle_terms(n), _star_sums(n)
+    k = len(ring)
+    shape, tree, deg, size = zip(*ring)
     succ = deg[1:] + deg[:1]
     cyc, local_min, max_stars = [], [], []  # cyc[i]: the edge from i to i + 1
     a = deg[-1]  # the degree a step behind d and c its edge, and succ's b a step ahead
@@ -328,14 +323,17 @@ def ring_edits(choice: tuple, n: int):
                 # higher degree, the first of largest degree, w of sw
                 # vertices, goes on the 4-cycle (u, w, vt, v); else the
                 # result is the triangle (v, u, vt)
-                shape = choice[vt]
-                lens = [*map(len, shape)]  # vt, not of degree 2, has children
+                kids = shape[vt]
+                lens = [*map(len, kids)]  # vt, not of degree 2, has children
                 dt, most = deg[vt] + n - 1 - d - size[vt], max(lens)
                 if most < dt:
-                    dv = d + size[vt] - len(shape)
+                    dv = d + size[vt] - len(kids)
                     rise = terms[dv][2] + terms[2][dt] + terms[dt][dv] + stars[dt] + stars[dv]
                 else:
-                    sw = 1 + shapes[shape[lens.index(most)]][0]
+                    sw, todo = 0, [kids[lens.index(most)]]  # w's subtree, vertex by vertex
+                    while todo:
+                        sw += 1
+                        todo += todo.pop()
                     rise = (2 * terms[1 + sw][2] + 2 * terms[2][n - 1 - sw]
                             + stars[1 + sw] + stars[n - 1 - sw])
                 rise -= total

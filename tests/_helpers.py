@@ -23,6 +23,32 @@ def unicyclic_graphs(draw, min_n=3, max_n=9):
 
 
 @st.composite
+def ring_shape_tuples(draw, min_n=20, max_n=60, max_girth=10):
+    """The shapes of a random ring, least among its images or not: each tree
+    vertex joins a position left nonempty, and a position's tree is a star
+    or has each vertex hung on a random earlier one."""
+    n = draw(st.integers(min_n, max_n))
+    girth = draw(st.integers(3, max_girth))
+    kept = [i for i, keep in enumerate(draw(st.lists(st.booleans(), min_size=girth,
+                                                     max_size=girth))) if keep] or [0]
+    sizes = [0] * girth
+    for _ in range(n - girth):
+        sizes[draw(st.sampled_from(kept))] += 1
+
+    def shape(children, v):  # the sorted tuple of v's child shapes
+        return tuple(sorted(shape(children, c) for c in children[v]))
+
+    shapes = []
+    for size in sizes:
+        star = draw(st.booleans())
+        children = [[] for _ in range(size + 1)]  # 0 is the root
+        for w in range(1, size + 1):
+            children[0 if star else draw(st.integers(0, w - 1))].append(w)
+        shapes.append(shape(children, 0))
+    return tuple(shapes)
+
+
+@st.composite
 def graph_with_permutation(draw, min_n=3, max_n=9):
     g = draw(unicyclic_graphs(min_n, max_n))
     perm = draw(st.permutations(range(g.n)))
@@ -77,28 +103,34 @@ def assert_same_structure(g, fresh) -> None:
             seen.add(z)
 
 
+def ring_shapes(ring: tuple) -> tuple:
+    """The shapes of a ring given as the rows ring_classes yields, as
+    ring_graph takes them."""
+    return tuple(row[0] for row in ring)
+
+
 def lift_ring_edits(monkeypatch, lift) -> None:
-    """Make verify_monotonicity read lift(choice, op, where, rise) as the
-    exact rise of each ring edit (op, where, count, rise) of each class's ring
-    choice; a rejected edit has rise None. The edits themselves stay as they
-    are."""
+    """Make verify_monotonicity read lift(ring, op, where, rise) as the
+    exact rise of each ring edit (op, where, count, rise) of each class's
+    ring, its rows; a rejected edit has rise None. The edits themselves stay
+    as they are."""
     edits = enumeration.ring_edits
 
-    def patched(choice, n):
-        for op, where, count, rise in edits(choice, n):
-            yield op, where, count, lift(choice, op, where, rise)
+    def patched(ring, n):
+        for op, where, count, rise in edits(ring, n):
+            yield op, where, count, lift(ring, op, where, rise)
 
     monkeypatch.setattr("gaindex.enumeration.ring_edits", patched)
 
 
 def lift_ring_sums(monkeypatch, lift) -> None:
-    """Make verify_bounds read each ring's exact GA sum plus lift(choice),
-    in units of 1/SCALE; the rings themselves stay as they are."""
+    """Make verify_bounds read each ring's exact GA sum plus lift(ring), the
+    ring's rows, in units of 1/SCALE; the rings themselves stay as they are."""
     rings = enumeration.ring_classes
 
     def patched(n):
-        for choice, total in rings(n):
-            yield choice, total + lift(choice)
+        for ring, total in rings(n):
+            yield ring, total + lift(ring)
 
     monkeypatch.setattr("gaindex.enumeration.ring_classes", patched)
 

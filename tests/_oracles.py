@@ -51,6 +51,8 @@ walks from the star, with terms and tree sums from its memoized tables;
 the reference here sums each arc on its own, from its start to the star's
 other cycle neighbor, with each term from ga_term and each tree summed
 edge by edge.
+The package's rings carry each position's row of its shape table; the
+rows here are summed shape by shape, edge by edge.
 """
 
 import itertools
@@ -73,6 +75,8 @@ from gaindex.enumeration import MAX_ORDER, BoundReport
 from gaindex.graph import SCALE, GraphError, ga_term, norm_edge, pendant_tree, scaled_tol
 from gaindex.rings import ring_classes, ring_graph
 from gaindex.transforms import PreconditionError
+
+from _helpers import ring_shapes
 
 
 def float_ga_term(du: int, dv: int) -> float:
@@ -220,9 +224,9 @@ def reference_tree_sum(shape: tuple, root_degree: int) -> int:
 
 
 def reference_hung_shapes(below: int) -> tuple:
-    """(shape, scaled GA sum of its edges, root degree) for each shape with
-    `below` vertices under its root hung on a cycle vertex."""
-    return tuple((shape, reference_tree_sum(shape, len(shape) + 2), len(shape) + 2)
+    """(shape, scaled GA sum of its edges, root degree, size) for each shape
+    with size = `below` vertices under its root hung on a cycle vertex."""
+    return tuple((shape, reference_tree_sum(shape, len(shape) + 2), len(shape) + 2, below)
                  for shape in reference_forests(below))
 
 
@@ -251,7 +255,7 @@ def kept_sizes(total: int, parts: int):
 def reference_verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
     """verify_bounds over a list of every class, scanned once per quantity."""
     slack = scaled_tol(tol)
-    entries = list(ring_classes(n))
+    entries = [(ring_shapes(ring), total) for ring, total in ring_classes(n)]
     cycle = ((),) * n
     sn3 = ((), (), ((),) * (n - 3))
     lower, upper = next(t for c, t in entries if c == sn3), n * SCALE
@@ -362,6 +366,13 @@ def hung_shape(shape: tuple) -> tuple:
             total += ga_term(d, len(child) + 1)
             stack.append((child, len(child) + 1))
     return size, total
+
+
+def hung_rows(shapes: tuple) -> tuple:
+    """The rows (shape, tree sum, root degree, size) of the ring of these
+    shapes, as ring_edits reads them, each from hung_shape."""
+    return tuple((shape, total, len(shape) + 2, size)
+                 for shape in shapes for size, total in [hung_shape(shape)])
 
 
 def reference_arc_edits(choice: tuple) -> dict:

@@ -512,12 +512,15 @@ def test_verify_monotonicity_json(capsys):
     assert "monotonicity" not in json.loads(plain)
 
 
-@pytest.mark.parametrize("orders", ["2..4", f"3..{MAX_MONOTONICITY_ORDER + 1}", "7..6"])
+@pytest.mark.parametrize("orders", ["2..4", f"3..{MAX_MONOTONICITY_ORDER + 1}", "7..6",
+                                    "3..4", "4"])
 def test_verify_monotonicity_rejects_orders_up_front(capsys, orders):
     code, out, err = run(capsys, "verify", orders, "--monotonicity")
     assert code == USAGE_ERROR
     assert out == ""
     assert err.startswith("error:")
+    if orders in ("3..4", "4"):  # no order the sweep runs: it would print the bounds alone
+        assert "the monotonicity sweep starts at n = 5" in err
 
 
 def test_verify_reports_bound_violations(capsys, monkeypatch):

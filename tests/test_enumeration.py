@@ -7,7 +7,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaindex import (
@@ -18,6 +18,7 @@ from gaindex import (
     enumerate_unicyclic,
     format_edge_list,
     ga_index,
+    classify_family,
     ga_sn3_closed,
     is_unicyclic,
     make_family,
@@ -31,13 +32,15 @@ from gaindex.rings import (_hung_shapes, _necklaces, _shapes, _stabilizer, edit_
                            ring_classes, ring_edits, ring_graph)
 from gaindex.transforms import PreconditionError
 
-from _helpers import assert_same_structure, lift_ring_edits, lift_ring_sums
+from _helpers import (assert_same_structure, lift_ring_edits, lift_ring_sums, ring_shape_tuples,
+                      ring_shapes)
 from _oracles import (
     compositions,
     enumerate_unicyclic_by_chords,
     float_ga_term,
     free_trees,
     fsum_ga,
+    hung_rows,
     kept_sizes,
     least_rings,
     reference_arc_edits,
@@ -114,8 +117,9 @@ def test_generation_needs_no_canonical_labeling(monkeypatch):
 
 @pytest.mark.parametrize("n", range(3, 12))
 def test_rings_match_the_reference_filter(n):
-    # a ring's sizes are its shapes' sizes, so the choices say it all
-    assert [choice for choice, _ in ring_classes(n)] == [choice for _, choice in least_rings(n)]
+    # a ring's sizes are its shapes' sizes, so the shapes say it all
+    assert [ring_shapes(ring) for ring, _ in ring_classes(n)] == [
+        choice for _, choice in least_rings(n)]
 
 
 @pytest.mark.parametrize("size", range(11))
@@ -141,14 +145,17 @@ def test_necklaces_give_exactly_the_kept_sizes_in_order(n):
 def test_the_first_ring_is_sn3(n):
     # verify_bounds reads the lower bound off the first ring it is given
     sn3 = ((), (), ((),) * (n - 3))  # n-3 leaves on the last triangle vertex
-    assert next(ring_classes(n)) == (sn3, ring_graph(sn3).ga_sum)
+    assert next(ring_classes(n)) == (hung_rows(sn3), ring_graph(sn3).ga_sum)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_ring_ga_equals_graph_ga(n):
-    # the ring's sum, built with the ring, is its graph's; both round like fsum
-    for choice, total in ring_classes(n):
-        g = ring_graph(choice)
+    # the ring's sum, built with the ring, is its graph's; both round like
+    # fsum. Each of its rows is its shape's, summed edge by edge
+    for ring, total in ring_classes(n):
+        shapes = ring_shapes(ring)
+        assert ring == hung_rows(shapes)
+        g = ring_graph(shapes)
         assert total == g.ga_sum
         assert total / SCALE == g.ga == fsum_ga(g.degrees, g.edges)
 
@@ -251,7 +258,7 @@ def test_verify_bounds_lists_violators_in_generation_order(monkeypatch, unicycli
     sn3_key = canonical_form(ring_graph(sn3))
     for lift, spared in ((n * SCALE, None), (-n * SCALE, sn3_key)):
         with monkeypatch.context() as patch:
-            lift_ring_sums(patch, lambda choice: 0 if spared and choice == sn3 else lift)
+            lift_ring_sums(patch, lambda ring: 0 if spared and ring_shapes(ring) == sn3 else lift)
             rep = verify_bounds(n)
         assert rep.violations == tuple((format_edge_list(g), (g.ga_sum + lift) / SCALE)
                                        for g in unicyclic(n) if canonical_form(g) != spared)
@@ -388,11 +395,11 @@ def test_monotonicity_sweep_relocates_each_arc_path_once(unicyclic, monkeypatch)
     thunks = distinct = 0
     arcs = set()
     for n in range(5, 9):
-        for (choice, _), g in zip(ring_classes(n), unicyclic(n)):
+        for (ring, _), g in zip(ring_classes(n), unicyclic(n)):
             paths = set()
             for params, _ in _arc_entries(g):
                 paths.add(transforms._arc_path(g, **params))
-                arcs.add((choice, edit_key("arc_transform", params, g.cycle.girth)))
+                arcs.add((ring, edit_key("arc_transform", params, g.cycle.girth)))
                 thunks += 1
             distinct += len(paths)
     assert distinct < thunks
@@ -400,10 +407,10 @@ def test_monotonicity_sweep_relocates_each_arc_path_once(unicyclic, monkeypatch)
     edited = []
     edits = enumeration.ring_edits
 
-    def logged(choice, n):
-        for op, where, count, rise in edits(choice, n):
+    def logged(ring, n):
+        for op, where, count, rise in edits(ring, n):
             if op == "arc_transform":
-                edited.append((choice, where))
+                edited.append((ring, where))
             yield op, where, count, rise
 
     monkeypatch.setattr("gaindex.enumeration.ring_edits", logged)
@@ -513,10 +520,10 @@ def test_ring_edits_match_the_graph_operators(n):
     # its edge list builds: every finishing result, and the others to n = 10
     # (at n = 11 they would add about a second)
     accepted = dict.fromkeys(OPERATOR_NAMES, 0)
-    for choice, total in ring_classes(n):
-        g = ring_graph(choice)
-        ring = {(op, where): [None if rise is None else total + rise] * count
-                for op, where, count, rise in ring_edits(choice, n)}
+    for ring, total in ring_classes(n):
+        g = ring_graph(ring_shapes(ring))
+        edits = {(op, where): [None if rise is None else total + rise] * count
+                 for op, where, count, rise in ring_edits(ring, n)}
         graph = {}
         for op, params, _ in operator_applications(g):
             try:
@@ -528,19 +535,55 @@ def test_ring_edits_match_the_graph_operators(n):
                     assert_same_structure(h, build_graph(h.n, h.edges))
                 outcome = h.ga_sum
                 accepted[op] += 1
-            graph.setdefault((op, edit_key(op, params, len(choice))), []).append(outcome)
-        assert ring == graph, choice
+            graph.setdefault((op, edit_key(op, params, len(ring))), []).append(outcome)
+        assert edits == graph, ring
     assert tuple(accepted.values()) == MONOTONICITY_APPLICATIONS[n]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_shape_tuples())
+def test_ring_edits_match_the_graph_operators_on_random_rings(shapes):
+    # past the sweep's orders and off its least rings: rings of 20 to 60
+    # vertices, girth 3 to 10, whose rows are summed edge by edge, with no
+    # table of the package. At every choice operator_applications yields,
+    # the ring edit accepts what the graph operator accepts, with its sum
+    g = ring_graph(shapes)
+    edits = {(op, where): [None if rise is None else g.ga_sum + rise] * count
+             for op, where, count, rise in ring_edits(hung_rows(shapes), g.n)}
+    graph = {}
+    for op, params, _ in operator_applications(g):
+        try:
+            outcome = getattr(transforms, op)(g, **params).ga_sum
+        except PreconditionError:
+            outcome = None
+        graph.setdefault((op, edit_key(op, params, len(shapes))), []).append(outcome)
+    assert edits == graph
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_the_sinks_are_the_paper_families(n):
+    # a sink is a class no accepted edit lowers, where every chain of strict
+    # decreases ends: exactly sn3(n), each srk3(r, k) with k >= 1 and each
+    # spq4(p, q) with q >= 1, one class each
+    sinks = Counter(classify_family(ring_graph(ring_shapes(ring)))
+                    for ring, _ in ring_classes(n)
+                    if not any(rise is not None and rise < 0
+                               for _, _, _, rise in ring_edits(ring, n)))
+    expected = ([FamilySpec("sn3", (n,))]
+                + [FamilySpec("srk3", (n - 3 - k, k)) for k in range(1, (n - 3) // 2 + 1)]
+                + [FamilySpec("spq4", (n - 4 - q, q)) for q in range(1, (n - 4) // 2 + 1)])
+    assert sinks == Counter(expected)
+    assert sinks.total() == 1 + (n - 3) // 2 + (n - 4) // 2
 
 
 @pytest.mark.parametrize("n", [12, 13])
 def test_arc_edits_match_the_per_arc_sums(n):
     # past the graph operators' reach: each arc the walks from a star yield,
     # its count and its rise, is the arc summed on its own
-    for choice, _ in ring_classes(n):
-        walked = {where: (count, rise) for op, where, count, rise in ring_edits(choice, n)
+    for ring, _ in ring_classes(n):
+        walked = {where: (count, rise) for op, where, count, rise in ring_edits(ring, n)
                   if op == "arc_transform"}
-        assert walked == reference_arc_edits(choice), choice
+        assert walked == reference_arc_edits(ring_shapes(ring)), ring
 
 
 # sha256 over the rings of ring_classes(n), in order, of each ring's edits
@@ -557,8 +600,8 @@ def test_ring_edits_are_pinned_past_the_graph_operators(n):
     # sums only the arcs: every edit, its where, count and exact rise, is
     # pinned here as it was computed at n = 12 and 13
     digest = hashlib.sha256()
-    for choice, _ in ring_classes(n):
-        digest.update(("\n".join(sorted(map(repr, ring_edits(choice, n)))) + "\n\n").encode())
+    for ring, _ in ring_classes(n):
+        digest.update(("\n".join(sorted(map(repr, ring_edits(ring, n)))) + "\n\n").encode())
     assert digest.hexdigest() == EDIT_DIGESTS[n]
 
 
@@ -568,11 +611,12 @@ def test_the_edits_a_ring_cannot_have(n):
     # maximum, a finishing one at a star of the largest degree, and an arc
     # has inner positions on both sides: a ring with no such star yields
     # only star edits, and a triangle no arc edit
-    for choice, _ in ring_classes(n):
+    for ring, _ in ring_classes(n):
+        choice = ring_shapes(ring)
         k, deg = len(choice), [len(shape) + 2 for shape in choice]
         max_stars = [v for v in range(k) if not any(choice[v])
                      and deg[v] >= max(deg[v - 1], deg[(v + 1) % k])]
-        edits = [(op, where) for op, where, _, _ in ring_edits(choice, n)]
+        edits = [(op, where) for op, where, _, _ in ring_edits(ring, n)]
         if not max_stars:
             assert {op for op, _ in edits} <= {"star_transform"}, choice
         if k == 3:
@@ -604,7 +648,7 @@ def test_adjacent_relocations_count_their_shared_edge_once(choice, u, v):
     # rise puts it back once, at degrees 2 and v's new degree
     n = len(choice) + sum(map(len, choice))
     g = ring_graph(choice)
-    rises = [rise for op, where, _, rise in ring_edits(choice, n)
+    rises = [rise for op, where, _, rise in ring_edits(hung_rows(choice), n)
              if (op, where) == ("relocate_min", (u, v))]
     assert rises == [transforms.relocate_min(g, u=u, v=v).ga_sum - g.ga_sum]
 
@@ -614,7 +658,8 @@ def test_star_and_relocation_identities_read_exactly_zero():
     # their input: each is an application whose rise is exactly 0
     choice, n = ((), (), PAIR), 5
     g = ring_graph(choice)
-    edits = {(op, where): (count, rise) for op, where, count, rise in ring_edits(choice, n)}
+    edits = {(op, where): (count, rise)
+             for op, where, count, rise in ring_edits(hung_rows(choice), n)}
     for op, params in [("star_transform", {"v": 2}), ("relocate_min", {"u": 0, "v": 2}),
                        ("relocate_min", {"u": 1, "v": 2})]:
         count, rise = edits[op, tuple(params.values())]
@@ -625,14 +670,15 @@ def test_star_and_relocation_identities_read_exactly_zero():
 def test_a_finishing_edit_takes_the_first_heaviest_child():
     # two children of vt of largest degree first differ in size at n = 16,
     # beyond the sweep's cap: the edit rebuilds the 4-cycle on the first of
-    # them in the shape's order, the least id, as the graph operator does
+    # them in the shape's order, the least id, as the graph operator does,
+    # and counts that child's vertices off its shape
     leaves = ((),) * 4
     vt = (leaves, leaves[:3] + (((),),))  # two children of degree 5, of 5 and 6 vertices
     choice, n = (leaves[:2], (), vt), 16
     g = ring_graph(choice)
     h = transforms.finish_one_neighbor_deg2(g, 0, 1)
     assert h.cycle.girth == 4 and 5 in h.cycle.vertices  # w is vt's first child, 5
-    assert [(where, g.ga_sum + rise) for op, where, _, rise in ring_edits(choice, n)
+    assert [(where, g.ga_sum + rise) for op, where, _, rise in ring_edits(hung_rows(choice), n)
             if op in FINISHING_MOVES] == [((0, 1), h.ga_sum)]
 
 
@@ -640,15 +686,15 @@ def test_worst_slack_is_the_largest_exact_rise(monkeypatch):
     # a no-op star edit lifted by x: worst_slack reads x, and that application
     # alone is reported when tol is below x
     n, x = 7, SCALE // 3
-    choice, where = next((choice, where) for choice, _ in ring_classes(n)
-                         for op, where, _, rise in ring_edits(choice, n)
-                         if op == "star_transform" and rise == 0)
-    lift_ring_edits(monkeypatch, lambda c, op, w, rise:
-                    rise + x if (c, op, w) == (choice, "star_transform", where) else rise)
+    ring, where = next((ring, where) for ring, _ in ring_classes(n)
+                       for op, where, _, rise in ring_edits(ring, n)
+                       if op == "star_transform" and rise == 0)
+    lift_ring_edits(monkeypatch, lambda r, op, w, rise:
+                    rise + x if (r, op, w) == (ring, "star_transform", where) else rise)
     rep = verify_monotonicity(n, tol=x / SCALE / 2)
     assert rep.worst_slack == x / SCALE
     assert rep.violations == ({"op": "star_transform", "params": {"v": where[0]},
-                               "input": format_edge_list(ring_graph(choice)),
+                               "input": format_edge_list(ring_graph(ring_shapes(ring))),
                                "problem": f"GA increased by {x / SCALE!r}"},)
     assert tuple(rep.applications.values()) == MONOTONICITY_APPLICATIONS[n]
     assert verify_monotonicity(n, tol=x / SCALE).violations == ()
@@ -667,8 +713,8 @@ def test_a_finite_negative_tol_reports_the_applications_above_it(n, tol):
     # order operator_applications yields it: the no-ops at -1e-3, as every
     # fall to n = 8 is at least 0.17, and some falls too at -0.2
     expected = []
-    for choice, _ in ring_classes(n):
-        g = ring_graph(choice)
+    for ring, _ in ring_classes(n):
+        g = ring_graph(ring_shapes(ring))
         for op, params, _ in operator_applications(g):
             try:
                 rise = getattr(transforms, op)(g, **params).ga_sum - g.ga_sum
@@ -717,35 +763,35 @@ def test_the_monotonicity_sweep_builds_a_graph_only_for_a_violating_class(monkey
     built, summed, walked = [], [], Counter()
     build, ga_sum, edits = enumeration.ring_graph, Graph.ga_sum.func, enumeration.ring_edits
 
-    def counted_build(choice):
-        built.append(choice)
-        return build(choice)
+    def counted_build(shapes):
+        built.append(shapes)
+        return build(shapes)
 
     def counted_sum(g):
         summed.append(g)
         return ga_sum(g)
 
-    def counted_edits(choice, n):
-        walked[choice] += 1
-        return edits(choice, n)
+    def counted_edits(ring, n):
+        walked[ring] += 1
+        return edits(ring, n)
 
     monkeypatch.setattr("gaindex.enumeration.ring_graph", counted_build)
     monkeypatch.setattr(Graph.ga_sum, "func", counted_sum)
     monkeypatch.setattr("gaindex.enumeration.ring_edits", counted_edits)
-    classes = [choice for choice, _ in ring_classes(10)]
+    classes = [ring for ring, _ in ring_classes(10)]
     assert verify_monotonicity(10).violations == ()
     assert built == summed == []
     assert walked == dict.fromkeys(classes, 1)
-    choice, where = next((choice, where) for choice in classes
-                         for op, where, _, rise in ring_edits(choice, 10)
-                         if op == "finish_one_neighbor_deg2" and rise is not None)
-    lift_ring_edits(monkeypatch, lambda c, op, w, rise:
-                    SCALE if (c, op, w) == (choice, "finish_one_neighbor_deg2", where)
+    ring, where = next((ring, where) for ring in classes
+                       for op, where, _, rise in ring_edits(ring, 10)
+                       if op == "finish_one_neighbor_deg2" and rise is not None)
+    lift_ring_edits(monkeypatch, lambda r, op, w, rise:
+                    SCALE if (r, op, w) == (ring, "finish_one_neighbor_deg2", where)
                     else rise)
     walked.clear()
     assert len(verify_monotonicity(10).violations) == 1
-    assert built == [choice]
-    assert walked == {c: 1 + (c == choice) for c in classes}
+    assert built == [ring_shapes(ring)]
+    assert walked == {r: 1 + (r == ring) for r in classes}
 
 
 def _outcome(call):

@@ -410,10 +410,16 @@ def test_ring_edits_makes_no_function_per_ring():
     assert nested == []
 
 
+def test_ring_edits_reads_no_shape_table():
+    # a ring's rows carry each position's size, tree sum and degree, so
+    # ring_edits looks up no shape and runs on a ring of any order
+    assert {"_shapes", "_hung_shapes", "_shape_sums"} & set(_references(RING_EDITS)) == set()
+
+
 # the shapes, the sum tables, the least rings, the graph of a ring and the
 # ring edits: every function that decides something about rings
 RING_FUNCTIONS = {"_shapes", "_led_by", "_necklaces", "_dihedral", "_stabilizer",
-                  "_hung_shapes", "_cycle_terms", "_star_sums", "_shape_sums", "ring_classes",
+                  "_hung_shapes", "_cycle_terms", "_star_sums", "ring_classes",
                   "ring_graph", "ring_edits", "edit_key"}
 
 
