@@ -136,6 +136,20 @@ def _star_sums(n: int) -> tuple:
     return (0, 0) + tuple((d - 2) * ga_term(d, 1) for d in range(2, n))
 
 
+@lru_cache(maxsize=None)
+def _skeleton(n: int) -> tuple:
+    """(rows, fixing) for the sizes of each least ring of order n, in
+    ring_classes' order: rows[i] holds the _hung_shapes rows of sizes[i] and
+    fixing the symmetries _stabilizer gives, the sizes it drops left out."""
+    skeleton = []
+    for girth in range(3, n + 1):
+        for sizes, period in _necklaces(n - girth, girth):
+            fixing = _stabilizer(sizes, period)
+            if fixing is not None:
+                skeleton.append((tuple(map(_hung_shapes, sizes)), fixing))
+    return tuple(skeleton)
+
+
 def ring_classes(n: int):
     """Yield (ring, total) for the least ring of each class of order n.
 
@@ -145,26 +159,23 @@ def ring_classes(n: int):
     images: _necklaces yields those least among their rotations, _stabilizer
     drops those a reflection maps lower, and only the symmetries that fix
     them can map its rows below themselves; a shape has one row, so rows
-    compare as their shapes. Girths ascend, and sizes and rows come in
+    compare as their shapes. Those compositions, their rows and their
+    stabilizers are built once per order and process (_skeleton), so a call
+    only builds the rings. Girths ascend, and sizes and rows come in
     lexicographic product order. Each ring's sum grows with it: a level
     holds (sum so far, last degree, first degree, prefix of rows).
     """
     terms = _cycle_terms(n)
-    for girth in range(3, n + 1):
-        for sizes, period in _necklaces(n - girth, girth):
-            fixing = _stabilizer(sizes, period)
-            if fixing is None:
-                continue
-            first, *others, last = [_hung_shapes(s) for s in sizes]
-            level = [(row[1], row[2], row[2], (row,)) for row in first]
-            for options in others:
-                level = [(t + row[1] + terms[p][row[2]], row[2], f, prefix + (row,))
-                         for t, p, f, prefix in level for row in options]
-            rings = [(prefix + (row,), t + row[1] + terms[p][row[2]] + terms[row[2]][f])
-                     for t, p, f, prefix in level for row in last]
-            if fixing:
-                rings = [r for r in rings if all(sym(r[0]) >= r[0] for sym in fixing)]
-            yield from rings
+    for (first, *others, last), fixing in _skeleton(n):
+        level = [(row[1], row[2], row[2], (row,)) for row in first]
+        for options in others:
+            level = [(t + row[1] + terms[p][row[2]], row[2], f, prefix + (row,))
+                     for t, p, f, prefix in level for row in options]
+        rings = [(prefix + (row,), t + row[1] + terms[p][row[2]] + terms[row[2]][f])
+                 for t, p, f, prefix in level for row in last]
+        if fixing:
+            rings = [r for r in rings if all(sym(r[0]) >= r[0] for sym in fixing)]
+        yield from rings
 
 
 def ring_graph(ring: tuple) -> Graph:

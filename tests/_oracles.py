@@ -57,6 +57,7 @@ rows here are summed shape by shape, edge by edge.
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 
 from gaindex import (
@@ -92,6 +93,12 @@ def fsum_ga(degrees, edges) -> float:
 def reference_ga_sum(degrees, edges) -> int:
     """The exact GA sum of the edges under these degrees, edge by edge."""
     return sum(ga_term(degrees[u], degrees[v]) for u, v in edges)
+
+
+def edge_list_ga_sum(edges) -> int:
+    """The exact GA sum of an edge list, each degree counted off the list."""
+    degrees = Counter(v for edge in edges for v in edge)
+    return reference_ga_sum(degrees, edges)
 
 
 def relabel(g: Graph, perm) -> Graph:
@@ -252,6 +259,13 @@ def kept_sizes(total: int, parts: int):
                 yield sizes
 
 
+@lru_cache(maxsize=None)
+def ring_key(choice: tuple) -> str:
+    """The canonical key of a ring's graph, once per ring of shapes: the
+    reference keys a ring for each extreme and each tol that keeps it."""
+    return canonical_form(ring_graph(choice)).hex()
+
+
 def reference_verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
     """verify_bounds over a list of every class, scanned once per quantity."""
     slack = scaled_tol(tol)
@@ -269,7 +283,7 @@ def reference_verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
     )
 
     def keys(rings):
-        return tuple(sorted(canonical_form(ring_graph(choice)).hex() for choice in rings))
+        return tuple(sorted(map(ring_key, rings)))
 
     return BoundReport(
         n=n,

@@ -25,7 +25,7 @@ from gaindex import (
     verify_bounds,
     verify_monotonicity,
 )
-from gaindex import enumeration, rings, transforms
+from gaindex import cli, enumeration, rings, transforms
 from gaindex.enumeration import MAX_BOUND_ORDER, OPERATOR_NAMES, operator_applications
 from gaindex.graph import SCALE, ga_term, json_text
 from gaindex.rings import (_hung_shapes, _necklaces, _shapes, _stabilizer, edit_key,
@@ -36,6 +36,7 @@ from _helpers import (assert_same_structure, lift_ring_edits, lift_ring_sums, ri
                       ring_shapes)
 from _oracles import (
     compositions,
+    edge_list_ga_sum,
     enumerate_unicyclic_by_chords,
     float_ga_term,
     free_trees,
@@ -46,6 +47,7 @@ from _oracles import (
     reference_arc_edits,
     reference_forests,
     reference_hung_shapes,
+    reference_ring_edges,
     reference_verify_bounds,
     syntactic_applications,
 )
@@ -139,6 +141,31 @@ def test_necklaces_give_exactly_the_kept_sizes_in_order(n):
                    for c, p in necklaces)
         assert [c for c, p in necklaces if _stabilizer(c, p) is not None] == list(
             kept_sizes(extra, girth))
+
+
+def test_each_order_draws_its_necklaces_once(monkeypatch, capsys):
+    # verify --monotonicity reads each order's rings twice, for the bounds and
+    # for the sweep; the order's compositions are drawn on the first read
+    calls, necklaces = Counter(), rings._necklaces
+
+    def counted(total, parts):
+        calls[total, parts] += 1
+        return necklaces(total, parts)
+
+    monkeypatch.setattr(rings, "_necklaces", counted)
+    rings._skeleton.cache_clear()
+    assert cli.main(["verify", "5..8", "--monotonicity", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls == Counter({(n - girth, girth): 1
+                             for n in range(5, 9) for girth in range(3, n + 1)})
+
+
+def test_a_warm_skeleton_gives_the_rings_a_cold_one_gives():
+    # ring_classes builds its levels from the memo's rows and never edits them
+    for n in range(3, 13):
+        rings._skeleton.cache_clear()
+        cold = list(ring_classes(n))
+        assert list(ring_classes(n)) == cold
 
 
 @pytest.mark.parametrize("n", range(3, MAX_BOUND_ORDER + 1))
@@ -241,7 +268,7 @@ def test_verify_bounds_matches_the_list_reference(n, tol):
 
 
 def test_verify_bounds_keeps_no_class_list():
-    verify_bounds(14)  # the shape and sum tables are built once, outside the trace
+    verify_bounds(14)  # the shape and sum tables and the skeleton are built outside the trace
     tracemalloc.start()
     try:
         verify_bounds(14)
@@ -574,6 +601,36 @@ def test_the_sinks_are_the_paper_families(n):
                 + [FamilySpec("spq4", (n - 4 - q, q)) for q in range(1, (n - 4) // 2 + 1)])
     assert sinks == Counter(expected)
     assert sinks.total() == 1 + (n - 3) // 2 + (n - 4) // 2
+
+
+def test_each_strict_decrease_replays_through_its_graph_operator():
+    # every class but a sink has an accepted edit that lowers GA; replaying
+    # each operator's first such edit through the graph operator that
+    # operator_applications yields for it lowers the GA of the edge lists,
+    # counted edge by edge off each list, by exactly the edit's rise
+    sinks, replayed = 0, Counter()
+    for n in range(5, 10):
+        for ring, _ in ring_classes(n):
+            lower = {}
+            for op, where, _, rise in ring_edits(ring, n):
+                if rise is not None and rise < 0:
+                    lower.setdefault(op, (where, rise))
+            if not lower:
+                sinks += 1
+                continue
+            shapes = ring_shapes(ring)
+            g = ring_graph(shapes)
+            before = edge_list_ga_sum(reference_ring_edges(shapes))
+            for op, params, thunk in operator_applications(g):
+                where, rise = lower.get(op, (None, None))
+                if where == edit_key(op, params, len(shapes)):
+                    assert edge_list_ga_sum(thunk().edges) - before == rise, (op, where, shapes)
+                    replayed[op] += 1
+                    del lower[op]
+            assert not lower, shapes
+    # as many sinks as the paper's families, and every operator lowers a class
+    assert sinks == sum(1 + (n - 3) // 2 + (n - 4) // 2 for n in range(5, 10))
+    assert set(replayed) == set(OPERATOR_NAMES)
 
 
 @pytest.mark.parametrize("n", [12, 13])
