@@ -8,22 +8,22 @@ so every comparison is an exact difference and a no-op reads exactly 0.
 reports. :func:`verify_monotonicity` evaluates every operator as an edit of
 the ring's sum and tests the tolerance once per ring, on its largest
 accepted rise: a clean ring's edits are walked once, and a violating
-ring's a second time to collect its violations. It builds a graph only to
-list a violating class's applications, read from
-:func:`gaindex.transforms.operator_applications`, which this module imports
-there and resolves on first access as ``enumeration.operator_applications``:
-neither sweep loads the rewrites otherwise.
+ring's a second time to list its violating edits' applications
+(:func:`gaindex.rings.edit_applications`). Neither sweep loads the
+rewrites: ``enumeration.operator_applications`` resolves on first access,
+only for bench/layers.py until ROADMAP directions 14 and 18.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 from .families import bound_interval
 from .graph import SCALE, canonical_form, format_edge_list, rises_above, scaled_tol
-from .rings import OPERATOR_NAMES, edit_key, ring_classes, ring_edits, ring_graph
+from .rings import OPERATOR_NAMES, edit_applications, ring_classes, ring_edits, ring_graph
 
 MAX_ORDER = 12
 # verify_bounds reads GA from the rings and builds a Graph only for the
@@ -35,7 +35,8 @@ MAX_MONOTONICITY_ORDER = 14
 
 
 def __getattr__(name: str):
-    """operator_applications, imported from transforms on first access."""
+    """operator_applications, imported from transforms on first access: only
+    bench/layers.py reads it here, until ROADMAP directions 14 and 18."""
     if name == "operator_applications":
         from .transforms import operator_applications
 
@@ -136,16 +137,15 @@ def verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
         if lower - total > slack or total - upper > slack:
             violators.append((ring, total))
 
-    def keys(rings):
-        return tuple(sorted(canonical_form(ring_graph(next(zip(*ring)))).hex() for ring, _ in rings))
-
+    shapes = {ring: next(zip(*ring)) for ring, _ in chain(min_rings, max_rings)}  # keyed once
+    key = {ring: canonical_form(ring_graph(s)).hex() for ring, s in shapes.items()}
     return BoundReport(
         n=n,
         count=count,
         min_ga=low / SCALE,
         max_ga=high / SCALE,
-        min_witnesses=keys(min_rings),
-        max_witnesses=keys(max_rings),
+        min_witnesses=tuple(sorted(key[ring] for ring, _ in min_rings)),
+        max_witnesses=tuple(sorted(key[ring] for ring, _ in max_rings)),
         violations=tuple((format_edge_list(ring_graph(next(zip(*ring)))), total / SCALE)
                          for ring, total in violators),
         # the cycle is the one ring of girth n
@@ -196,11 +196,11 @@ def verify_monotonicity(n: int, tol: float = 1e-9) -> MonotonicityReport:
 
     The sweep edits each class's ring, its rows (ring_edits), and keeps its
     largest accepted rise. rises_above is monotone in the rise, so it tests
-    that one: when it fires, the ring's edits are walked again to collect
-    each rise above tol, and the graph of its shapes is built to list them.
-    worst_slack is the largest exact rise divided once. A violation is
-    reported per application, with its params and the input's edge list, in
-    the order operator_applications yields them. tol may be infinite, not NaN.
+    that one: when it fires, the ring's edits are walked again, and each
+    application (edit_applications) of a rise above tol is reported with its
+    params and the input's edge list, in the order operator_applications
+    yields them. worst_slack is the largest exact rise divided once. tol may
+    be infinite, not NaN.
     """
     _check_order(n, MAX_MONOTONICITY_ORDER)
     if math.isnan(tol):  # every slack > nan is false: no rise would be reported
@@ -222,17 +222,13 @@ def verify_monotonicity(n: int, tol: float = 1e-9) -> MonotonicityReport:
         if top > worst:
             worst = top
         if rises_above(top, tol):  # monotone in the rise: some edit is above tol
-            from .transforms import operator_applications
-
-            found = {(op, where): f"GA increased by {rise / SCALE!r}"
-                     for op, where, _, rise in ring_edits(ring, n)
-                     if rise is not None and rises_above(rise, tol)}
-            g = ring_graph(next(zip(*ring)))  # the shapes, the rows' first column
-            source = format_edge_list(g)
-            for op, params, _ in operator_applications(g):
-                problem = found.get((op, edit_key(op, params, len(ring))))
-                if problem:
-                    violations.append({"op": op, "params": params, "input": source,
-                                       "problem": problem})
+            found = sorted(((rank, op, params, rise) for op, where, _, rise in ring_edits(ring, n)
+                            if rise is not None and rises_above(rise, tol)
+                            for rank, params in edit_applications(op, where, len(ring))),
+                           key=itemgetter(0))
+            source = format_edge_list(ring_graph(next(zip(*ring))))  # shapes: rows' first column
+            violations += [{"op": op, "params": params, "input": source,
+                            "problem": f"GA increased by {rise / SCALE!r}"}
+                           for _, op, params, rise in found]
     worst_slack = 0.0 if worst == floor else worst / SCALE
     return MonotonicityReport(n, graphs, applications, worst_slack, tuple(violations))

@@ -6,8 +6,8 @@ of each class yields one graph per class with no isomorphism test.
 Here are the shapes and the tables of their exact GA sums, the least rings
 (:func:`ring_classes`), the graph of a ring (:func:`ring_graph`, cycle
 vertex i at position i) and the operators, named once in
-:data:`OPERATOR_NAMES`, as edits of a ring's sum (:func:`ring_edits`,
-:func:`edit_key`), which rely on that numbering.
+:data:`OPERATOR_NAMES`, as edits of a ring's sum (:func:`ring_edits`) and
+as graph applications (:func:`edit_applications`), which rely on that numbering.
 """
 
 from __future__ import annotations
@@ -206,14 +206,28 @@ def ring_graph(ring: tuple) -> Graph:
                                                   dict(zip(cycle, cycle))))
 
 
-# the rewrite operators, in the order ring_edits and operator_applications yield them
-OPERATOR_NAMES = (
-    "star_transform",
-    "relocate_min",
-    "arc_transform",
-    "finish_two_neighbors_deg2",
-    "finish_one_neighbor_deg2",
-)
+# the rewrite operators, in the order ring_edits and operator_applications
+# yield them, and the names of each one's params
+OPERATOR_NAMES = ("star_transform", "relocate_min", "arc_transform",
+                  "finish_two_neighbors_deg2", "finish_one_neighbor_deg2")
+_PARAMS = (("v",), ("u", "v"), ("u", "e", "v"), ("v",), ("v", "u"))
+
+
+def edit_applications(op: str, where: tuple, girth: int):
+    """Yield (rank, params) for each application of op that ring_edits lists
+    under `where` for a ring of this girth: one, with where's values, or one
+    per cycle edge i on the arc (u, v, ahead), e = [i, i + 1] or [0, i] for
+    the last. Sorted stably by rank, a ring's come in operator_applications'
+    order on its graph."""
+    rank = OPERATOR_NAMES.index(op)
+    if op != "arc_transform":
+        yield (rank,), dict(zip(_PARAMS[rank], where))
+        return
+    u, v, ahead = where
+    first, last = (u, v) if ahead else (v, u)  # the arc ahead of u has edges u..v-1
+    for i in range(first, first + (last - first) % girth):
+        i %= girth
+        yield (rank, u, v, i), {"u": u, "e": [i, i + 1] if i + 1 < girth else [0, i], "v": v}
 
 
 def ring_edits(ring: tuple, n: int):
@@ -223,8 +237,9 @@ def ring_edits(ring: tuple, n: int):
     cycle vertex i at position i. where is the params' values, but
     (u, v, ahead) for the arc from u to v that runs ahead of u in the cycle
     order (ahead) or behind it; count is the number of applications it
-    stands for, one per cycle edge on an arc; rise is the exact ga_sum of
-    the result less the graph's, or None when the operator rejects the choice.
+    stands for, one per cycle edge on an arc, which edit_applications lists
+    with their params; rise is the exact ga_sum of the result less the
+    graph's, or None when the operator rejects the choice.
 
     A rise edits the ring's sum: the cycle terms and tree sums at the
     positions the rewrite changes go out, and those of the result come in.
@@ -349,15 +364,3 @@ def ring_edits(ring: tuple, n: int):
                             + stars[1 + sw] + stars[n - 1 - sw])
                 rise -= total
             yield "finish_one_neighbor_deg2", (v, u), 1, rise
-
-
-def edit_key(op: str, params: dict, girth: int) -> tuple:
-    """The `where` under which ring_edits lists the application of op with
-    these params to a ring's graph of this girth: the params' values, but
-    (u, v, ahead) for arc_transform, whose edge e picks the arc that runs
-    ahead of u exactly when it starts fewer than d(u, v) steps ahead of u."""
-    if op != "arc_transform":
-        return tuple(params.values())
-    u, (a, b), v = params["u"], params["e"], params["v"]
-    edge = a if b == a + 1 else b  # cycle edge i joins positions i and i + 1
-    return u, v, (edge - u) % girth < (v - u) % girth

@@ -24,6 +24,9 @@ builds its edge set only when read; the reference here lists the ring's
 edges one by one, for the tests to peel.
 The package's monotonicity sweep tries each operator only at targets its
 guards accept; the reference here yields every syntactic parameter choice.
+The package lists a ring edit's graph applications by expanding its
+params (rings.edit_applications); the reference here maps each graph
+application back to the edit that stands for it (edit_key).
 The package derives a rewrite's result from its input's cycle structure
 and holds no edge set for it; the reference here edits the input's edge
 set.
@@ -365,6 +368,18 @@ def syntactic_applications(g: Graph):
         for u in cyc.cycle_neighbors(v):
             yield ("finish_one_neighbor_deg2", {"v": v, "u": u},
                    (lambda v=v, u=u: finish_one_neighbor_deg2(g, v, u)))
+
+
+def edit_key(op: str, params: dict, girth: int) -> tuple:
+    """The `where` under which ring_edits lists the application of op with
+    these params to a ring's graph of this girth: the params' values, but
+    (u, v, ahead) for arc_transform, whose edge e picks the arc that runs
+    ahead of u exactly when it starts fewer than d(u, v) steps ahead of u."""
+    if op != "arc_transform":
+        return tuple(params.values())
+    u, (a, b), v = params["u"], params["e"], params["v"]
+    edge = a if b == a + 1 else b  # cycle edge i joins positions i and i + 1
+    return u, v, (edge - u) % girth < (v - u) % girth
 
 
 def hung_shape(shape: tuple) -> tuple:

@@ -28,7 +28,7 @@ from gaindex import (
 from gaindex import cli, enumeration, rings, transforms
 from gaindex.enumeration import MAX_BOUND_ORDER, OPERATOR_NAMES, operator_applications
 from gaindex.graph import SCALE, ga_term, json_text
-from gaindex.rings import (_hung_shapes, _necklaces, _shapes, _stabilizer, edit_key,
+from gaindex.rings import (_hung_shapes, _necklaces, _shapes, _stabilizer, edit_applications,
                            ring_classes, ring_edits, ring_graph)
 from gaindex.transforms import PreconditionError
 
@@ -37,6 +37,7 @@ from _helpers import (assert_same_structure, lift_ring_edits, lift_ring_sums, ri
 from _oracles import (
     compositions,
     edge_list_ga_sum,
+    edit_key,
     enumerate_unicyclic_by_chords,
     float_ga_term,
     free_trees,
@@ -208,6 +209,21 @@ def test_verify_bounds_labels_only_witnesses(monkeypatch):
     monkeypatch.setattr("gaindex.enumeration.canonical_form", counting)
     rep = verify_bounds(9)
     assert len(calls) == len(rep.min_witnesses) + len(rep.max_witnesses)
+
+
+def test_verify_bounds_keys_each_kept_ring_once(monkeypatch):
+    # at this tol every ring is within slack of both extremes, and each is
+    # keyed once for the two witness lists
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr("gaindex.enumeration.canonical_form", counting)
+    rep = verify_bounds(9, tol=1e300)
+    assert len(rep.min_witnesses) == len(rep.max_witnesses) == rep.count
+    assert len(calls) == rep.count
 
 
 def test_verify_bounds_builds_graphs_only_for_witnesses(monkeypatch):
@@ -395,9 +411,10 @@ def test_monotonicity_sweep_reports_each_finishing_violation(unicyclic, monkeypa
     assert tuple(rep.applications.values()) == MONOTONICITY_APPLICATIONS[8]
 
 
-def test_the_sweep_reads_its_choices_from_transforms():
+def test_only_the_benchmark_reads_the_choices_through_enumeration():
     # the filter lives beside the operator guards it mirrors; the sweep lists
-    # a violating class's applications through it, and the benchmark reads it
+    # its violations from its ring edits, and enumeration's hook resolves the
+    # filter only for the benchmark's layer timings
     assert operator_applications is transforms.operator_applications
     assert OPERATOR_NAMES is transforms.OPERATOR_NAMES is rings.OPERATOR_NAMES
 
@@ -565,6 +582,25 @@ def test_ring_edits_match_the_graph_operators(n):
             graph.setdefault((op, edit_key(op, params, len(ring))), []).append(outcome)
         assert edits == graph, ring
     assert tuple(accepted.values()) == MONOTONICITY_APPLICATIONS[n]
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_each_edit_expands_to_the_graph_applications_it_stands_for(n):
+    # every edit, a rejected arc included, expands to count applications
+    # that edit_key maps back to its where, and the expansions of a ring's
+    # edits, sorted stably by rank, are operator_applications' list in order,
+    # each params' keys in order too
+    for ring, _ in ring_classes(n):
+        expanded = []
+        for op, where, count, _ in ring_edits(ring, n):
+            applications = list(edit_applications(op, where, len(ring)))
+            assert len(applications) == count, (op, where, ring)
+            assert {edit_key(op, params, len(ring)) for _, params in applications} == {where}
+            expanded += [(rank, op, params) for rank, params in applications]
+        expanded.sort(key=lambda entry: entry[0])
+        g = ring_graph(ring_shapes(ring))
+        assert [(op, [*params.items()]) for _, op, params in expanded] == [
+            (op, [*params.items()]) for op, params, _ in operator_applications(g)], ring
 
 
 @settings(max_examples=300, deadline=None)

@@ -25,7 +25,7 @@ constructor fills a cache by assigning the field.
 No rewrite operator in transforms.py calls another, directly or through
 the module's helpers: each is its guards plus one Graph.rehang. And
 enumeration.py imports from transforms nothing at module level and only
-operator_applications inside functions, rings.py nothing, and neither
+operator_applications in its module __getattr__, rings.py nothing, and neither
 names a rewrite operator: the monotonicity sweep evaluates each one as an
 edit of a ring, and rings.ring_edits builds no dict or set and copies no
 list, so each edit stays O(1) arithmetic, and makes no function object
@@ -40,7 +40,8 @@ Every module parses under the oldest Python that pyproject.toml allows.
 No module imports `dataclasses`, whose import (with `inspect`) was the
 largest share of the CLI's start-up; a fresh `import gaindex.cli` loads
 neither, and `gaindex verify` does not load transforms, whose names the
-package root and enumeration resolve on first access.
+package root and enumeration resolve on first access, nor does a
+monotonicity sweep that lists violations.
 """
 
 import ast
@@ -370,16 +371,19 @@ def _from_transforms(nodes) -> list:
 
 
 def test_the_monotonicity_sweep_runs_no_rewrite_operator():
-    # the sweep evaluates every operator as a ring edit: enumeration.py takes
-    # the operator names from rings.py and nothing from transforms at module
-    # level; it imports the graph-level choices only where it lists a
-    # violating class's applications and where its module __getattr__
-    # resolves enumeration.operator_applications. rings.py takes nothing,
-    # and neither names an operator, so the sweep cannot fall back to the
-    # graph operators unnoticed
+    # the sweep evaluates every operator as a ring edit and lists a
+    # violation from the edit that found it: enumeration.py takes the
+    # operator names from rings.py and nothing from transforms at module
+    # level; it imports the graph-level choices only where its module
+    # __getattr__ resolves enumeration.operator_applications for the
+    # benchmark. rings.py takes nothing, and neither names an operator, so
+    # the sweep cannot fall back to the graph operators unnoticed
     enumeration = MODULES["enumeration.py"]
     assert _from_transforms(enumeration.body) == []
-    assert _from_transforms(ast.walk(enumeration)) == ["operator_applications"] * 2
+    assert _from_transforms(ast.walk(enumeration)) == ["operator_applications"]
+    hook = next(node for node in enumeration.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__getattr__")
+    assert _from_transforms(ast.walk(hook)) == ["operator_applications"]
     assert _from_transforms(ast.walk(MODULES["rings.py"])) == []
     for module in ("enumeration.py", "rings.py"):
         assert set(_references(MODULES[module])) & _operator_reach().keys() == set(), module
@@ -420,7 +424,7 @@ def test_ring_edits_reads_no_shape_table():
 # ring edits: every function that decides something about rings
 RING_FUNCTIONS = {"_shapes", "_led_by", "_necklaces", "_dihedral", "_stabilizer",
                   "_hung_shapes", "_cycle_terms", "_star_sums", "_skeleton", "ring_classes",
-                  "ring_graph", "ring_edits", "edit_key"}
+                  "ring_graph", "ring_edits", "edit_applications"}
 
 
 def _package_imports(tree) -> set:
@@ -507,6 +511,15 @@ def test_verify_loads_no_rewrite_code():
              "    code = main(['verify', '3..8', '--format', 'json'])\n"
              "print(code, 'gaindex.transforms' in sys.modules)")
     assert _fresh(probe) == "0 False\n"
+
+
+def test_a_monotonicity_violation_loads_no_rewrite_code():
+    # the sweep lists each violation from the ring edit that found it
+    probe = ("import sys\n"
+             "from gaindex.enumeration import verify_monotonicity\n"
+             "rep = verify_monotonicity(6, tol=-1e-3)\n"
+             "print(len(rep.violations) > 0, 'gaindex.transforms' in sys.modules)")
+    assert _fresh(probe) == "True False\n"
 
 
 def test_transforms_names_resolve_on_first_access():
