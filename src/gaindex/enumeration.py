@@ -106,7 +106,8 @@ class BoundReport(NamedTuple):
 
 def verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
     """Check GA(sn3(n)) <= GA(G) <= n, the bound_interval(n), over every
-    unicyclic class of order n, within a finite tol.
+    unicyclic class of order n, within a finite tol >= 0: below 0 the
+    extremes themselves would fall outside their own slack.
 
     GA and the bounds, sn3's ring sum and n * SCALE, are exact sums from the
     rings, compared by exact differences; only the two extremes and the
@@ -118,6 +119,8 @@ def verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
     """
     _check_order(n, MAX_BOUND_ORDER)
     slack = scaled_tol(tol)
+    if tol < 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     rings = ring_classes(n)
     sn3, lower = next(rings)  # girth 3, least sizes, least shape: n-3 leaves on one vertex
     upper = n * SCALE

@@ -24,35 +24,28 @@ def _shapes(total: int) -> tuple:
     """(forest, the scaled GA sum of the edges under its trees' roots) for
     every multiset of rooted-tree shapes with vertex counts summing to total,
     in shape order (tuple order). A shape is its child forest: the shapes on
-    s vertices are the forests of _shapes(s - 1). Each forest comes once, as
-    its least tree followed by a forest of trees no less, in blocks that
-    share the least tree, merged in its order."""
-    from heapq import merge  # here, not at import: only the shape tables use it
-
+    s vertices are the forests of _shapes(s - 1). Each forest comes once, in
+    the block of its least tree: the tree followed by each forest of trees no
+    less (a suffix), or by none when it has all total vertices. Each size
+    gives its blocks in order, and one sort merges the sizes' runs."""
     if total == 0:
         return (((), 0),)
-    found = []
-    for _, block in merge(*(_led_by(size, total) for size in range(1, total + 1))):
-        found += block
-    return tuple(found)
-
-
-def _led_by(size: int, total: int):
-    """Yield (tree, block) in shape order for each tree of `size` vertices,
-    where block holds the _shapes(total) entries whose least tree it is: the
-    tree followed by each forest of total - size whose trees are no less (a
-    suffix of them), or by none when size is total."""
-    rests, start = _shapes(total - size), 0
-    for tree, under in _shapes(size - 1):
-        d = len(tree) + 1  # the tree's root, with its parent
-        inner = under + sum(ga_term(d, len(child) + 1) for child in tree)
-        if size == total:
-            yield tree, [((tree,), inner)]
-            continue
-        start = bisect_left(rests, ((tree,),), start)  # a forest below (tree,) starts lower
-        if start == len(rests):
-            return
-        yield tree, [((tree,) + rest, inner + rest_under) for rest, rest_under in rests[start:]]
+    blocks = []
+    for size in range(1, total + 1):
+        rests, start = _shapes(total - size), 0
+        for tree, under in _shapes(size - 1):
+            d = len(tree) + 1  # the tree's root, with its parent
+            inner = under + sum(ga_term(d, len(child) + 1) for child in tree)
+            if size == total:
+                blocks.append((tree, [((tree,), inner)]))
+                continue
+            start = bisect_left(rests, ((tree,),), start)  # a forest below (tree,) starts lower
+            if start == len(rests):
+                break
+            blocks.append((tree, [((tree,) + rest, inner + rest_under)
+                                  for rest, rest_under in rests[start:]]))
+    blocks.sort(key=itemgetter(0))
+    return tuple(entry for _, block in blocks for entry in block)
 
 
 def _necklaces(total: int, parts: int) -> list:

@@ -31,7 +31,7 @@ from operator import neg
 from typing import NamedTuple
 
 from .families import FamilySpec, classify_family
-from .graph import Graph, NotUnicyclicError, json_text, norm_edge, pendant_tree, rises_above
+from .graph import Graph, NotUnicyclicError, json_text, norm_edge, rises_above
 from .rings import OPERATOR_NAMES as OPERATOR_NAMES  # re-exported
 
 
@@ -94,7 +94,7 @@ def _require_on_cycle(g: Graph, *xs: int) -> None:
 def _is_star(g: Graph, v: int) -> bool:
     """True when the pendant tree at cycle vertex v is a star centred at v."""
     # v has deg(v) - 2 children; a star when they are its whole tree
-    return len(pendant_tree(g, v)) == g.degrees[v] - 1
+    return len(g.cycle.trees[v]) == g.degrees[v] - 1
 
 
 def _require_star(g: Graph, v: int) -> None:
@@ -122,7 +122,7 @@ def star_transform(g: Graph, v: int) -> Graph:
     """Flatten the pendant tree at local-maximum cycle vertex v into a star at v."""
     _require_on_cycle(g, v)
     _require_local_extreme(g, v, "maximum")
-    return g.rehang(dict.fromkeys(pendant_tree(g, v)[1:], v))
+    return g.rehang(dict.fromkeys(g.cycle.trees[v][1:], v))
 
 
 def relocate_min(g: Graph, u: int, v: int) -> Graph:
@@ -136,7 +136,7 @@ def relocate_min(g: Graph, u: int, v: int) -> Graph:
     _require_on_cycle(g, u, v)
     _require_local_max_star(g, v)
     _require_local_extreme(g, u, "minimum")
-    return g.rehang(dict.fromkeys(pendant_tree(g, u)[1:], v))
+    return g.rehang(dict.fromkeys(g.cycle.trees[u][1:], v))
 
 
 def _arc_path(g: Graph, u: int, e, v: int) -> tuple:
@@ -177,7 +177,7 @@ def arc_transform(g: Graph, u: int, e, v: int) -> Graph:
                 f"arc vertex {w} breaks the degree ordering: "
                 f"need d({u})={du} <= d({w})={g.degrees[w]} <= d({v})={dv}"
             )
-    return g.rehang({z: v for w in path[1:-1] for z in pendant_tree(g, w)})
+    return g.rehang({z: v for w in path[1:-1] for z in g.cycle.trees[w]})
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ def finish_two_neighbors_deg2(g: Graph, v: int) -> Graph:
         raise PreconditionError(f"both cycle neighbors of {v} must have degree 2")
     rest = cyc.walk(v, a)[2:-1]  # the cycle without v and its two neighbors
     vbar = _heaviest(g, rest)
-    moves = {z: vbar for w in rest for z in pendant_tree(g, w) if z != vbar}
+    moves = {z: vbar for w in rest for z in cyc.trees[w] if z != vbar}
     return g.rehang(moves)
 
 
@@ -238,8 +238,8 @@ def finish_one_neighbor_deg2(g: Graph, v: int, u: int) -> Graph:
     vt = rest[-1]
     # the arc relocation hangs these on vt as leaves. It skips arc_transform's
     # gate: degrees grow weakly toward vt, which need not be a local maximum
-    inner = [z for w in rest[:-1] for z in pendant_tree(g, w)]
-    tree, parent, deg = pendant_tree(g, vt), cyc.parent, g.degrees
+    inner = [z for w in rest[:-1] for z in cyc.trees[w]]
+    tree, parent, deg = cyc.trees[vt], cyc.parent, g.degrees
     heavy = [w for w in tree if parent[w] == vt and deg[w] > deg[vt] + len(inner)]
     if not heavy:
         # vt keeps its children and gains inner; everything deeper becomes a pendant at v

@@ -272,6 +272,8 @@ def ring_key(choice: tuple) -> str:
 def reference_verify_bounds(n: int, tol: float = 1e-9) -> BoundReport:
     """verify_bounds over a list of every class, scanned once per quantity."""
     slack = scaled_tol(tol)
+    if tol < 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     entries = [(ring_shapes(ring), total) for ring, total in ring_classes(n)]
     cycle = ((),) * n
     sn3 = ((), (), ((),) * (n - 3))

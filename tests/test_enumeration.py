@@ -3,6 +3,7 @@ import inspect
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -125,7 +126,7 @@ def test_rings_match_the_reference_filter(n):
         choice for _, choice in least_rings(n)]
 
 
-@pytest.mark.parametrize("size", range(11))
+@pytest.mark.parametrize("size", range(14))  # 13: the largest table verify 3..16 builds
 def test_shape_tables_match_the_set_and_sort_reference(size):
     assert tuple(forest for forest, _ in _shapes(size)) == reference_forests(size)
     assert _hung_shapes(size) == reference_hung_shapes(size)
@@ -278,8 +279,13 @@ def test_verify_bounds_family_flags_match_canonical_keys(n):
 @pytest.mark.parametrize("tol", [1e-9, 0, 5e-324, -1e-3, -0.2, 0.2, 1e300])
 @pytest.mark.parametrize("n", range(3, 12))
 def test_verify_bounds_matches_the_list_reference(n, tol):
-    # negative tols give violators and no witnesses, positive ones several
-    # witnesses: the running extremes must keep the same rings as a scan
+    # positive tols give several witnesses: the running extremes must keep
+    # the same rings as a scan. Both reject a negative tol alike
+    if tol < 0:
+        for check in (verify_bounds, reference_verify_bounds):
+            with pytest.raises(ValueError, match=re.escape(f"tol must be >= 0, got {tol!r}")):
+                check(n, tol)
+        return
     assert verify_bounds(n, tol).to_dict() == reference_verify_bounds(n, tol).to_dict()
 
 
@@ -333,6 +339,14 @@ def test_verify_bounds_order_limits():
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
 def test_verify_bounds_rejects_a_non_finite_tol(tol):
     with pytest.raises(ValueError, match=f"tol must be finite, got {tol!r}"):
+        verify_bounds(5, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [-5e-324, -1e-3, -0.2, -1e300])
+def test_verify_bounds_rejects_a_negative_tol(tol):
+    # below 0, sn3 and C_n would fall outside their own slack: the report
+    # would name no witness and list both extremes as violators
+    with pytest.raises(ValueError, match=re.escape(f"tol must be >= 0, got {tol!r}")):
         verify_bounds(5, tol=tol)
 
 

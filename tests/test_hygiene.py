@@ -422,9 +422,9 @@ def test_ring_edits_reads_no_shape_table():
 
 # the shapes, the sum tables, the least rings, the graph of a ring and the
 # ring edits: every function that decides something about rings
-RING_FUNCTIONS = {"_shapes", "_led_by", "_necklaces", "_dihedral", "_stabilizer",
-                  "_hung_shapes", "_cycle_terms", "_star_sums", "_skeleton", "ring_classes",
-                  "ring_graph", "ring_edits", "edit_applications"}
+RING_FUNCTIONS = {"_shapes", "_necklaces", "_dihedral", "_stabilizer", "_hung_shapes",
+                  "_cycle_terms", "_star_sums", "_skeleton", "ring_classes", "ring_graph",
+                  "ring_edits", "edit_applications"}
 
 
 def _package_imports(tree) -> set:
